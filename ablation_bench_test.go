@@ -35,7 +35,7 @@ func BenchmarkAblation_SuperpositionVsEnumeration(b *testing.B) {
 	b.Run("factored", func(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			sink += factored.Step().S
+			sink += factored.StepAt(uint64(i)).S
 		}
 		_ = sink
 		tFac = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -43,7 +43,7 @@ func BenchmarkAblation_SuperpositionVsEnumeration(b *testing.B) {
 	b.Run("enumerated", func(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			sink += expanded.Step().S
+			sink += expanded.StepAt(uint64(i)).S
 		}
 		_ = sink
 		tExp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -162,7 +162,7 @@ func BenchmarkAblation_CheckCostBySize(b *testing.B) {
 			var sink float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sink += ev.Step().S
+				sink += ev.StepAt(uint64(i)).S
 			}
 			_ = sink
 		})

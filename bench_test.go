@@ -12,6 +12,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/gen"
 )
@@ -191,7 +192,7 @@ func BenchmarkE10_SolverComparison(b *testing.B) {
 func BenchmarkCheckThroughput(b *testing.B) {
 	f := gen.PaperSAT()
 	for i := 0; i < b.N; i++ {
-		eng, err := NewEngine(f, Options{
+		eng, err := core.NewEngine(f, core.Options{
 			Family: UniformUnit, Seed: uint64(i + 1),
 			MaxSamples: 200_000, MinSamples: 200_000, CheckEvery: 200_000,
 		})

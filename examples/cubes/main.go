@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/cnf"
+	"repro/internal/core"
+	"repro/internal/noise"
 )
 
 func main() {
@@ -21,12 +23,12 @@ func main() {
 	// clauses forces x1 = 1, while x2 and x3 are true don't-cares. The
 	// instance is kept at n·m = 6 so each reduced NBL check is decisive
 	// within the sample budget (Section III-F: SNR ~ K'·sqrt(N)/(3·2^nm)).
-	f := repro.FromClauses([]int{1, 2}, []int{1, -2})
+	f := cnf.FromClauses([]int{1, 2}, []int{1, -2})
 	f.NumVars = 3
 	fmt.Println("instance:", f, "over x1..x3")
 
-	eng, err := repro.NewEngine(f, repro.Options{
-		Family:     repro.UniformUnit,
+	eng, err := core.NewEngine(f, core.Options{
+		Family:     noise.UniformUnit,
 		Seed:       11,
 		MaxSamples: 800_000,
 	})
@@ -46,7 +48,7 @@ func main() {
 	}
 	free := 0
 	for v := 1; v <= f.NumVars; v++ {
-		if cube.Assignment.Get(repro.Var(v)) == repro.Unassigned {
+		if cube.Assignment.Get(cnf.Var(v)) == cnf.Unassigned {
 			free++
 		}
 	}

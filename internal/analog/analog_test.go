@@ -164,9 +164,9 @@ func TestCompiledEngineMatchesMathEngine(t *testing.T) {
 	}
 	bank := noise.NewBank(noise.UniformHalf, 99, f.NumVars, f.NumClauses())
 	ev := hyperspace.New(f, bank)
-	for step := 0; step < 200; step++ {
+	for step := uint64(0); step < 200; step++ {
 		eng.Net.Step()
-		want := ev.Step()
+		want := ev.StepAt(step)
 		if math.Abs(eng.Net.Value(eng.SN)-want.S) > 1e-12 {
 			t.Fatalf("step %d: netlist S_N = %v, evaluator = %v",
 				step, eng.Net.Value(eng.SN), want.S)

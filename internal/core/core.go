@@ -51,31 +51,16 @@ type Options struct {
 	// returns SAT when mean > Theta·stderr. Default 4.
 	Theta float64
 	// Workers is the number of parallel sampling goroutines. Default 1.
-	// Under stream contract v2 results are bit-identical for every
-	// worker count (workers claim disjoint sample-index chunks of the
-	// same counter-addressed streams); under v1 they are deterministic
-	// only for a fixed worker count.
+	// Results are bit-identical for every worker count: workers claim
+	// disjoint sample-index chunks of the same counter-addressed
+	// streams.
 	Workers int
-	// StreamVersion selects the noise stream contract. Default (0)
-	// selects noise.StreamV2, the counter-based stateless contract;
-	// noise.StreamV1 keeps the legacy stateful-generator streams as a
-	// migration oracle. The two contracts draw different samples, so
-	// verdict traces are version-specific.
-	StreamVersion int
 	// Block overrides the sampling batch size. Default 0 selects the
 	// cache-aware hyperspace.BlockSize for the instance geometry. The
 	// per-source sample streams are identical for every block size
 	// (SampleSource's FillBlockAt contract), so Block never changes
 	// results — only throughput.
 	Block int
-	// Progress, when non-nil, observes the running statistic after every
-	// merged convergence round (cadence CheckEvery samples): total
-	// samples so far, the running mean, and its standard error. It is
-	// called from the coordinating goroutine only — never from the
-	// sampling workers — so implementations need no synchronization
-	// against the engine, and it must return quickly (it sits on the
-	// sampling path). Progress never changes results.
-	Progress func(samples int64, mean, stderr float64)
 }
 
 // withDefaults fills zero fields with defaults.
@@ -97,9 +82,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.StreamVersion == 0 {
-		o.StreamVersion = noise.StreamV2
 	}
 	return o
 }
@@ -153,15 +135,8 @@ func NewEngine(f *cnf.Formula, opts Options) (*Engine, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	o := opts.withDefaults()
-	if o.StreamVersion != noise.StreamV1 && o.StreamVersion != noise.StreamV2 {
-		return nil, fmt.Errorf("core: unknown stream version %d", o.StreamVersion)
-	}
-	return &Engine{f: f, opts: o}, nil
+	return &Engine{f: f, opts: opts.withDefaults()}, nil
 }
-
-// Formula returns the engine's formula.
-func (e *Engine) Formula() *cnf.Formula { return e.f }
 
 // Reset re-targets the engine at a new formula, restoring the
 // fresh-engine state (checkSeq restarts at zero, so a Reset engine is
@@ -192,13 +167,6 @@ func (e *Engine) Reset(f *cnf.Formula) error {
 	return nil
 }
 
-// SetProgress installs (or clears) the per-round progress observer; see
-// Options.Progress. It exists so a warm engine reused across requests
-// can carry each request's own observer.
-func (e *Engine) SetProgress(fn func(samples int64, mean, stderr float64)) {
-	e.opts.Progress = fn
-}
-
 // Options returns the engine's effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opts }
 
@@ -210,7 +178,8 @@ func (e *Engine) Check() Result {
 
 // CheckCtx is Check with cancellation: the sampler polls ctx between
 // convergence rounds and the partial Result plus ctx.Err() are returned
-// when the context ends before the decision.
+// when the context ends before the decision. A progress hook carried by
+// ctx (solver.ContextWithProgress) observes every merged round.
 func (e *Engine) CheckCtx(ctx context.Context) (Result, error) {
 	return e.CheckBoundCtx(ctx, cnf.NewAssignment(e.f.NumVars))
 }
@@ -265,7 +234,7 @@ func (e *Engine) MeanTrace(every, maxSamples int64) []TracePoint {
 	var w stats.Welford
 	var out []TracePoint
 	for i := int64(1); i <= maxSamples; i++ {
-		w.Add(ev.Step().S)
+		w.Add(ev.StepAt(uint64(i - 1)).S)
 		if i%every == 0 || i == maxSamples {
 			out = append(out, TracePoint{Samples: i, Mean: w.Mean()})
 		}

@@ -127,7 +127,7 @@ func TestAssignPaperExample8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Verified || !res.Assignment.Satisfies(e.Formula()) {
+	if !res.Verified || !res.Assignment.Satisfies(e.f) {
 		t.Fatalf("assignment %s does not satisfy", res.Assignment)
 	}
 	if len(res.Checks) != 3 {
@@ -191,7 +191,7 @@ func TestCubeSoundOnXorLikeInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Assignment.Eval(e.Formula()) != cnf.True {
+	if res.Assignment.Eval(e.f) != cnf.True {
 		t.Errorf("cube %s does not cover all clauses", res.Assignment)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"strconv"
-	"sync"
 
 	"repro/internal/cnf"
 	"repro/internal/hyperspace"
@@ -20,19 +18,28 @@ import (
 // interface and registers them as "mc" (Monte-Carlo Algorithm 1/2) and
 // "exact" (infinite-sample closed form).
 
-// The solver package mirrors the stream version constants (it cannot
-// import noise without inverting the dependency); pin the mirror at
-// compile time so the two namespaces cannot drift.
-const (
-	_ = uint(noise.StreamV1 - solver.StreamV1)
-	_ = uint(solver.StreamV1 - noise.StreamV1)
-	_ = uint(noise.StreamV2 - solver.StreamV2)
-	_ = uint(solver.StreamV2 - noise.StreamV2)
-)
-
 func init() {
+	// mc is warm (solver.Warm): the engine persists across Solve calls,
+	// and Engine.Reset keeps the per-worker banks, evaluators and block
+	// buffers whenever the (n, m) geometry repeats.
 	solver.Register("mc", func(cfg solver.Config) solver.Solver {
-		return &mcSolver{cfg: cfg}
+		return solver.NewWarm("mc",
+			func(f *cnf.Formula) (*Engine, error) {
+				fam, err := ParseFamily(cfg.Family)
+				if err != nil {
+					return nil, err
+				}
+				return NewEngine(f, Options{
+					Family:     fam,
+					Seed:       cfg.Seed,
+					MaxSamples: cfg.MaxSamples,
+					Theta:      cfg.Theta,
+					Workers:    cfg.Workers,
+				})
+			},
+			func(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span) (solver.Result, error) {
+				return mcCheck(ctx, eng, f, sp, cfg.FindModel)
+			})
 	})
 	solver.Register("exact", func(cfg solver.Config) solver.Solver {
 		return exactSolver{cfg}
@@ -91,183 +98,70 @@ func ParseFamily(name string) (noise.Family, error) {
 	}
 }
 
-// mcSolver adapts the Monte-Carlo engine to the registry. It is warm:
-// the constructed core.Engine persists across Solve calls, and when
-// consecutive formulas share an (n, m) geometry the per-worker noise
-// banks, evaluators, and block buffers are reused through Engine.Reset
-// instead of being rebuilt — the amortization a long-running solve
-// service depends on. Reset restores fresh-engine state (checkSeq zero),
-// so a warm Solve is result-identical to a cold one. The mutex makes a
-// shared instance safe (calls serialize); anything that wants
-// parallelism constructs one instance per goroutine, as the portfolio
-// already does.
-type mcSolver struct {
-	cfg solver.Config
-	mu  sync.Mutex
-	eng *Engine
-	// resetFor notes that Reset already re-targeted eng at this exact
-	// formula, so the next Solve can skip the duplicate re-target (the
-	// engine lease pool resets on Acquire, then calls Solve with the
-	// same formula; re-deriving the streams twice would be pure waste).
-	resetFor *cnf.Formula
-}
-
-// Reset implements solver.Reusable: it re-targets the warm engine at f
-// ahead of the next Solve and reports whether the (n, m) geometry let
-// the per-worker banks and buffers survive. An invalid formula drops
-// the engine and reports cold — Solve will surface the actual error.
-func (s *mcSolver) Reset(f *cnf.Formula) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resetFor = nil
-	if s.eng == nil {
-		return false
-	}
-	old := s.eng.Formula()
-	warm := f.NumVars == old.NumVars && f.NumClauses() == old.NumClauses()
-	if err := s.eng.Reset(f); err != nil {
-		s.eng = nil
-		return false
-	}
-	s.resetFor = f
-	return warm
-}
-
-// Solve wraps the locked solve in the check span: name, geometry,
-// verdict, and the per-round SNR trajectory fed through the engine's
-// Progress hook. On an untraced context the span is nil and the whole
-// wrapper is a context lookup — the sampling loop itself never sees
-// the tracer.
-func (s *mcSolver) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
-	sp, ctx := obs.StartSpan(ctx, "mc.check")
+// mcCheck runs one mc solve on a warm engine: Algorithm 1, or
+// Algorithm 2 under FindModel, with the shared SNR gate on UNSAT. On a
+// traced context the progress hook is wrapped so every merged
+// convergence round also lands on the check span's SNR trajectory.
+func mcCheck(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span, findModel bool) (solver.Result, error) {
 	if sp != nil {
-		sp.SetAttr("n", strconv.Itoa(f.NumVars))
-		sp.SetAttr("m", strconv.Itoa(f.NumClauses()))
-		sp.SetAttr("eval_accel", hyperspace.EvalAccelName())
-		if fam, err := ParseFamily(s.cfg.Family); err == nil {
-			v := s.cfg.StreamVersion
-			if v == 0 {
-				v = noise.StreamV2
-			}
-			sp.SetAttr("fill_accel", noise.FillAccelKernel(fam, v))
+		ctx = withTrajectory(ctx, sp, eng.Options().Theta)
+	}
+	var out solver.Result
+	var err error
+	if findModel {
+		var res AssignResult
+		res, err = eng.AssignCtx(ctx)
+		out.Stats = assignStats(res)
+		switch {
+		case err == nil:
+			out.Status, out.Assignment = solver.StatusSat, res.Assignment
+		case errors.Is(err, ErrUnsat):
+			// The initial full-space check saw no significant mean; that
+			// is only an UNSAT verdict with the SNR budget behind it, the
+			// same gate as the plain check below.
+			out.Status, err = CheckStatus(false, f.NumVars, f.NumClauses(), out.Stats.Samples), nil
+		}
+		// ErrInconsistent (the reduced checks contradicted each other: the
+		// budget was too small for the instance's SNR) passes through like
+		// cancellation, so callers know to raise MaxSamples or Theta
+		// rather than read it as an ordinary budget-exhausted unknown.
+	} else {
+		var r Result
+		r, err = eng.CheckCtx(ctx)
+		out.Stats = solver.Stats{Samples: r.Samples, Mean: r.Mean, StdErr: r.StdErr}
+		if err == nil {
+			out.Status = CheckStatus(r.Satisfiable, f.NumVars, f.NumClauses(), r.Samples)
 		}
 	}
-	out, err := s.solve(ctx, f, sp)
-	if sp != nil {
-		sp.SetAttr("samples", strconv.FormatInt(out.Stats.Samples, 10))
-		sp.SetAttr("status", out.Status.String())
-		sp.Finish()
-	}
+	// The hot path's two kernels: the block evaluator's row primitives
+	// and the noise fill for the engine's family.
+	out.Stats.EvalAccel = hyperspace.EvalAccelName()
+	out.Stats.FillAccel = noise.FillAccelKernel(eng.Options().Family)
 	return out, err
 }
 
-func (s *mcSolver) solve(ctx context.Context, f *cnf.Formula, sp *obs.Span) (solver.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fam, err := ParseFamily(s.cfg.Family)
-	if err != nil {
-		return solver.Result{}, err
-	}
-	eng := s.eng
-	alreadyReset := s.resetFor == f
-	s.resetFor = nil
-	if eng != nil {
-		if !alreadyReset {
-			if err := eng.Reset(f); err != nil {
-				return solver.Result{}, err
-			}
+// withTrajectory wraps ctx's progress hook so that every call also adds
+// an SNR trajectory point to sp: one hook serves both the caller's live
+// progress and the span. The sampler fires it only at merged round
+// boundaries, from its coordinating goroutine, so the per-sample hot
+// loop never sees the tracer.
+func withTrajectory(ctx context.Context, sp *obs.Span, theta float64) context.Context {
+	outer := solver.ProgressFromContext(ctx)
+	round := 0
+	return solver.ContextWithProgress(ctx, func(st solver.Stats) {
+		if outer != nil {
+			outer(st)
 		}
-	} else {
-		eng, err = NewEngine(f, Options{
-			Family:        fam,
-			Seed:          s.cfg.Seed,
-			MaxSamples:    s.cfg.MaxSamples,
-			Theta:         s.cfg.Theta,
-			Workers:       s.cfg.Workers,
-			StreamVersion: s.cfg.StreamVersion,
+		round++
+		dist := 0.0
+		if st.StdErr > 0 {
+			dist = st.Mean/st.StdErr - theta
+		}
+		sp.Point(obs.TrajPoint{
+			Round: round, Samples: st.Samples,
+			Mean: st.Mean, StdErr: st.StdErr, Dist: dist,
 		})
-		if err != nil {
-			return solver.Result{}, err
-		}
-		s.eng = eng
-	}
-	// One installed hook serves both consumers: the service's live
-	// progress stream and the span's SNR trajectory. The hook fires
-	// only at merged convergence-round boundaries (from the
-	// coordinating goroutine), so the per-sample hot loop stays
-	// untouched either way.
-	fn := solver.ProgressFromContext(ctx)
-	if fn != nil || sp != nil {
-		theta := eng.Options().Theta
-		round := 0
-		eng.SetProgress(func(samples int64, mean, stderr float64) {
-			if fn != nil {
-				fn(solver.Stats{Samples: samples, Mean: mean, StdErr: stderr})
-			}
-			if sp != nil {
-				round++
-				dist := 0.0
-				if stderr > 0 {
-					dist = mean/stderr - theta
-				}
-				sp.Point(obs.TrajPoint{
-					Round: round, Samples: samples,
-					Mean: mean, StdErr: stderr, Dist: dist,
-				})
-			}
-		})
-		defer eng.SetProgress(nil)
-	}
-
-	if s.cfg.FindModel {
-		res, err := eng.AssignCtx(ctx)
-		out := solver.Result{Stats: assignStats(res)}
-		out.Stats.StreamVersion = eng.Options().StreamVersion
-		stampAccel(&out.Stats, eng)
-		switch {
-		case err == nil:
-			out.Status = solver.StatusSat
-			out.Assignment = res.Assignment
-			return out, nil
-		case errors.Is(err, ErrUnsat):
-			// The initial full-space check saw no significant mean; that
-			// is only an UNSAT verdict with the SNR budget behind it, same
-			// gate as the plain check path below.
-			out.Status = CheckStatus(false, f.NumVars, f.NumClauses(), out.Stats.Samples)
-			return out, nil
-		case errors.Is(err, ErrInconsistent):
-			// The reduced checks contradicted each other: the sample
-			// budget was too small for the instance's SNR. Not a verdict —
-			// surface the diagnostic so callers know to raise MaxSamples
-			// or Theta rather than read it as an ordinary budget-exhausted
-			// unknown.
-			return out, err
-		default:
-			return out, err
-		}
-	}
-
-	r, err := eng.CheckCtx(ctx)
-	out := solver.Result{
-		Stats: solver.Stats{
-			Samples: r.Samples, Mean: r.Mean, StdErr: r.StdErr,
-			StreamVersion: eng.Options().StreamVersion,
-		},
-	}
-	stampAccel(&out.Stats, eng)
-	if err != nil {
-		return out, err
-	}
-	out.Status = CheckStatus(r.Satisfiable, f.NumVars, f.NumClauses(), r.Samples)
-	return out, nil
-}
-
-// stampAccel records the kernel backends the engine's hot path runs
-// on: the block-evaluator row kernels, and the noise fill for the
-// engine's family under its stream contract.
-func stampAccel(st *solver.Stats, eng *Engine) {
-	st.EvalAccel = hyperspace.EvalAccelName()
-	st.FillAccel = noise.FillAccelKernel(eng.Options().Family, eng.Options().StreamVersion)
+	})
 }
 
 func assignStats(res AssignResult) solver.Stats {

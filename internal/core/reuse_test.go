@@ -93,22 +93,28 @@ func TestMCSolverWarmReuseMatchesCold(t *testing.T) {
 	}
 }
 
-// TestProgressReportsAtRoundBoundaries asserts the Options.Progress
-// hook fires with monotonically growing sample counts and that the
-// solver-level context hook sees the same snapshots.
+// countSamples returns a context whose progress hook appends every
+// reported sample count to *counts.
+func countSamples(counts *[]int64) context.Context {
+	return solver.ContextWithProgress(context.Background(),
+		func(st solver.Stats) { *counts = append(*counts, st.Samples) })
+}
+
+// TestProgressReportsAtRoundBoundaries asserts the context-carried
+// progress hook fires with monotonically growing sample counts on a
+// bare engine check, and sees snapshots through the registry adapter.
 func TestProgressReportsAtRoundBoundaries(t *testing.T) {
 	f := cnf.FromClauses([]int{1, 2}, []int{1, -2}, []int{-1, 2}, []int{-1, -2})
 	var counts []int64
 	eng, err := NewEngine(f, Options{
 		Family: noise.UniformUnit, MaxSamples: 200_000, CheckEvery: 50_000,
-		Progress: func(samples int64, mean, stderr float64) {
-			counts = append(counts, samples)
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Check()
+	if _, err := eng.CheckCtx(countSamples(&counts)); err != nil {
+		t.Fatal(err)
+	}
 	if len(counts) == 0 {
 		t.Fatal("progress hook never fired")
 	}
@@ -137,7 +143,7 @@ func TestProgressReportsAtRoundBoundaries(t *testing.T) {
 }
 
 // TestProgressUnderChunkClaimingSampler pins the hook's contract under
-// the stream-contract-v2 sampler, whose workers race to claim chunks
+// the chunk-claiming sampler, whose workers race to claim chunks
 // within a round: the hook must fire only at merged round boundaries
 // (every CheckEvery samples exactly, after the coordinator folds the
 // per-chunk partials), so the observed sample counts are monotonically
@@ -153,19 +159,17 @@ func TestProgressUnderChunkClaimingSampler(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		var counts []int64
 		eng, err := NewEngine(f, Options{
-			Family:        noise.UniformUnit,
-			Workers:       workers,
-			MaxSamples:    maxSamples,
-			CheckEvery:    checkEvery,
-			StreamVersion: noise.StreamV2,
-			Progress: func(samples int64, mean, stderr float64) {
-				counts = append(counts, samples)
-			},
+			Family:     noise.UniformUnit,
+			Workers:    workers,
+			MaxSamples: maxSamples,
+			CheckEvery: checkEvery,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.Check()
+		if _, err := eng.CheckCtx(countSamples(&counts)); err != nil {
+			t.Fatal(err)
+		}
 		if len(counts) == 0 {
 			t.Fatalf("workers=%d: progress hook never fired", workers)
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/hyperspace"
 	"repro/internal/noise"
 	"repro/internal/rng"
+	"repro/internal/solver"
 	"repro/internal/stats"
 )
 
@@ -33,34 +34,25 @@ type workerState struct {
 // checkSeed derives the noise seed for a decision check with a
 // SplitMix64 finalizer chain (rng.Mix is injective in its final
 // identifier for a fixed prefix), so distinct checks provably draw from
-// distinct keys.
-//
-// Under stream contract v2 the key is (engine seed, check sequence)
-// only: every worker samples the SAME counter-addressed streams and
-// workers partition the sample-index axis instead, which is what makes
-// verdicts invariant to the worker count. Under v1 the worker index
-// stays in the key — the original per-worker derived streams — because
-// stateful streams cannot be partitioned by index.
-func checkSeed(version int, seed, seq uint64, worker int) uint64 {
-	if version == noise.StreamV1 {
-		return rng.Mix(seed, seq, uint64(worker))
-	}
+// distinct keys. The key is (engine seed, check sequence) only: every
+// worker samples the SAME counter-addressed streams and workers
+// partition the sample-index axis instead, which is what makes verdicts
+// invariant to the worker count.
+func checkSeed(seed, seq uint64) uint64 {
 	return rng.Mix(seed, seq)
 }
 
-// evaluator returns worker w's evaluator, re-seeded for check seq,
-// rewound to sample 0, and re-bound to bound. The first use per worker
-// builds the bank and evaluator; every later check reuses them in
-// place.
+// evaluator returns worker w's evaluator, re-seeded for check seq and
+// re-bound to bound. The first use per worker builds the bank and
+// evaluator; every later check reuses them in place.
 func (e *Engine) evaluator(bound cnf.Assignment, seq uint64, w int) *hyperspace.Evaluator {
 	for len(e.workers) <= w {
 		e.workers = append(e.workers, workerState{})
 	}
 	st := &e.workers[w]
-	seed := checkSeed(e.opts.StreamVersion, e.opts.Seed, seq, w)
+	seed := checkSeed(e.opts.Seed, seq)
 	if st.bank == nil {
-		st.bank = noise.NewBankVersion(e.opts.Family, seed,
-			e.f.NumVars, e.f.NumClauses(), e.opts.StreamVersion)
+		st.bank = noise.NewBank(e.opts.Family, seed, e.f.NumVars, e.f.NumClauses())
 		st.ev = hyperspace.New(e.f, st.bank)
 		k := e.opts.Block
 		if k <= 0 {
@@ -69,7 +61,6 @@ func (e *Engine) evaluator(bound cnf.Assignment, seq uint64, w int) *hyperspace.
 		st.buf = make([]float64, k)
 	} else {
 		st.bank.Reseed(seed)
-		st.ev.Seek(0)
 	}
 	st.ev.BindAll(bound)
 	return st.ev
@@ -80,20 +71,10 @@ func (e *Engine) evaluator(bound cnf.Assignment, seq uint64, w int) *hyperspace.
 // standard error, total samples, and whether the convergence rule
 // (rather than the budget) stopped the run.
 //
-// Under stream contract v2 (the default) it runs the worker-count-
-// invariant chunked sampler; under v1 it preserves the original
-// per-worker-stream lockstep sampler as the migration oracle.
-func (e *Engine) sample(ctx context.Context, bound cnf.Assignment, seq uint64) (mean, stderr float64, samples int64, converged bool, err error) {
-	if e.opts.StreamVersion == noise.StreamV1 {
-		return e.sampleV1(ctx, bound, seq)
-	}
-	return e.sampleV2(ctx, bound, seq)
-}
-
-// sampleV2 is the counter-addressed sampler. The sample-index axis is
-// cut into fixed-size chunks (the block size, which depends only on
-// the instance geometry and Options.Block — never on the worker
-// count). A convergence round covers a fixed range of chunks; workers
+// The sample-index axis is cut into fixed-size chunks (the block size,
+// which depends only on the instance geometry and Options.Block —
+// never on the worker count). A convergence round covers a fixed range
+// of chunks; workers
 // claim chunks dynamically from an atomic counter (deterministic
 // work-stealing: WHO evaluates a chunk is scheduling-dependent, but
 // WHAT a chunk contains is a pure function of its index), accumulate
@@ -102,7 +83,12 @@ func (e *Engine) sample(ctx context.Context, bound cnf.Assignment, seq uint64) (
 // operands in the same order regardless of Workers or scheduling:
 // verdicts and statistics are bit-identical from workers=1 to
 // workers=N — the conformance suite pins this.
-func (e *Engine) sampleV2(ctx context.Context, bound cnf.Assignment, seq uint64) (mean, stderr float64, samples int64, converged bool, err error) {
+//
+// A progress hook carried by ctx is looked up once and called at every
+// merged round boundary, from this coordinating goroutine only, so it
+// never sees a partial round and never changes results.
+func (e *Engine) sample(ctx context.Context, bound cnf.Assignment, seq uint64) (mean, stderr float64, samples int64, converged bool, err error) {
+	progress := solver.ProgressFromContext(ctx)
 	workers := e.opts.Workers
 	evs := make([]*hyperspace.Evaluator, workers)
 	for w := 0; w < workers; w++ {
@@ -181,80 +167,9 @@ func (e *Engine) sampleV2(ctx context.Context, bound cnf.Assignment, seq uint64)
 		if err = ctx.Err(); err != nil {
 			return total.Mean(), total.StdErr(), total.Count(), false, err
 		}
-		if fn := e.opts.Progress; fn != nil {
+		if progress != nil {
 			// Round boundary: workers are parked, total is consistent.
-			fn(total.Count(), total.Mean(), total.StdErr())
-		}
-		if total.Count() >= e.opts.MinSamples && conv.Check(total.Mean()) {
-			converged = true
-			break
-		}
-	}
-	return total.Mean(), total.StdErr(), total.Count(), converged, nil
-}
-
-// sampleV1 is the stream-contract-v1 sampler, kept verbatim as the
-// migration oracle: Options.Workers goroutines in lockstep rounds of
-// CheckEvery samples, each worker drawing its own derived stream, with
-// accumulators merged in worker order between rounds. Results are
-// deterministic only for a fixed worker count.
-func (e *Engine) sampleV1(ctx context.Context, bound cnf.Assignment, seq uint64) (mean, stderr float64, samples int64, converged bool, err error) {
-	workers := e.opts.Workers
-	evs := make([]*hyperspace.Evaluator, workers)
-	for w := 0; w < workers; w++ {
-		evs[w] = e.evaluator(bound, seq, w)
-	}
-
-	conv := &stats.Convergence{
-		Digits:     e.opts.Digits,
-		Window:     4,
-		MaxSamples: e.opts.MaxSamples,
-	}
-
-	var total stats.Welford
-	perRound := e.opts.CheckEvery
-	if perRound < int64(workers) {
-		perRound = int64(workers)
-	}
-	share := perRound / int64(workers)
-
-	partial := make([]stats.Welford, workers)
-	for !conv.Exhausted(total.Count()) {
-		if err = ctx.Err(); err != nil {
-			return total.Mean(), total.StdErr(), total.Count(), false, err
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				acc := &partial[w]
-				*acc = stats.Welford{}
-				ev := evs[w]
-				buf := e.workers[w].buf
-				for done := int64(0); done < share; {
-					if ctx.Err() != nil {
-						return
-					}
-					k := int64(len(buf))
-					if rem := share - done; rem < k {
-						k = rem
-					}
-					ev.StepBlock(buf[:k])
-					acc.AddN(buf[:k])
-					done += k
-				}
-			}(w)
-		}
-		wg.Wait()
-		for w := 0; w < workers; w++ {
-			total.Merge(partial[w])
-		}
-		if err = ctx.Err(); err != nil {
-			return total.Mean(), total.StdErr(), total.Count(), false, err
-		}
-		if fn := e.opts.Progress; fn != nil {
-			fn(total.Count(), total.Mean(), total.StdErr())
+			progress(solver.Stats{Samples: total.Count(), Mean: total.Mean(), StdErr: total.StdErr()})
 		}
 		if total.Count() >= e.opts.MinSamples && conv.Check(total.Mean()) {
 			converged = true

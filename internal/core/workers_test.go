@@ -9,7 +9,7 @@ import (
 	"repro/internal/rng"
 )
 
-// TestWorkersNeverChangeResults pins the headline property of the v2
+// TestWorkersNeverChangeResults pins the headline property of the
 // chunk-claimed sampler: the worker count is pure parallelism. Every
 // statistic — not just the verdict — must be bit-identical from
 // workers=1 to workers=N, because the sample-index axis is partitioned
@@ -40,29 +40,6 @@ func TestWorkersNeverChangeResults(t *testing.T) {
 						label, fam, workers, r, ref)
 				}
 			}
-		}
-	}
-}
-
-// TestWorkersV1StillFixedCountDeterministic guards the migration
-// oracle: under stream v1 a fixed worker count still replays exactly.
-func TestWorkersV1StillFixedCountDeterministic(t *testing.T) {
-	f := gen.PaperSAT()
-	var ref Result
-	for i := 0; i < 2; i++ {
-		eng, err := NewEngine(f, Options{
-			Seed: 7, MaxSamples: 60_000, Workers: 4, StreamVersion: noise.StreamV1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := eng.Check()
-		if i == 0 {
-			ref = r
-			continue
-		}
-		if r != ref {
-			t.Errorf("v1 replay drifted: got %+v want %+v", r, ref)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"repro/internal/rng"
 )
 
-// The sampler benchmarks pit the scalar kernel (Step) against the block
-// kernel (StepBlock) on a SATLIB-scale uniform random 3-SAT instance
+// The sampler benchmarks pit the scalar kernel (StepAt) against the block
+// kernel (StepBlockAt) on a SATLIB-scale uniform random 3-SAT instance
 // (n=20, m=91, the uf20-91 geometry) and on the paper's own n=2, m=4
 // example. Run with
 //
@@ -37,7 +37,7 @@ func benchScalar(b *testing.B, n, m int) {
 	var sink float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += ev.Step().S
+		sink += ev.StepAt(uint64(i)).S
 	}
 	_ = sink
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
@@ -53,7 +53,7 @@ func benchBlock(b *testing.B, n, m int) {
 		if rem := b.N - done; rem < k {
 			k = rem
 		}
-		ev.StepBlock(buf[:k])
+		ev.StepBlockAt(uint64(done), buf[:k])
 		sink += buf[0]
 		done += k
 	}

@@ -15,8 +15,8 @@ var allFamilies = []noise.Family{
 }
 
 // TestStepBlockBitIdenticalToStep is the block-kernel conformance test:
-// for every noise family, StepBlock must reproduce the exact float64
-// values of repeated Step over the same streams — including with
+// for every noise family, StepBlockAt must reproduce the exact float64
+// values of per-sample StepAt over the same streams — including with
 // bindings applied and across uneven block sizes — so verdicts and
 // replay determinism are untouched by the batched path.
 func TestStepBlockBitIdenticalToStep(t *testing.T) {
@@ -42,24 +42,27 @@ func TestStepBlockBitIdenticalToStep(t *testing.T) {
 				block.Bind(2, cnf.False)
 			}
 
+			var base uint64
 			for _, k := range blocks {
 				out := make([]float64, k)
-				block.StepBlock(out)
+				block.StepBlockAt(base, out)
 				for s := 0; s < k; s++ {
-					want := scalar.Step().S
+					want := scalar.StepAt(base + uint64(s)).S
 					if out[s] != want {
-						t.Fatalf("family %v formula %d block %d sample %d: StepBlock %v != Step %v",
+						t.Fatalf("family %v formula %d block %d sample %d: StepBlockAt %v != StepAt %v",
 							fam, fi, k, s, out[s], want)
 					}
 				}
+				base += uint64(k)
 			}
 		}
 	}
 }
 
-// TestStepBlockInterleavesWithStep checks the stream contract: Step and
-// StepBlock may alternate on one evaluator and still consume the same
-// per-source streams as an all-scalar run.
+// TestStepBlockInterleavesWithStep checks the stream contract: StepAt
+// and StepBlockAt may alternate on one evaluator (sharing its scalar and
+// block scratch) and still read the same per-source streams as an
+// all-scalar run.
 func TestStepBlockInterleavesWithStep(t *testing.T) {
 	f := gen.PaperExample6()
 	n, m := f.NumVars, f.NumClauses()
@@ -67,16 +70,17 @@ func TestStepBlockInterleavesWithStep(t *testing.T) {
 	mixed := New(f, noise.NewBank(noise.UniformUnit, 9, n, m))
 
 	var got, want []float64
+	var i uint64
 	for round := 0; round < 5; round++ {
-		want = append(want, ref.Step().S)
 		buf := make([]float64, 4)
-		for range buf {
-			want = append(want, ref.Step().S)
+		for s := uint64(0); s <= uint64(len(buf)); s++ {
+			want = append(want, ref.StepAt(i+s).S)
 		}
 
-		got = append(got, mixed.Step().S)
-		mixed.StepBlock(buf)
+		got = append(got, mixed.StepAt(i).S)
+		mixed.StepBlockAt(i+1, buf)
 		got = append(got, buf...)
+		i += uint64(len(buf)) + 1
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -93,14 +97,16 @@ func TestStepBlockShrinkingBlocksReuseScratch(t *testing.T) {
 	n, m := f.NumVars, f.NumClauses()
 	scalar := New(f, noise.NewBank(noise.Gaussian, 3, n, m))
 	block := New(f, noise.NewBank(noise.Gaussian, 3, n, m))
+	var base uint64
 	for _, k := range []int{128, 5, 64, 1, 128} {
 		out := make([]float64, k)
-		block.StepBlock(out)
+		block.StepBlockAt(base, out)
 		for s := 0; s < k; s++ {
-			if want := scalar.Step().S; out[s] != want {
+			if want := scalar.StepAt(base + uint64(s)).S; out[s] != want {
 				t.Fatalf("block %d sample %d: %v != %v", k, s, out[s], want)
 			}
 		}
+		base += uint64(k)
 	}
 }
 
@@ -119,7 +125,7 @@ func TestStepBlockAtClaimsDisjointRanges(t *testing.T) {
 	for _, fam := range allFamilies {
 		seq := New(f, noise.NewBank(fam, 23, n, m))
 		want := make([]float64, total)
-		seq.StepBlock(want)
+		seq.StepBlockAt(0, want)
 
 		got := make([]float64, total)
 		for _, r := range ranges {
@@ -135,24 +141,21 @@ func TestStepBlockAtClaimsDisjointRanges(t *testing.T) {
 	}
 }
 
-// TestSeekRewindsStream pins Seek/Cursor: rewinding to a base replays
-// the identical samples, which is what Evaluator.Reset relies on for
-// the warm path.
-func TestSeekRewindsStream(t *testing.T) {
+// TestStepBlockAtReplaysRange pins replay: re-requesting a range after
+// evaluating others on the same evaluator yields the identical samples,
+// which is what a warm engine's next check relies on.
+func TestStepBlockAtReplaysRange(t *testing.T) {
 	f := gen.PaperSAT()
 	n, m := f.NumVars, f.NumClauses()
 	ev := New(f, noise.NewBank(noise.UniformUnit, 5, n, m))
 	first := make([]float64, 32)
-	ev.StepBlock(first)
-	if ev.Cursor() != 32 {
-		t.Fatalf("cursor = %d after 32 samples, want 32", ev.Cursor())
-	}
-	ev.Seek(0)
+	ev.StepBlockAt(0, first)
+	ev.StepBlockAt(32, make([]float64, 64))
 	again := make([]float64, 32)
-	ev.StepBlock(again)
+	ev.StepBlockAt(0, again)
 	for s := range first {
 		if first[s] != again[s] {
-			t.Fatalf("replay after Seek(0) diverged at sample %d", s)
+			t.Fatalf("replay of range [0, 32) diverged at sample %d", s)
 		}
 	}
 }
@@ -162,7 +165,7 @@ func TestSeekRewindsStream(t *testing.T) {
 // block lengths (which force the assembly's len&^3 prefix plus a
 // portable tail of every residue) and stream bases that are not
 // multiples of the vector width (so lanes straddle the counter
-// arbitrarily). The scalar Step path never touches the row primitives,
+// arbitrarily). The scalar StepAt path never touches the row primitives,
 // so under -tags nblavx2 this pins AVX2-vs-scalar exactly; untagged it
 // pins block-vs-scalar.
 func TestStepBlockAtOddGeometry(t *testing.T) {
@@ -177,10 +180,9 @@ func TestStepBlockAtOddGeometry(t *testing.T) {
 			out := make([]float64, k)
 			for _, base := range bases {
 				block.StepBlockAt(base, out)
-				scalar.Seek(base)
 				for s := 0; s < k; s++ {
-					if want := scalar.Step().S; out[s] != want {
-						t.Fatalf("family %v k=%d base=%d sample %d: StepBlockAt %v != Step %v",
+					if want := scalar.StepAt(base + uint64(s)).S; out[s] != want {
+						t.Fatalf("family %v k=%d base=%d sample %d: StepBlockAt %v != StepAt %v",
 							fam, k, base, s, out[s], want)
 					}
 				}
@@ -207,10 +209,9 @@ func TestStepBlockAtOddGeometryWithBindings(t *testing.T) {
 			out := make([]float64, k)
 			for _, base := range []uint64{1, 6, 255} {
 				block.StepBlockAt(base, out)
-				scalar.Seek(base)
 				for s := 0; s < k; s++ {
-					if want := scalar.Step().S; out[s] != want {
-						t.Fatalf("family %v k=%d base=%d sample %d: StepBlockAt %v != Step %v",
+					if want := scalar.StepAt(base + uint64(s)).S; out[s] != want {
+						t.Fatalf("family %v k=%d base=%d sample %d: StepBlockAt %v != StepAt %v",
 							fam, k, base, s, out[s], want)
 					}
 				}

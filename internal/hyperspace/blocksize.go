@@ -10,7 +10,7 @@ import (
 
 // BlockSize returns the cache-aware sampling batch size for an n×m
 // instance geometry: the largest power of two in [16, 256] whose
-// StepBlock working set stays within the cache budget.
+// StepBlockAt working set stays within the cache budget.
 //
 // The block working set is dominated by the SoA source matrices —
 // 2·n·m·k float64s — plus per-variable product arrays of order n·k, so

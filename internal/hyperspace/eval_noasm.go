@@ -4,7 +4,7 @@ package hyperspace
 
 // Portable build: every row primitive is the pure-Go loop. This path is
 // also the conformance oracle the AVX2 build is pinned against — the
-// block property tests compare StepBlockAt to per-sample Step, and Step
+// block property tests compare StepBlockAt to per-sample StepAt, and StepAt
 // runs the scalar kernel on every build.
 
 func vecMulTo(dst, a, b []float64)      { mulToGo(dst, a, b) }

@@ -22,7 +22,6 @@ type Expanded struct {
 	n, m int
 
 	bound    cnf.Assignment
-	cursor   uint64
 	pos, neg []float64
 }
 
@@ -52,11 +51,10 @@ func NewExpanded(f *cnf.Formula, bank SampleSource) *Expanded {
 // Bind constrains a variable in tau_N, as in Evaluator.Bind.
 func (e *Expanded) Bind(v cnf.Var, val cnf.Value) { e.bound[v] = val }
 
-// Step draws the sample at the cursor from every source and evaluates
-// by enumeration.
-func (e *Expanded) Step() Sample {
-	e.bank.FillBlockAt(e.cursor, 1, e.pos, e.neg)
-	e.cursor++
+// StepAt draws sample i from every source and evaluates by
+// enumeration.
+func (e *Expanded) StepAt(i uint64) Sample {
+	e.bank.FillBlockAt(i, 1, e.pos, e.neg)
 	n, m := e.n, e.m
 
 	// tau_N: sum over all assignments consistent with the bindings of

@@ -20,8 +20,8 @@ func TestExpandedMatchesFactored(t *testing.T) {
 		seed := uint64(trial)
 		factored := New(f, noise.NewBank(noise.UniformUnit, seed, n, m))
 		expanded := NewExpanded(f, noise.NewBank(noise.UniformUnit, seed, n, m))
-		for step := 0; step < 30; step++ {
-			a, b := factored.Step(), expanded.Step()
+		for step := uint64(0); step < 30; step++ {
+			a, b := factored.StepAt(step), expanded.StepAt(step)
 			if math.Abs(a.S-b.S) > 1e-9*math.Max(1, math.Abs(a.S)) ||
 				math.Abs(a.Tau-b.Tau) > 1e-9*math.Max(1, math.Abs(a.Tau)) {
 				t.Fatalf("trial %d step %d: factored %+v vs expanded %+v", trial, step, a, b)
@@ -37,8 +37,8 @@ func TestExpandedWithBindings(t *testing.T) {
 	expanded := NewExpanded(f, noise.NewBank(noise.RTW, seed, 2, 2))
 	factored.Bind(1, cnf.True)
 	expanded.Bind(1, cnf.True)
-	for step := 0; step < 50; step++ {
-		a, b := factored.Step(), expanded.Step()
+	for step := uint64(0); step < 50; step++ {
+		a, b := factored.StepAt(step), expanded.StepAt(step)
 		if a.S != b.S {
 			t.Fatalf("step %d: %v vs %v", step, a.S, b.S)
 		}
@@ -70,13 +70,13 @@ func benchEval(b *testing.B, n int, expand bool) {
 		e := NewExpanded(f, bank)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sink += e.Step().S
+			sink += e.StepAt(uint64(i)).S
 		}
 	} else {
 		e := New(f, bank)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sink += e.Step().S
+			sink += e.StepAt(uint64(i)).S
 		}
 	}
 	_ = sink

@@ -24,12 +24,12 @@ import (
 )
 
 // SampleSource supplies samples of the 2·n·m basis sources under the
-// counter-addressed stream contract (v2): every source is a sequence
-// indexed by a uint64 sample counter, and any block of it is
-// addressable directly. noise.Bank is the stochastic implementation;
-// the sbl package provides a deterministic sinusoid-carrier
-// implementation (Section V's SBL), for which the counter is literally
-// the carrier time t.
+// counter-addressed stream contract: every source is a sequence indexed
+// by a uint64 sample counter, and any block of it is addressable
+// directly. noise.Bank is the stochastic implementation; the sbl
+// package provides a deterministic sinusoid-carrier implementation
+// (Section V's SBL), for which the counter is literally the carrier
+// time t.
 type SampleSource interface {
 	// FillBlockAt writes samples base..base+k-1 of every source into
 	// pos and neg (length k*n*m each) in source-major layout: entry
@@ -38,25 +38,21 @@ type SampleSource interface {
 	// only — the same range re-requested, split differently, or
 	// requested out of order yields the same bits — so scalar and block
 	// evaluation are bit-identical and disjoint ranges can be claimed
-	// by concurrent workers. (The v1 migration oracle is the one
-	// sanctioned exception: it serves only sequential bases and panics
-	// on a seek.)
+	// by concurrent workers.
 	FillBlockAt(base uint64, k int, pos, neg []float64)
 	// Dims returns the (variables, clauses) geometry of the source set.
 	Dims() (n, m int)
 }
 
 // Evaluator computes per-sample values of the NBL-SAT hyperspace objects
-// for a fixed formula and sample source. It is not safe for concurrent
-// use; the Monte-Carlo engine gives each worker its own Evaluator.
+// for a fixed formula and sample source. Every evaluation names the
+// sample indices it reads, so the evaluator holds no stream position:
+// callers own the sample-index axis. It is not safe for concurrent use;
+// the Monte-Carlo engine gives each worker its own Evaluator.
 type Evaluator struct {
 	f    *cnf.Formula
 	bank SampleSource
 	n, m int
-
-	// cursor is the sample index the next Step/StepBlock call reads at;
-	// the counter-addressed StepBlockAt bypasses it entirely.
-	cursor uint64
 
 	// bound[v] constrains variable v in tau_N (Algorithm 2, line 4/8):
 	// True keeps only the positive-literal branch, False only the
@@ -74,12 +70,12 @@ type Evaluator struct {
 	// Block scratch (SoA, sized lazily to the largest block seen): the
 	// sample matrices hold k samples per source in source-major layout,
 	// the per-variable products and clause prefix/suffix arrays hold k
-	// values per entry. Reused across StepBlock calls — the block path
+	// values per entry. Reused across StepBlockAt calls — the block path
 	// allocates nothing per sample.
 	blk blockScratch
 }
 
-// blockScratch holds the StepBlock working set for blocks up to cap k.
+// blockScratch holds the StepBlockAt working set for blocks up to cap k.
 type blockScratch struct {
 	k                int
 	pos, neg         []float64 // k samples per source, [(i*m+j)*k+s]
@@ -138,18 +134,10 @@ func (e *Evaluator) Reset(f *cnf.Formula) {
 		panic(err)
 	}
 	e.f = f
-	e.cursor = 0
 	for v := range e.bound {
 		e.bound[v] = cnf.Unassigned
 	}
 }
-
-// Seek positions the evaluator's stream cursor: the next Step or
-// StepBlock reads source samples starting at index base.
-func (e *Evaluator) Seek(base uint64) { e.cursor = base }
-
-// Cursor returns the sample index the next Step/StepBlock reads at.
-func (e *Evaluator) Cursor() uint64 { return e.cursor }
 
 // Bind constrains variable v to val in tau_N. Binding to Unassigned
 // removes the constraint. This mirrors Algorithm 2's construction of the
@@ -179,34 +167,27 @@ type Sample struct {
 	S     float64 // S_N(t) = Tau * Sigma
 }
 
-// Step draws the sample at the cursor from every noise source,
-// evaluates the hyperspace objects, and advances the cursor.
-func (e *Evaluator) Step() Sample {
+// StepAt draws sample i from every noise source and evaluates the
+// hyperspace objects with the scalar kernel: the reference StepBlockAt
+// is pinned against.
+func (e *Evaluator) StepAt(i uint64) Sample {
 	// For k = 1 the source-major block layout [(i*m+j)*1] coincides with
 	// the scalar matrix layout [i*m+j], so the single-sample fill reads
 	// straight into the scalar scratch.
-	e.bank.FillBlockAt(e.cursor, 1, e.pos, e.neg)
-	e.cursor++
+	e.bank.FillBlockAt(i, 1, e.pos, e.neg)
 	return e.eval()
 }
 
-// StepBlock draws the next len(out) samples at the cursor, writes the
-// corresponding S_N values into out, and advances the cursor.
-func (e *Evaluator) StepBlock(out []float64) {
-	e.StepBlockAt(e.cursor, out)
-	e.cursor += uint64(len(out))
-}
-
-// StepBlockAt evaluates S_N for source samples base..base+len(out)-1,
-// leaving the cursor untouched: the caller addresses the stream
-// directly, which is how the sampler's workers claim disjoint
-// sample-index ranges. It performs, per sample, exactly the
-// floating-point operations of Step in the same order, so a block is
-// bit-identical to len(out) Steps over the same sample range (the
-// conformance tests assert this for every noise family). The win is
-// structural: the source dispatch, the binding switch, and the
-// prefix/suffix scratch are amortized over the block, inner loops run
-// stride-1 over SoA buffers, and nothing is allocated per sample.
+// StepBlockAt evaluates S_N for source samples base..base+len(out)-1:
+// the caller addresses the stream directly, which is how the sampler's
+// workers claim disjoint sample-index ranges. It performs, per sample,
+// exactly the floating-point operations of StepAt in the same order, so
+// a block is bit-identical to len(out) StepAt calls over the same
+// sample range (the conformance tests assert this for every noise
+// family). The win is structural: the source dispatch, the binding
+// switch, and the prefix/suffix scratch are amortized over the block,
+// inner loops run stride-1 over SoA buffers, and nothing is allocated
+// per sample.
 func (e *Evaluator) StepBlockAt(base uint64, out []float64) {
 	k := len(out)
 	if k == 0 {
@@ -340,7 +321,7 @@ func EvalAccelName() string { return evalAccelName() }
 func (e *Evaluator) ensureBlock(k int) *blockScratch {
 	b := &e.blk
 	if k <= b.k {
-		// Smaller blocks reuse a prefix of the buffers: StepBlock indexes
+		// Smaller blocks reuse a prefix of the buffers: StepBlockAt indexes
 		// every array with the active k as the stride, so only total
 		// length matters.
 		return b

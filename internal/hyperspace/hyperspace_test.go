@@ -97,7 +97,7 @@ func TestStepMatchesBruteExpansion(t *testing.T) {
 		for step := 0; step < 50; step++ {
 			twin.FillBlockAt(uint64(step), 1, pos, neg)
 			want := bruteSample(f, pos, neg, cnf.NewAssignment(f.NumVars))
-			got := e.Step()
+			got := e.StepAt(uint64(step))
 			if !sampleClose(got, want, 1e-9) {
 				t.Fatalf("formula %d step %d: got %+v, want %+v", fi, step, got, want)
 			}
@@ -122,7 +122,7 @@ func TestStepMatchesBruteWithBindings(t *testing.T) {
 		for step := 0; step < 30; step++ {
 			twin.FillBlockAt(uint64(step), 1, pos, neg)
 			want := bruteSample(f, pos, neg, bound)
-			got := e.Step()
+			got := e.StepAt(uint64(step))
 			if !sampleClose(got, want, 1e-9) {
 				t.Fatalf("binding %d step %d: got %+v, want %+v", bi, step, got, want)
 			}
@@ -138,8 +138,8 @@ func TestMeanConvergesToWeightedCount(t *testing.T) {
 	e := New(f, bank)
 	const samples = 400000
 	var sum float64
-	for i := 0; i < samples; i++ {
-		sum += e.Step().S
+	for i := uint64(0); i < samples; i++ {
+		sum += e.StepAt(i).S
 	}
 	mean := sum / samples
 	if math.Abs(mean-2) > 0.25 {
@@ -153,8 +153,8 @@ func TestMeanZeroForUNSAT(t *testing.T) {
 	e := New(f, bank)
 	const samples = 200000
 	var sum float64
-	for i := 0; i < samples; i++ {
-		sum += e.Step().S
+	for i := uint64(0); i < samples; i++ {
+		sum += e.StepAt(i).S
 	}
 	mean := sum / samples
 	if math.Abs(mean) > 0.05 {
@@ -177,8 +177,8 @@ func TestFullBindingSelectsSingleMinterm(t *testing.T) {
 		}
 		const samples = 300000
 		var sum float64
-		for i := 0; i < samples; i++ {
-			sum += e.Step().S
+		for i := uint64(0); i < samples; i++ {
+			sum += e.StepAt(i).S
 		}
 		mean := sum / samples
 		want := 0.0
@@ -259,7 +259,7 @@ func BenchmarkStepSmall(b *testing.B) {
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += e.Step().S
+		sink += e.StepAt(uint64(i)).S
 	}
 	_ = sink
 }
@@ -274,7 +274,7 @@ func BenchmarkStepMedium(b *testing.B) {
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += e.Step().S
+		sink += e.StepAt(uint64(i)).S
 	}
 	_ = sink
 }

@@ -6,19 +6,6 @@ import (
 	"repro/internal/rng"
 )
 
-// Stream contract versions. V2 is the default everywhere; V1 survives
-// as the migration oracle (selectable via solver.Config.StreamVersion)
-// until a future PR retires it.
-const (
-	// StreamV1 is the original contract: one stateful xoshiro256**
-	// generator per source, drawn strictly sequentially.
-	StreamV1 = 1
-	// StreamV2 is the counter-based contract: sample i of source src is
-	// a pure function of (seed, src, i) — rng.Word(rng.StreamBase(seed,
-	// src), i) — so fills are data-parallel and streams are seekable.
-	StreamV2 = 2
-)
-
 // Bank is the full complement of 2·m·n independent basis noise sources
 // required by the NBL-SAT transformation of Section III-C: for each of
 // the n variables and each of the m clauses, one source for the positive
@@ -27,54 +14,31 @@ const (
 // Bank bypasses the Source interface for throughput: FillBlockAt draws a
 // whole block from every source directly into caller-provided matrices,
 // which is the hot path of the Monte-Carlo engine (2·n·m draws per S_N
-// sample). Under stream contract v2 (the default) the bank is
-// stateless: any sample of any source is addressable directly, so
-// disjoint sample ranges may be filled in any order — the property
-// behind the sampler's worker-count-invariant range claiming.
+// sample). The bank is stateless: sample i of source src is a pure
+// function of (seed, src, i) — rng.Word(rng.StreamBase(seed, src), i) —
+// so any sample of any source is addressable directly and disjoint
+// sample ranges may be filled in any order, the property behind the
+// sampler's worker-count-invariant range claiming.
 type Bank struct {
-	family  Family
-	n, m    int
-	version int
-	// bases holds the v2 counter-stream base per source; index layout is
+	family Family
+	n, m   int
+	// bases holds the counter-stream base per source; index layout is
 	// (var*m + clause)*2 + polarity with var, clause 0-based and
 	// polarity 0 for the positive literal, 1 for the negative.
 	bases []uint64
-	// gens holds the v1 stateful generators (same index layout); nil
-	// under v2.
-	gens []rng.Xoshiro256
-	// cursor names the only FillBlockAt base the v1 stateful generators
-	// can serve (their streams are inherently sequential); unused under
-	// v2.
-	cursor uint64
-	lo     float64 // uniform parameters, unused for other families
-	span   float64
+	lo    float64 // uniform parameters, unused for other families
+	span  float64
 }
 
 // NewBank creates the source bank for an instance with n variables and m
-// clauses under the default stream contract (v2). Each source's stream
-// is derived from the experiment seed and the source's (variable,
-// clause, polarity) coordinates, so any two banks with the same
-// arguments produce identical sample sequences.
+// clauses. Each source's stream is derived from the experiment seed and
+// the source's (variable, clause, polarity) coordinates, so any two
+// banks with the same arguments produce identical sample sequences.
 func NewBank(f Family, seed uint64, n, m int) *Bank {
-	return NewBankVersion(f, seed, n, m, StreamV2)
-}
-
-// NewBankVersion is NewBank pinned to an explicit stream contract
-// version: StreamV2 (counter-based, seekable) or StreamV1 (stateful
-// sequential streams, kept as the migration oracle).
-func NewBankVersion(f Family, seed uint64, n, m, version int) *Bank {
 	if n < 1 || m < 1 {
 		panic("noise: bank requires n >= 1 and m >= 1")
 	}
-	if version != StreamV1 && version != StreamV2 {
-		panic("noise: unknown stream contract version")
-	}
-	b := &Bank{family: f, n: n, m: m, version: version}
-	if version == StreamV1 {
-		b.gens = make([]rng.Xoshiro256, 2*n*m)
-	} else {
-		b.bases = make([]uint64, 2*n*m)
-	}
+	b := &Bank{family: f, n: n, m: m, bases: make([]uint64, 2*n*m)}
 	switch f {
 	case UniformHalf:
 		b.lo, b.span = -0.5, 1
@@ -89,19 +53,11 @@ func NewBankVersion(f Family, seed uint64, n, m, version int) *Bank {
 }
 
 // Reseed re-derives every source's stream from seed in place, without
-// reallocating the bank, and rewinds the v1 cursor to sample 0. A
-// reseeded bank is indistinguishable from NewBankVersion(family, seed,
-// n, m, version); the Monte-Carlo engine uses this to reuse one bank
-// (and its evaluator scratch) across decision checks instead of
-// rebuilding 2·n·m streams per check.
+// reallocating the bank. A reseeded bank is indistinguishable from
+// NewBank(family, seed, n, m); the Monte-Carlo engine uses this to
+// reuse one bank (and its evaluator scratch) across decision checks
+// instead of rebuilding 2·n·m streams per check.
 func (b *Bank) Reseed(seed uint64) {
-	b.cursor = 0
-	if b.version == StreamV1 {
-		for idx := range b.gens {
-			b.gens[idx] = rng.Stream(seed, uint64(idx))
-		}
-		return
-	}
 	for idx := range b.bases {
 		b.bases[idx] = rng.StreamBase(seed, uint64(idx))
 	}
@@ -113,34 +69,21 @@ func (b *Bank) Family() Family { return b.family }
 // Dims returns (n, m).
 func (b *Bank) Dims() (n, m int) { return b.n, b.m }
 
-// StreamVersion returns the bank's stream contract version.
-func (b *Bank) StreamVersion() int { return b.version }
-
 // FillBlockAt draws samples base..base+k-1 of every source. pos and neg
 // must each have length k*n*m in source-major layout: entry
 // [(i*m+j)*k + s] holds sample base+s of the source for variable i+1 in
 // clause j (0-based i, j).
 //
-// Under v2 the call is a pure function of (bank seed, base, k): any
-// block of any source is addressable directly, blocks may be requested
-// in any order, and disjoint ranges may be filled concurrently from
-// separate goroutines holding separate buffers. Under v1 streams are
-// inherently sequential, so base must equal the bank's current cursor
-// (the call panics otherwise) and the cursor advances by k.
+// The call is a pure function of (bank seed, base, k): any block of any
+// source is addressable directly, blocks may be requested in any order,
+// and disjoint ranges may be filled concurrently from separate
+// goroutines holding separate buffers.
 func (b *Bank) FillBlockAt(base uint64, k int, pos, neg []float64) {
 	nm := b.n * b.m
 	if len(pos) != nm*k || len(neg) != nm*k {
 		panic("noise: FillBlockAt buffer length must be k*n*m")
 	}
 	if k == 0 {
-		return
-	}
-	if b.version == StreamV1 {
-		if base != b.cursor {
-			panic("noise: stream contract v1 is sequential; FillBlockAt must resume at the bank cursor")
-		}
-		b.fillBlockV1(k, pos, neg)
-		b.cursor = base + uint64(k)
 		return
 	}
 	switch b.family {
@@ -185,14 +128,10 @@ func (b *Bank) FillBlockAt(base uint64, k int, pos, neg []float64) {
 }
 
 // FillAccelKernel reports the accelerated fill kernel FillBlockAt
-// dispatches to for a bank of the given family and stream version:
-// rng.FillAccelName() for the exactly-vectorizable families under the
-// counter contract (uniform, RTW, pulse), "none" otherwise — Gaussian's
-// log/cos Box–Muller and all v1 stateful streams are scalar.
-func FillAccelKernel(f Family, version int) string {
-	if version != StreamV2 {
-		return "none"
-	}
+// dispatches to for a bank of the given family: rng.FillAccelName() for
+// the exactly-vectorizable families (uniform, RTW, pulse), "none" for
+// Gaussian, whose log/cos Box–Muller stays scalar.
+func FillAccelKernel(f Family) string {
 	switch f {
 	case UniformHalf, UniformUnit, RTW, Pulse:
 		return rng.FillAccelName()
@@ -200,75 +139,19 @@ func FillAccelKernel(f Family, version int) string {
 	return "none"
 }
 
-// FillAccelName is FillAccelKernel for this bank's family and version.
-func (b *Bank) FillAccelName() string {
-	return FillAccelKernel(b.family, b.version)
-}
-
-// fillBlockV1 draws the next k samples from the v1 stateful generators,
-// bit-identical to the original sequential contract: each generator is
-// drawn k times consecutively with its state held in registers.
-func (b *Bank) fillBlockV1(k int, pos, neg []float64) {
-	nm := b.n * b.m
-	switch b.family {
-	case UniformHalf, UniformUnit:
-		// Both generators of a source pair run in one loop with their
-		// state in locals, so the two independent xoshiro dependency
-		// chains pipeline against each other (a single stream is
-		// latency-bound on its serial state update).
-		lo, span := b.lo, b.span
-		for src := 0; src < nm; src++ {
-			o := src * k
-			rng.FillUniformPair(&b.gens[2*src], &b.gens[2*src+1],
-				pos[o:o+k], neg[o:o+k], lo, span)
-		}
-	case Gaussian:
-		for src := 0; src < nm; src++ {
-			gp, gn := b.gens[2*src], b.gens[2*src+1]
-			o := src * k
-			for s := 0; s < k; s++ {
-				pos[o+s] = gp.Norm()
-				neg[o+s] = gn.Norm()
-			}
-			b.gens[2*src], b.gens[2*src+1] = gp, gn
-		}
-	case RTW:
-		for src := 0; src < nm; src++ {
-			gp, gn := b.gens[2*src], b.gens[2*src+1]
-			o := src * k
-			for s := 0; s < k; s++ {
-				pos[o+s] = rtwVal(&gp)
-				neg[o+s] = rtwVal(&gn)
-			}
-			b.gens[2*src], b.gens[2*src+1] = gp, gn
-		}
-	case Pulse:
-		for src := 0; src < nm; src++ {
-			gp, gn := b.gens[2*src], b.gens[2*src+1]
-			o := src * k
-			for s := 0; s < k; s++ {
-				pos[o+s] = pulseVal(&gp)
-				neg[o+s] = pulseVal(&gn)
-			}
-			b.gens[2*src], b.gens[2*src+1] = gp, gn
-		}
-	default:
-		panic("noise: unknown family")
-	}
-}
-
-// gaussAt is the v2 Gaussian sample: a fixed-draw Box–Muller transform
-// over words (2i, 2i+1) of the source's counter stream. v1's polar
-// (rejection) method consumes a data-dependent number of draws and so
-// cannot be addressed by counter; Box–Muller spends exactly two words
-// per sample. 1-u1 lies in (0, 1], keeping the log finite.
+// gaussAt is the Gaussian sample: a fixed-draw Box–Muller transform
+// over words (2i, 2i+1) of the source's counter stream. A rejection
+// method (Marsaglia's polar) would consume a data-dependent number of
+// draws and so could not be addressed by counter; Box–Muller spends
+// exactly two words per sample. 1-u1 lies in (0, 1], keeping the log
+// finite.
 func gaussAt(base, i uint64) float64 {
 	u1 := rng.Uniform01(base, 2*i)
 	u2 := rng.Uniform01(base, 2*i+1)
 	return math.Sqrt(-2*math.Log(1-u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// rtwAt is the v2 telegraph-wave sample: the parity of word i.
+// rtwAt is the telegraph-wave sample: the parity of word i.
 func rtwAt(base, i uint64) float64 {
 	if rng.Word(base, i)&1 == 1 {
 		return 1
@@ -276,7 +159,7 @@ func rtwAt(base, i uint64) float64 {
 	return -1
 }
 
-// pulseAt is the v2 pulse-train sample from the single word i: the top
+// pulseAt is the pulse-train sample from the single word i: the top
 // 53 bits decide occupancy against pulseDensity, bit 0 the sign.
 func pulseAt(base, i uint64) float64 {
 	w := rng.Word(base, i)
@@ -289,23 +172,6 @@ func pulseAt(base, i uint64) float64 {
 	return -pulseAmp
 }
 
-func pulseVal(g *rng.Xoshiro256) float64 {
-	if g.Float64() >= pulseDensity {
-		return 0
-	}
-	if g.Uint64()&1 == 1 {
-		return pulseAmp
-	}
-	return -pulseAmp
-}
-
-func rtwVal(g *rng.Xoshiro256) float64 {
-	if g.Uint64()&1 == 1 {
-		return 1
-	}
-	return -1
-}
-
 // SourceAt returns a standalone Source replaying the stream of the bank
 // source for (variable, clause, polarity), with variable and clause
 // 1-based and negative polarity selected by neg. Useful for
@@ -314,9 +180,6 @@ func (b *Bank) SourceAt(seed uint64, variable, clause int, neg bool) Source {
 	idx := ((variable-1)*b.m + (clause - 1)) * 2
 	if neg {
 		idx++
-	}
-	if b.version == StreamV1 {
-		return newSourceV1(b.family, seed, uint64(idx))
 	}
 	return NewSource(b.family, seed, uint64(idx))
 }

@@ -112,42 +112,10 @@ type Source interface {
 	Next() float64
 }
 
-type uniformSource struct {
-	g        *rng.Xoshiro256
-	lo, span float64
-}
-
-func (s *uniformSource) Next() float64 { return s.lo + s.span*s.g.Float64() }
-
-type gaussianSource struct{ g *rng.Xoshiro256 }
-
-func (s *gaussianSource) Next() float64 { return s.g.Norm() }
-
-type rtwSource struct{ g *rng.Xoshiro256 }
-
-func (s *rtwSource) Next() float64 {
-	if s.g.Bool() {
-		return 1
-	}
-	return -1
-}
-
-type pulseSource struct{ g *rng.Xoshiro256 }
-
-func (s *pulseSource) Next() float64 {
-	if s.g.Float64() >= pulseDensity {
-		return 0
-	}
-	if s.g.Bool() {
-		return pulseAmp
-	}
-	return -pulseAmp
-}
-
-// counterSource replays a stream-v2 source sequentially: sample i is a
-// pure function of (base, i), so the struct's only state is the next
-// index. It emits exactly the stream a v2 Bank produces for the source
-// whose bank index equals the derivation key.
+// counterSource replays a counter-addressed source sequentially: sample
+// i is a pure function of (base, i), so the struct's only state is the
+// next index. It emits exactly the stream a Bank produces for the
+// source whose bank index equals the derivation key.
 type counterSource struct {
 	family   Family
 	base     uint64
@@ -173,9 +141,8 @@ func (s *counterSource) Next() float64 {
 }
 
 // NewSource returns an independent source of the given family, derived
-// from (seed, key) under the default stream contract (v2). Distinct
-// keys give independent processes; a key equal to a bank source index
-// replays that bank source's exact stream.
+// from (seed, key). Distinct keys give independent processes; a key
+// equal to a bank source index replays that bank source's exact stream.
 func NewSource(f Family, seed, key uint64) Source {
 	s := &counterSource{family: f, base: rng.StreamBase(seed, key)}
 	switch f {
@@ -188,26 +155,6 @@ func NewSource(f Family, seed, key uint64) Source {
 		panic(fmt.Sprintf("noise: unknown family %d", int(f)))
 	}
 	return s
-}
-
-// newSourceV1 returns the stream-v1 (stateful xoshiro) source for
-// (seed, key), used by v1 banks' SourceAt replay.
-func newSourceV1(f Family, seed, key uint64) Source {
-	g := rng.NewStream(seed, key)
-	switch f {
-	case UniformHalf:
-		return &uniformSource{g: g, lo: -0.5, span: 1}
-	case UniformUnit:
-		return &uniformSource{g: g, lo: -sqrt3, span: 2 * sqrt3}
-	case Gaussian:
-		return &gaussianSource{g: g}
-	case RTW:
-		return &rtwSource{g: g}
-	case Pulse:
-		return &pulseSource{g: g}
-	default:
-		panic(fmt.Sprintf("noise: unknown family %d", int(f)))
-	}
 }
 
 // Sinusoid is a deterministic sinusoidal carrier: amplitude * sqrt(2) *

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// Golden v2 stream words, pinned. Word(StreamBase(seed, src), idx) is
-// the addressing contract every v2 consumer (noise bank, sampler
+// Golden stream words, pinned. Word(StreamBase(seed, src), idx) is the
+// addressing contract every consumer (noise bank, sampler
 // work-stealing, AVX2 kernel) stands on — any drift here silently
-// changes every sampled verdict, so a change must show up as a
-// deliberate, reviewed golden update (and a stream-contract version
-// bump), never as an accident.
+// changes every sampled verdict and every stored one, so a change must
+// show up as a deliberate, reviewed golden update, never as an
+// accident.
 func TestGoldenV2StreamWords(t *testing.T) {
 	cases := []struct {
 		seed, src, idx uint64
@@ -34,8 +34,8 @@ func TestGoldenV2StreamWords(t *testing.T) {
 		base := StreamBase(tc.seed, tc.src)
 		if got := Word(base, tc.idx); got != tc.word {
 			t.Errorf("Word(StreamBase(%#x, %#x), %#x) = %#016x, want %#016x\n"+
-				"(a deliberate generator change must update this golden AND bump "+
-				"the stream contract version)", tc.seed, tc.src, tc.idx, got, tc.word)
+				"(a deliberate generator change must update this golden and "+
+				"invalidate stored sampled verdicts)", tc.seed, tc.src, tc.idx, got, tc.word)
 		}
 		if got := Uniform01(base, tc.idx); got != tc.uniform {
 			t.Errorf("Uniform01(StreamBase(%#x, %#x), %#x) = %v, want %v",
@@ -44,7 +44,7 @@ func TestGoldenV2StreamWords(t *testing.T) {
 	}
 }
 
-// The v2 counter stream is defined as "what a SplitMix64 seeded with
+// The counter stream is defined as "what a SplitMix64 seeded with
 // base emits sequentially", evaluated by index. Pin that equivalence.
 func TestWordMatchesSequentialSplitMix(t *testing.T) {
 	for _, base := range []uint64{0, 1, 0x9e3779b97f4a7c15, Mix(7, 3)} {
@@ -90,8 +90,8 @@ func TestFillUniformAtMatchesScalar(t *testing.T) {
 
 // Large fills must agree with the same fill split at arbitrary points:
 // the prefix may take the accelerated path while a resumed suffix
-// starts mid-stream. This is the property the block evaluator's
-// cursor and the sampler's range claiming depend on.
+// starts mid-stream. This is the property the sampler's range
+// claiming depends on.
 func TestFillUniformAtSplitInvariance(t *testing.T) {
 	const n = 1024
 	base := StreamBase(3, 5)
@@ -156,16 +156,6 @@ func BenchmarkFillUniformAt(b *testing.B) {
 	b.SetBytes(int64(len(dst) * 8))
 	for i := 0; i < b.N; i++ {
 		FillUniformAt(base, uint64(i)*uint64(len(dst)), dst, -1, 2)
-	}
-}
-
-func BenchmarkFillUniformPairV1(b *testing.B) {
-	a := make([]float64, 2048)
-	c := make([]float64, 2048)
-	g, h := NewStream(1, 0), NewStream(1, 1)
-	b.SetBytes(int64((len(a) + len(c)) * 8))
-	for i := 0; i < b.N; i++ {
-		FillUniformPair(g, h, a, c, -1, 2)
 	}
 }
 

@@ -11,7 +11,7 @@ var haveAVX2 = cpuHasAVX2()
 // fillUniformAccel fills the largest multiple-of-4 prefix of dst with
 // the AVX2 kernel and reports how many samples it wrote; FillUniformAt
 // finishes the tail with the portable loop. Splitting is sound because
-// v2 samples are pure functions of (base, index) — the two kernels are
+// samples are pure functions of (base, index) — the two kernels are
 // pinned bit-identical, so any prefix/suffix mix yields the same bits.
 func fillUniformAccel(base, start uint64, dst []float64, lo, span float64) int {
 	n := len(dst) &^ 3

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// Stream v2 AVX2 fill: four SplitMix64 counter lanes per iteration.
+// Counter-stream AVX2 fill: four SplitMix64 counter lanes per iteration.
 //
 // Lane s of iteration t holds state + (4t+s)·golden; each lane runs the
 // mix64 finalizer (two xorshift-multiply rounds), takes the top 53 bits,

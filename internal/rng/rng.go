@@ -8,13 +8,14 @@
 // relying on math/rand's unspecified stream evolution:
 //
 //   - SplitMix64: a tiny, statistically strong 64-bit generator used for
-//     seeding and key mixing (Steele, Lea, Flood 2014).
-//   - Xoshiro256** 1.0: the workhorse stream generator (Blackman, Vigna
-//     2018), with jump-free stream derivation via SplitMix64 key mixing.
+//     key mixing (Steele, Lea, Flood 2014) and, evaluated by counter, as
+//     the noise stream generator (counter.go).
+//   - Xoshiro256** 1.0: the general-purpose sequential generator
+//     (Blackman, Vigna 2018) behind instance generation and local search.
 //
 // Streams derived from distinct keys are independent for all practical
-// purposes; the noise package builds one stream per (clause, variable,
-// polarity) triple from a single experiment seed.
+// purposes; the noise package builds one counter-addressed stream per
+// (clause, variable, polarity) triple from a single experiment seed.
 package rng
 
 import "math"
@@ -88,27 +89,6 @@ func New(seed uint64) *Xoshiro256 {
 	return g
 }
 
-// NewStream returns an independent generator derived from seed and key.
-// Distinct keys yield decorrelated streams even for adjacent seeds: both
-// words pass through the SplitMix64 finalizer before seeding.
-func NewStream(seed, key uint64) *Xoshiro256 {
-	g := Stream(seed, key)
-	return &g
-}
-
-// Stream is NewStream returning the generator by value, for callers
-// that store generators inline (the noise bank holds 2·n·m of them and
-// re-seeds them in place without allocating).
-func Stream(seed, key uint64) Xoshiro256 {
-	sm := NewSplitMix64(mix64(seed+golden) ^ mix64(key^0xd1b54a32d192ed03))
-	return Xoshiro256{
-		s0: sm.Uint64(),
-		s1: sm.Uint64(),
-		s2: sm.Uint64(),
-		s3: sm.Uint64(),
-	}
-}
-
 func rotl(x uint64, k uint) uint64 {
 	return (x << k) | (x >> (64 - k))
 }
@@ -137,46 +117,6 @@ func (g *Xoshiro256) Float64() float64 {
 // Uniform returns a uniformly distributed value in [lo, hi).
 func (g *Xoshiro256) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.Float64()
-}
-
-// FillUniformPair writes len(a) consecutive uniforms lo + span·U[0,1)
-// from g into a and from h into b (len(b) must equal len(a)), advancing
-// both generators exactly len(a) steps. Sample i of each output is
-// bit-identical to what the i-th Float64 call on that generator would
-// return; the point of the bulk form is throughput: both xoshiro states
-// live in explicit locals for the whole loop (no per-draw state
-// load/store) and the two independent dependency chains pipeline
-// against each other. This is the inner loop of the noise bank's v1
-// (stateful-cursor) fill path.
-func FillUniformPair(g, h *Xoshiro256, a, b []float64, lo, span float64) {
-	if len(b) != len(a) {
-		panic("rng: FillUniformPair buffers must have equal length")
-	}
-	g0, g1, g2, g3 := g.s0, g.s1, g.s2, g.s3
-	h0, h1, h2, h3 := h.s0, h.s1, h.s2, h.s3
-	for i := range a {
-		ra := rotl(g1*5, 7) * 9
-		t := g1 << 17
-		g2 ^= g0
-		g3 ^= g1
-		g1 ^= g2
-		g0 ^= g3
-		g2 ^= t
-		g3 = rotl(g3, 45)
-		a[i] = lo + span*(float64(ra>>11)*0x1p-53)
-
-		rb := rotl(h1*5, 7) * 9
-		u := h1 << 17
-		h2 ^= h0
-		h3 ^= h1
-		h1 ^= h2
-		h0 ^= h3
-		h2 ^= u
-		h3 = rotl(h3, 45)
-		b[i] = lo + span*(float64(rb>>11)*0x1p-53)
-	}
-	g.s0, g.s1, g.s2, g.s3 = g0, g1, g2, g3
-	h.s0, h.s1, h.s2, h.s3 = h0, h1, h2, h3
 }
 
 // Norm returns a standard normal variate generated by the polar

@@ -46,11 +46,10 @@ func TestStreamIndependenceByKey(t *testing.T) {
 	// Streams with distinct keys from one seed must be decorrelated:
 	// empirical correlation of 1e5 uniforms should be near zero.
 	const n = 100000
-	a := NewStream(7, 0)
-	b := NewStream(7, 1)
+	a, b := StreamBase(7, 0), StreamBase(7, 1)
 	var sum float64
-	for i := 0; i < n; i++ {
-		sum += (a.Float64() - 0.5) * (b.Float64() - 0.5)
+	for i := uint64(0); i < n; i++ {
+		sum += (Uniform01(a, i) - 0.5) * (Uniform01(b, i) - 0.5)
 	}
 	corr := sum / n * 12 // normalize by var(U[0,1)) = 1/12
 	if math.Abs(corr) > 0.02 {
@@ -59,10 +58,9 @@ func TestStreamIndependenceByKey(t *testing.T) {
 }
 
 func TestStreamSameKeySameStream(t *testing.T) {
-	a := NewStream(7, 99)
-	b := NewStream(7, 99)
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+	a, b := StreamBase(7, 99), StreamBase(7, 99)
+	for i := uint64(0); i < 100; i++ {
+		if Word(a, i) != Word(b, i) {
 			t.Fatal("same (seed,key) must yield identical streams")
 		}
 	}

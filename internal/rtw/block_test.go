@@ -53,8 +53,8 @@ func TestCheckCtxMatchesScalarAccumulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 20k samples: the v2 streams at this seed need more than the old
-	// 5k to clear theta=4 (stream re-pin for the v2 contract).
+	// 20k samples: the streams at this seed need that many to clear
+	// theta=4.
 	const samples = 20_000
 	r, err := blockEng.CheckCtx(context.Background(), samples, 4)
 	if err != nil {

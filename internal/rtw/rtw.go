@@ -30,8 +30,8 @@ type Engine struct {
 	n, m int
 
 	// cursor is the engine's position on the bank's sample-index axis
-	// (stream contract v2: the bank is stateless, the consumer owns the
-	// position). Reset rewinds it to zero.
+	// (the bank is stateless; the consumer owns the position). Reset
+	// rewinds it to zero.
 	cursor uint64
 
 	// wide selects the arbitrary-precision kernel: the instance's
@@ -69,24 +69,13 @@ type rtwBlock struct {
 	out          []float64 // float view of a block for the Welford path
 }
 
-// New builds an RTW engine on the default (v2) stream contract.
-// Instances whose worst-case |S_N| bound (2^n · prod_j(k_j · 2^(n-1)))
-// fits in an int64 get the exact integer block kernel; anything larger
-// — uf20-91 needs ~1900 bits — falls back to the equally exact wide
-// kernel (see wide.go), which factors every sample as
-// sign·(small product)·2^shift and only touches big.Int for the final
-// assembly and the moment accumulators.
+// New builds an RTW engine. Instances whose worst-case |S_N| bound
+// (2^n · prod_j(k_j · 2^(n-1))) fits in an int64 get the exact integer
+// block kernel; anything larger — uf20-91 needs ~1900 bits — falls back
+// to the equally exact wide kernel (see wide.go), which factors every
+// sample as sign·(small product)·2^shift and only touches big.Int for
+// the final assembly and the moment accumulators.
 func New(f *cnf.Formula, seed uint64) (*Engine, error) {
-	return NewVersion(f, seed, noise.StreamV2)
-}
-
-// NewVersion is New with an explicit noise stream contract version
-// (noise.StreamV2 default, noise.StreamV1 the legacy migration
-// oracle; 0 selects the default).
-func NewVersion(f *cnf.Formula, seed uint64, stream int) (*Engine, error) {
-	if stream == 0 {
-		stream = noise.StreamV2
-	}
 	n, m := f.NumVars, f.NumClauses()
 	if n < 1 || m < 1 {
 		return nil, fmt.Errorf("rtw: need n >= 1 and m >= 1, got (%d,%d)", n, m)
@@ -94,16 +83,13 @@ func NewVersion(f *cnf.Formula, seed uint64, stream int) (*Engine, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	if stream != noise.StreamV1 && stream != noise.StreamV2 {
-		return nil, fmt.Errorf("rtw: unknown stream version %d", stream)
-	}
 	bitsNeeded, err := widthBits(f)
 	if err != nil {
 		return nil, err
 	}
 	nm := n * m
 	return &Engine{
-		f: f, bank: noise.NewBankVersion(noise.RTW, seed, n, m, stream), seed: seed, n: n, m: m,
+		f: f, bank: noise.NewBank(noise.RTW, seed, n, m), seed: seed, n: n, m: m,
 		wide:  bitsNeeded > 62,
 		bound: cnf.NewAssignment(n),
 		// 32 bytes per source cell: the block kernel keeps float64 fill
@@ -127,7 +113,7 @@ func NewVersion(f *cnf.Formula, seed uint64, stream int) (*Engine, error) {
 func (e *Engine) Reset(f *cnf.Formula) error {
 	n, m := f.NumVars, f.NumClauses()
 	if n != e.n || m != e.m {
-		fresh, err := NewVersion(f, e.seed, e.bank.StreamVersion())
+		fresh, err := New(f, e.seed)
 		if err != nil {
 			return err
 		}
@@ -152,9 +138,6 @@ func (e *Engine) Reset(f *cnf.Formula) error {
 	e.cursor = 0
 	return nil
 }
-
-// StreamVersion reports the engine's noise stream contract version.
-func (e *Engine) StreamVersion() int { return e.bank.StreamVersion() }
 
 // widthBits returns the worst-case |S_N| bit bound for f: the tau
 // bound 2^n plus |Z_j| <= k_j·2^(n-1) per clause. It rejects empty

@@ -22,9 +22,9 @@ func TestStepMatchesHyperspaceEvaluator(t *testing.T) {
 		}
 		bank := noise.NewBank(noise.RTW, 42, f.NumVars, f.NumClauses())
 		ev := hyperspace.New(f, bank)
-		for step := 0; step < 200; step++ {
+		for step := uint64(0); step < 200; step++ {
 			got := e.Step()
-			want := ev.Step().S
+			want := ev.StepAt(step).S
 			if float64(got) != want {
 				t.Fatalf("%s step %d: int engine %d, float engine %v", f, step, got, want)
 			}

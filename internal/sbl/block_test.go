@@ -21,14 +21,16 @@ func TestCarrierBankBlockBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var base uint64
 	for _, k := range []int{1, 5, 64, 33} {
 		out := make([]float64, k)
-		block.ev.StepBlock(out)
+		block.ev.StepBlockAt(base, out)
 		for s := 0; s < k; s++ {
-			if want := scalar.ev.Step().S; out[s] != want {
-				t.Fatalf("block %d sample %d: StepBlock %v != Step %v", k, s, out[s], want)
+			if want := scalar.ev.StepAt(base + uint64(s)).S; out[s] != want {
+				t.Fatalf("block %d sample %d: StepBlockAt %v != StepAt %v", k, s, out[s], want)
 			}
 		}
+		base += uint64(k)
 	}
 }
 

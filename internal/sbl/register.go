@@ -3,8 +3,6 @@ package sbl
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"sync"
 
 	"repro/internal/cnf"
 	"repro/internal/hyperspace"
@@ -13,118 +11,41 @@ import (
 )
 
 func init() {
+	// sbl is warm (solver.Warm): Engine.Reset keeps the carrier bank
+	// whenever the (n, m) geometry repeats.
 	solver.Register("sbl", func(cfg solver.Config) solver.Solver {
-		return &sblSolver{cfg: cfg}
+		return solver.NewWarm("sbl",
+			func(f *cnf.Formula) (*Engine, error) {
+				if cfg.FindModel {
+					return nil, solver.ErrNoModelRecovery("sbl")
+				}
+				alloc, err := parseAllocation(cfg.Allocation)
+				if err != nil {
+					return nil, err
+				}
+				return New(f, Options{Alloc: alloc, MaxSamples: cfg.MaxSamples})
+			},
+			check)
 	})
 }
 
-// sblSolver adapts the sinusoid-carrier engine to the registry. It is
-// warm: the constructed Engine persists across Solve calls, and
-// Engine.Reset keeps the carrier bank whenever the (n, m) geometry
-// repeats (the carriers rewind to t = 0, so a warm Solve is
-// result-identical to a cold one). The mutex serializes a shared
-// instance; parallel callers hold one instance per goroutine.
-type sblSolver struct {
-	cfg solver.Config
-	mu  sync.Mutex
-	eng *Engine
-	// resetFor skips the duplicate Solve-time re-target after a pool
-	// Acquire already Reset for the same formula (see the mc adapter).
-	resetFor *cnf.Formula
-}
-
-// Reset implements solver.Reusable; see the mc adapter for the
-// contract. Cold is reported when no engine exists yet, the geometry
-// changed, or the rebuild is rejected (Solve surfaces the error).
-func (s *sblSolver) Reset(f *cnf.Formula) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resetFor = nil
-	if s.eng == nil {
-		return false
-	}
-	warm := f.NumVars == s.eng.bank.n && f.NumClauses() == s.eng.bank.m
-	if err := s.eng.Reset(f); err != nil {
-		s.eng = nil
-		return false
-	}
-	s.resetFor = f
-	return warm
-}
-
-func (s *sblSolver) alloc() (Allocation, error) {
-	switch s.cfg.Allocation {
+func parseAllocation(name string) (Allocation, error) {
+	switch name {
 	case "", "geometric4":
 		return Geometric4, nil
 	case "linear":
 		return Linear, nil
 	default:
-		return 0, fmt.Errorf(
-			"sbl: unknown allocation %q (want geometric4|linear)", s.cfg.Allocation)
+		return 0, fmt.Errorf("sbl: unknown allocation %q (want geometric4|linear)", name)
 	}
 }
 
-// Solve wraps the locked solve in the check span. SBL's DC read-out
-// is deterministic (no stderr), so the span's trajectory is one point
+// check runs one SBL observation window. The DC read-out is
+// deterministic (no stderr), so the span's trajectory is one point
 // whose Dist is the absolute margin of the windowed mean over the
 // engine's threshold.
-func (s *sblSolver) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
-	sp, ctx := obs.StartSpan(ctx, "sbl.check")
-	if sp != nil {
-		sp.SetAttr("n", strconv.Itoa(f.NumVars))
-		sp.SetAttr("m", strconv.Itoa(f.NumClauses()))
-		// SBL batches its observation loop through the block evaluator, so
-		// the eval kernels apply; the sinusoid carrier fill is scalar.
-		sp.SetAttr("eval_accel", hyperspace.EvalAccelName())
-		sp.SetAttr("fill_accel", "none")
-	}
-	out, err := s.solve(ctx, f)
-	if sp != nil {
-		if st := out.Stats; st.Samples > 0 {
-			threshold := 0.0
-			s.mu.Lock()
-			if s.eng != nil {
-				threshold = s.eng.opts.Threshold
-			}
-			s.mu.Unlock()
-			sp.Point(obs.TrajPoint{
-				Round: 1, Samples: st.Samples,
-				Mean: st.Mean, Dist: st.Mean - threshold,
-			})
-		}
-		sp.SetAttr("samples", strconv.FormatInt(out.Stats.Samples, 10))
-		sp.SetAttr("status", out.Status.String())
-		sp.Finish()
-	}
-	return out, err
-}
-
-func (s *sblSolver) solve(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cfg.FindModel {
-		return solver.Result{}, solver.ErrNoModelRecovery("sbl")
-	}
-	alreadyReset := s.resetFor == f
-	s.resetFor = nil
-	if s.eng != nil {
-		if !alreadyReset {
-			if err := s.eng.Reset(f); err != nil {
-				return solver.Result{}, err
-			}
-		}
-	} else {
-		alloc, err := s.alloc()
-		if err != nil {
-			return solver.Result{}, err
-		}
-		eng, err := New(f, Options{Alloc: alloc, MaxSamples: s.cfg.MaxSamples})
-		if err != nil {
-			return solver.Result{}, err
-		}
-		s.eng = eng
-	}
-	r, err := s.eng.CheckCtx(ctx)
+func check(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span) (solver.Result, error) {
+	r, err := eng.CheckCtx(ctx)
 	out := solver.Result{
 		Stats: solver.Stats{
 			Samples: r.Samples, Mean: r.Mean,
@@ -132,6 +53,12 @@ func (s *sblSolver) solve(ctx context.Context, f *cnf.Formula) (solver.Result, e
 			// the carrier fill is the scalar cosine table walk.
 			FillAccel: "none", EvalAccel: hyperspace.EvalAccelName(),
 		},
+	}
+	if sp != nil && r.Samples > 0 {
+		sp.Point(obs.TrajPoint{
+			Round: 1, Samples: r.Samples,
+			Mean: r.Mean, Dist: r.Mean - eng.opts.Threshold,
+		})
 	}
 	if err != nil {
 		return out, err

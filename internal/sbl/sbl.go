@@ -100,9 +100,9 @@ func (o Options) withDefaults() Options {
 
 // carrierBank is a deterministic hyperspace.SampleSource backed by
 // sinusoidal carriers: source k emits sqrt(2)·cos(2π·cycles[k]·t/period).
-// The stream-v2 sample counter is literally the carrier time t, so the
-// bank is stateless: any block at any base is a pure function of the
-// frequency plan.
+// The sample counter is literally the carrier time t, so the bank is
+// stateless: any block at any base is a pure function of the frequency
+// plan.
 type carrierBank struct {
 	n, m   int
 	cycles []int64 // per source, layout (var*m+clause)*2+polarity
@@ -222,12 +222,12 @@ func (e *Engine) Check() Result {
 	return r
 }
 
-// CheckCtx is Check with cancellation: the observation loop advances in
-// cache-aware e.block batches through the evaluator's block kernel and
-// polls ctx at every block boundary, returning the partial window with
-// ctx.Err() when the context ends. The DC accumulation order matches
-// the scalar loop sample for sample, so results are unchanged by the
-// batching — for any block size.
+// CheckCtx is Check with cancellation: the observation loop walks the
+// window t = 0..window-1 in cache-aware e.block batches through the
+// evaluator's block kernel and polls ctx at every block boundary,
+// returning the partial window with ctx.Err() when the context ends.
+// The DC accumulation order matches the scalar loop sample for sample,
+// so results are unchanged by the batching — for any block size.
 func (e *Engine) CheckCtx(ctx context.Context) (Result, error) {
 	window := e.period
 	full := true
@@ -249,7 +249,7 @@ func (e *Engine) CheckCtx(ctx context.Context) (Result, error) {
 		if rem := window - i; rem < k {
 			k = rem
 		}
-		e.ev.StepBlock(buf[:k])
+		e.ev.StepBlockAt(uint64(i), buf[:k])
 		for _, s := range buf[:k] {
 			sum += s
 		}
@@ -265,12 +265,13 @@ func (e *Engine) CheckCtx(ctx context.Context) (Result, error) {
 }
 
 // Reset re-targets the engine at a new formula, restoring fresh-engine
-// state: the carriers rewind to t = 0, so a Reset engine is
-// result-identical to New(f, opts) — the warm-path contract the engine
-// lease pool relies on. When the (n, m) geometry matches, the carrier
-// bank is kept verbatim (cycles and period depend only on 2·n·m and
-// the allocation) and the evaluator re-targets in place; otherwise the
-// engine is rebuilt, which can fail if the new geometry exceeds the
+// state (every check observes from t = 0, so only the formula and the
+// bindings need replacing): a Reset engine is result-identical to
+// New(f, opts) — the warm-path contract the engine lease pool relies
+// on. When the (n, m) geometry matches, the carrier bank is kept
+// verbatim (cycles and period depend only on 2·n·m and the allocation)
+// and the evaluator re-targets in place; otherwise the engine is
+// rebuilt, which can fail if the new geometry exceeds the
 // allocator's bandwidth (same rule as New).
 func (e *Engine) Reset(f *cnf.Formula) error {
 	if f.NumVars != e.bank.n || f.NumClauses() != e.bank.m {
@@ -285,8 +286,6 @@ func (e *Engine) Reset(f *cnf.Formula) error {
 		return err
 	}
 	e.f = f
-	// Reset rewinds the evaluator's stream cursor, which under the
-	// counter contract IS the carrier time: t restarts at 0.
 	e.ev.Reset(f)
 	return nil
 }

@@ -13,9 +13,8 @@
 // expression, e.g. pre(mc)), task (decide | count | weighted-count |
 // equivalent; default decide), seed, samples, theta, workers, family,
 // alloc, flips, restarts, noise, candidates, members (comma lineup),
-// model=1 (model recovery), stream (noise stream contract: 2 =
-// counter-based default, 1 = legacy), timeout (Go duration), sync=1
-// (/solve only).
+// model=1 (model recovery), timeout (Go duration), sync=1 (/solve
+// only).
 //
 // task=count and task=weighted-count return the exact model count (or
 // clause-cover-weighted count K') as result.count, a decimal string.
@@ -229,16 +228,6 @@ func parseSubmitOptions(q url.Values) (SubmitOptions, error) {
 		NoiseP:     getFloat("noise"),
 		Candidates: int(getInt("candidates")),
 		FindModel:  boolParam(q.Get("model")),
-	}
-	// stream selects the noise stream contract of the sampling engines
-	// (2 = counter-based default, 1 = legacy). Validated here so a bad
-	// value is a 400, not a construction error surfaced mid-job.
-	if sv := int(getInt("stream")); sv != 0 {
-		if sv != solver.StreamV1 && sv != solver.StreamV2 {
-			return opts, fmt.Errorf("bad stream %d (supported: %d, %d)",
-				sv, solver.StreamV1, solver.StreamV2)
-		}
-		opts.Solver.StreamVersion = sv
 	}
 	if members := q.Get("members"); members != "" {
 		for _, m := range strings.Split(members, ",") {

@@ -26,11 +26,13 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cnf"
+	"repro/internal/obs"
 )
 
 // Task selects what question a solve answers about the formula. The
@@ -149,10 +151,6 @@ type Stats struct {
 	// Mean and StdErr describe the final S_N statistic (NBL engines).
 	Mean   float64 `json:"mean,omitempty"`
 	StdErr float64 `json:"stderr,omitempty"`
-	// StreamVersion echoes the noise stream contract the sampling NBL
-	// engines drew from (2 = counter-based, 1 = legacy stateful).
-	// omitempty keeps non-sampling engines' records byte-identical.
-	StreamVersion int `json:"stream_version,omitempty"`
 	// NMBefore and NMAfter record the n·m product before and after
 	// preprocessing, and Components the number of variable-disjoint
 	// subformulas solved independently (pipeline meta-engines). Zero
@@ -162,8 +160,8 @@ type Stats struct {
 	Components int64 `json:"components,omitempty"`
 	// FillAccel and EvalAccel name the accelerated kernels active in the
 	// build that produced this result ("avx2" or "none"): FillAccel the
-	// noise-fill backend for the engine's family/stream combination,
-	// EvalAccel the S_N block-evaluator row kernels. Both backends are
+	// noise-fill backend for the engine's noise family, EvalAccel the
+	// S_N block-evaluator row kernels. Both backends are
 	// bit-identical to the portable paths, so these are provenance
 	// fields, not result qualifiers. Empty for engines without a sampled
 	// hot path, which keeps their records byte-identical.
@@ -177,11 +175,10 @@ type Stats struct {
 // would be meaningless — the caller decides whose statistic survives.
 // NMBefore/NMAfter/Components likewise describe one preprocessing run,
 // not an accumulable effort, and stay with whoever set them.
-// StreamVersion is an identity, not a counter: s keeps its own when
-// set, and otherwise adopts other's, so a meta-engine merging sampling
-// components still echoes the contract they drew from; FillAccel and
-// EvalAccel follow the same rule (all components run in one build, so
-// any component's kernel name is the merge's).
+// FillAccel and EvalAccel are identities, not counters: s keeps its own
+// when set, and otherwise adopts other's, so a meta-engine merging
+// sampling components still names their kernels (all components run in
+// one build, so any component's kernel name is the merge's).
 func (s *Stats) Add(other Stats) {
 	s.Samples += other.Samples
 	s.Decisions += other.Decisions
@@ -190,9 +187,6 @@ func (s *Stats) Add(other Stats) {
 	s.Flips += other.Flips
 	s.Restarts += other.Restarts
 	s.Probes += other.Probes
-	if s.StreamVersion == 0 {
-		s.StreamVersion = other.StreamVersion
-	}
 	if s.FillAccel == "" {
 		s.FillAccel = other.FillAccel
 	}
@@ -341,11 +335,12 @@ type progressKey struct{}
 
 // ContextWithProgress returns a context carrying fn. Engines that
 // support live progress (the Monte-Carlo sampler reports at every
-// convergence-round boundary) look the hook up with
-// ProgressFromContext and call it with partial Stats while solving.
-// The hook travels with the context — not with the engine — so a
-// long-lived (warm) solver instance can serve many requests, each with
-// its own observer.
+// merged convergence-round boundary) look the hook up with
+// ProgressFromContext once per check and call it with partial Stats
+// while solving. The hook travels with the context — not with the
+// engine — so a long-lived (warm) solver instance can serve many
+// requests, each with its own observer; it is the one progress channel
+// (the mc check span's SNR trajectory wraps it the same way).
 func ContextWithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	return context.WithValue(ctx, progressKey{}, fn)
 }
@@ -439,13 +434,6 @@ type Config struct {
 	// reads its task to pick count-safe preprocessing), so the task
 	// must separate pool and cache identities, which Key() guarantees.
 	Task Task
-	// StreamVersion selects the noise stream contract of the sampling
-	// NBL engines (mc, rtw): 2 (the default) is the counter-based
-	// stateless contract, 1 the legacy stateful-generator streams kept
-	// as a migration oracle. The two contracts draw different samples,
-	// so the version separates cache and verdict-store identities —
-	// Key() appends it only when non-default, like Task.
-	StreamVersion int
 }
 
 func (c Config) withDefaults() Config {
@@ -464,20 +452,8 @@ func (c Config) withDefaults() Config {
 	if c.Task == "" {
 		c.Task = TaskDecide
 	}
-	if c.StreamVersion == 0 {
-		c.StreamVersion = DefaultStreamVersion
-	}
 	return c
 }
-
-// Stream contract versions, mirrored from package noise (which solver
-// cannot import without inverting the dependency): 2 is the
-// counter-based stateless contract, 1 the legacy stateful streams.
-const (
-	StreamV1             = 1
-	StreamV2             = 2
-	DefaultStreamVersion = StreamV2
-)
 
 // Key folds every engine-selecting knob into a comparison string: two
 // Configs with equal Keys construct behaviorally identical engines, so
@@ -486,12 +462,11 @@ const (
 // a zero Config and an explicit default Config select the same engine
 // and must key identically.
 //
-// The task is appended only when it is not decide, and the stream
-// version only when it is not the default contract: every default
-// Config keys byte-identically to its pre-task-model, pre-stream-v2
-// form, so verdict-store files written before those knobs existed
-// replay unchanged (the durable store persists these keys across
-// releases).
+// The task is appended only when it is not decide: every decide Config
+// keys byte-identically to its pre-task-model form, so verdict-store
+// files written before tasks existed replay unchanged (the durable
+// store persists these keys across releases; TestConfigKeyGolden pins
+// the literal form).
 func (c Config) Key() string {
 	c = c.withDefaults()
 	key := fmt.Sprintf("%d|%d|%g|%d|%s|%s|%d|%d|%g|%d|%t|%v",
@@ -499,9 +474,6 @@ func (c Config) Key() string {
 		c.MaxFlips, c.Restarts, c.NoiseP, c.Candidates, c.FindModel, c.Members)
 	if c.Task != TaskDecide {
 		key += "|" + string(c.Task)
-	}
-	if c.StreamVersion != DefaultStreamVersion {
-		key += fmt.Sprintf("|stream%d", c.StreamVersion)
 	}
 	return key
 }
@@ -548,10 +520,6 @@ func WithMembers(names ...string) Option { return func(c *Config) { c.Members = 
 // WithTask selects the solve task (decide, count, weighted-count).
 func WithTask(t Task) Option { return func(c *Config) { c.Task = t } }
 
-// WithStreamVersion selects the noise stream contract of the sampling
-// NBL engines (StreamV2 counter-based default, StreamV1 legacy).
-func WithStreamVersion(v int) Option { return func(c *Config) { c.StreamVersion = v } }
-
 // CompleteResult maps a complete-search outcome onto a Result: a
 // non-nil error passes through (verdict unknown, partial stats kept), a
 // model means SAT, and a finished search without one is a certified
@@ -569,6 +537,121 @@ func CompleteResult(a cnf.Assignment, ok bool, err error, stats Stats) (Result, 
 		out.Status = StatusUnsat
 	}
 	return out, nil
+}
+
+// WarmEngine is what Warm needs of an engine: re-targeting at a new
+// formula that restores fresh-engine state, or an error naming why the
+// formula is rejected (leaving the engine as it was).
+type WarmEngine interface {
+	Reset(f *cnf.Formula) error
+}
+
+// Warm is the registry adapter of the warm sampling engines (mc, rtw,
+// sbl). The engine is built on the first Solve and persists; later
+// formulas re-target it through its Reset, which keeps noise banks,
+// evaluators and block buffers whenever the (n, m) geometry repeats —
+// the amortization a long-running solve service depends on. Reset
+// restores fresh-engine state, so a warm Solve is result-identical to a
+// cold one. The mutex makes a shared instance safe (calls serialize);
+// anything that wants parallelism holds one instance per goroutine, as
+// the portfolio and the lease pool do.
+//
+// An engine package supplies only a constructor and a check function
+// mapping one check onto a Result; Warm owns the locking, the lazily
+// built engine, the Reusable warm report, and the "<name>.check" span.
+type Warm[E WarmEngine] struct {
+	span  string
+	build func(f *cnf.Formula) (E, error)
+	check func(ctx context.Context, eng E, f *cnf.Formula, sp *obs.Span) (Result, error)
+
+	mu    sync.Mutex
+	eng   E
+	built bool
+	// n, m is the geometry eng last served; the warm report compares
+	// against it.
+	n, m int
+	// resetFor notes that Reset already re-targeted eng at this exact
+	// formula, so the next Solve skips the duplicate re-target (the
+	// engine lease pool resets on Acquire, then calls Solve with the
+	// same formula; re-deriving the streams twice would be pure waste).
+	resetFor *cnf.Formula
+}
+
+// NewWarm returns the warm adapter of engine name. check runs one check
+// on the engine and may add trajectory points to sp, the engine's
+// "<name>.check" span (nil on an untraced context).
+func NewWarm[E WarmEngine](name string,
+	build func(f *cnf.Formula) (E, error),
+	check func(ctx context.Context, eng E, f *cnf.Formula, sp *obs.Span) (Result, error),
+) *Warm[E] {
+	return &Warm[E]{span: name + ".check", build: build, check: check}
+}
+
+// Reset implements Reusable: it re-targets the engine at f ahead of the
+// next Solve and reports whether f has the geometry the engine last
+// served, so its banks and buffers survive. An engine that rejects f is
+// dropped and the report is cold — Solve will surface the error.
+func (w *Warm[E]) Reset(f *cnf.Formula) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.resetFor = nil
+	if !w.built {
+		return false
+	}
+	if err := w.eng.Reset(f); err != nil {
+		var none E
+		w.eng, w.built = none, false
+		return false
+	}
+	warm := f.NumVars == w.n && f.NumClauses() == w.m
+	w.n, w.m = f.NumVars, f.NumClauses()
+	w.resetFor = f
+	return warm
+}
+
+// Solve runs one check inside the engine's check span, which records
+// the geometry, the samples spent, the verdict, and the kernel backends
+// the returned Stats name. On an untraced context the span is nil and
+// the wrapper costs a context lookup.
+func (w *Warm[E]) Solve(ctx context.Context, f *cnf.Formula) (Result, error) {
+	sp, ctx := obs.StartSpan(ctx, w.span)
+	if sp != nil {
+		sp.SetAttr("n", strconv.Itoa(f.NumVars))
+		sp.SetAttr("m", strconv.Itoa(f.NumClauses()))
+	}
+	out, err := w.solve(ctx, f, sp)
+	if sp != nil {
+		sp.SetAttr("samples", strconv.FormatInt(out.Stats.Samples, 10))
+		sp.SetAttr("status", out.Status.String())
+		if out.Stats.EvalAccel != "" {
+			sp.SetAttr("eval_accel", out.Stats.EvalAccel)
+			sp.SetAttr("fill_accel", out.Stats.FillAccel)
+		}
+		sp.Finish()
+	}
+	return out, err
+}
+
+func (w *Warm[E]) solve(ctx context.Context, f *cnf.Formula, sp *obs.Span) (Result, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	ready := w.resetFor == f
+	w.resetFor = nil
+	switch {
+	case ready:
+	case w.built:
+		if err := w.eng.Reset(f); err != nil {
+			return Result{}, err
+		}
+	default:
+		eng, err := w.build(f)
+		if err != nil {
+			return Result{}, err
+		}
+		w.eng, w.built = eng, true
+	}
+	w.n, w.m = f.NumVars, f.NumClauses()
+	return w.check(ctx, w.eng, f, sp)
 }
 
 // CountResult maps an exact-counting outcome onto a Result: a non-nil
@@ -836,10 +919,6 @@ func NewWith(name string, cfg Config) (Solver, error) {
 	cfg = cfg.withDefaults()
 	if err := checkTask(name, cfg.Task); err != nil {
 		return nil, err
-	}
-	if cfg.StreamVersion != StreamV1 && cfg.StreamVersion != StreamV2 {
-		return nil, fmt.Errorf("solver: unknown stream version %d (supported: %d, %d)",
-			cfg.StreamVersion, StreamV1, StreamV2)
 	}
 	regMu.RLock()
 	factory, ok := registry[name]

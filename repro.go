@@ -23,9 +23,7 @@
 //	fmt.Println(r.Status, r.Engine)   // SATISFIABLE cdcl
 //
 // Pick a specific engine with repro.New("mc"), repro.New("cdcl"), ...;
-// repro.Engines() lists everything registered. The pre-registry entry
-// points (NewEngine, SolveDPLL, SolveCDCL, SolveWalkSAT) remain as thin
-// wrappers.
+// repro.Engines() lists everything registered.
 //
 // The facade re-exports the pieces a library user needs — CNF modeling,
 // DIMACS I/O, the solver registry, and the instance generators — while
@@ -37,28 +35,28 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/cdcl"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/count"
 	"repro/internal/dimacs"
-	"repro/internal/dpll"
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/noise"
 	"repro/internal/rng"
 	"repro/internal/solver"
-	"repro/internal/walksat"
 
 	// The remaining engines register themselves with the solver registry
 	// on import; the facade links them all in so repro.New can build any
 	// of them by name.
 	_ "repro/internal/analog"
+	_ "repro/internal/cdcl"
+	_ "repro/internal/dpll"
 	_ "repro/internal/hybrid"
 	_ "repro/internal/pipeline"
 	_ "repro/internal/portfolio"
 	_ "repro/internal/rtw"
 	_ "repro/internal/sbl"
+	_ "repro/internal/walksat"
 )
 
 // Core CNF types, re-exported.
@@ -121,28 +119,19 @@ const (
 
 // Functional options for New, re-exported.
 var (
-	WithSeed          = solver.WithSeed
-	WithMaxSamples    = solver.WithMaxSamples
-	WithTheta         = solver.WithTheta
-	WithWorkers       = solver.WithWorkers
-	WithFamily        = solver.WithFamily
-	WithAllocation    = solver.WithAllocation
-	WithMaxFlips      = solver.WithMaxFlips
-	WithRestarts      = solver.WithRestarts
-	WithNoiseP        = solver.WithNoiseP
-	WithCandidates    = solver.WithCandidates
-	WithModel         = solver.WithModel
-	WithMembers       = solver.WithMembers
-	WithTask          = solver.WithTask
-	WithStreamVersion = solver.WithStreamVersion
-)
-
-// Noise stream contract versions for WithStreamVersion: StreamV2 is
-// the counter-based stateless contract (the default), StreamV1 the
-// legacy stateful streams kept as a migration oracle.
-const (
-	StreamV1 = solver.StreamV1
-	StreamV2 = solver.StreamV2
+	WithSeed       = solver.WithSeed
+	WithMaxSamples = solver.WithMaxSamples
+	WithTheta      = solver.WithTheta
+	WithWorkers    = solver.WithWorkers
+	WithFamily     = solver.WithFamily
+	WithAllocation = solver.WithAllocation
+	WithMaxFlips   = solver.WithMaxFlips
+	WithRestarts   = solver.WithRestarts
+	WithNoiseP     = solver.WithNoiseP
+	WithCandidates = solver.WithCandidates
+	WithModel      = solver.WithModel
+	WithMembers    = solver.WithMembers
+	WithTask       = solver.WithTask
 )
 
 // ParseTask maps a task name ("", "decide", "count", "weighted-count",
@@ -187,19 +176,8 @@ func Solve(ctx context.Context, engine string, f *Formula, opts ...Option) (Resu
 	return s.Solve(ctx, f)
 }
 
-// NBL engine types, re-exported for direct (pre-registry) use.
-type (
-	// Engine is the Monte-Carlo NBL-SAT engine.
-	Engine = core.Engine
-	// Options configures an Engine.
-	Options = core.Options
-	// CheckResult is one NBL-SAT check outcome (Algorithm 1).
-	CheckResult = core.Result
-	// AssignResult is an Algorithm 2 outcome.
-	AssignResult = core.AssignResult
-	// Family selects the basis noise family.
-	Family = noise.Family
-)
+// Family selects the basis noise family.
+type Family = noise.Family
 
 // Noise families.
 const (
@@ -231,14 +209,6 @@ func WriteDIMACS(w io.Writer, f *Formula, comment string) error {
 	return dimacs.Write(w, f, comment)
 }
 
-// NewEngine builds a Monte-Carlo NBL-SAT engine (Algorithms 1 and 2 of
-// the paper). Zero-valued Options fields take sensible defaults.
-//
-// Deprecated: prefer New("mc", ...), which returns the unified Solver.
-func NewEngine(f *Formula, opts Options) (*Engine, error) {
-	return core.NewEngine(f, opts)
-}
-
 // ExactCheck is the idealized (infinite-sample) Algorithm 1: it reports
 // satisfiability through the closed-form E[S_N] > 0 test. Exponential in
 // n (it enumerates assignments); intended for instances the Monte-Carlo
@@ -248,26 +218,6 @@ func ExactCheck(f *Formula) bool { return core.ExactCheck(f) }
 // ExactAssign is the idealized Algorithm 2: a satisfying assignment via
 // n+1 exact checks.
 func ExactAssign(f *Formula) (Assignment, bool) { return core.ExactAssign(f) }
-
-// SolveDPLL runs the classical DPLL baseline.
-//
-// Deprecated: prefer New("dpll").
-func SolveDPLL(f *Formula) (Assignment, bool) { return dpll.Solve(f) }
-
-// SolveCDCL runs the conflict-driven clause-learning baseline.
-//
-// Deprecated: prefer New("cdcl").
-func SolveCDCL(f *Formula) (Assignment, bool) { return cdcl.Solve(f) }
-
-// SolveWalkSAT runs the stochastic local-search baseline with default
-// options and the given seed. The bool is false when no model was found
-// within the search budget (which proves nothing about UNSAT).
-//
-// Deprecated: prefer New("walksat", WithSeed(seed)).
-func SolveWalkSAT(f *Formula, seed uint64) (Assignment, bool) {
-	r := walksat.Solve(f, walksat.Options{Seed: seed})
-	return r.Assignment, r.Found
-}
 
 // CountModels returns the exact number of satisfying assignments as a
 // string (the count can exceed uint64 for large free-variable sets).

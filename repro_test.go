@@ -1,26 +1,34 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
+// solveWith builds engine through the registry and solves f.
+func solveWith(t *testing.T, engine string, f *Formula, opts ...Option) Result {
+	t.Helper()
+	s, err := New(engine, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Solve(context.Background(), f)
+	if err != nil {
+		t.Fatalf("%s: %v", engine, err)
+	}
+	return r
+}
+
 func TestFacadeQuickstartFlow(t *testing.T) {
 	f := FromClauses([]int{1, 2}, []int{-1, -2})
-	eng, err := NewEngine(f, Options{Family: UniformUnit, Seed: 1, MaxSamples: 400_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := eng.Check()
-	if !r.Satisfiable {
+	opts := []Option{WithFamily("unit"), WithSeed(1), WithMaxSamples(400_000)}
+	if r := solveWith(t, "mc", f, opts...); r.Status != StatusSat {
 		t.Fatalf("check: %v", r)
 	}
-	res, err := eng.Assign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Assignment.Satisfies(f) {
-		t.Errorf("assignment %s does not satisfy", res.Assignment)
+	r := solveWith(t, "mc", f, append(opts, WithModel(true))...)
+	if !r.Assignment.Satisfies(f) {
+		t.Errorf("assignment %s does not satisfy", r.Assignment)
 	}
 }
 
@@ -41,8 +49,8 @@ func TestFacadeDIMACSRoundTrip(t *testing.T) {
 
 func TestFacadeSolversAgree(t *testing.T) {
 	for _, f := range []*Formula{PaperSAT(), PaperUNSAT(), PaperExample6(), PaperExample7()} {
-		_, dp := SolveDPLL(f)
-		_, cd := SolveCDCL(f)
+		dp := solveWith(t, "dpll", f).Status == StatusSat
+		cd := solveWith(t, "cdcl", f).Status == StatusSat
 		ex := ExactCheck(f)
 		if dp != cd || cd != ex {
 			t.Errorf("%s: dpll=%v cdcl=%v exact=%v", f, dp, cd, ex)
@@ -75,8 +83,8 @@ func TestFacadeGenerators(t *testing.T) {
 }
 
 func TestFacadeWalkSAT(t *testing.T) {
-	a, ok := SolveWalkSAT(PaperExample6(), 3)
-	if !ok || !a.Satisfies(PaperExample6()) {
+	r := solveWith(t, "walksat", PaperExample6(), WithSeed(3))
+	if r.Status != StatusSat || !r.Assignment.Satisfies(PaperExample6()) {
 		t.Error("WalkSAT failed on Example 6")
 	}
 }

@@ -1,15 +1,17 @@
-// Conformance suite for stream contract v2: the sampling engines'
-// results must be invariant to the worker count (workers claim
-// disjoint sample-index chunks of the same counter-addressed streams),
-// and the legacy v1 contract must stay selectable.
+// Conformance suite for the counter-addressed stream contract: the
+// sampling engines' results must be invariant to the worker count
+// (workers claim disjoint sample-index chunks of the same streams).
 package repro
 
 import (
 	"context"
 	"testing"
+
+	"repro/internal/hyperspace"
+	"repro/internal/rng"
 )
 
-// TestWorkerCountNeverChangesResults pins the headline v2 guarantee at
+// TestWorkerCountNeverChangesResults pins the headline guarantee at
 // the registry level: for every sampling engine, workers=1 and
 // workers=8 produce bit-identical verdicts and statistics. rtw and sbl
 // sample single-threaded (the knob is a no-op there), so the contract
@@ -45,37 +47,10 @@ func TestWorkerCountNeverChangesResults(t *testing.T) {
 	}
 }
 
-// TestStreamV1StillSelectable pins the migration oracle: the legacy
-// contract stays reachable through the registry, reports itself in
-// Stats, and still reaches correct verdicts on the paper instances.
-func TestStreamV1StillSelectable(t *testing.T) {
-	for label, f := range conformanceInstances(t) {
-		oracle := ExactCheck(f)
-		s, err := New("mc",
-			WithSeed(1), WithMaxSamples(1_000_000), WithStreamVersion(StreamV1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.Solve(context.Background(), f)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if r.Stats.StreamVersion != StreamV1 {
-			t.Errorf("%s: Stats.StreamVersion = %d, want %d",
-				label, r.Stats.StreamVersion, StreamV1)
-		}
-		if r.Status == StatusSat && !oracle {
-			t.Errorf("%s: v1 engine says SAT, oracle says UNSAT (%v)", label, r)
-		}
-		if r.Status == StatusUnsat && oracle {
-			t.Errorf("%s: v1 engine says UNSAT, oracle says SAT (%v)", label, r)
-		}
-	}
-}
-
-// TestStreamVersionEchoedInStats pins the default contract's echo: a
-// plain mc solve reports stream version 2.
-func TestStreamVersionEchoedInStats(t *testing.T) {
+// TestAccelEchoedInStats pins the provenance echo: a plain mc solve on
+// the default uniform family names the fill and evaluator kernels this
+// build runs.
+func TestAccelEchoedInStats(t *testing.T) {
 	s, err := New("mc", WithSeed(1), WithMaxSamples(1_000_000))
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +59,8 @@ func TestStreamVersionEchoedInStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats.StreamVersion != StreamV2 {
-		t.Errorf("Stats.StreamVersion = %d, want %d", r.Stats.StreamVersion, StreamV2)
+	if r.Stats.FillAccel != rng.FillAccelName() || r.Stats.EvalAccel != hyperspace.EvalAccelName() {
+		t.Errorf("Stats accel = %q/%q, want %q/%q", r.Stats.FillAccel, r.Stats.EvalAccel,
+			rng.FillAccelName(), hyperspace.EvalAccelName())
 	}
 }
