@@ -69,11 +69,11 @@ type Report struct {
 	// on faster or slower hardware still gates code regressions rather
 	// than hardware differences.
 	CalibrationOpsPerSec float64 `json:"calibration_ops_per_sec"`
-	// FillAccel and EvalAccel name the accelerated kernels the binary
-	// was built with ("avx2" under the nblavx2 build tag on amd64,
-	// "none" otherwise): FillAccel the rng noise-fill backend, EvalAccel
-	// the hyperspace block-evaluator row kernels — reports from tagged
-	// and untagged builds are distinguishable after the fact.
+	// FillAccel and EvalAccel name the accelerated kernels the run used
+	// ("avx2" on amd64 CPUs with AVX2, "none" otherwise): FillAccel the
+	// rng noise-fill backend, EvalAccel the hyperspace block-evaluator
+	// row kernels — reports from vector and portable runs are
+	// distinguishable after the fact.
 	FillAccel string      `json:"fill_accel"`
 	EvalAccel string      `json:"eval_accel"`
 	Kernel    []KernelRun `json:"kernel"`

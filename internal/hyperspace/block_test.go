@@ -1,6 +1,7 @@
 package hyperspace
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cnf"
@@ -166,8 +167,8 @@ func TestStepBlockAtReplaysRange(t *testing.T) {
 // portable tail of every residue) and stream bases that are not
 // multiples of the vector width (so lanes straddle the counter
 // arbitrarily). The scalar StepAt path never touches the row primitives,
-// so under -tags nblavx2 this pins AVX2-vs-scalar exactly; untagged it
-// pins block-vs-scalar.
+// so on AVX2 hardware this pins AVX2-vs-scalar exactly; elsewhere it
+// pins portable block-vs-scalar.
 func TestStepBlockAtOddGeometry(t *testing.T) {
 	g := rng.New(31)
 	f := gen.RandomKSAT(g, 5, 11, 3)
@@ -215,6 +216,56 @@ func TestStepBlockAtOddGeometryWithBindings(t *testing.T) {
 							fam, k, base, s, out[s], want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestGoldenUniformUnitStream pins the float stream the default mc
+// family consumes, as bit patterns: UniformUnit fills (lo = -√3,
+// span = 2√3) of five samples at a few (seed, source, index) points,
+// four from the vector kernel and one from the tail on AVX2 hardware,
+// and StepBlockAt's S values on the paper's satisfiable example. The
+// rng goldens pin only words and [0, 1) uniforms; these catch a change
+// in rounding (a fused multiply-add in a reference loop, a reordered
+// kernel) that would shift every sampled verdict on one architecture.
+func TestGoldenUniformUnitStream(t *testing.T) {
+	fills := []struct {
+		seed, src, idx uint64
+		bits           [5]uint64
+	}{
+		{0x0, 0x0, 0x0, [5]uint64{0x3fd3b900219cd370, 0x3ff4769c6fed3f54, 0xbfaac152a7ab16e0, 0x3fd65fb723bdd2a0, 0xbff2fb0c8f0c6c16}},
+		{0x1, 0x7, 0x3, [5]uint64{0x3ff458d098e52518, 0x3fd9d7eb27de0880, 0xbff26e37a34c9516, 0x3ff47c1f6762d916, 0x3fe1de31ad506de4}},
+		{0x2a, 0x3, 0xf423f, [5]uint64{0x3ff8bc7d115a299e, 0xbfe3bc33d5e997b8, 0xbff7f33facf8b055, 0x3fb7bab5a0229020, 0xbff179dabd668af5}},
+		{0xdeadbeef, 0xff, 0x10000000000, [5]uint64{0xbff7fbe97e3b5026, 0x3ff14b78a424c0a8, 0xbfade66b92f147a0, 0x3ff876e87dc63422, 0xbff8028dc5e61fac}},
+	}
+	for _, tc := range fills {
+		dst := make([]float64, len(tc.bits))
+		rng.FillUniformAt(rng.StreamBase(tc.seed, tc.src), tc.idx, dst, -math.Sqrt(3), 2*math.Sqrt(3))
+		for s, want := range tc.bits {
+			if got := math.Float64bits(dst[s]); got != want {
+				t.Errorf("FillUniformAt(seed %#x, src %#x, index %#x) sample %d = %#016x, want %#016x",
+					tc.seed, tc.src, tc.idx, s, got, want)
+			}
+		}
+	}
+
+	f := gen.PaperSAT()
+	ev := New(f, noise.NewBank(noise.UniformUnit, 2012, f.NumVars, f.NumClauses()))
+	blocks := []struct {
+		base uint64
+		bits [6]uint64
+	}{
+		{0, [6]uint64{0xbf3a3f603b33ed2c, 0xc0017d3872a13c49, 0x4004fb452fdde076, 0xbfe82fda17779e5a, 0xbf51b72d8014bf95, 0xc00d11740ce79704}},
+		{1<<33 + 1, [6]uint64{0xbe753c3a9d3d4268, 0xbf901e7b611032be, 0x3f7804f31c0ad3db, 0x3f94d1f1f91b6e44, 0x3f730a1280a7456f, 0x40061d2054c7c52d}},
+	}
+	out := make([]float64, 6)
+	for _, blk := range blocks {
+		ev.StepBlockAt(blk.base, out)
+		for s, want := range blk.bits {
+			if got := math.Float64bits(out[s]); got != want {
+				t.Errorf("PaperSAT StepBlockAt(base %d) sample %d = %#016x (%v), want %#016x",
+					blk.base, s, got, out[s], want)
 			}
 		}
 	}

@@ -1,16 +1,14 @@
-//go:build nblavx2 && amd64
-
 package hyperspace
 
 import "repro/internal/rng"
 
-// AVX2 build: each row primitive runs the assembly kernel over the
-// aligned prefix (len &^ 3 lanes, four float64 per iteration) and the
-// portable loop over the tail. The kernels use separate VMULPD/VADDPD
+// amd64: each row primitive runs the assembly kernel over the aligned
+// prefix (len &^ 3 lanes, four float64 per iteration) and the portable
+// loop over the tail. The kernels use separate VMULPD/VADDPD
 // instructions in the scalar kernel's association order — never FMA —
-// so every lane is bit-identical to the portable loop; the tests under
-// this tag assert exactly that. The CPU gate is shared with the rng
-// fill kernels: one CPUID+XGETBV probe decides both.
+// so every lane is bit-identical to the portable loop, which
+// TestRowKernelsMatchPortable asserts. The CPU gate is shared with the
+// rng fill kernels: one CPUID+XGETBV probe decides both.
 var evalHaveAVX2 = rng.HasAVX2()
 
 //go:noescape
@@ -107,12 +105,4 @@ func vecAddMul2(dst, a, b, c []float64) {
 		n = p
 	}
 	addMul2Go(dst[n:], a[n:], b[n:], c[n:])
-}
-
-// evalAccelName reports the active StepBlockAt row-kernel backend.
-func evalAccelName() string {
-	if evalHaveAVX2 {
-		return "avx2"
-	}
-	return "none"
 }

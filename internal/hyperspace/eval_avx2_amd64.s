@@ -1,5 +1,3 @@
-//go:build nblavx2 && amd64
-
 #include "textflag.h"
 
 // AVX2 row kernels for the block evaluator. Each processes n float64

@@ -5,12 +5,14 @@ package hyperspace
 // scratch; these eight primitives are that sequence's vocabulary. Each
 // states its exact association order in its name-comment — the order is
 // the contract, because the scalar kernel (eval) is the conformance
-// oracle and Go evaluates product chains left-to-right without fusing.
-// The AVX2 build replaces the bulk of each row with a vector loop that
-// performs the same operations in the same per-element order (separate
-// multiply and add instructions, never FMA), so results stay
-// bit-identical across builds; these portable bodies remain the tail
-// path for the last len%4 lanes and the whole row on other builds.
+// oracle. Go evaluates product chains left to right, and every product
+// that feeds a sum is wrapped in an explicit float64 conversion, which
+// the spec says forbids fusing it into a multiply-add (arm64 would).
+// On AVX2 hardware a vector loop replaces the bulk of each row,
+// performing the same operations in the same per-element order
+// (separate multiply and add instructions, never FMA), so results stay
+// bit-identical across architectures; these portable bodies remain the
+// tail path for the last len%4 lanes and the whole row elsewhere.
 
 // mulToGo: dst[s] = a[s] * b[s].
 func mulToGo(dst, a, b []float64) {
@@ -57,13 +59,13 @@ func mulSumGo(dst, a, b []float64) {
 // addMulGo: dst[s] += a[s] * b[s] (product first, then the sum).
 func addMulGo(dst, a, b []float64) {
 	for s := range dst {
-		dst[s] += a[s] * b[s]
+		dst[s] += float64(a[s] * b[s])
 	}
 }
 
 // addMul2Go: dst[s] += (a[s] * b[s]) * c[s].
 func addMul2Go(dst, a, b, c []float64) {
 	for s := range dst {
-		dst[s] += a[s] * b[s] * c[s]
+		dst[s] += float64(a[s] * b[s] * c[s])
 	}
 }

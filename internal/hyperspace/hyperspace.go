@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/cnf"
+	"repro/internal/rng"
 )
 
 // SampleSource supplies samples of the 2·n·m basis sources under the
@@ -310,12 +311,17 @@ func (e *Evaluator) StepBlockAt(base uint64, out []float64) {
 }
 
 // EvalAccelName reports the StepBlockAt row-kernel backend active in
-// this build: "avx2" when the nblavx2 build tag is set on amd64 and the
-// CPU supports it (same gate as the rng fill kernels), "none" for the
-// portable loops. Solver stats and bench reports echo it so a recorded
-// result names the kernel that produced it — the two backends are
-// bit-identical, so the name is provenance, not a caveat.
-func EvalAccelName() string { return evalAccelName() }
+// this process: "avx2" on amd64 when the CPU supports it (same gate as
+// the rng fill kernels), "none" for the portable loops. Solver stats
+// and bench reports echo it so a recorded result names the kernel that
+// produced it — the two backends are bit-identical, so the name is
+// provenance, not a caveat.
+func EvalAccelName() string {
+	if rng.HasAVX2() {
+		return "avx2"
+	}
+	return "none"
+}
 
 // ensureBlock sizes the block scratch for blocks of k samples.
 func (e *Evaluator) ensureBlock(k int) *blockScratch {
@@ -415,7 +421,7 @@ func (e *Evaluator) eval() Sample {
 			if l.IsNeg() {
 				lit = e.neg[k*m+j]
 			}
-			z += lit * e.pre[k] * e.suf[k+1]
+			z += float64(lit * e.pre[k] * e.suf[k+1])
 		}
 		sigma *= z
 	}

@@ -128,7 +128,7 @@ func (s *counterSource) Next() float64 {
 	s.next++
 	switch s.family {
 	case UniformHalf, UniformUnit:
-		return s.lo + s.span*rng.Uniform01(s.base, i)
+		return s.lo + float64(s.span*rng.Uniform01(s.base, i))
 	case Gaussian:
 		return gaussAt(s.base, i)
 	case RTW:
@@ -197,7 +197,7 @@ func (s *Sinusoid) Reset() { s.t = 0 }
 func Correlation(a, b Source, samples int) float64 {
 	var sum float64
 	for i := 0; i < samples; i++ {
-		sum += a.Next() * b.Next()
+		sum += float64(a.Next() * b.Next())
 	}
 	return sum / float64(samples)
 }

@@ -18,7 +18,7 @@ package rng
 //
 // Because every sample is independent, bulk fills are embarrassingly
 // data-parallel: FillUniformAt below is the scalar contract, with an
-// optional AVX2 kernel (build tag nblavx2, amd64) that is pinned
+// AVX2 kernel on amd64 (taken when CPUID reports AVX2) that is pinned
 // bit-identical to the pure-Go loop — the Go path is the conformance
 // oracle, not the other way around.
 
@@ -38,8 +38,11 @@ func Word(base, i uint64) uint64 {
 
 // Uniform01 maps sample i of the stream to [0, 1) with 53 bits of
 // precision, using the same high-bits scaling as Xoshiro256.Float64.
+// The outer conversion keeps the scaling a separately rounded product
+// when the call is inlined into a sum (gaussAt's 1-u), so no compiler
+// fuses it into a multiply-add.
 func Uniform01(base, i uint64) float64 {
-	return float64(Word(base, i)>>11) * 0x1p-53
+	return float64(float64(Word(base, i)>>11) * 0x1p-53)
 }
 
 // FillUniformAt writes dst[s] = lo + span·U(base, start+s) for
@@ -57,7 +60,9 @@ func FillUniformAt(base, start uint64, dst []float64, lo, span float64) {
 // fillUniformGo is the portable fill and the conformance oracle for the
 // assembly kernel. The loop carries only the trivially predictable
 // state += golden recurrence; the mix chains of successive iterations
-// are independent, so the CPU pipelines them.
+// are independent, so the CPU pipelines them. The float64 conversion
+// around span·u forbids fusing it with the add of lo (arm64 would),
+// keeping the kernel's three roundings on every architecture.
 func fillUniformGo(base, start uint64, dst []float64, lo, span float64) {
 	state := base + (start+1)*golden
 	for s := range dst {
@@ -66,7 +71,7 @@ func fillUniformGo(base, start uint64, dst []float64, lo, span float64) {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		z ^= z >> 31
-		dst[s] = lo + span*(float64(z>>11)*0x1p-53)
+		dst[s] = lo + float64(span*(float64(z>>11)*0x1p-53))
 	}
 }
 
@@ -141,18 +146,20 @@ func fillPulseGo(base, start uint64, dst []float64, density, amp float64) {
 }
 
 // FillAccelName reports which accelerated fill kernel the bulk fills
-// (FillUniformAt, FillRTWAt, FillPulseAt) dispatch to: "avx2" when the
-// nblavx2 build tag is on and the CPU supports it, "none" otherwise.
-// Bench archives record it so numbers are attributable to the kernel
-// that produced them.
+// (FillUniformAt, FillRTWAt, FillPulseAt) dispatch to: "avx2" on amd64
+// when the CPU supports it, "none" otherwise. Bench archives record it
+// so numbers are attributable to the kernel that produced them.
 func FillAccelName() string {
-	return fillAccelName()
+	if hasAVX2() {
+		return "avx2"
+	}
+	return "none"
 }
 
-// HasAVX2 reports whether the AVX2 kernels are compiled in (build tag
-// nblavx2, amd64) and the CPU/OS support executing them. Other packages
-// with their own nblavx2 assembly (the hyperspace evaluator) share this
-// one CPUID+XGETBV gate instead of duplicating it.
+// HasAVX2 reports whether this is an amd64 build and the CPU/OS support
+// executing AVX2. Other packages with their own amd64 assembly (the
+// hyperspace evaluator) share this one CPUID+XGETBV gate instead of
+// duplicating it.
 func HasAVX2() bool {
 	return hasAVX2()
 }

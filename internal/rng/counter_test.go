@@ -61,10 +61,11 @@ func TestWordMatchesSequentialSplitMix(t *testing.T) {
 
 // FillUniformAt must be bit-identical to the per-index scalar formula
 // on arbitrary (length, start, lo, span) — this is the conformance
-// oracle for the AVX2 kernel: under `-tags nblavx2` the bulk path runs
-// the assembly for the aligned prefix, and every lane must match the
+// oracle for the AVX2 kernel: on AVX2 hardware the bulk path runs the
+// assembly for the aligned prefix, and every lane must match the
 // portable expression exactly. Randomized geometries cover prefix/tail
-// splits at every alignment.
+// splits at every alignment. The portable loop is also run over each
+// whole length, so it stays checked on hosts where it only fills tails.
 func TestFillUniformAtMatchesScalar(t *testing.T) {
 	if name := FillAccelName(); name != "none" {
 		t.Logf("accelerated fill active: %s", name)
@@ -78,11 +79,17 @@ func TestFillUniformAtMatchesScalar(t *testing.T) {
 		span := g.Uniform(0, 3)
 		dst := make([]float64, n)
 		FillUniformAt(base, start, dst, lo, span)
+		portable := make([]float64, n)
+		fillUniformGo(base, start, portable, lo, span)
 		for s := range dst {
-			want := lo + span*(float64(Word(base, start+uint64(s))>>11)*0x1p-53)
+			want := lo + float64(span*(float64(Word(base, start+uint64(s))>>11)*0x1p-53))
 			if dst[s] != want {
 				t.Fatalf("trial %d (n=%d start=%d): dst[%d] = %v, want %v",
 					trial, n, start, s, dst[s], want)
+			}
+			if portable[s] != want {
+				t.Fatalf("trial %d (n=%d start=%d): fillUniformGo[%d] = %v, want %v",
+					trial, n, start, s, portable[s], want)
 			}
 		}
 	}
@@ -171,6 +178,8 @@ func TestFillRTWAtMatchesScalar(t *testing.T) {
 		start := g.Uint64() >> uint(g.Intn(64))
 		dst := make([]float64, n)
 		FillRTWAt(base, start, dst)
+		portable := make([]float64, n)
+		fillRTWGo(base, start, portable)
 		for s := range dst {
 			want := -1.0
 			if Word(base, start+uint64(s))&1 == 1 {
@@ -179,6 +188,10 @@ func TestFillRTWAtMatchesScalar(t *testing.T) {
 			if dst[s] != want {
 				t.Fatalf("trial %d (n=%d start=%d): dst[%d] = %v, want %v",
 					trial, n, start, s, dst[s], want)
+			}
+			if portable[s] != want {
+				t.Fatalf("trial %d (n=%d start=%d): fillRTWGo[%d] = %v, want %v",
+					trial, n, start, s, portable[s], want)
 			}
 		}
 	}
@@ -199,6 +212,8 @@ func TestFillPulseAtMatchesScalar(t *testing.T) {
 		amp := g.Uniform(0.5, 3)
 		dst := make([]float64, n)
 		FillPulseAt(base, start, dst, density, amp)
+		portable := make([]float64, n)
+		fillPulseGo(base, start, portable, density, amp)
 		for s := range dst {
 			w := Word(base, start+uint64(s))
 			var want float64
@@ -213,6 +228,10 @@ func TestFillPulseAtMatchesScalar(t *testing.T) {
 			if dst[s] != want {
 				t.Fatalf("trial %d (n=%d start=%d density=%v amp=%v): dst[%d] = %v, want %v",
 					trial, n, start, density, amp, s, dst[s], want)
+			}
+			if portable[s] != want {
+				t.Fatalf("trial %d (n=%d start=%d density=%v amp=%v): fillPulseGo[%d] = %v, want %v",
+					trial, n, start, density, amp, s, portable[s], want)
 			}
 		}
 	}

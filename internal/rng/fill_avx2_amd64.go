@@ -1,11 +1,9 @@
-//go:build nblavx2 && amd64
-
 package rng
 
-// The AVX2 fill is an explicit opt-in (build tag nblavx2) so the
-// default build stays pure Go on every GOARCH. Even with the tag on,
-// the kernel only runs when the CPU and OS support AVX2 state; the
-// portable loop remains the fallback and the conformance oracle.
+// Every amd64 build carries the AVX2 fills; the CPUID+XGETBV check is
+// the only thing that selects them. On a CPU or OS without AVX2 state
+// the portable loops run instead, and they stay the conformance oracle
+// the kernels are pinned bit-identical to.
 var haveAVX2 = cpuHasAVX2()
 
 // fillUniformAccel fills the largest multiple-of-4 prefix of dst with
@@ -42,13 +40,6 @@ func fillPulseAccel(base, start uint64, dst []float64, density, amp float64) int
 	}
 	fillPulseAVX2(base+(start+1)*golden, &dst[0], n, density, amp)
 	return n
-}
-
-func fillAccelName() string {
-	if haveAVX2 {
-		return "avx2"
-	}
-	return "none"
 }
 
 func hasAVX2() bool { return haveAVX2 }

@@ -1,5 +1,3 @@
-//go:build nblavx2 && amd64
-
 #include "textflag.h"
 
 // Counter-stream AVX2 fill: four SplitMix64 counter lanes per iteration.
@@ -68,7 +66,7 @@ TEXT ·fillUniformAVX2(SB), NOSPLIT, $0-40
 	VBROADCASTSD lo+24(FP), Y14
 
 	// states = broadcast(state) + [0, g, 2g, 3g]
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTQ X0, Y0
 	VPADDQ laneoff<>(SB), Y0, Y0
 
@@ -181,7 +179,7 @@ TEXT ·fillRTWAVX2(SB), NOSPLIT, $0-24
 	VPBROADCASTQ negone<>(SB), Y9
 
 	// states = broadcast(state) + [0, g, 2g, 3g]
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTQ X0, Y0
 	VPADDQ laneoff<>(SB), Y0, Y0
 
@@ -231,7 +229,7 @@ TEXT ·fillPulseAVX2(SB), NOSPLIT, $0-40
 	VXORPD Y15, Y14, Y14 // Y14 = -amp
 
 	// states = broadcast(state) + [0, g, 2g, 3g]
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTQ X0, Y0
 	VPADDQ laneoff<>(SB), Y0, Y0
 

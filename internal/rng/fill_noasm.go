@@ -1,10 +1,10 @@
-//go:build !nblavx2 || !amd64
+//go:build !amd64
 
 package rng
 
 // The no-acceleration stubs: each fills nothing and lets the Fill*At
-// entry points run the portable loops. The AVX2 kernels replace them
-// under `-tags nblavx2` on amd64.
+// entry points run the portable loops. On amd64 the AVX2 kernels
+// replace them.
 
 func fillUniformAccel(base, start uint64, dst []float64, lo, span float64) int {
 	return 0
@@ -17,7 +17,5 @@ func fillRTWAccel(base, start uint64, dst []float64) int {
 func fillPulseAccel(base, start uint64, dst []float64, density, amp float64) int {
 	return 0
 }
-
-func fillAccelName() string { return "none" }
 
 func hasAVX2() bool { return false }

@@ -16,6 +16,11 @@
 // Streams derived from distinct keys are independent for all practical
 // purposes; the noise package builds one counter-addressed stream per
 // (clause, variable, polarity) triple from a single experiment seed.
+//
+// Float results must also match across architectures. The Go spec lets
+// a compiler fuse x*y + z into one rounding, and arm64's does, so every
+// product that feeds a sum here (and in noise, hyperspace and stats) is
+// wrapped in an explicit float64 conversion, which forbids the fusion.
 package rng
 
 import "math"
@@ -116,7 +121,7 @@ func (g *Xoshiro256) Float64() float64 {
 
 // Uniform returns a uniformly distributed value in [lo, hi).
 func (g *Xoshiro256) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.Float64()
+	return lo + float64((hi-lo)*g.Float64())
 }
 
 // Norm returns a standard normal variate generated by the polar
@@ -126,7 +131,7 @@ func (g *Xoshiro256) Norm() float64 {
 	for {
 		u := 2*g.Float64() - 1
 		v := 2*g.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}

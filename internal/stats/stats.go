@@ -10,6 +10,10 @@
 //   - Convergence: the paper's significant-digit stopping rule;
 //   - confidence-interval helpers used to turn a finite-sample mean into
 //     the paper's idealized zero-vs-positive decision.
+//
+// Products that feed a sum are wrapped in float64(...) so no compiler
+// fuses them into a multiply-add, and the accumulators come out
+// bit-identical on every architecture.
 package stats
 
 import (
@@ -30,7 +34,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
+	w.m2 += float64(delta * (x - w.mean))
 }
 
 // AddN incorporates all values in xs. For blocks it is the fast path of
@@ -55,7 +59,7 @@ func (w *Welford) AddN(xs []float64) {
 	var m2 float64
 	for _, x := range xs {
 		d := x - mean
-		m2 += d * d
+		m2 += float64(d * d)
 	}
 	w.Merge(Welford{n: int64(len(xs)), mean: mean, m2: m2})
 }
@@ -206,7 +210,7 @@ func Variance(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs)-1)
 }
