@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -196,5 +197,28 @@ func TestProgressUnderChunkClaimingSampler(t *testing.T) {
 					workers, i, counts[i], want[i])
 			}
 		}
+	}
+}
+
+// TestCheckOnCancelledContextBuildsNoWorker: a check that starts after
+// its context ended (a portfolio member that lost the race before its
+// first block) returns the cancellation with zero samples and never
+// builds a worker's bank, evaluator or block scratch.
+func TestCheckOnCancelledContextBuildsNoWorker(t *testing.T) {
+	eng, err := NewEngine(cnf.FromClauses([]int{1, 2}, []int{-1, -2}), Options{Seed: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r, err := eng.CheckCtx(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if r.Samples != 0 || r.Satisfiable {
+		t.Errorf("cancelled check reported %+v", r)
+	}
+	if len(eng.workers) != 0 {
+		t.Errorf("cancelled check built %d workers", len(eng.workers))
 	}
 }

@@ -89,6 +89,14 @@ func (e *Engine) evaluator(bound cnf.Assignment, seq uint64, w int) *hyperspace.
 // never sees a partial round and never changes results.
 func (e *Engine) sample(ctx context.Context, bound cnf.Assignment, seq uint64) (mean, stderr float64, samples int64, converged bool, err error) {
 	progress := solver.ProgressFromContext(ctx)
+	var total stats.Welford
+	// A check that starts after its race is decided (a portfolio member
+	// whose rival has already won) stops here, as the round loop's first
+	// check would, before a worker builds its bank or its first block
+	// allocates the evaluator's scratch.
+	if err = ctx.Err(); err != nil {
+		return total.Mean(), total.StdErr(), total.Count(), false, err
+	}
 	workers := e.opts.Workers
 	evs := make([]*hyperspace.Evaluator, workers)
 	for w := 0; w < workers; w++ {
@@ -114,7 +122,6 @@ func (e *Engine) sample(ctx context.Context, bound cnf.Assignment, seq uint64) (
 	chunk := int64(len(e.workers[0].buf))
 	chunksPerRound := (perRound + chunk - 1) / chunk
 
-	var total stats.Welford
 	partial := make([]stats.Welford, chunksPerRound)
 	var next atomic.Int64
 	for round := int64(0); !conv.Exhausted(total.Count()); round++ {

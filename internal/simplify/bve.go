@@ -1,6 +1,8 @@
 package simplify
 
 import (
+	"slices"
+
 	"repro/internal/cnf"
 )
 
@@ -30,130 +32,139 @@ type Elimination struct {
 	Clauses []cnf.Clause
 }
 
-// eliminate runs one sweep of bounded variable elimination. conflict
-// reports that an empty resolvent was derived (only possible when both
-// sides are unit clauses, i.e. (v)·(¬v) — normally unit propagation has
-// removed those first).
-func eliminate(clauses []cnf.Clause, numVars int, res *Result) (out []cnf.Clause, conflict, changed bool) {
-	// Occurrence lists, rebuilt per sweep (elimination invalidates them).
+// eliminate runs one sweep of bounded variable elimination over
+// variables 1..numVars in order. The clause array is append-only:
+// eliminated clauses are flagged dead and resolvents go at the end, so
+// occurrence lists only grow and stay ascending, and the live clauses
+// in index order are the formula in clause order. conflict reports that
+// an empty resolvent was derived (only possible when both sides hold a
+// unit clause, i.e. (v)·(¬v) — normally unit propagation has removed
+// those first).
+func (x *index) eliminate(clauses []cnf.Clause, numVars int, res *Result) (out []cnf.Clause, conflict, changed bool) {
+	x.build(clauses)
+	all := clauses
+	dead := make([]bool, len(all))
+	var resolvents []cnf.Clause
 	for v := cnf.Var(1); int(v) <= numVars; v++ {
-		var pos, neg []int
-		for i, c := range clauses {
-			switch {
-			case c.Contains(cnf.Pos(v)):
-				pos = append(pos, i)
-			case c.Contains(cnf.Neg(v)):
-				neg = append(neg, i)
-			}
-		}
+		pos, neg := x.live(cnf.Pos(v), dead), x.live(cnf.Neg(v), dead)
 		if len(pos) == 0 || len(neg) == 0 {
 			continue // absent or pure: the pure pass handles it
 		}
 		if len(pos)*len(neg) > maxResolvePairs {
 			continue
 		}
-		resolvents := make([]cnf.Clause, 0, len(pos)*len(neg))
+		// (v)·(¬v) resolve to the empty clause. Checked before the pair
+		// loop, which may stop before it reaches that pair.
+		if hasUnit(all, pos) && hasUnit(all, neg) {
+			return nil, true, true
+		}
+		resolvents = resolvents[:0]
+		bounded := true
+	pairs:
 		for _, pi := range pos {
 			for _, ni := range neg {
-				r, ok := resolve(clauses[pi], clauses[ni], v)
-				if !ok {
-					continue // tautological resolvent
+				r, ok := x.resolve(all[pi], all[ni], v)
+				if !ok || x.seen(r, resolvents) {
+					continue // tautological or duplicate resolvent
 				}
-				if len(r) == 0 {
-					return nil, true, true
+				if len(resolvents) == len(pos)+len(neg) {
+					bounded = false // elimination would grow the formula
+					break pairs
 				}
-				resolvents = append(resolvents, r)
+				resolvents = append(resolvents, r.Clone())
 			}
 		}
-		resolvents = dedupClauses(resolvents)
-		if len(resolvents) > len(pos)+len(neg) {
-			continue // elimination would grow the formula
+		if !bounded {
+			continue
 		}
 
-		// Commit: record the removed clauses for reconstruction, splice
-		// in the resolvents.
-		elim := Elimination{V: v}
-		next := make([]cnf.Clause, 0, len(clauses)-len(pos)-len(neg)+len(resolvents))
-		touched := make(map[int]bool, len(pos)+len(neg))
-		for _, i := range pos {
-			touched[i] = true
+		// Commit: record the removed clauses, in clause order, for
+		// reconstruction; append the resolvents.
+		touched := slices.Concat(pos, neg)
+		slices.Sort(touched)
+		elim := Elimination{V: v, Clauses: make([]cnf.Clause, len(touched))}
+		for k, i := range touched {
+			elim.Clauses[k] = all[i]
+			dead[i] = true
 		}
-		for _, i := range neg {
-			touched[i] = true
-		}
-		for i, c := range clauses {
-			if touched[i] {
-				elim.Clauses = append(elim.Clauses, c)
-			} else {
-				next = append(next, c)
+		for _, r := range resolvents {
+			for _, l := range r {
+				x.occ[l] = append(x.occ[l], int32(len(all)))
 			}
+			all = append(all, r)
+			dead = append(dead, false)
 		}
-		next = append(next, resolvents...)
 		res.Eliminations = append(res.Eliminations, elim)
 		res.Stats.VarsEliminated++
-		clauses = next
 		changed = true
 	}
-	return clauses, false, changed
+	if !changed {
+		return clauses, false, false
+	}
+	out = make([]cnf.Clause, 0, len(all))
+	for i, c := range all {
+		if !dead[i] {
+			out = append(out, c)
+		}
+	}
+	return out, false, true
+}
+
+// live drops dead clauses from the occurrence list of l and returns it.
+func (x *index) live(l cnf.Lit, dead []bool) []int32 {
+	list := x.occ[l][:0]
+	for _, i := range x.occ[l] {
+		if !dead[i] {
+			list = append(list, i)
+		}
+	}
+	x.occ[l] = list
+	return list
+}
+
+// hasUnit reports whether any of the indexed clauses is a unit clause.
+func hasUnit(clauses []cnf.Clause, idx []int32) bool {
+	for _, i := range idx {
+		if len(clauses[i]) == 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // resolve computes the resolvent of p (containing v) and n (containing
-// ¬v) on v. ok is false when the resolvent is tautological.
-func resolve(p, n cnf.Clause, v cnf.Var) (cnf.Clause, bool) {
-	seen := make(map[cnf.Lit]bool, len(p)+len(n))
-	out := make(cnf.Clause, 0, len(p)+len(n)-2)
-	for _, l := range p {
-		if l.Var() == v {
-			continue
-		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	for _, l := range n {
-		if l.Var() == v {
-			continue
-		}
-		if seen[l.Negate()] {
-			return nil, false
-		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
+// ¬v) on v: p's other literals, then n's that p lacks. ok is false when
+// the resolvent is tautological. The result is only valid until the
+// next call, and its literals are left as the stamp set.
+func (x *index) resolve(p, n cnf.Clause, v cnf.Var) (cnf.Clause, bool) {
+	x.mark(nil)
+	out := x.buf[:0]
+	for _, c := range [...]cnf.Clause{p, n} {
+		for _, l := range c {
+			if l.Var() == v {
+				continue
+			}
+			if x.stamp[l.Negate()] == x.epoch {
+				return nil, false
+			}
+			if x.stamp[l] != x.epoch {
+				x.stamp[l] = x.epoch
+				out = append(out, l)
+			}
 		}
 	}
+	x.buf = out
 	return out, true
 }
 
-// dedupClauses removes exact duplicate clauses (same literal multiset;
-// clauses are compared as sets since resolve dedups literals).
-func dedupClauses(clauses []cnf.Clause) []cnf.Clause {
-	out := clauses[:0:0]
-	for i, c := range clauses {
-		dup := false
-		for _, d := range out {
-			if sameClause(c, d) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, clauses[i])
+// seen reports whether r, whose literals are the stamp set, equals one
+// of the clauses in rs (clauses compare as sets: none repeats a
+// literal).
+func (x *index) seen(r cnf.Clause, rs []cnf.Clause) bool {
+	for _, d := range rs {
+		if len(d) == len(r) && x.count(d) == len(d) {
+			return true
 		}
 	}
-	return out
-}
-
-// sameClause reports set equality of two duplicate-free clauses.
-func sameClause(a, b cnf.Clause) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, l := range a {
-		if !b.Contains(l) {
-			return false
-		}
-	}
-	return true
+	return false
 }

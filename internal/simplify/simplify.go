@@ -1,6 +1,10 @@
 // Package simplify implements CNF preprocessing: unit propagation, pure
 // literal elimination, tautology and duplicate removal, clause
-// subsumption, and self-subsuming resolution (clause strengthening).
+// subsumption, self-subsuming resolution (clause strengthening) and
+// bounded variable elimination. The passes visit clauses through
+// per-literal occurrence lists, never pair by pair, and Simplify's
+// output is a pure function of its input, down to clause and literal
+// order.
 //
 // Preprocessing matters more for NBL-SAT than for classical solvers:
 // the Monte-Carlo engine's sample budget grows as 4^(n·m)
@@ -10,6 +14,7 @@
 package simplify
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 
@@ -85,47 +90,60 @@ func Simplify(f *cnf.Formula, opts Options) *Result {
 	res := &Result{
 		Forced: cnf.NewAssignment(f.NumVars),
 	}
-	res.Stats.VarsBefore = f.NumVars
-	res.Stats.ClausesBefore = f.NumClauses()
-
 	work, hasEmpty := f.Simplify() // drop tautologies, dedup literals
 	if hasEmpty {
 		res.ProvedUnsat = true
-		return res
+	} else {
+		// The passes run over the variables that occur, renamed 1..n in
+		// ascending order: their per-literal scratch then follows the
+		// clauses, not the declared variable count, and the renaming
+		// keeps every order the passes depend on.
+		g, vars := compact(work.Clauses)
+		d := &Result{Forced: cnf.NewAssignment(g.NumVars)}
+		res.lift(d, vars, reduce(g, opts, d))
 	}
-	clauses := work.Clauses
+	res.Stats.VarsBefore = f.NumVars
+	res.Stats.ClausesBefore = f.NumClauses()
+	return res
+}
 
+// reduce runs the passes over g to a fixpoint (or opts.MaxRounds),
+// recording into d, and returns the reduced clauses; they are
+// meaningless once d.ProvedUnsat is set.
+func reduce(g *cnf.Formula, opts Options, d *Result) []cnf.Clause {
+	clauses := g.Clauses
+	x := newIndex(g.NumVars)
 	for round := 0; round < opts.MaxRounds; round++ {
 		changed := false
 
 		if !opts.DisableUnits {
 			var conflict bool
-			clauses, conflict, changed = propagateUnits(clauses, res)
+			clauses, conflict, changed = x.propagateUnits(clauses, d)
 			if conflict {
-				res.ProvedUnsat = true
-				return res
+				d.ProvedUnsat = true
+				return nil
 			}
 		}
 		if !opts.DisablePure {
-			if c, ch := eliminatePure(clauses, f.NumVars, res); ch {
+			if c, ch := eliminatePure(clauses, g.NumVars, d); ch {
 				clauses, changed = c, true
 			}
 		}
 		if !opts.DisableSubsumption {
-			if c, ch := subsume(clauses, res); ch {
+			if c, ch := x.subsume(clauses, d); ch {
 				clauses, changed = c, true
 			}
 		}
 		if !opts.DisableStrengthen {
-			if c, ch := strengthen(clauses, res); ch {
+			if c, ch := x.strengthen(clauses, d); ch {
 				clauses, changed = c, true
 			}
 		}
 		if !opts.DisableBVE {
-			c, conflict, ch := eliminate(clauses, f.NumVars, res)
+			c, conflict, ch := x.eliminate(clauses, g.NumVars, d)
 			if conflict {
-				res.ProvedUnsat = true
-				return res
+				d.ProvedUnsat = true
+				return nil
 			}
 			if ch {
 				clauses, changed = c, true
@@ -140,15 +158,41 @@ func Simplify(f *cnf.Formula, opts Options) *Result {
 	// last literal away): that is a derived contradiction.
 	for _, c := range clauses {
 		if len(c) == 0 {
-			res.ProvedUnsat = true
-			return res
+			d.ProvedUnsat = true
+			return nil
 		}
 	}
+	return clauses
+}
 
-	res.F, res.VarMap = compact(clauses)
-	res.Stats.VarsAfter = res.F.NumVars
-	res.Stats.ClausesAfter = res.F.NumClauses()
-	return res
+// lift records in r the outcome d of the passes over renamed variables
+// (variable i+1 renames vars[i]) and their reduced clauses, mapped back
+// to r's variable space.
+func (r *Result) lift(d *Result, vars []cnf.Var, clauses []cnf.Clause) {
+	r.ProvedUnsat = d.ProvedUnsat
+	r.Stats = d.Stats
+	for i, v := range vars {
+		r.Forced[v] = d.Forced[i+1]
+	}
+	for _, e := range d.Eliminations {
+		cs := make([]cnf.Clause, len(e.Clauses))
+		for k, c := range e.Clauses {
+			cs[k] = make(cnf.Clause, len(c))
+			for j, l := range c {
+				cs[k][j] = cnf.NewLit(vars[l.Var()-1], l.IsNeg())
+			}
+		}
+		r.Eliminations = append(r.Eliminations, Elimination{V: vars[e.V-1], Clauses: cs})
+	}
+	if r.ProvedUnsat {
+		return
+	}
+	r.F, r.VarMap = compact(clauses)
+	for i, v := range r.VarMap {
+		r.VarMap[i] = vars[v-1]
+	}
+	r.Stats.VarsAfter = r.F.NumVars
+	r.Stats.ClausesAfter = r.F.NumClauses()
 }
 
 // compact renumbers the variables occurring in clauses to 1..n in
@@ -234,23 +278,101 @@ func (r *Result) Reconstruct(model cnf.Assignment) cnf.Assignment {
 	return out
 }
 
+// index is the scratch state the passes share: per-literal occurrence
+// lists and a literal-stamp set. A pass builds the lists from its own
+// input and then visits only the clauses that share a literal with the
+// clause at hand, never every pair; the stamp set holds one clause's
+// literals at a time and empties in O(1) by advancing its epoch.
+type index struct {
+	occ   [][]int32  // occ[l]: indices of the clauses containing l, ascending
+	stamp []uint64   // stamp[l] == epoch: l is in the set
+	epoch uint64     // 64 bits: never wraps back onto a stale stamp
+	buf   cnf.Clause // resolve's output, reused
+}
+
+// newIndex sizes an index for the literals of variables 1..numVars.
+func newIndex(numVars int) *index {
+	n := 2 * (numVars + 1)
+	return &index{occ: make([][]int32, n), stamp: make([]uint64, n)}
+}
+
+// build fills the occurrence lists from clauses.
+func (x *index) build(clauses []cnf.Clause) {
+	for l := range x.occ {
+		x.occ[l] = x.occ[l][:0]
+	}
+	for i, c := range clauses {
+		for _, l := range c {
+			x.occ[l] = append(x.occ[l], int32(i))
+		}
+	}
+}
+
+// mark empties the stamp set and puts the literals of c in it.
+func (x *index) mark(c cnf.Clause) {
+	x.epoch++
+	for _, l := range c {
+		x.stamp[l] = x.epoch
+	}
+}
+
+// count returns how many literals of c are in the stamp set.
+func (x *index) count(c cnf.Clause) int {
+	n := 0
+	for _, l := range c {
+		if x.stamp[l] == x.epoch {
+			n++
+		}
+	}
+	return n
+}
+
+// without returns a copy of c with the literal l removed.
+func without(c cnf.Clause, l cnf.Lit) cnf.Clause {
+	d := make(cnf.Clause, 0, len(c)-1)
+	for _, y := range c {
+		if y != l {
+			d = append(d, y)
+		}
+	}
+	return d
+}
+
+// minHeap is a min-heap of clause indices (container/heap).
+type minHeap struct{ sort.IntSlice }
+
+func (h *minHeap) Push(i any) { h.IntSlice = append(h.IntSlice, i.(int)) }
+
+func (h *minHeap) Pop() any {
+	i := h.IntSlice[len(h.IntSlice)-1]
+	h.IntSlice = h.IntSlice[:len(h.IntSlice)-1]
+	return i
+}
+
 // propagateUnits applies all unit clauses, returning the reduced clause
-// set. conflict reports a derived contradiction.
-func propagateUnits(clauses []cnf.Clause, res *Result) (out []cnf.Clause, conflict, changed bool) {
-	for {
-		var unit cnf.Lit
-		found := false
-		for _, c := range clauses {
-			if len(c) == 1 {
-				unit = c[0]
-				found = true
-				break
-			}
+// set. The next unit is always the earliest unit clause in clause
+// order, taken from a heap of unit-clause indices; a unit removes the
+// clauses in its occurrence list and shrinks those holding its
+// negation. conflict reports a derived contradiction: a unit opposing a
+// forced value, or a clause shrunk to empty.
+func (x *index) propagateUnits(clauses []cnf.Clause, res *Result) (out []cnf.Clause, conflict, changed bool) {
+	units := &minHeap{}
+	for i, c := range clauses {
+		if len(c) == 1 {
+			units.IntSlice = append(units.IntSlice, i) // ascending: already a heap
 		}
-		if !found {
-			return clauses, false, changed
+	}
+	if units.Len() == 0 {
+		return clauses, false, false
+	}
+	x.build(clauses)
+	dead := make([]bool, len(clauses))
+	for units.Len() > 0 {
+		i := heap.Pop(units).(int)
+		if dead[i] {
+			continue // satisfied by an earlier unit
 		}
-		changed = true
+		unit := clauses[i][0]
 		res.Stats.UnitsPropagated++
 		val := cnf.True
 		if unit.IsNeg() {
@@ -261,28 +383,31 @@ func propagateUnits(clauses []cnf.Clause, res *Result) (out []cnf.Clause, confli
 		}
 		res.Forced.Set(unit.Var(), val)
 
-		next := clauses[:0:0]
-		for _, c := range clauses {
-			if c.Contains(unit) {
-				continue // satisfied
-			}
-			if c.Contains(unit.Negate()) {
-				d := make(cnf.Clause, 0, len(c)-1)
-				for _, l := range c {
-					if l != unit.Negate() {
-						d = append(d, l)
-					}
-				}
-				if len(d) == 0 {
-					return nil, true, true
-				}
-				next = append(next, d)
+		for _, j := range x.occ[unit] {
+			dead[j] = true // satisfied
+		}
+		neg := unit.Negate()
+		for _, j := range x.occ[neg] {
+			if dead[j] {
 				continue
 			}
-			next = append(next, c)
+			d := without(clauses[j], neg)
+			if len(d) == 0 {
+				return nil, true, true
+			}
+			clauses[j] = d
+			if len(d) == 1 {
+				heap.Push(units, int(j))
+			}
 		}
-		clauses = next
 	}
+	out = clauses[:0:0]
+	for i, c := range clauses {
+		if !dead[i] {
+			out = append(out, c)
+		}
+	}
+	return out, false, true
 }
 
 // eliminatePure assigns variables appearing with a single polarity.
@@ -297,20 +422,23 @@ func eliminatePure(clauses []cnf.Clause, numVars int, res *Result) ([]cnf.Clause
 			polarity[l.Var()] |= bit
 		}
 	}
-	pure := map[cnf.Lit]bool{}
+	pure := make([]bool, 2*(numVars+1)) // indexed by literal
+	found := false
 	for v := 1; v <= numVars; v++ {
 		switch polarity[v] {
 		case 1:
 			pure[cnf.Pos(cnf.Var(v))] = true
 			res.Forced.Set(cnf.Var(v), cnf.True)
 			res.Stats.PureLiterals++
+			found = true
 		case 2:
 			pure[cnf.Neg(cnf.Var(v))] = true
 			res.Forced.Set(cnf.Var(v), cnf.False)
 			res.Stats.PureLiterals++
+			found = true
 		}
 	}
-	if len(pure) == 0 {
+	if !found {
 		return clauses, false
 	}
 	out := clauses[:0:0]
@@ -329,20 +457,13 @@ func eliminatePure(clauses []cnf.Clause, numVars int, res *Result) ([]cnf.Clause
 	return out, true
 }
 
-// litSet returns a membership set for the clause.
-func litSet(c cnf.Clause) map[cnf.Lit]bool {
-	s := make(map[cnf.Lit]bool, len(c))
-	for _, l := range c {
-		s[l] = true
-	}
-	return s
-}
-
 // subsume removes clauses that are supersets of another clause
 // (C subsumes D when C ⊆ D: every model satisfying C satisfies D, so D
 // is redundant). Clauses are processed shortest-first so survivors are
-// the strongest.
-func subsume(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) {
+// the strongest; among equal clauses the sort's tie order picks the
+// survivor. A superset of C holds C's rarest literal, so only that
+// literal's occurrence list is searched.
+func (x *index) subsume(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) {
 	order := make([]int, len(clauses))
 	for i := range order {
 		order[i] = i
@@ -350,18 +471,41 @@ func subsume(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) {
 	sort.Slice(order, func(a, b int) bool {
 		return len(clauses[order[a]]) < len(clauses[order[b]])
 	})
+	rank := make([]int, len(clauses))
+	for r, i := range order {
+		rank[i] = r
+	}
+	x.build(clauses)
 	removed := make([]bool, len(clauses))
 	changed := false
-	for oi, i := range order {
+	for r, i := range order {
 		if removed[i] {
 			continue
 		}
-		ci := litSet(clauses[i])
-		for _, j := range order[oi+1:] {
-			if removed[j] || len(clauses[j]) < len(clauses[i]) {
+		c := clauses[i]
+		if len(c) == 0 {
+			// The empty clause subsumes every later clause.
+			for _, j := range order[r+1:] {
+				if !removed[j] {
+					removed[j] = true
+					res.Stats.ClausesSubsumed++
+					changed = true
+				}
+			}
+			continue
+		}
+		rarest := c[0]
+		for _, l := range c[1:] {
+			if len(x.occ[l]) < len(x.occ[rarest]) {
+				rarest = l
+			}
+		}
+		x.mark(c)
+		for _, j := range x.occ[rarest] {
+			if rank[j] <= r || removed[j] {
 				continue
 			}
-			if containsAll(litSet(clauses[j]), ci) {
+			if x.count(clauses[j]) == len(c) {
 				removed[j] = true
 				res.Stats.ClausesSubsumed++
 				changed = true
@@ -380,48 +524,31 @@ func subsume(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) {
 	return out, true
 }
 
-// containsAll reports whether superset contains every literal of sub.
-func containsAll(superset, sub map[cnf.Lit]bool) bool {
-	for l := range sub {
-		if !superset[l] {
-			return false
-		}
-	}
-	return true
-}
-
 // strengthen applies self-subsuming resolution: if C = A ∪ {l} and
 // D ⊇ A ∪ {¬l}, the resolvent A ∪ (D \ {¬l}) subsumes D, so ¬l can be
-// deleted from D.
-func strengthen(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) {
+// deleted from D. Clauses are visited in order, each as it stands after
+// the earlier ones strengthened it; the candidates D for a literal l of
+// C are the occurrence list of ¬l. Clauses only lose literals here, so
+// a list can only hold extra entries, which the Contains check skips.
+func (x *index) strengthen(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) {
+	x.build(clauses)
 	changed := false
-	for i, c := range clauses {
+	for i := range clauses {
+		c := clauses[i]
+		// A candidate holds ¬l and so never l (clauses are not
+		// tautologies): it holds A = C \ {l} exactly when len(C)-1 of
+		// its literals are in C. One stamp set serves every l.
+		x.mark(c)
 		for _, l := range c {
-			rest := make(map[cnf.Lit]bool, len(c)-1)
-			for _, x := range c {
-				if x != l {
-					rest[x] = true
-				}
-			}
 			neg := l.Negate()
-			for j, d := range clauses {
-				if i == j || !d.Contains(neg) {
+			for _, j := range x.occ[neg] {
+				d := clauses[j]
+				if int(j) == i || x.count(d) != len(c)-1 || !d.Contains(neg) {
 					continue
 				}
-				ds := litSet(d)
-				delete(ds, neg)
-				if containsAll(ds, rest) {
-					// Remove ¬l from d.
-					nd := make(cnf.Clause, 0, len(d)-1)
-					for _, x := range d {
-						if x != neg {
-							nd = append(nd, x)
-						}
-					}
-					clauses[j] = nd
-					res.Stats.LiteralsStrength++
-					changed = true
-				}
+				clauses[j] = without(d, neg)
+				res.Stats.LiteralsStrength++
+				changed = true
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package simplify
 
 import (
 	"math/big"
+	"runtime"
 	"testing"
 
 	"repro/internal/cdcl"
@@ -29,6 +30,56 @@ func TestUnitPropagationChain(t *testing.T) {
 	model := r.Reconstruct(cnf.NewAssignment(0))
 	if !model.Satisfies(f) {
 		t.Errorf("reconstructed model %s does not satisfy", model)
+	}
+}
+
+// implicationChain returns the chain (x1)(!x1+x2)...(!x(n-1)+xn) with
+// its variables renamed and its literals and clauses shuffled.
+func implicationChain(g *rng.Xoshiro256, n int) *cnf.Formula {
+	f := cnf.FromClauses([]int{1})
+	for v := 2; v <= n; v++ {
+		f.Add(-(v - 1), v)
+	}
+	return scrambled(g, f)
+}
+
+func TestUnitPropagationLongChain(t *testing.T) {
+	// Every unit forces the next: propagation must follow occurrence
+	// lists, not rescan and rebuild the clause list once per unit.
+	const n = 10_000
+	f := implicationChain(rng.New(41), n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := Simplify(f, Options{})
+	runtime.ReadMemStats(&after)
+	if r.ProvedUnsat || r.F.NumClauses() != 0 {
+		t.Fatalf("unsat=%v, %d clauses left", r.ProvedUnsat, r.F.NumClauses())
+	}
+	for v := 1; v <= n; v++ {
+		if r.Forced.Get(cnf.Var(v)) != cnf.True {
+			t.Fatalf("x%d not forced true", v)
+		}
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Errorf("allocated %d MiB, want < 64", alloc>>20)
+	}
+}
+
+func TestScratchFollowsClausesNotDeclaredVars(t *testing.T) {
+	// A DIMACS header may declare far more variables than the clauses
+	// use. Forced holds one byte per declared variable; everything else
+	// the passes allocate must follow the clauses.
+	f := gen.Pigeonhole(3)
+	f.NumVars = 2_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := Simplify(f, Options{})
+	runtime.ReadMemStats(&after)
+	if !r.ProvedUnsat {
+		t.Fatal("PHP(4,3) not proved UNSAT")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Errorf("allocated %d KiB for %d declared variables, want < 4 MiB", alloc>>10, f.NumVars)
 	}
 }
 
@@ -203,4 +254,29 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// BenchmarkSimplify sizes the preprocessing layer on the shapes the
+// service sees: unions of planted blocks (the cold decide jobs), one
+// planted 50/210 formula (the fleet's cold jobs), and a long
+// implication chain (one unit after another).
+func BenchmarkSimplify(b *testing.B) {
+	g := rng.New(7)
+	planted, _ := gen.PlantedKSAT(g, 50, 210, 3)
+	for _, bc := range []struct {
+		name string
+		f    *cnf.Formula
+	}{
+		{"blocks-3x30-120", servingShape(g, 3)},
+		{"blocks-6x30-120", servingShape(g, 6)},
+		{"planted-50-210", planted},
+		{"chain-10000", implicationChain(g, 10_000)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Simplify(bc.f, Options{})
+			}
+		})
+	}
 }
