@@ -38,6 +38,7 @@ import (
 	"repro"
 	"repro/internal/dimacs"
 	"repro/internal/obs"
+	"repro/internal/solver"
 )
 
 // SAT-competition exit codes.
@@ -129,13 +130,7 @@ func main() {
 		opts = append(opts, repro.WithTask(task))
 	}
 	if *members != "" {
-		var lineup []string
-		for _, m := range strings.Split(*members, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				lineup = append(lineup, m)
-			}
-		}
-		opts = append(opts, repro.WithMembers(lineup...))
+		opts = append(opts, repro.WithMembers(solver.ParseMembers(*members)...))
 	}
 	s, err := repro.New(engineName, opts...)
 	if err != nil {

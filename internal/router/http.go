@@ -25,6 +25,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/api"
 	"repro/internal/dimacs"
 	"repro/internal/obs"
 	"repro/internal/obs/prom"
@@ -45,101 +46,41 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
 // copyBackendHeaders forwards the response headers a client of a
 // single replica would have seen — notably X-NBL-Node, which is how
 // a fleet client learns which replica answered.
-func copyBackendHeaders(w http.ResponseWriter, resp *http.Response) {
-	for _, h := range []string{"X-NBL-Node", "Content-Type", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+func copyBackendHeaders(w http.ResponseWriter, h http.Header) {
+	for _, name := range []string{"X-NBL-Node", "Content-Type", "Retry-After"} {
+		if v := h.Get(name); v != "" {
+			w.Header().Set(name, v)
 		}
 	}
 }
 
+// handleSolve refuses what a replica would refuse, then routes the
+// parsed formula — for an equivalence pair its miter, so renamed twins
+// of the question share a replica — and forwards the client's
+// original bytes.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	_, f, body, err := api.Solve(w, r)
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("instance exceeds the %d-byte body limit", maxBodyBytes))
+		api.WriteError(w, api.Code(err), err)
 		return
 	}
-	// An equivalence submission carries a pair; route it by the miter
-	// it lowers to so renamed twins of the question share a replica.
-	key := canonKey
-	if r.URL.Query().Get("task") == "equivalent" {
-		key = equivKey
-	}
-	fp, vars, clauses, err := key(body)
+	rep, err := rt.submit(r, f, r.URL.RawQuery, body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		if api.Code(err) == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterFleet()))
+		}
+		api.WriteError(w, api.Code(err), err)
 		return
 	}
-	// The router's trace for this submission: the replica adopts the
-	// same trace ID through the X-NBL-Trace stamp, so its spans and
-	// these merge into one fleet-wide tree on /jobs/{id}/trace.
-	tr := obs.NewTrace("")
-	root := tr.Root("router.submit")
-	fwd := root.StartChild("router.forward")
-	resp, node, err := rt.forward(r, rt.rank(fp, vars, clauses),
-		http.MethodPost, "/solve?"+r.URL.RawQuery, body, tr.ID())
-	if err != nil {
-		rt.submitErrors.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterFleet()))
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
+	copyBackendHeaders(w, rep.header)
+	if rep.id != "" {
+		w.Header().Set("Location", "/jobs/"+rep.id)
 	}
-	fwd.SetAttr("node", node.Name)
-	fwd.Finish()
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("reading %s: %w", node.Name, err))
-		return
-	}
-	copyBackendHeaders(w, resp)
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		// Client error from the backend (bad query parameter, parse
-		// rejection past routing's shallower parse): relay verbatim.
-		w.WriteHeader(resp.StatusCode)
-		w.Write(raw) //nolint:errcheck // client gone; nothing to do
-		return
-	}
-	out, id, err := rewriteJobID(node.Name, raw)
-	if err != nil {
-		writeError(w, http.StatusBadGateway,
-			fmt.Errorf("%s answered an unreadable job snapshot: %w", node.Name, err))
-		return
-	}
-	rt.track(id, node.Name)
-	rt.submits.Add(1)
-	root.SetAttr("node", node.Name)
-	root.Finish()
-	tr.SetJob(id)
-	rt.traces.Add(tr)
-	w.Header().Set("Location", "/jobs/"+id)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(out) //nolint:errcheck // client gone; nothing to do
-}
-
-// batchItem mirrors the service's per-instance batch outcome, with
-// the job snapshot relayed raw (ids already renamespaced).
-type batchItem struct {
-	Index int             `json:"index"`
-	Job   json.RawMessage `json:"job,omitempty"`
-	Error string          `json:"error,omitempty"`
-	Code  int             `json:"code,omitempty"`
+	w.WriteHeader(rep.code)
+	w.Write(rep.body) //nolint:errcheck // client gone; nothing to do
 }
 
 // handleBatch splits the body exactly as a replica would, then routes
@@ -148,100 +89,47 @@ type batchItem struct {
 // forwarded as its own /solve, so per-instance admission (and
 // failover) works the same as for single submissions.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("task") == "equivalent" {
-		// Mirrors the service's own rejection: a batch is N independent
-		// instances, an equivalence check is one question about a pair.
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("task=equivalent is not supported on /solve/batch; POST the pair to /solve"))
-		return
-	}
-	chunks, err := dimacs.SplitBatch(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	_, chunks, err := api.Batch(w, r)
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch exceeds the %d-byte body limit", maxBodyBytes))
+		api.WriteError(w, api.Code(err), err)
 		return
 	}
-	if len(chunks) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch carries no DIMACS instances"))
-		return
-	}
-
 	// sync would serialize the whole batch through each instance's
 	// forward; the service's batch endpoint ignores it, so drop it.
 	q, _ := url.ParseQuery(r.URL.RawQuery)
 	q.Del("sync")
 	query := q.Encode()
 
-	items := make([]batchItem, len(chunks))
-	accepted := 0
+	items := make([]api.BatchItem, len(chunks))
 	for i, chunk := range chunks {
 		items[i].Index = i
-		body := []byte(chunk)
-		fp, vars, clauses, err := canonKey(body)
+		f, err := dimacs.ReadString(chunk)
 		if err != nil {
-			items[i].Error = err.Error()
-			items[i].Code = http.StatusBadRequest
+			items[i].Error, items[i].Code = err.Error(), http.StatusBadRequest
 			continue
 		}
-		// Each batch instance routes (and traces) independently, same
-		// as a single /solve.
-		tr := obs.NewTrace("")
-		root := tr.Root("router.submit")
-		resp, node, err := rt.forward(r, rt.rank(fp, vars, clauses),
-			http.MethodPost, "/solve?"+query, body, tr.ID())
-		if err != nil {
-			rt.submitErrors.Add(1)
-			items[i].Error = err.Error()
-			items[i].Code = http.StatusServiceUnavailable
-			continue
-		}
-		raw, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-		resp.Body.Close()
-		if rerr != nil {
-			items[i].Error = rerr.Error()
-			items[i].Code = http.StatusBadGateway
-			continue
-		}
-		if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-			var backendErr struct {
+		rep, err := rt.submit(r, f, query, []byte(chunk))
+		switch {
+		case err != nil:
+			items[i].Error, items[i].Code = err.Error(), api.Code(err)
+		case rep.id == "":
+			var refusal struct {
 				Error string `json:"error"`
 			}
-			json.Unmarshal(raw, &backendErr) //nolint:errcheck // best effort
-			items[i].Error = backendErr.Error
-			if items[i].Error == "" {
-				items[i].Error = fmt.Sprintf("%s: HTTP %d", node.Name, resp.StatusCode)
+			json.Unmarshal(rep.body, &refusal) //nolint:errcheck // best effort
+			if refusal.Error == "" {
+				refusal.Error = fmt.Sprintf("%s: HTTP %d", rep.node, rep.code)
 			}
-			items[i].Code = resp.StatusCode
-			continue
-		}
-		out, id, err := rewriteJobID(node.Name, raw)
-		if err != nil {
-			items[i].Error = err.Error()
-			items[i].Code = http.StatusBadGateway
-			continue
-		}
-		rt.track(id, node.Name)
-		rt.submits.Add(1)
-		root.SetAttr("node", node.Name)
-		root.Finish()
-		tr.SetJob(id)
-		rt.traces.Add(tr)
-		items[i].Job = out
-		accepted++
-	}
-
-	code := http.StatusAccepted
-	if accepted == 0 {
-		code = items[0].Code
-		for _, it := range items {
-			if it.Code == http.StatusServiceUnavailable {
-				code = http.StatusServiceUnavailable
-				w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterFleet()))
-				break
-			}
+			items[i].Error, items[i].Code = refusal.Error, rep.code
+		default:
+			items[i].Job = json.RawMessage(rep.body)
 		}
 	}
-	writeJSON(w, code, items)
+	code := api.BatchStatus(items)
+	if code == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterFleet()))
+	}
+	api.WriteJSON(w, code, items)
 }
 
 // handleJobs unions every replica's job list under namespaced ids. A
@@ -256,7 +144,7 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var jobs []json.RawMessage
-		err = json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&jobs)
+		err = json.NewDecoder(io.LimitReader(resp.Body, api.MaxBodyBytes)).Decode(&jobs)
 		resp.Body.Close()
 		if err != nil {
 			rt.scrapeErrors.Add(1)
@@ -268,7 +156,7 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, all)
+	api.WriteJSON(w, http.StatusOK, all)
 }
 
 func (rt *Router) get(r *http.Request, nd Node, pathAndQuery string) (*http.Response, error) {
@@ -285,7 +173,7 @@ func (rt *Router) proxyJob(w http.ResponseWriter, r *http.Request, method string
 	id := r.PathValue("id")
 	nd, remote, ok := rt.resolve(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
 	path := "/jobs/" + remote
@@ -294,22 +182,22 @@ func (rt *Router) proxyJob(w http.ResponseWriter, r *http.Request, method string
 	}
 	req, err := http.NewRequestWithContext(r.Context(), method, nd.URL+path, nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("%s unreachable: %w", nd.Name, err))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("%s unreachable: %w", nd.Name, err))
 		return
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("reading %s: %w", nd.Name, err))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("reading %s: %w", nd.Name, err))
 		return
 	}
 	rt.proxied.Add(1)
-	copyBackendHeaders(w, resp)
+	copyBackendHeaders(w, resp.Header)
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		if out, _, rerr := rewriteJobID(nd.Name, raw); rerr == nil {
 			raw = out
@@ -334,29 +222,29 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	nd, remote, ok := rt.resolve(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
 	fl, flOK := w.(http.Flusher)
 	if !flOK {
-		writeError(w, http.StatusNotImplemented, fmt.Errorf("streaming unsupported"))
+		api.WriteError(w, http.StatusNotImplemented, fmt.Errorf("streaming unsupported"))
 		return
 	}
 	resp, err := rt.get(r, nd, "/jobs/"+remote+"/events")
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("%s unreachable: %w", nd.Name, err))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("%s unreachable: %w", nd.Name, err))
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		copyBackendHeaders(w, resp)
+		copyBackendHeaders(w, resp.Header)
 		w.WriteHeader(resp.StatusCode)
 		w.Write(raw) //nolint:errcheck // client gone; nothing to do
 		return
 	}
 	rt.proxied.Add(1)
-	copyBackendHeaders(w, resp)
+	copyBackendHeaders(w, resp.Header)
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
@@ -390,29 +278,29 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	nd, remote, ok := rt.resolve(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
 	resp, err := rt.get(r, nd, "/jobs/"+remote+"/trace")
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("%s unreachable: %w", nd.Name, err))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("%s unreachable: %w", nd.Name, err))
 		return
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("reading %s: %w", nd.Name, err))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("reading %s: %w", nd.Name, err))
 		return
 	}
 	if resp.StatusCode != http.StatusOK {
-		copyBackendHeaders(w, resp)
+		copyBackendHeaders(w, resp.Header)
 		w.WriteHeader(resp.StatusCode)
 		w.Write(raw) //nolint:errcheck // client gone; nothing to do
 		return
 	}
 	var replica obs.TraceJSON
 	if err := json.Unmarshal(raw, &replica); err != nil {
-		writeError(w, http.StatusBadGateway,
+		api.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("%s answered an unreadable trace: %w", nd.Name, err))
 		return
 	}
@@ -420,12 +308,12 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	replica.Job = id
 	merged := rt.traces.ByJob(id).JSON()
 	if merged == nil {
-		writeJSON(w, http.StatusOK, &replica)
+		api.WriteJSON(w, http.StatusOK, &replica)
 		return
 	}
 	merged.Job = id
 	merged.Graft(&replica)
-	writeJSON(w, http.StatusOK, merged)
+	api.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleMetrics writes the fleet view in three layers:
@@ -562,7 +450,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if healthy == 0 {
 		status, code = "down", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	api.WriteJSON(w, code, map[string]any{
 		"status": status,
 		"nodes":  out,
 	})

@@ -1,7 +1,10 @@
 // Package router is the fleet front for nblserve replicas: a thin
-// HTTP tier that parses each submission just far enough to
-// canonicalize it, then consistent-hashes the job to a backend
-// replica by its canonical fingerprint.
+// HTTP tier that parses each submission with the request model it
+// shares with the replicas (internal/api), so it refuses what a
+// replica would refuse before routing anything, then consistent-hashes
+// the job to a backend replica by its canonical fingerprint. The
+// client's original bytes are what it forwards; the replica parses
+// and canonicalizes them again itself.
 //
 // Routing is rendezvous (highest-random-weight) hashing: every node
 // scores hash(fingerprint, node) and the highest score wins, so two
@@ -45,14 +48,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/cnf"
-	"repro/internal/dimacs"
-	"repro/internal/logic"
 	"repro/internal/obs"
 )
-
-// maxBodyBytes mirrors the service's submission cap.
-const maxBodyBytes = 16 << 20
 
 // maxTrackedJobs bounds the id→node map; past it the map is dropped
 // wholesale and resolution falls back to prefix-parsing, which is
@@ -254,6 +253,64 @@ func (rt *Router) forward(r *http.Request, order []Node, method, pathAndQuery st
 	return nil, Node{}, fmt.Errorf("every node refused the job: %s", strings.Join(refusals, "; "))
 }
 
+// reply is a replica's answer to one forwarded submission.
+type reply struct {
+	node   string
+	code   int
+	header http.Header
+	// body is the job snapshot with its id renamespaced, or the
+	// replica's refusal as it was answered.
+	body []byte
+	id   string // the namespaced job id; empty when the replica refused
+}
+
+// submit routes one parsed instance by the canonical fingerprint of f
+// and forwards body, the client's bytes for it, to the first replica
+// that takes it, as a /solve under query. An admitted job is tracked
+// and its router-side trace kept. A refusal the request model cannot
+// see (an unknown engine, the counting bound) comes back as the
+// replica worded it. The error, an *api.Error, is a 503 when every
+// replica refused and a 502 when the answer was unreadable.
+func (rt *Router) submit(r *http.Request, f *cnf.Formula, query string, body []byte) (reply, error) {
+	// The fingerprint is taken before the trace starts, like the parse
+	// before it, so router.submit times routing and forwarding alone.
+	fp := cnf.Canonicalize(f).Fingerprint()
+	// The replica adopts this trace's ID through the X-NBL-Trace stamp,
+	// so its spans and these merge into one fleet-wide tree on
+	// /jobs/{id}/trace.
+	tr := obs.NewTrace("")
+	root := tr.Root("router.submit")
+	fwd := root.StartChild("router.forward")
+	resp, node, err := rt.forward(r, rt.rank(fp, f.NumVars, f.NumClauses()),
+		http.MethodPost, "/solve?"+query, body, tr.ID())
+	if err != nil {
+		rt.submitErrors.Add(1)
+		return reply{}, &api.Error{Code: http.StatusServiceUnavailable, Err: err}
+	}
+	fwd.SetAttr("node", node.Name)
+	fwd.Finish()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes))
+	resp.Body.Close()
+	if err != nil {
+		return reply{}, &api.Error{Code: http.StatusBadGateway, Err: fmt.Errorf("reading %s: %w", node.Name, err)}
+	}
+	rep := reply{node: node.Name, code: resp.StatusCode, header: resp.Header, body: raw}
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+		return rep, nil
+	}
+	if rep.body, rep.id, err = rewriteJobID(node.Name, raw); err != nil {
+		return reply{}, &api.Error{Code: http.StatusBadGateway,
+			Err: fmt.Errorf("%s answered an unreadable job snapshot: %w", node.Name, err)}
+	}
+	rt.track(rep.id, node.Name)
+	rt.submits.Add(1)
+	root.SetAttr("node", node.Name)
+	root.Finish()
+	tr.SetJob(rep.id)
+	rt.traces.Add(tr)
+	return rep, nil
+}
+
 // retryAfterFleet is the Retry-After a fully-refusing fleet reports:
 // seconds until the soonest node exits its cooldown, at least 1.
 func (rt *Router) retryAfterFleet() int {
@@ -330,47 +387,4 @@ func rewriteJobID(node string, raw []byte) ([]byte, string, error) {
 		return nil, "", err
 	}
 	return out, id, nil
-}
-
-// canonKey fingerprints a DIMACS body. The router parses only to
-// canonicalize — the backend re-parses and is the authority on
-// malformed input beyond what routing itself needs.
-func canonKey(body []byte) (fp string, vars, clauses int, err error) {
-	f, err := dimacs.Read(bytes.NewReader(body))
-	if err != nil {
-		return "", 0, 0, err
-	}
-	c := cnf.Canonicalize(f)
-	return c.Fingerprint(), f.NumVars, f.NumClauses(), nil
-}
-
-// equivKey fingerprints a task=equivalent body (two DIMACS instances)
-// by the same lowering the backend will apply: the pair's miter CNF.
-// Routing by the miter's canonical fingerprint means a renamed twin of
-// the same equivalence question lands on the same replica and hits its
-// cache, exactly like a renamed decide submission. The original body is
-// still what gets forwarded — the backend owns the lowering.
-func equivKey(body []byte) (fp string, vars, clauses int, err error) {
-	chunks, err := dimacs.SplitBatch(bytes.NewReader(body))
-	if err != nil {
-		return "", 0, 0, err
-	}
-	if len(chunks) != 2 {
-		return "", 0, 0, fmt.Errorf(
-			"task=equivalent needs exactly 2 DIMACS instances in the body, got %d", len(chunks))
-	}
-	a, err := dimacs.ReadString(chunks[0])
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("instance 1: %w", err)
-	}
-	b, err := dimacs.ReadString(chunks[1])
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("instance 2: %w", err)
-	}
-	m, err := logic.EquivalenceCNF(a, b)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	c := cnf.Canonicalize(m)
-	return c.Fingerprint(), m.NumVars, m.NumClauses(), nil
 }

@@ -9,60 +9,34 @@
 //	GET    /metrics        Prometheus text exposition
 //	GET    /healthz        liveness + basic gauges
 //
-// POST /solve and /solve/batch query parameters: engine (registry
-// expression, e.g. pre(mc)), task (decide | count | weighted-count |
-// equivalent; default decide), seed, samples, theta, workers, family,
-// alloc, flips, restarts, noise, candidates, members (comma lineup),
-// model=1 (model recovery), timeout (Go duration), sync=1 (/solve
-// only).
-//
-// task=count and task=weighted-count return the exact model count (or
-// clause-cover-weighted count K') as result.count, a decimal string.
-// task=equivalent takes TWO DIMACS instances in the body (batch
-// syntax), lowers them to a miter via internal/logic, and decides it:
-// UNSAT certifies the pair equivalent, SAT means they differ (a model
-// restricted to variables 1..n is a distinguishing assignment). It is
-// /solve-only; /solve/batch rejects it.
-//
-// A /solve/batch body is a concatenation of DIMACS documents: each
-// "p cnf" problem line starts a new instance, and the SATLIB "%"
-// trailer ends one. Every instance fans out through the job manager
-// under the shared query parameters; the response is an array with one
-// entry per instance, each carrying either the submitted job or that
-// instance's own error with the status code a single /solve would have
-// returned (400 for a parse failure, 503 for a full queue — per
-// instance, so one full-queue rejection does not waste the instances
-// already admitted).
+// POST /solve and /solve/batch take the request model of
+// internal/api: its query knobs, body forms and body cap, shared with
+// the fleet router. task=count and task=weighted-count return the
+// exact model count (or clause-cover-weighted count K') as
+// result.count, a decimal string; a task=equivalent job reports
+// "equivalent" once its miter is decided. Every instance of a batch
+// fans out through the job manager under the shared knobs; the
+// response is an array with one entry per instance, each carrying
+// either the submitted job or that instance's own error with the
+// status a single /solve would have answered (400 for a parse
+// failure, 503 for a full queue — per instance, so one full-queue
+// rejection does not waste the instances already admitted).
 package service
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
-	"repro/internal/cnf"
+	"repro/internal/api"
 	"repro/internal/dimacs"
 	"repro/internal/enginepool"
-	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
-
-// maxBodyBytes bounds a DIMACS submission (16 MiB holds every SATLIB
-// archive instance with orders of magnitude to spare).
-const maxBodyBytes = 16 << 20
-
-// maxSolveWorkers caps the per-job sampling parallelism a client may
-// request; the pool already bounds concurrent jobs, this bounds the
-// goroutines inside one.
-const maxSolveWorkers = 64
 
 // Handler returns the service's HTTP handler. With Config.NodeID set,
 // every response carries an X-NBL-Node header naming this replica, so
@@ -148,187 +122,35 @@ func snapshotJSON(snap Snapshot) jobJSON {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// parseSubmitOptions builds the SubmitOptions shared by /solve and
-// /solve/batch from the request query.
-func parseSubmitOptions(q url.Values) (SubmitOptions, error) {
-	opts := SubmitOptions{Engine: q.Get("engine")}
-	task, err := solver.ParseTask(q.Get("task"))
-	if err != nil {
-		return opts, err
-	}
-	opts.Task = task
-
-	// Numeric knobs are client-controlled; negatives are rejected here
-	// rather than trusted to engine defaulting (a negative worker count
-	// would reach make() inside the Monte-Carlo sampler), and the
-	// sampling parallelism is capped so one request cannot claim
-	// unbounded goroutines.
-	var parseErr error
-	getInt := func(name string) int64 {
-		v := q.Get(name)
-		if v == "" {
-			return 0
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if (err != nil || n < 0) && parseErr == nil {
-			parseErr = fmt.Errorf("bad %s %q", name, v)
-		}
-		return n
-	}
-	getFloat := func(name string) float64 {
-		v := q.Get(name)
-		if v == "" {
-			return 0
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		// Reject NaN/Inf explicitly: ParseFloat accepts them, NaN slips
-		// any sign test, and a NaN theta would turn the SAT comparison
-		// permanently false — a wrong definitive UNSAT.
-		if (err != nil || f < 0 || math.IsNaN(f) || math.IsInf(f, 0)) && parseErr == nil {
-			parseErr = fmt.Errorf("bad %s %q", name, v)
-		}
-		return f
-	}
-
-	getSeed := func() uint64 {
-		v := q.Get("seed")
-		if v == "" {
-			return 0
-		}
-		// Seeds span the full uint64 range; ParseInt would reject the
-		// upper half.
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil && parseErr == nil {
-			parseErr = fmt.Errorf("bad seed %q", v)
-		}
-		return n
-	}
-
-	opts.Solver = solver.Config{
-		Seed:       getSeed(),
-		MaxSamples: getInt("samples"),
-		Theta:      getFloat("theta"),
-		Workers:    int(getInt("workers")),
-		Family:     q.Get("family"),
-		Allocation: q.Get("alloc"),
-		MaxFlips:   int(getInt("flips")),
-		Restarts:   int(getInt("restarts")),
-		NoiseP:     getFloat("noise"),
-		Candidates: int(getInt("candidates")),
-		FindModel:  boolParam(q.Get("model")),
-	}
-	if members := q.Get("members"); members != "" {
-		for _, m := range strings.Split(members, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				opts.Solver.Members = append(opts.Solver.Members, m)
-			}
-		}
-	}
-	if tv := q.Get("timeout"); tv != "" {
-		d, err := time.ParseDuration(tv)
-		if err != nil || d < 0 {
-			return opts, fmt.Errorf("bad timeout %q", tv)
-		}
-		opts.Timeout = d
-	}
-	if parseErr != nil {
-		return opts, parseErr
-	}
-	if opts.Solver.Workers > maxSolveWorkers {
-		return opts, fmt.Errorf(
-			"workers %d exceeds the per-job cap %d", opts.Solver.Workers, maxSolveWorkers)
-	}
-	return opts, nil
-}
-
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	opts, err := parseSubmitOptions(q)
+	req, f, _, err := api.Solve(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, api.Code(err), err)
 		return
 	}
 	// A router-stamped trace ID makes this job's spans part of the
 	// fleet-level trace instead of starting a fresh one.
-	opts.TraceID = r.Header.Get("X-NBL-Trace")
+	req.TraceID = r.Header.Get("X-NBL-Trace")
 
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var f *cnf.Formula
-	if opts.Task == solver.TaskEquivalent {
-		f, err = readEquivalencePair(body)
-	} else {
-		f, err = dimacs.Read(body)
-	}
-	if err != nil {
-		// A truncated-by-cap body surfaces as a read error inside the
-		// DIMACS parser; report the cap, not a bogus syntax complaint.
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("instance exceeds the %d-byte body limit", maxBodyBytes))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	job, err := s.Submit(f, opts)
+	job, err := s.Submit(f, req)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return
 	}
 
-	if boolParam(q.Get("sync")) {
+	if req.Sync {
 		select {
 		case <-job.Done():
 		case <-r.Context().Done():
 			// Client went away; the job keeps running for later polls.
-			writeJSON(w, http.StatusAccepted, snapshotJSON(job.Snapshot()))
+			api.WriteJSON(w, http.StatusAccepted, snapshotJSON(job.Snapshot()))
 			return
 		}
-		writeJSON(w, http.StatusOK, snapshotJSON(job.Snapshot()))
+		api.WriteJSON(w, http.StatusOK, snapshotJSON(job.Snapshot()))
 		return
 	}
 	w.Header().Set("Location", "/jobs/"+job.ID)
-	writeJSON(w, http.StatusAccepted, snapshotJSON(job.Snapshot()))
-}
-
-// readEquivalencePair reads a two-instance DIMACS body (batch syntax)
-// and lowers "are they equivalent?" to the miter decide instance any
-// engine can run: SAT of the returned formula refutes equivalence,
-// UNSAT certifies it. The miter's variables 1..n are the pair's
-// original inputs (logic.EquivalenceCNF), so a recovered model reads
-// directly as a distinguishing assignment.
-func readEquivalencePair(body io.Reader) (*cnf.Formula, error) {
-	chunks, err := dimacs.SplitBatch(body)
-	if err != nil {
-		return nil, err
-	}
-	if len(chunks) != 2 {
-		return nil, fmt.Errorf(
-			"task=equivalent needs exactly 2 DIMACS instances in the body, got %d", len(chunks))
-	}
-	a, err := dimacs.ReadString(chunks[0])
-	if err != nil {
-		return nil, fmt.Errorf("instance 1: %w", err)
-	}
-	b, err := dimacs.ReadString(chunks[1])
-	if err != nil {
-		return nil, fmt.Errorf("instance 2: %w", err)
-	}
-	return logic.EquivalenceCNF(a, b)
+	api.WriteJSON(w, http.StatusAccepted, snapshotJSON(job.Snapshot()))
 }
 
 // submitErrorCode maps a Submit failure onto the HTTP status a single
@@ -345,7 +167,7 @@ func submitErrorCode(err error) int {
 // the fleet router's failover) know when this node is worth retrying.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	s.setRetryAfter(w, err)
-	writeError(w, submitErrorCode(err), err)
+	api.WriteError(w, submitErrorCode(err), err)
 }
 
 // setRetryAfter adds the Retry-After header for a drain rejection when
@@ -359,75 +181,28 @@ func (s *Server) setRetryAfter(w http.ResponseWriter, err error) {
 	}
 }
 
-// maxBatchInstances bounds one batch submission; anything larger than
-// the queue depth could never be admitted whole anyway.
-const maxBatchInstances = 256
-
-// batchItemJSON is one instance's outcome in a /solve/batch response:
-// either the submitted job (its id is what the client polls) or the
-// instance's own error with the status code a single /solve would have
-// returned.
-type batchItemJSON struct {
-	Index int      `json:"index"`
-	Job   *jobJSON `json:"job,omitempty"`
-	Error string   `json:"error,omitempty"`
-	Code  int      `json:"code,omitempty"`
-}
-
 // handleSolveBatch fans one multi-instance DIMACS body out through the
 // job manager. Instances are admitted independently: a parse failure
 // or full queue marks its own entry and the rest proceed, so the
 // response array always lines up index-for-index with the instances in
-// the body. The response status is 202 as soon as any instance was
-// admitted, otherwise the first failure's code.
+// the body. The response status is api.BatchStatus's.
 func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
-	opts, err := parseSubmitOptions(r.URL.Query())
+	req, chunks, err := api.Batch(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, api.Code(err), err)
 		return
 	}
-	if opts.Task == solver.TaskEquivalent {
-		// A batch is N independent instances; an equivalence check is one
-		// question about a pair. The pairing would be ambiguous here.
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("task=equivalent is not supported on /solve/batch; POST the pair to /solve"))
-		return
-	}
-	chunks, err := dimacs.SplitBatch(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("batch exceeds the %d-byte body limit", maxBodyBytes))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(chunks) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch carries no DIMACS instances"))
-		return
-	}
-	if len(chunks) > maxBatchInstances {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch carries %d instances, cap is %d", len(chunks), maxBatchInstances))
-		return
-	}
-
-	items := make([]batchItemJSON, len(chunks))
-	accepted := 0
+	items := make([]api.BatchItem, len(chunks))
 	for i, chunk := range chunks {
 		items[i].Index = i
 		f, err := dimacs.ReadString(chunk)
 		if err != nil {
-			items[i].Error = err.Error()
-			items[i].Code = http.StatusBadRequest
+			items[i].Error, items[i].Code = err.Error(), http.StatusBadRequest
 			continue
 		}
-		job, err := s.Submit(f, opts)
+		job, err := s.Submit(f, req)
 		if err != nil {
-			items[i].Error = err.Error()
-			items[i].Code = submitErrorCode(err)
+			items[i].Error, items[i].Code = err.Error(), submitErrorCode(err)
 			// A drain rejection stamps the whole response's Retry-After:
 			// the remaining instances will be refused for the same reason.
 			s.setRetryAfter(w, err)
@@ -435,27 +210,8 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		jj := snapshotJSON(job.Snapshot())
 		items[i].Job = &jj
-		accepted++
 	}
-
-	code := http.StatusAccepted
-	if accepted == 0 {
-		for _, it := range items {
-			if it.Code != 0 {
-				code = it.Code
-				break
-			}
-		}
-	}
-	writeJSON(w, code, items)
-}
-
-func boolParam(v string) bool {
-	switch strings.ToLower(v) {
-	case "1", "true", "yes", "on":
-		return true
-	}
-	return false
+	api.WriteJSON(w, api.BatchStatus(items), items)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -464,19 +220,19 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	for i, j := range jobs {
 		out[i] = snapshotJSON(j.Snapshot())
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	job, err := s.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		api.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	if wv := r.URL.Query().Get("wait"); wv != "" {
 		d, err := time.ParseDuration(wv)
 		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q", wv))
+			api.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q", wv))
 			return
 		}
 		// Long-poll: return at completion or after the wait window,
@@ -489,21 +245,21 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 		}
 	}
-	writeJSON(w, http.StatusOK, snapshotJSON(job.Snapshot()))
+	api.WriteJSON(w, http.StatusOK, snapshotJSON(job.Snapshot()))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := s.Cancel(id); err != nil {
-		writeError(w, http.StatusNotFound, err)
+		api.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	job, err := s.Job(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		api.WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotJSON(job.Snapshot()))
+	api.WriteJSON(w, http.StatusOK, snapshotJSON(job.Snapshot()))
 }
 
 // handleEvents streams job snapshots as server-sent events: one
@@ -513,12 +269,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, err := s.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		api.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusNotImplemented, fmt.Errorf("streaming unsupported"))
+		api.WriteError(w, http.StatusNotImplemented, fmt.Errorf("streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -563,20 +319,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if tj := s.Trace(id); tj != nil {
-		writeJSON(w, http.StatusOK, tj)
+		api.WriteJSON(w, http.StatusOK, tj)
 		return
 	}
 	if job, err := s.Job(id); err == nil {
 		if !job.Snapshot().State.Terminal() {
-			writeError(w, http.StatusNotFound,
+			api.WriteError(w, http.StatusNotFound,
 				fmt.Errorf("job %q has not finished; traces are recorded at completion", id))
 			return
 		}
-		writeError(w, http.StatusNotFound,
+		api.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("trace for job %q was evicted from the trace ring", id))
 		return
 	}
-	writeError(w, http.StatusNotFound, ErrNoSuchJob)
+	api.WriteError(w, http.StatusNotFound, ErrNoSuchJob)
 }
 
 // traceSummaryJSON is one /debug/traces row: enough to pick a trace
@@ -596,7 +352,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("n"); v != "" {
 		parsed, err := strconv.Atoi(v)
 		if err != nil || parsed < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("n must be a positive integer"))
+			api.WriteError(w, http.StatusBadRequest, fmt.Errorf("n must be a positive integer"))
 			return
 		}
 		n = parsed
@@ -611,7 +367,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		tj.Walk(func(*obs.SpanJSON) { row.Spans++ })
 		out = append(out, row)
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -627,7 +383,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	queued, running := s.Counts()
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"queued":  queued,
 		"running": running,

@@ -283,6 +283,14 @@ func TestHTTPRejections(t *testing.T) {
 	}
 }
 
+// batchItemJSON decodes one /solve/batch entry with its job snapshot.
+type batchItemJSON struct {
+	Index int      `json:"index"`
+	Job   *jobJSON `json:"job,omitempty"`
+	Error string   `json:"error,omitempty"`
+	Code  int      `json:"code,omitempty"`
+}
+
 func postBatch(t *testing.T, ts *httptest.Server, query, body string) (int, []batchItemJSON) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/solve/batch?"+query, "text/plain", strings.NewReader(body))
@@ -379,5 +387,11 @@ func TestHTTPSolveBatchShuttingDown(t *testing.T) {
 	code, _ := postBatch(t, ts, "engine=cdcl", paperSATDIMACS+paperUNSATDIMACS)
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("batch after shutdown: HTTP %d, want 503", code)
+	}
+	// A malformed instance ahead of a refused one: nothing was admitted
+	// and a retry may admit the second, so the batch still answers 503.
+	code, _ = postBatch(t, ts, "engine=cdcl", "p cnf 2 1\n1 banana 0\n"+paperSATDIMACS)
+	if code != http.StatusServiceUnavailable {
+		t.Errorf("malformed + refused batch after shutdown: HTTP %d, want 503", code)
 	}
 }

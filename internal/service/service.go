@@ -48,6 +48,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/cnf"
 	"repro/internal/enginepool"
 	"repro/internal/obs"
@@ -86,9 +87,6 @@ type Config struct {
 	// "pre(portfolio)": preprocess, decompose, race the lineup per
 	// component).
 	DefaultEngine string
-	// MaxJobs bounds the retained job table (default 65536). Oldest
-	// terminal jobs are evicted first; active jobs are never evicted.
-	MaxJobs int
 	// Store is an optional durable verdict tier under the LRU cache:
 	// definitive verdicts write through to it and survive restarts (see
 	// internal/verdictstore). The caller owns the store's lifecycle
@@ -110,10 +108,16 @@ type Config struct {
 	// flag): the trace of a slow solve is captured at the moment it
 	// matters instead of hoping the ring still holds it later.
 	TraceSlow time.Duration
-	// TraceRing caps the completed-trace ring behind
-	// GET /jobs/{id}/trace and /debug/traces (default 256).
-	TraceRing int
 }
+
+const (
+	// maxJobs bounds the retained job table. Oldest terminal jobs are
+	// evicted first; live jobs are never evicted.
+	maxJobs = 65536
+	// traceRing caps the completed-trace ring behind
+	// GET /jobs/{id}/trace and /debug/traces.
+	traceRing = 256
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -128,14 +132,8 @@ func (c Config) withDefaults() Config {
 	if c.DefaultEngine == "" {
 		c.DefaultEngine = "pre(portfolio)"
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 65536
-	}
 	if c.MaxCountVars == 0 {
 		c.MaxCountVars = 64
-	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = 256
 	}
 	return c
 }
@@ -201,6 +199,7 @@ type Server struct {
 	drainUntil time.Time // grace deadline once Shutdown begins (zero: none known)
 	jobs       map[string]*Job
 	jobOrder   []string // submission order, for listing and eviction
+	maxJobs    int      // retention bound: maxJobs, lowered only by tests
 	nextID     uint64
 	// pending is the backlog deque. A slice (not a channel) on purpose:
 	// cancelling a queued job removes it here immediately, so a
@@ -221,11 +220,12 @@ func NewServer(cfg Config) *Server {
 		cfg:        cfg,
 		cache:      newVerdictCache(cfg.CacheEntries, cfg.Store),
 		met:        newMetrics(),
-		traces:     obs.NewRing(cfg.TraceRing),
+		traces:     obs.NewRing(traceRing),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		accepting:  true,
 		jobs:       make(map[string]*Job),
+		maxJobs:    maxJobs,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
@@ -235,34 +235,12 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// SubmitOptions carries the per-job knobs of a submission.
-type SubmitOptions struct {
-	// Engine is a registry expression ("mc", "pre(portfolio)", ...);
-	// empty selects Config.DefaultEngine.
-	Engine string
-	// Timeout bounds the solve's wall clock (0 = none beyond server
-	// lifetime).
-	Timeout time.Duration
-	// Solver carries engine knobs (seed, budgets, theta, lineup, model
-	// recovery); zero values take registry defaults.
-	Solver solver.Config
-	// Task selects what the job computes; empty means decide. For
-	// TaskEquivalent the caller must already have lowered the request
-	// to a miter formula (the HTTP layer does this): the engine then
-	// decides the miter while the job remains labeled equivalent.
-	Task solver.Task
-	// TraceID adopts a propagated trace ID (the router's X-NBL-Trace
-	// header) instead of drawing a fresh one, so the router's spans
-	// and this replica's spans share one trace.
-	TraceID string
-}
-
 // Submit validates, consults the verdict cache, and either completes
 // the job immediately (cache hit) or enqueues it for the pool. The
 // returned Job is live: poll Snapshot, wait on Done(), cancel with
 // Cancel.
-func (s *Server) Submit(f *cnf.Formula, opts SubmitOptions) (*Job, error) {
-	task := opts.Task
+func (s *Server) Submit(f *cnf.Formula, req api.Request) (*Job, error) {
+	task := req.Task
 	if task == "" {
 		task = solver.TaskDecide
 	}
@@ -270,21 +248,21 @@ func (s *Server) Submit(f *cnf.Formula, opts SubmitOptions) (*Job, error) {
 		// The engine must count, so the task rides the solver config
 		// (pipeline dispatch, pool/cache identity); for equivalent the
 		// config stays decide — the formula is already the miter.
-		opts.Solver.Task = task
+		req.Solver.Task = task
 		if s.cfg.MaxCountVars >= 0 && f.NumVars > s.cfg.MaxCountVars {
 			return nil, fmt.Errorf(
 				"service: counting task %s rejected: %d variables exceeds the %d-variable counting bound (-max-count-vars)",
 				task, f.NumVars, s.cfg.MaxCountVars)
 		}
 	}
-	engine := opts.Engine
+	engine := req.Engine
 	if engine == "" {
 		engine = s.defaultEngine(task)
 	}
 	// Fail a bad engine expression, config, or engine/task mismatch at
 	// submit time, not on a worker: the submitter is still on the line
 	// to see the 400.
-	if _, err := solver.NewWith(engine, opts.Solver); err != nil {
+	if _, err := solver.NewWith(engine, req.Solver); err != nil {
 		return nil, err
 	}
 	if err := f.Validate(); err != nil {
@@ -299,9 +277,9 @@ func (s *Server) Submit(f *cnf.Formula, opts SubmitOptions) (*Job, error) {
 		submitted: now,
 		done:      make(chan struct{}),
 		f:         f,
-		cfg:       opts.Solver,
+		cfg:       req.Solver,
 	}
-	job.trace = obs.NewTrace(opts.TraceID)
+	job.trace = obs.NewTrace(req.TraceID)
 	job.root = job.trace.Root("job")
 	job.root.SetAttr("engine", engine)
 	job.root.SetAttr("task", string(task))
@@ -309,7 +287,7 @@ func (s *Server) Submit(f *cnf.Formula, opts SubmitOptions) (*Job, error) {
 	if s.cache.enabled() {
 		job.canon = cnf.Canonicalize(f)
 	}
-	if res, ok := s.cache.get(job.root, task, engine, opts.Solver.Key(), job.canon); ok {
+	if res, ok := s.cache.get(job.root, task, engine, req.Solver.Key(), job.canon); ok {
 		// Replay: the stored Result verbatim (stats, wall, engine), the
 		// model translated through this submission's renaming. The job
 		// is fully terminal *before* register publishes it — once it is
@@ -337,8 +315,8 @@ func (s *Server) Submit(f *cnf.Formula, opts SubmitOptions) (*Job, error) {
 
 	ctx := s.baseCtx
 	var cancel context.CancelFunc
-	if opts.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
+	if req.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
@@ -430,7 +408,7 @@ func (s *Server) register(job *Job) {
 	// scanned past: the table then exceeds the cap by at most the
 	// number of live jobs (bounded by Workers + QueueDepth), and
 	// eviction catches up as soon as the head finishes.
-	for len(s.jobs) > s.cfg.MaxJobs && len(s.jobOrder) > 0 {
+	for len(s.jobs) > s.maxJobs && len(s.jobOrder) > 0 {
 		head, ok := s.jobs[s.jobOrder[0]]
 		if !ok {
 			s.jobOrder = s.jobOrder[1:]
@@ -639,7 +617,7 @@ func (s *Server) RecentTraces(n int) []*obs.TraceJSON {
 
 // release drops the references a terminal job no longer needs. The
 // retention table is bounded in jobs, not bytes; without this a stream
-// of large submissions would pin up to MaxJobs parsed formulas.
+// of large submissions would pin up to maxJobs parsed formulas.
 func (j *Job) release() {
 	j.mu.Lock()
 	j.f = nil

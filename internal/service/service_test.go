@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/cnf"
 	"repro/internal/solver"
 )
@@ -149,7 +150,7 @@ func TestCacheHitIsBitIdenticalWithoutResolving(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-echo"})
 	before := echoCalls.Load()
 
-	j1, err := s.Submit(testFormula(), SubmitOptions{})
+	j1, err := s.Submit(testFormula(), api.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestCacheHitIsBitIdenticalWithoutResolving(t *testing.T) {
 		t.Fatalf("first solve: %+v", first)
 	}
 
-	j2, err := s.Submit(testFormula(), SubmitOptions{})
+	j2, err := s.Submit(testFormula(), api.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +189,9 @@ func TestCacheHitAcrossRenaming(t *testing.T) {
 	f := cnf.FromClauses([]int{1, -2}, []int{3, -2}, []int{1, 3})
 	renamed := cnf.FromClauses([]int{3, -1}, []int{2, -1}, []int{3, 2})
 
-	j1, _ := s.Submit(f, SubmitOptions{})
+	j1, _ := s.Submit(f, api.Request{})
 	waitDone(t, j1)
-	j2, err := s.Submit(renamed, SubmitOptions{})
+	j2, err := s.Submit(renamed, api.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestModelRequestBypassesModellessCacheEntry(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-nomodel"})
 	f := testFormula()
 
-	j1, err := s.Submit(f, SubmitOptions{})
+	j1, err := s.Submit(f, api.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestModelRequestBypassesModellessCacheEntry(t *testing.T) {
 		t.Fatal("precondition: first solve should cache a model-less SAT")
 	}
 
-	j2, err := s.Submit(f, SubmitOptions{Solver: solver.Config{FindModel: true}})
+	j2, err := s.Submit(f, api.Request{Solver: solver.Config{FindModel: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestModelRequestBypassesModellessCacheEntry(t *testing.T) {
 
 	// The model-ful run has its own entry: a third model=1 submit now
 	// hits, model included.
-	j3, err := s.Submit(f, SubmitOptions{Solver: solver.Config{FindModel: true}})
+	j3, err := s.Submit(f, api.Request{Solver: solver.Config{FindModel: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestUnknownIsNeverCached(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-unknown"})
 	before := unknownCalls.Load()
 	for i := 0; i < 3; i++ {
-		j, err := s.Submit(testFormula(), SubmitOptions{})
+		j, err := s.Submit(testFormula(), api.Request{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +285,7 @@ func TestConcurrentSubmitsBoundedByPoolSize(t *testing.T) {
 	for i := 0; i < jobs; i++ {
 		seed := uint64(1000 + i)
 		ctls = append(ctls, newGate(seed))
-		if _, err := s.Submit(distinctFormula(i), SubmitOptions{Solver: solver.Config{Seed: seed}}); err != nil {
+		if _, err := s.Submit(distinctFormula(i), api.Request{Solver: solver.Config{Seed: seed}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,7 +331,7 @@ func TestCancelMidJobPropagatesAndFreesWorker(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-gate", CacheEntries: -1})
 	seed := uint64(2000)
 	g := newGate(seed)
-	j, err := s.Submit(distinctFormula(0), SubmitOptions{Solver: solver.Config{Seed: seed}})
+	j, err := s.Submit(distinctFormula(0), api.Request{Solver: solver.Config{Seed: seed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestCancelMidJobPropagatesAndFreesWorker(t *testing.T) {
 	seed2 := uint64(2001)
 	g2 := newGate(seed2)
 	close(g2.release)
-	j2, err := s.Submit(distinctFormula(1), SubmitOptions{Solver: solver.Config{Seed: seed2}})
+	j2, err := s.Submit(distinctFormula(1), api.Request{Solver: solver.Config{Seed: seed2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-gate", CacheEntries: -1})
 	seed := uint64(2100)
 	g := newGate(seed)
-	blocker, err := s.Submit(distinctFormula(0), SubmitOptions{Solver: solver.Config{Seed: seed}})
+	blocker, err := s.Submit(distinctFormula(0), api.Request{Solver: solver.Config{Seed: seed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestCancelQueuedJob(t *testing.T) {
 
 	seed2 := uint64(2101)
 	newGate(seed2) // never released: must never be needed
-	queued, err := s.Submit(distinctFormula(1), SubmitOptions{Solver: solver.Config{Seed: seed2}})
+	queued, err := s.Submit(distinctFormula(1), api.Request{Solver: solver.Config{Seed: seed2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	s := NewServer(Config{Workers: 2, DefaultEngine: "svc-echo", CacheEntries: -1})
 	var jobs []*Job
 	for i := 0; i < 8; i++ {
-		j, err := s.Submit(distinctFormula(i), SubmitOptions{})
+		j, err := s.Submit(distinctFormula(i), api.Request{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +419,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		}
 	}
 	// Post-shutdown submits are rejected.
-	if _, err := s.Submit(testFormula(), SubmitOptions{}); !errors.Is(err, ErrShuttingDown) {
+	if _, err := s.Submit(testFormula(), api.Request{}); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("submit after shutdown: %v", err)
 	}
 }
@@ -429,7 +430,7 @@ func TestShutdownGraceExpiryCancelsStragglers(t *testing.T) {
 	s := NewServer(Config{Workers: 1, DefaultEngine: "svc-gate", CacheEntries: -1})
 	seed := uint64(2200)
 	g := newGate(seed)
-	j, err := s.Submit(distinctFormula(0), SubmitOptions{Solver: solver.Config{Seed: seed}})
+	j, err := s.Submit(distinctFormula(0), api.Request{Solver: solver.Config{Seed: seed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,18 +450,18 @@ func TestQueueFullRejects(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, DefaultEngine: "svc-gate", CacheEntries: -1})
 	seed := uint64(2300)
 	g := newGate(seed)
-	if _, err := s.Submit(distinctFormula(0), SubmitOptions{Solver: solver.Config{Seed: seed}}); err != nil {
+	if _, err := s.Submit(distinctFormula(0), api.Request{Solver: solver.Config{Seed: seed}}); err != nil {
 		t.Fatal(err)
 	}
 	<-g.started
 	seed2 := uint64(2301)
 	newGate(seed2)
-	if _, err := s.Submit(distinctFormula(1), SubmitOptions{Solver: solver.Config{Seed: seed2}}); err != nil {
+	if _, err := s.Submit(distinctFormula(1), api.Request{Solver: solver.Config{Seed: seed2}}); err != nil {
 		t.Fatal(err) // fills the queue
 	}
 	seed3 := uint64(2302)
 	newGate(seed3)
-	if _, err := s.Submit(distinctFormula(2), SubmitOptions{Solver: solver.Config{Seed: seed3}}); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit(distinctFormula(2), api.Request{Solver: solver.Config{Seed: seed3}}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("expected ErrQueueFull, got %v", err)
 	}
 	gateMu.Lock()
@@ -476,7 +477,7 @@ func TestCancelledQueuedJobsFreeBacklogSlots(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2, DefaultEngine: "svc-gate", CacheEntries: -1})
 	blockSeed := uint64(2500)
 	g := newGate(blockSeed)
-	if _, err := s.Submit(distinctFormula(0), SubmitOptions{Solver: solver.Config{Seed: blockSeed}}); err != nil {
+	if _, err := s.Submit(distinctFormula(0), api.Request{Solver: solver.Config{Seed: blockSeed}}); err != nil {
 		t.Fatal(err)
 	}
 	<-g.started
@@ -486,7 +487,7 @@ func TestCancelledQueuedJobsFreeBacklogSlots(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		seed := uint64(2500 + i)
 		newGate(seed)
-		j, err := s.Submit(distinctFormula(i), SubmitOptions{Solver: solver.Config{Seed: seed}})
+		j, err := s.Submit(distinctFormula(i), api.Request{Solver: solver.Config{Seed: seed}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,7 +495,7 @@ func TestCancelledQueuedJobsFreeBacklogSlots(t *testing.T) {
 	}
 	seedFull := uint64(2510)
 	newGate(seedFull)
-	if _, err := s.Submit(distinctFormula(9), SubmitOptions{Solver: solver.Config{Seed: seedFull}}); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit(distinctFormula(9), api.Request{Solver: solver.Config{Seed: seedFull}}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("backlog should be full: %v", err)
 	}
 	for _, j := range queued {
@@ -509,7 +510,7 @@ func TestCancelledQueuedJobsFreeBacklogSlots(t *testing.T) {
 	// The slots are free again while the worker is still busy.
 	seed2 := uint64(2511)
 	g2 := newGate(seed2)
-	j, err := s.Submit(distinctFormula(3), SubmitOptions{Solver: solver.Config{Seed: seed2}})
+	j, err := s.Submit(distinctFormula(3), api.Request{Solver: solver.Config{Seed: seed2}})
 	if err != nil {
 		t.Fatalf("cancelled jobs should have freed their slots: %v", err)
 	}
@@ -525,13 +526,13 @@ func TestCancelledQueuedJobsFreeBacklogSlots(t *testing.T) {
 // never double-close its done channel).
 func TestCancelOnCacheHitJobIsSafe(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-echo"})
-	j1, err := s.Submit(testFormula(), SubmitOptions{})
+	j1, err := s.Submit(testFormula(), api.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j1)
 	for i := 0; i < 3; i++ {
-		hit, err := s.Submit(testFormula(), SubmitOptions{})
+		hit, err := s.Submit(testFormula(), api.Request{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,14 +547,14 @@ func TestCancelOnCacheHitJobIsSafe(t *testing.T) {
 
 func TestSubmitRejectsBadEngineAndFormula(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-echo"})
-	if _, err := s.Submit(testFormula(), SubmitOptions{Engine: "no-such-engine"}); err == nil {
+	if _, err := s.Submit(testFormula(), api.Request{Engine: "no-such-engine"}); err == nil {
 		t.Fatal("unknown engine must fail at submit")
 	}
-	if _, err := s.Submit(testFormula(), SubmitOptions{Engine: "pre("}); err == nil {
+	if _, err := s.Submit(testFormula(), api.Request{Engine: "pre("}); err == nil {
 		t.Fatal("malformed meta expression must fail at submit")
 	}
 	bad := &cnf.Formula{NumVars: 1, Clauses: []cnf.Clause{{cnf.Pos(9)}}}
-	if _, err := s.Submit(bad, SubmitOptions{}); err == nil ||
+	if _, err := s.Submit(bad, api.Request{}); err == nil ||
 		!strings.Contains(err.Error(), "references variable") {
 		t.Fatalf("invalid formula must fail at submit: %v", err)
 	}
@@ -567,14 +568,14 @@ func TestQueuedJobTimeoutReapsWithoutWorker(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-gate", CacheEntries: -1})
 	blockSeed := uint64(2600)
 	g := newGate(blockSeed)
-	if _, err := s.Submit(distinctFormula(0), SubmitOptions{Solver: solver.Config{Seed: blockSeed}}); err != nil {
+	if _, err := s.Submit(distinctFormula(0), api.Request{Solver: solver.Config{Seed: blockSeed}}); err != nil {
 		t.Fatal(err)
 	}
 	<-g.started // the lone worker is parked for the whole test
 
 	seed := uint64(2601)
 	newGate(seed) // never released, never started
-	j, err := s.Submit(distinctFormula(1), SubmitOptions{
+	j, err := s.Submit(distinctFormula(1), api.Request{
 		Timeout: 100 * time.Millisecond,
 		Solver:  solver.Config{Seed: seed},
 	})
@@ -596,7 +597,7 @@ func TestPerJobTimeout(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-gate", CacheEntries: -1})
 	seed := uint64(2400)
 	newGate(seed) // never released; only the deadline can end it
-	j, err := s.Submit(distinctFormula(0), SubmitOptions{
+	j, err := s.Submit(distinctFormula(0), api.Request{
 		Timeout: 150 * time.Millisecond,
 		Solver:  solver.Config{Seed: seed},
 	})
@@ -606,5 +607,52 @@ func TestPerJobTimeout(t *testing.T) {
 	snap := waitDone(t, j)
 	if snap.State != StateCancelled || !errors.Is(snap.Err, context.DeadlineExceeded) {
 		t.Fatalf("timeout job: state=%v err=%v", snap.State, snap.Err)
+	}
+}
+
+// TestJobTableRetention pins the retention bound: a live job at the
+// head of the table pauses eviction, and once it finishes the oldest
+// terminal jobs go first.
+func TestJobTableRetention(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2, CacheEntries: -1})
+	s.mu.Lock()
+	s.maxJobs = 3
+	s.mu.Unlock()
+	ids := func() []string {
+		var out []string
+		for _, j := range s.Jobs() {
+			out = append(out, j.ID)
+		}
+		return out
+	}
+
+	seed := uint64(2700)
+	g := newGate(seed)
+	head, err := s.Submit(distinctFormula(0), api.Request{Engine: "svc-gate", Solver: solver.Config{Seed: seed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-g.started
+	for i := 1; i <= 3; i++ {
+		j, err := s.Submit(distinctFormula(i), api.Request{Engine: "svc-echo"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+	}
+	if got := ids(); !reflect.DeepEqual(got, []string{"j1", "j2", "j3", "j4"}) {
+		t.Fatalf("with a live head the table holds %v, want every job", got)
+	}
+
+	close(g.release)
+	waitDone(t, head)
+	if _, err := s.Submit(distinctFormula(4), api.Request{Engine: "svc-echo"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(); !reflect.DeepEqual(got, []string{"j3", "j4", "j5"}) {
+		t.Fatalf("after the head finished the table holds %v, want the newest 3", got)
+	}
+	if _, err := s.Job("j1"); !errors.Is(err, ErrNoSuchJob) {
+		t.Fatalf("evicted job lookup: %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/cnf"
 	"repro/internal/solver"
 	"repro/internal/verdictstore"
@@ -36,7 +37,7 @@ func TestStoreTierSurvivesRestart(t *testing.T) {
 
 	s1 := newTestServer(t, Config{Workers: 1, Store: vs1})
 	before := echoCalls.Load()
-	job, err := s1.Submit(testFormula(), SubmitOptions{Engine: "svc-echo"})
+	job, err := s1.Submit(testFormula(), api.Request{Engine: "svc-echo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestStoreTierSurvivesRestart(t *testing.T) {
 		t.Fatalf("store reloaded %d verdicts, want 1", vs2.Len())
 	}
 	s2 := newTestServer(t, Config{Workers: 1, Store: vs2})
-	job2, err := s2.Submit(testFormula(), SubmitOptions{Engine: "svc-echo"})
+	job2, err := s2.Submit(testFormula(), api.Request{Engine: "svc-echo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestStoreHitsAcrossRenaming(t *testing.T) {
 	// CacheEntries < 0 disables the LRU: every hit below is forced
 	// through the durable tier (store-only mode).
 	f := testFormula() // clauses over x1..x3
-	job, err := s.Submit(f, SubmitOptions{Engine: "svc-echo"})
+	job, err := s.Submit(f, api.Request{Engine: "svc-echo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestStoreHitsAcrossRenaming(t *testing.T) {
 
 	// The twin renames x1->x3, x2->x1, x3->x2.
 	twin := cnf.FromClauses([]int{3, 1}, []int{1, 2}, []int{2})
-	job2, err := s.Submit(twin, SubmitOptions{Engine: "svc-echo"})
+	job2, err := s.Submit(twin, api.Request{Engine: "svc-echo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestStoreNeverAdmitsUnknown(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.nbl")
 	vs := openStore(t, path)
 	s := newTestServer(t, Config{Workers: 1, Store: vs})
-	job, err := s.Submit(testFormula(), SubmitOptions{Engine: "svc-unknown"})
+	job, err := s.Submit(testFormula(), api.Request{Engine: "svc-unknown"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestDrain503CarriesRetryAfter(t *testing.T) {
 	// Park a job on the single worker so Shutdown has something to
 	// drain and stays in the draining state.
 	g := newGate(4242)
-	job, err := s.Submit(testFormula(), SubmitOptions{
+	job, err := s.Submit(testFormula(), api.Request{
 		Engine: "svc-gate", Solver: solver.Config{Seed: 4242},
 	})
 	if err != nil {
@@ -234,7 +235,7 @@ func TestStoreMetricsFamilies(t *testing.T) {
 	vs := openStore(t, path)
 	s, ts := newHTTPServer(t, Config{Workers: 1, Store: vs})
 
-	job, err := s.Submit(testFormula(), SubmitOptions{Engine: "svc-echo"})
+	job, err := s.Submit(testFormula(), api.Request{Engine: "svc-echo"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/cnf"
 	"repro/internal/solver"
 )
@@ -27,13 +28,13 @@ func postRaw(t *testing.T, ts *httptest.Server, path, body string) (int, string)
 func TestCountingBoundRejects(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, MaxCountVars: 4})
 	f := cnf.FromClauses([]int{1, 2, 3, 4, 5})
-	_, err := s.Submit(f, SubmitOptions{Engine: "count", Task: solver.TaskCount})
+	_, err := s.Submit(f, api.Request{Engine: "count", Task: solver.TaskCount})
 	if err == nil || !strings.Contains(err.Error(), "counting bound") {
 		t.Errorf("over-bound count accepted: %v", err)
 	}
 	// The same instance is fine as a decide job — the bound only guards
 	// the exponential enumeration.
-	j, err := s.Submit(f, SubmitOptions{Engine: "count"})
+	j, err := s.Submit(f, api.Request{Engine: "count"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestCountingBoundRejects(t *testing.T) {
 
 	// A negative bound disables the check.
 	s2 := newTestServer(t, Config{Workers: 1, MaxCountVars: -1})
-	j2, err := s2.Submit(f, SubmitOptions{Engine: "count", Task: solver.TaskCount})
+	j2, err := s2.Submit(f, api.Request{Engine: "count", Task: solver.TaskCount})
 	if err != nil {
 		t.Fatalf("unbounded server rejected a 5-var count: %v", err)
 	}
@@ -63,7 +64,7 @@ func TestCountingBoundRejectsOverHTTP(t *testing.T) {
 
 func TestSubmitRejectsEngineTaskMismatch(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	_, err := s.Submit(testFormula(), SubmitOptions{Engine: "cdcl", Task: solver.TaskCount})
+	_, err := s.Submit(testFormula(), api.Request{Engine: "cdcl", Task: solver.TaskCount})
 	if err == nil || !strings.Contains(err.Error(), "does not support task") {
 		t.Errorf("decide-only engine accepted task=count: %v", err)
 	}
@@ -170,7 +171,7 @@ func TestCountCacheHitAcrossRenaming(t *testing.T) {
 	f := cnf.FromClauses([]int{1, -2}, []int{3, -2}, []int{1, 3})
 	renamed := cnf.FromClauses([]int{3, -1}, []int{2, -1}, []int{3, 2})
 
-	j1, err := s.Submit(f, SubmitOptions{Engine: "count", Task: solver.TaskCount})
+	j1, err := s.Submit(f, api.Request{Engine: "count", Task: solver.TaskCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestCountCacheHitAcrossRenaming(t *testing.T) {
 	if snap1.Result.Count == nil || snap1.Result.Count.String() != "4" {
 		t.Fatalf("count(f) = %v, want 4", snap1.Result.Count)
 	}
-	j2, err := s.Submit(renamed, SubmitOptions{Engine: "count", Task: solver.TaskCount})
+	j2, err := s.Submit(renamed, api.Request{Engine: "count", Task: solver.TaskCount})
 	if err != nil {
 		t.Fatal(err)
 	}

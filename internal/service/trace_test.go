@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/cnf"
 	"repro/internal/obs"
 	"repro/internal/solver"
@@ -38,7 +39,7 @@ func hardFormula() *cnf.Formula {
 // trajectory (the "why is this UNKNOWN" evidence).
 func TestTraceTreeForSolvedJob(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "pre(mc)"})
-	j, err := s.Submit(hardFormula(), SubmitOptions{
+	j, err := s.Submit(hardFormula(), api.Request{
 		Solver: solver.Config{MaxSamples: 50_000},
 	})
 	if err != nil {
@@ -110,12 +111,12 @@ func TestTraceTreeForSolvedJob(t *testing.T) {
 // /debug/traces' backing store lists both traces newest-first.
 func TestTraceCacheHit(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-echo"})
-	j1, err := s.Submit(testFormula(), SubmitOptions{})
+	j1, err := s.Submit(testFormula(), api.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j1)
-	j2, err := s.Submit(testFormula(), SubmitOptions{})
+	j2, err := s.Submit(testFormula(), api.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestTraceCacheHit(t *testing.T) {
 // yields one trace ID across both processes.
 func TestTraceSharesSubmittedTraceID(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-echo"})
-	j, err := s.Submit(testFormula(), SubmitOptions{TraceID: "feedface01020304"})
+	j, err := s.Submit(testFormula(), api.Request{TraceID: "feedface01020304"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/big"
 	"sort"
 	"strconv"
@@ -76,6 +77,18 @@ func ParseTask(s string) (Task, error) {
 
 // Counting reports whether the task produces a model count.
 func (t Task) Counting() bool { return t == TaskCount || t == TaskWeightedCount }
+
+// ParseMembers splits a comma-separated portfolio lineup from an
+// untrusted surface (HTTP query, CLI flag), dropping blank entries.
+func ParseMembers(list string) []string {
+	var out []string
+	for _, m := range strings.Split(list, ",") {
+		if m = strings.TrimSpace(m); m != "" {
+			out = append(out, m)
+		}
+	}
+	return out
+}
 
 // Status is the three-valued verdict of a solve.
 type Status int8
@@ -391,20 +404,22 @@ func (fn Func) Solve(ctx context.Context, f *cnf.Formula) (Result, error) {
 
 // Config carries every knob an engine may consult. Engines read the
 // fields they understand and ignore the rest, so one Config can
-// configure a whole portfolio.
+// configure a whole portfolio. Validate holds the bounds of every
+// knob, and NewWith refuses a Config outside them.
 type Config struct {
 	// Seed seeds stochastic engines. Default 1.
 	Seed uint64
-	// MaxSamples is the sample/step budget of the NBL engines. Zero (or
-	// negative) selects the registry default of 4,000,000 — applied
-	// uniformly to every engine so portfolio members race on equal
-	// budgets; construct an engine via its own package to get its
-	// package-level default instead.
+	// MaxSamples is the sample/step budget of the NBL engines. Zero
+	// selects the registry default of 4,000,000 — applied uniformly to
+	// every engine so portfolio members race on equal budgets; construct
+	// an engine via its own package to get its package-level default
+	// instead.
 	MaxSamples int64
 	// Theta is the SAT decision threshold in standard errors for the
 	// statistical engines. 0 selects the default (4).
 	Theta float64
-	// Workers is the Monte-Carlo engine's sampling parallelism.
+	// Workers is the Monte-Carlo engine's sampling parallelism, at most
+	// MaxWorkers.
 	Workers int
 	// Family selects the mc noise family: "half", "unit", "gauss", "rtw".
 	// Default "unit".
@@ -434,6 +449,43 @@ type Config struct {
 	// reads its task to pick count-safe preprocessing), so the task
 	// must separate pool and cache identities, which Key() guarantees.
 	Task Task
+}
+
+// MaxWorkers caps Config.Workers: the sampling goroutines one solve
+// may start.
+const MaxWorkers = 64
+
+// Validate reports the first knob outside its bounds, by its HTTP
+// query name (nblsat's flags share those names). Counts and budgets
+// must be non-negative, theta and noise finite and non-negative, and
+// workers at most MaxWorkers (a negative count would reach make() in
+// the sampler). The float bounds guard verdicts, not just resources: a
+// NaN theta fails every SAT comparison, so each check would end in a
+// definitive UNSAT, and a negative one certifies SAT on noise alone.
+func (c Config) Validate() error {
+	for _, k := range []struct {
+		name string
+		v    int64
+	}{
+		{"samples", c.MaxSamples}, {"workers", int64(c.Workers)}, {"flips", int64(c.MaxFlips)},
+		{"restarts", int64(c.Restarts)}, {"candidates", int64(c.Candidates)},
+	} {
+		if k.v < 0 {
+			return fmt.Errorf("solver: bad %s %d: must be >= 0", k.name, k.v)
+		}
+	}
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{{"theta", c.Theta}, {"noise", c.NoiseP}} {
+		if math.IsNaN(k.v) || math.IsInf(k.v, 0) || k.v < 0 {
+			return fmt.Errorf("solver: bad %s %v: must be finite and >= 0", k.name, k.v)
+		}
+	}
+	if c.Workers > MaxWorkers {
+		return fmt.Errorf("solver: bad workers %d: the cap is %d", c.Workers, MaxWorkers)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -914,8 +966,12 @@ func New(name string, opts ...Option) (Solver, error) {
 // propagate one shared Config to every member. Besides plain registry
 // names it accepts meta-engine expressions of the form "meta(inner)"
 // (e.g. "pre(mc)"): the meta factory registered for "meta" wraps the
-// engine built from the inner expression.
+// engine built from the inner expression. A Config that fails Validate
+// is refused before any engine is built.
 func NewWith(name string, cfg Config) (Solver, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if err := checkTask(name, cfg.Task); err != nil {
 		return nil, err

@@ -1,0 +1,45 @@
+package repro
+
+import (
+	"context"
+	"math"
+	"strings"
+	"testing"
+)
+
+// TestNewWithRefusesOutOfRangeKnobs pins the knob bounds every surface
+// shares. solver.Config.Validate writes them once and NewWith applies
+// them, so the CLI, this library, nblserve and every pool, portfolio
+// and pipeline construction refuse the same values. A NaN theta fails
+// every SAT comparison (a definitive UNSAT for a satisfiable formula),
+// and a negative one certifies SAT on noise.
+func TestNewWithRefusesOutOfRangeKnobs(t *testing.T) {
+	rows := []struct {
+		knob string
+		cfg  Config
+	}{
+		{"theta", Config{Theta: math.NaN()}},
+		{"theta", Config{Theta: math.Inf(1)}},
+		{"theta", Config{Theta: -2}},
+		{"workers", Config{Workers: -1}},
+		{"workers", Config{Workers: 65}},
+		{"samples", Config{MaxSamples: -1}},
+		{"noise", Config{NoiseP: math.NaN()}},
+	}
+	for _, engine := range []string{"mc", "rtw", "portfolio", "pre(mc)"} {
+		for _, row := range rows {
+			if _, err := NewWith(engine, row.cfg); err == nil || !strings.Contains(err.Error(), row.knob) {
+				t.Errorf("%s with %+v: err = %v, want a refusal naming %s", engine, row.cfg, err, row.knob)
+			}
+		}
+		// The edges of the bounds still construct.
+		if _, err := NewWith(engine, Config{Workers: 64, MaxSamples: 1}); err != nil {
+			t.Errorf("%s at the bounds: %v", engine, err)
+		}
+	}
+
+	res, err := Solve(context.Background(), "mc", PaperSAT(), WithTheta(math.NaN()))
+	if err == nil {
+		t.Fatalf("mc with theta NaN answered %v, want an error", res.Status)
+	}
+}
