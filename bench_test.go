@@ -62,15 +62,15 @@ func BenchmarkE3_SNRScaling(b *testing.B) {
 }
 
 // BenchmarkE4_Assignment runs Algorithm 2 end to end on Example 6 and
-// checks the linear bound of n+1 check operations.
+// checks the linear bound of at most n+1 check operations.
 func BenchmarkE4_Assignment(b *testing.B) {
 	linearHeld, verified := 0, 0
 	for i := 0; i < b.N; i++ {
-		a, checks, linear, err := exp.AssignDemo(gen.PaperExample6(), uint64(i+1), 400_000)
+		a, _, linear, err := exp.AssignDemo(gen.PaperExample6(), uint64(i+1), 400_000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if linear && checks == 3 {
+		if linear {
 			linearHeld++
 		}
 		if a.Satisfies(gen.PaperExample6()) {

@@ -37,6 +37,10 @@ func poolConformanceCases() []struct {
 		{"mc-sat", "mc", base, PaperSAT()},
 		{"mc-unsat", "mc", base, PaperUNSAT()},
 		{"mc-model", "mc", model, PaperSAT()},
+		// Binding x1 = 1 leaves the residual (x2+!x3): a sampled
+		// reduced check on a scratch bank.
+		{"mc-model-residual", "mc", model,
+			FromClauses([]int{1, 2, 3}, []int{-1, 2, -3}, []int{1, -2, 3})},
 		{"rtw-sat", "rtw", base, PaperSAT()},
 		{"rtw-ex6", "rtw", base, PaperExample6()},
 		{"sbl-ex6", "sbl", base, PaperExample6()},

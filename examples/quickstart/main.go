@@ -24,7 +24,9 @@ func main() {
 	// The Monte-Carlo NBL engine simulates 2·n·m independent noise
 	// sources and estimates the mean of S_N = tau_N · Sigma_N
 	// (Algorithm 1); WithModel additionally recovers a satisfying
-	// assignment with n more reduced checks (Algorithm 2).
+	// assignment with at most n more reduced checks (Algorithm 2), each
+	// sampling only what unit propagation leaves open. Here binding
+	// x1 = 1 forces x2 = 0, so no reduced check is sampled.
 	mc, err := repro.New("mc",
 		repro.WithSeed(42),
 		repro.WithMaxSamples(1_000_000),

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cnf"
+	"repro/internal/simplify"
 )
 
 // ErrUnsat is returned by Assign and Cube when the initial check deems
@@ -13,8 +15,9 @@ import (
 var ErrUnsat = errors.New("core: instance is unsatisfiable")
 
 // ErrInconsistent is returned when the Monte-Carlo checks of Algorithm 2
-// contradict each other (both polarities of some variable test
-// unsatisfiable). It indicates an insufficient sample budget for the
+// contradict each other or unit propagation (both polarities of some
+// variable test unsatisfiable, or propagation refutes a formula the
+// first check found satisfiable). It indicates an insufficient sample budget for the
 // instance's SNR, not a logic error; raising MaxSamples or Theta
 // resolves it.
 var ErrInconsistent = errors.New("core: inconsistent reduced checks (raise sample budget)")
@@ -23,9 +26,10 @@ var ErrInconsistent = errors.New("core: inconsistent reduced checks (raise sampl
 type AssignResult struct {
 	// Assignment is the recovered satisfying assignment.
 	Assignment cnf.Assignment
-	// Checks holds the per-iteration check results: Checks[0] is the
-	// initial Algorithm-1 check, followed by one (Assign) or up to two
-	// (Cube) reduced checks per variable.
+	// Checks holds the sampled check results: Checks[0] is the initial
+	// Algorithm-1 check, followed by one entry per sampled reduced check
+	// (Assign: at most n, so at most n+1 in all) and then two per
+	// variable (Cube).
 	Checks []Result
 	// Verified reports whether Assignment was confirmed against the
 	// formula by direct evaluation.
@@ -33,21 +37,37 @@ type AssignResult struct {
 }
 
 // Assign implements Algorithm 2: it first runs the Algorithm-1 check,
-// then recovers a satisfying assignment with n reduced checks, binding
-// each variable in turn. The total number of NBL-SAT check operations is
-// n+1, matching the paper's linear bound.
+// then recovers a satisfying assignment by binding each variable in
+// turn, with at most n reduced checks: at most n+1 NBL-SAT check
+// operations in all, the paper's linear bound.
 //
 // Each reduced check asks "does a solution exist in the x_i subspace?"
-// by binding x_i to 1 in tau_N. If the reduced check is satisfiable the
-// binding is kept; otherwise x_i must be 0 (the instance being known
-// satisfiable, per the paper's argument in Section III-E).
+// with x_i bound to 1. If it is satisfiable the binding is kept;
+// otherwise x_i must be 0 (the instance being known satisfiable, per
+// the paper's argument in Section III-E). The question is put to the
+// formula conditioned by the bindings so far and closed under unit
+// propagation (simplify.Condition), and only what propagation leaves
+// open is sampled:
+//
+//   - a variable that propagation forces (the formula's own unit
+//     clauses included) takes its forced value, and one that no longer
+//     occurs is free and takes 1, both without a check;
+//   - a binding x_i = 1 that propagation refutes fixes x_i = 0, and one
+//     that leaves no clause ends the loop satisfiable;
+//   - any other binding samples the compacted residual, whose n'·m' is
+//     below the n·m of the full hyperspace, under the next check seed
+//     of the engine's sequence.
+//
+// Whenever the sampled checks answer correctly, the recovered model is
+// the one ExactAssign returns. A binding x_i = 0 that propagation
+// refutes after x_i = 1 tested unsatisfiable means some sampled check
+// was wrong: Assign then returns ErrInconsistent at once.
 func (e *Engine) Assign() (AssignResult, error) {
 	return e.AssignCtx(context.Background())
 }
 
-// AssignCtx is Assign with cancellation: every reduced check polls ctx,
-// so the n+1-check loop aborts with ctx.Err() as soon as the context
-// ends.
+// AssignCtx is Assign with cancellation: every sampled check polls ctx,
+// so the loop aborts with ctx.Err() as soon as the context ends.
 func (e *Engine) AssignCtx(ctx context.Context) (AssignResult, error) {
 	var out AssignResult
 	first, err := e.CheckCtx(ctx)
@@ -59,25 +79,61 @@ func (e *Engine) AssignCtx(ctx context.Context) (AssignResult, error) {
 		return out, ErrUnsat
 	}
 
-	bound := cnf.NewAssignment(e.f.NumVars)
-	for v := 1; v <= e.f.NumVars; v++ {
-		bound.Set(cnf.Var(v), cnf.True)
-		r, err := e.CheckBoundCtx(ctx, bound)
-		out.Checks = append(out.Checks, r)
-		if err != nil {
-			return out, err
+	r := simplify.Condition(e.f, nil) // the formula's own unit clauses
+	if r.ProvedUnsat {
+		return out, fmt.Errorf("%w: unit propagation refutes the formula the first check found satisfiable",
+			ErrInconsistent)
+	}
+	for v := 1; v <= e.f.NumVars && r.F.NumClauses() > 0; v++ {
+		x := cnf.Var(v)
+		if r.Forced.Get(x) != cnf.Unassigned || !slices.Contains(r.VarMap, x) {
+			continue // forced, or free
 		}
-		if !r.Satisfiable {
-			bound.Set(cnf.Var(v), cnf.False)
+		bound := r.Forced.Clone()
+		bound.Set(x, cnf.True)
+		t := simplify.Condition(e.f, bound)
+		refuted := t.ProvedUnsat
+		if !refuted && t.F.NumClauses() > 0 {
+			c, err := e.checkResidual(ctx, t.F)
+			out.Checks = append(out.Checks, c)
+			if err != nil {
+				return out, err
+			}
+			refuted = !c.Satisfiable
+		}
+		if refuted {
+			bound.Set(x, cnf.False)
+			if t = simplify.Condition(e.f, bound); t.ProvedUnsat {
+				return out, fmt.Errorf("%w: x%d tests unsatisfiable under both values", ErrInconsistent, v)
+			}
+		}
+		r = t
+	}
+
+	a := r.Forced
+	for v := 1; v < len(a); v++ {
+		if a[v] == cnf.Unassigned {
+			a[v] = cnf.True
 		}
 	}
-	out.Assignment = bound
-	out.Verified = bound.Satisfies(e.f)
+	out.Assignment = a
+	out.Verified = a.Satisfies(e.f)
 	if !out.Verified {
 		return out, fmt.Errorf("%w: recovered assignment %s does not satisfy the formula",
-			ErrInconsistent, bound)
+			ErrInconsistent, a)
 	}
 	return out, nil
+}
+
+// checkResidual runs Algorithm 1 on res, a residual of the engine's
+// formula, with the next check seed of the engine's sequence. res gets
+// a scratch engine of its own, so the per-worker banks built for the
+// engine's formula stay in place for its next check; Reset would
+// restart the sequence and replay the first check's streams.
+func (e *Engine) checkResidual(ctx context.Context, res *cnf.Formula) (Result, error) {
+	e.checkSeq++
+	sub := &Engine{f: res, opts: e.opts}
+	return sub.check(ctx, cnf.NewAssignment(res.NumVars), e.checkSeq)
 }
 
 // Cube implements the satisfying-cube variant sketched at the end of
@@ -90,7 +146,7 @@ func (e *Engine) AssignCtx(ctx context.Context) (AssignResult, error) {
 // filter, starting from the minterm recovered by Algorithm 2, and only
 // actually drop a candidate when three-valued evaluation confirms every
 // clause remains covered by the shrunken cube. The check count stays
-// linear: n+1 for Assign plus at most 2n candidate checks.
+// linear: at most n+1 for Assign plus at most 2n candidate checks.
 func (e *Engine) Cube() (AssignResult, error) {
 	out, err := e.Assign()
 	if err != nil {

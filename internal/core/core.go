@@ -207,8 +207,13 @@ func (e *Engine) CheckBoundCtx(ctx context.Context, bound cnf.Assignment) (Resul
 	}
 
 	e.checkSeq++
-	mean, stderr, samples, converged, err := e.sample(ctx, bound, e.checkSeq)
+	return e.check(ctx, bound, e.checkSeq)
+}
 
+// check samples the engine's formula under bound with the noise streams
+// of check seq and applies the Theta decision rule.
+func (e *Engine) check(ctx context.Context, bound cnf.Assignment, seq uint64) (Result, error) {
+	mean, stderr, samples, converged, err := e.sample(ctx, bound, seq)
 	z := 0.0
 	if stderr > 0 {
 		z = mean / stderr

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 
 	"repro/internal/cnf"
@@ -120,18 +121,62 @@ func TestCheckBoundReducedHyperspace(t *testing.T) {
 }
 
 func TestAssignPaperExample8(t *testing.T) {
-	// E4: Algorithm 2 on Example 6 must recover a satisfying assignment
-	// in n+1 = 3 checks.
-	e := mustEngine(t, gen.PaperExample6(), testOpts(7))
+	// E4: Algorithm 2 on Example 6 must recover ExactAssign's model in
+	// at most n+1 checks. Binding x1 = 1 forces x2 = 0 by unit
+	// propagation, which leaves no clause: the Algorithm-1 check is the
+	// only one sampled.
+	f := gen.PaperExample6()
+	e := mustEngine(t, f, testOpts(7))
 	res, err := e.Assign()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Verified || !res.Assignment.Satisfies(e.f) {
+	if !res.Verified || !res.Assignment.Satisfies(f) {
 		t.Fatalf("assignment %s does not satisfy", res.Assignment)
 	}
-	if len(res.Checks) != 3 {
-		t.Errorf("used %d checks, want n+1 = 3", len(res.Checks))
+	if len(res.Checks) > f.NumVars+1 {
+		t.Errorf("used %d checks, above n+1 = %d", len(res.Checks), f.NumVars+1)
+	}
+	if len(res.Checks) != 1 {
+		t.Errorf("used %d checks, want 1: propagation decides both bindings", len(res.Checks))
+	}
+	if want, _ := ExactAssign(f); !slices.Equal(res.Assignment, want) {
+		t.Errorf("model %s, ExactAssign's is %s", res.Assignment, want)
+	}
+}
+
+// residualFormula is (x1+x2+x3)(!x1+x2+!x3)(x1+!x2+x3): binding x1 = 1
+// leaves the residual (x2+!x3), which propagation cannot decide.
+func residualFormula() *cnf.Formula {
+	return cnf.FromClauses([]int{1, 2, 3}, []int{-1, 2, -3}, []int{1, -2, 3})
+}
+
+func TestAssignSamplesConditionedResidual(t *testing.T) {
+	f := residualFormula()
+	e := mustEngine(t, f, testOpts(21))
+	res, err := e.Assign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified || !res.Assignment.Satisfies(f) {
+		t.Fatalf("assignment %s does not satisfy", res.Assignment)
+	}
+	if len(res.Checks) < 2 || len(res.Checks) > f.NumVars+1 {
+		t.Fatalf("used %d checks, want a sampled reduced check and at most n+1 = %d",
+			len(res.Checks), f.NumVars+1)
+	}
+	if want, _ := ExactAssign(f); !slices.Equal(res.Assignment, want) {
+		t.Errorf("model %s, ExactAssign's is %s", res.Assignment, want)
+	}
+	// Each sampled check took the next seed of the engine's sequence,
+	// and the residuals were sampled on scratch banks: the engine's own
+	// bank still has the formula's geometry.
+	if e.checkSeq != uint64(len(res.Checks)) {
+		t.Errorf("check sequence at %d after %d checks", e.checkSeq, len(res.Checks))
+	}
+	if n, m := e.workers[0].bank.Dims(); n != f.NumVars || m != f.NumClauses() {
+		t.Errorf("engine bank is %dx%d after Assign, want the formula's %dx%d",
+			n, m, f.NumVars, f.NumClauses())
 	}
 }
 

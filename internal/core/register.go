@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 
 	"repro/internal/cnf"
 	"repro/internal/hyperspace"
@@ -112,6 +113,11 @@ func mcCheck(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span, fin
 		var res AssignResult
 		res, err = eng.AssignCtx(ctx)
 		out.Stats = assignStats(res)
+		if sp != nil {
+			// The sampled checks behind Stats.Samples: a trace then
+			// shows why a solve drew one budget's worth or several.
+			sp.SetAttr("checks", strconv.Itoa(len(res.Checks)))
+		}
 		switch {
 		case err == nil:
 			out.Status, out.Assignment = solver.StatusSat, res.Assignment

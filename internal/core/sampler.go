@@ -22,8 +22,8 @@ import (
 // workerState is one worker's persistent sampling machinery: a noise
 // bank, the evaluator wired to it, and the block sample buffer. It is
 // built once per (engine, worker) and re-seeded/re-bound for every
-// decision check instead of being reallocated — Algorithm 2 issues n+1
-// checks per solve and the hybrid brancher thousands, so rebuilding the
+// decision check instead of being reallocated — the hybrid brancher
+// issues thousands of checks per solve and Cube 2n, so rebuilding the
 // 2·n·m-source bank per check was pure overhead.
 type workerState struct {
 	bank *noise.Bank

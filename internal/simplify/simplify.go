@@ -107,6 +107,27 @@ func Simplify(f *cnf.Formula, opts Options) *Result {
 	return res
 }
 
+// Condition returns f under the partial assignment bound, closed under
+// unit propagation alone: Forced holds bound's values and every value
+// propagation derives from them and from f's own unit clauses, and F is
+// the residual over the variables still unassigned, compacted through
+// VarMap. ProvedUnsat reports that propagation refuted f under bound.
+// No other pass runs, so the models of f that agree with bound are
+// exactly Forced joined with a model of F (lifted through VarMap) and
+// any values for the variables in neither: those are free.
+func Condition(f *cnf.Formula, bound cnf.Assignment) *Result {
+	g := cnf.New(f.NumVars)
+	for v := 1; v <= f.NumVars; v++ {
+		if val := bound.Get(cnf.Var(v)); val != cnf.Unassigned {
+			g.Clauses = append(g.Clauses, cnf.Clause{cnf.NewLit(cnf.Var(v), val == cnf.False)})
+		}
+	}
+	g.Clauses = append(g.Clauses, f.Clauses...)
+	r := Simplify(g, Options{DisablePure: true, DisableSubsumption: true, DisableStrengthen: true, DisableBVE: true})
+	r.Stats.ClausesBefore = f.NumClauses()
+	return r
+}
+
 // reduce runs the passes over g to a fixpoint (or opts.MaxRounds),
 // recording into d, and returns the reduced clauses; they are
 // meaningless once d.ProvedUnsat is set.
