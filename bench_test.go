@@ -95,8 +95,8 @@ func BenchmarkE5_KScaling(b *testing.B) {
 }
 
 // BenchmarkE6_SourceFamilies is the source-family ablation: identical
-// decisions across U[-0.5,0.5], unit uniform, Gaussian, RTW, and the
-// integer-exact RTW engine.
+// decisions across U[-0.5,0.5], unit uniform, Gaussian, RTW and pulse
+// sources.
 func BenchmarkE6_SourceFamilies(b *testing.B) {
 	correct, total := 0, 0
 	for i := 0; i < b.N; i++ {

@@ -15,7 +15,7 @@
 // explicitly.
 //
 // Engines (see repro.Engines()): mc (Monte-Carlo NBL, default), exact
-// (infinite-sample NBL), rtw (integer-exact telegraph waves), sbl
+// (infinite-sample NBL), rtw (exact telegraph waves), sbl
 // (sinusoid carriers), analog (compiled block netlist), dpll, cdcl,
 // walksat, hybrid (NBL-guided DPLL), and portfolio (parallel race of
 // -members). Meta-engine expressions compose around any of them:

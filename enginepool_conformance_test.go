@@ -9,8 +9,10 @@ package repro
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/cnf"
 	"repro/internal/enginepool"
 	"repro/internal/solver"
 )
@@ -28,6 +30,15 @@ func poolConformanceCases() []struct {
 	base := solver.Config{Seed: 5, MaxSamples: 1_000_000}
 	model := base
 	model.FindModel = true
+	// 60 copies of (x1) need 61 bits, so rtw runs its big.Int kernel,
+	// which assembles nearly every sample of this formula: a smaller
+	// budget keeps the row fast.
+	wide := base
+	wide.MaxSamples = 100_000
+	x1 := NewFormula(1)
+	for range 60 {
+		x1.Add(1)
+	}
 	return []struct {
 		name   string
 		engine string
@@ -43,6 +54,7 @@ func poolConformanceCases() []struct {
 			FromClauses([]int{1, 2, 3}, []int{-1, 2, -3}, []int{1, -2, 3})},
 		{"rtw-sat", "rtw", base, PaperSAT()},
 		{"rtw-ex6", "rtw", base, PaperExample6()},
+		{"rtw-wide", "rtw", wide, x1},
 		{"sbl-ex6", "sbl", base, PaperExample6()},
 		{"pre-mc-sat", "pre(mc)", base, PaperSAT()},
 		{"pre-mc-disjoint", "pre(mc)", base,
@@ -83,6 +95,54 @@ func TestPoolWarmEqualsCold(t *testing.T) {
 				t.Error("model does not satisfy the instance")
 			}
 		})
+	}
+}
+
+// rtwBoundaryPair returns a random 3-SAT formula over (5, 8), whose |S_N| bound is
+// exactly the 53 bits rtw evaluates on mc's float sampler, and a copy
+// with its first clause widened to four literals: 54 bits at the same
+// (n, m), which rtw runs on its exact wide kernel.
+func rtwBoundaryPair() (narrow, wide *Formula) {
+	narrow = RandomKSAT(5, 5, 8, 3)
+	wide = narrow.Clone()
+	for v := cnf.Var(1); ; v++ {
+		if !slices.ContainsFunc(wide.Clauses[0], func(l Lit) bool { return l.Var() == v }) {
+			wide.Clauses[0] = append(wide.Clauses[0], cnf.Pos(v))
+			return narrow, wide
+		}
+	}
+}
+
+// TestPoolWarmCrossesRTWKernelBoundary leases one rtw engine through
+// formulas of one (n, m) that cross its kernel boundary both ways.
+// Every warm solve must equal a cold pool solve and a direct registry
+// construction.
+func TestPoolWarmCrossesRTWKernelBoundary(t *testing.T) {
+	narrow, wide := rtwBoundaryPair()
+	// 120,000 is not a whole number of mc's 50,000-sample rounds, so the
+	// sample count alone tells the kernels apart.
+	cfg := solver.Config{Seed: 5, MaxSamples: 120_000}
+	pool := enginepool.New(4)
+	for i, f := range []*Formula{narrow, wide, narrow, wide} {
+		lease, err := pool.Acquire("rtw", cfg, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && !lease.Warm() {
+			t.Fatalf("solve %d: lease came back cold at the same (n, m)", i)
+		}
+		warm, err := lease.Solve(context.Background())
+		lease.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := poolSolve(t, enginepool.New(4), "rtw", cfg, f)
+		direct := registrySolve(t, "rtw", cfg, f)
+		for _, got := range []Result{cold, direct} {
+			if got.Status != warm.Status || got.Stats != warm.Stats {
+				t.Errorf("solve %d: warm %v %+v vs %v %+v", i, warm.Status, warm.Stats, got.Status, got.Stats)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,6 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/noise"
 	"repro/internal/rng"
-	"repro/internal/rtw"
 	"repro/internal/sbl"
 )
 
@@ -85,12 +85,12 @@ func TestIntegrationStochasticEnginesOnDecisiveInstances(t *testing.T) {
 			t.Errorf("trial %d: MC = %v, oracle = %v\n%s", trial, got, oracle, f)
 		}
 
-		re, err := rtw.New(f, seed)
+		r, err := Solve(context.Background(), "rtw", f, WithSeed(seed), WithMaxSamples(600_000))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := re.Check(600_000, 4).Satisfiable; got != oracle {
-			t.Errorf("trial %d: RTW = %v, oracle = %v\n%s", trial, got, oracle, f)
+		if !r.Status.Definitive() || (r.Status == StatusSat) != oracle {
+			t.Errorf("trial %d: RTW = %v, oracle = %v\n%s", trial, r.Status, oracle, f)
 		}
 
 		se, err := sbl.New(f, sbl.Options{Alloc: sbl.Geometric4, MaxSamples: 1 << 21})
@@ -112,8 +112,9 @@ func TestIntegrationStochasticEnginesOnDecisiveInstances(t *testing.T) {
 }
 
 func TestIntegrationAssignmentPipelines(t *testing.T) {
-	// Algorithm 2 via three independent routes (core MC, RTW, exact) on
-	// the same planted instance; all must return verified models.
+	// Algorithm 2 via three independent routes (core MC over uniform and
+	// over RTW carriers, exact) on the same planted instance; all must
+	// return verified models.
 	g := rng.New(55)
 	f, _ := gen.PlantedKSAT(g, 3, 2, 2)
 
@@ -131,15 +132,17 @@ func TestIntegrationAssignmentPipelines(t *testing.T) {
 		t.Error("core MC assignment invalid")
 	}
 
-	re, err := rtw.New(f, 9)
+	re, err := core.NewEngine(f, core.Options{
+		Family: noise.RTW, Seed: 9, MaxSamples: 800_000,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := re.Assign(800_000, 4)
+	res2, err := re.Assign()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a2.Satisfies(f) {
+	if !res2.Assignment.Satisfies(f) {
 		t.Error("RTW assignment invalid")
 	}
 

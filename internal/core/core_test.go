@@ -106,17 +106,21 @@ func TestCheckBoundReducedHyperspace(t *testing.T) {
 	// Example 8's first iteration: bind x1=1 in Example 6. The reduced
 	// instance is still satisfiable (x1=1, x2=0 works).
 	f := gen.PaperExample6()
-	e := mustEngine(t, f, testOpts(6))
-	bound := cnf.NewAssignment(2)
-	bound.Set(1, cnf.True)
-	if r := e.CheckBound(bound); !r.Satisfiable {
-		t.Errorf("x1-subspace should be satisfiable: %v", r)
-	}
-	// Binding both variables to the falsifying assignment (1,1) must be
-	// unsatisfiable.
-	bound.Set(2, cnf.True)
-	if r := e.CheckBound(bound); r.Satisfiable {
-		t.Errorf("x1·x2 subspace should be unsatisfiable: %v", r)
+	for _, fam := range []noise.Family{noise.UniformUnit, noise.RTW} {
+		o := testOpts(6)
+		o.Family = fam
+		e := mustEngine(t, f, o)
+		bound := cnf.NewAssignment(2)
+		bound.Set(1, cnf.True)
+		if r := e.CheckBound(bound); !r.Satisfiable {
+			t.Errorf("%v: x1-subspace should be satisfiable: %v", fam, r)
+		}
+		// Binding both variables to the falsifying assignment (1,1) must
+		// be unsatisfiable.
+		bound.Set(2, cnf.True)
+		if r := e.CheckBound(bound); r.Satisfiable {
+			t.Errorf("%v: x1·x2 subspace should be unsatisfiable: %v", fam, r)
+		}
 	}
 }
 
@@ -208,6 +212,21 @@ func TestAssignRandomSatisfiableInstances(t *testing.T) {
 		if !res.Assignment.Satisfies(f) {
 			t.Fatalf("trial %d: bad assignment %s for %s", trial, res.Assignment, f)
 		}
+	}
+}
+
+// TestUnsatBudgetFollowsRequiredSamples pins the Section III-F reach
+// behind every sampling engine's UNSAT verdict: SNR 1 for one minterm
+// at n·m = 8 takes 9·4^8 + 1 = 589,825 samples.
+func TestUnsatBudgetFollowsRequiredSamples(t *testing.T) {
+	if got := RequiredSamples(2, 4, 1, 1); got != 589_825 {
+		t.Fatalf("RequiredSamples(2, 4, 1, 1) = %v, want 589825", got)
+	}
+	if UnsatBudgetAdequate(2, 4, 589_824) || !UnsatBudgetAdequate(2, 4, 589_825) {
+		t.Error("UnsatBudgetAdequate must flip exactly at RequiredSamples")
+	}
+	if UnsatBudgetAdequate(20, 91, math.MaxInt64) {
+		t.Error("uf20-91's reach overflows float64; no budget is adequate")
 	}
 }
 

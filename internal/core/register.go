@@ -39,7 +39,7 @@ func init() {
 				})
 			},
 			func(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span) (solver.Result, error) {
-				return mcCheck(ctx, eng, f, sp, cfg.FindModel)
+				return MCCheck(ctx, eng, f, sp, cfg.FindModel)
 			})
 	})
 	solver.Register("exact", func(cfg solver.Config) solver.Solver {
@@ -47,15 +47,24 @@ func init() {
 	})
 }
 
+// RequiredSamples returns the number of noise samples needed to reach
+// the Section III-F target SNR for an instance with K satisfying
+// minterms: N = (3·target·2^(nm)/K)^2 + 1. The result may be +Inf when
+// the budget exceeds float64 range, which is itself the scalability
+// experiment's conclusion.
+func RequiredSamples(n, m int, k, target float64) float64 {
+	r := 3 * target * math.Exp2(float64(n*m)) / k
+	return r*r + 1
+}
+
 // UnsatBudgetAdequate reports whether a sample budget gives the
 // Section III-F SNR >= 1 for distinguishing a single satisfying minterm
 // from none — the minimum statistical footing for an UNSAT claim by a
-// sampling engine. It mirrors snr.RequiredSamples(n, m, 1, 1), inlined
-// here because package snr depends on core. For n·m beyond ~30 the
-// requirement overflows any practical budget and this returns false,
-// which is exactly the honest answer.
+// sampling engine. For n·m beyond ~30 the requirement overflows any
+// practical budget and this returns false, which is exactly the honest
+// answer.
 func UnsatBudgetAdequate(n, m int, samples int64) bool {
-	return float64(samples) >= 1+9*math.Pow(4, float64(n*m))
+	return float64(samples) >= RequiredSamples(n, m, 1, 1)
 }
 
 // CheckStatus is the one verdict policy shared by every sampling engine
@@ -99,11 +108,13 @@ func ParseFamily(name string) (noise.Family, error) {
 	}
 }
 
-// mcCheck runs one mc solve on a warm engine: Algorithm 1, or
+// MCCheck runs one mc solve on a warm engine: Algorithm 1, or
 // Algorithm 2 under FindModel, with the shared SNR gate on UNSAT. On a
 // traced context the progress hook is wrapped so every merged
 // convergence round also lands on the check span's SNR trajectory.
-func mcCheck(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span, findModel bool) (solver.Result, error) {
+// rtw's registry entry calls it too, on every geometry its float64
+// sampler evaluates exactly.
+func MCCheck(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span, findModel bool) (solver.Result, error) {
 	if sp != nil {
 		ctx = withTrajectory(ctx, sp, eng.Options().Theta)
 	}

@@ -100,7 +100,7 @@ func TestKScalingTracksKPrime(t *testing.T) {
 
 func TestSourceFamiliesAblation(t *testing.T) {
 	rows := SourceFamilies(4, 400_000)
-	if len(rows) != 12 { // 5 families x 2 instances + rtw-int64 x 2
+	if len(rows) != 10 { // 5 families x 2 instances
 		t.Fatalf("rows = %d", len(rows))
 	}
 	zOnSAT := map[string]float64{}

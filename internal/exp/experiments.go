@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -16,9 +17,10 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/noise"
 	"repro/internal/rng"
-	"repro/internal/rtw"
+	_ "repro/internal/rtw" // registers "rtw" for E10
 	"repro/internal/sbl"
 	"repro/internal/snr"
+	"repro/internal/solver"
 	"repro/internal/walksat"
 )
 
@@ -256,8 +258,9 @@ type FamilyRow struct {
 }
 
 // SourceFamilies runs E6: decision quality and throughput for every
-// noise family on the Figure 1 instances, including the RTW
-// integer-exact engine.
+// noise family on the Figure 1 instances. The rtw(±1) rows also stand
+// for the rtw engine, which samples geometries this small on the same
+// sampler.
 func SourceFamilies(seed uint64, samples int64) []FamilyRow {
 	var out []FamilyRow
 	instances := []struct {
@@ -287,24 +290,6 @@ func SourceFamilies(seed uint64, samples int64) []FamilyRow {
 				NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(r.Samples),
 			})
 		}
-	}
-	// RTW integer engine as its own row.
-	for _, inst := range instances {
-		eng, err := rtw.New(inst.f, seed)
-		if err != nil {
-			panic(err)
-		}
-		start := time.Now()
-		r := eng.Check(samples, 4)
-		z := 0.0
-		if r.StdErr > 0 {
-			z = r.Mean / r.StdErr
-		}
-		out = append(out, FamilyRow{
-			Family: "rtw-int64", Instance: inst.name,
-			Want: inst.want, Got: r.Satisfiable, ZScore: z,
-			NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(r.Samples),
-		})
 	}
 	return out
 }
@@ -456,11 +441,18 @@ func SolverComparison(f *cnf.Formula, seed uint64, mcSamples int64) []SolverRow 
 	})
 	timeIt("nbl-exact", func() string { return verdict(core.ExactCheck(f)) })
 	timeIt("rtw", func() string {
-		eng, err := rtw.New(f, seed)
+		s, err := solver.New("rtw", solver.WithSeed(seed), solver.WithMaxSamples(mcSamples))
 		if err != nil {
 			panic(err)
 		}
-		return verdict(eng.Check(mcSamples, 4).Satisfiable)
+		r, err := s.Solve(context.Background(), f)
+		if err != nil {
+			panic(err)
+		}
+		if !r.Status.Definitive() {
+			return "UNKNOWN"
+		}
+		return verdict(r.Status == solver.StatusSat)
 	})
 	timeIt("exhaustive", func() string { return verdict(count.Brute(f) > 0) })
 	timeIt("dpll", func() string { _, ok := dpll.Solve(f); return verdict(ok) })
@@ -499,7 +491,7 @@ func Sanity() {
 	if len(pts) != 4 {
 		panic("Fig1 point count")
 	}
-	if rows := SourceFamilies(1, 50_000); len(rows) != 12 {
+	if rows := SourceFamilies(1, 50_000); len(rows) != 10 {
 		panic(fmt.Sprintf("SourceFamilies rows = %d", len(rows)))
 	}
 	if math.IsNaN(snr.PaperSNR(2, 2, 1000, 1)) {

@@ -22,22 +22,13 @@ import (
 // CacheBudget), 2 MiB otherwise, and the floor of 16 keeps the
 // per-block dispatch overhead amortized even for huge instances, where
 // the working set spills regardless of k.
-func BlockSize(n, m int) int { return BlockSizeBytes(n, m, 16) }
-
-// BlockSizeBytes is BlockSize for a kernel holding bytesPerCell bytes
-// of block scratch per (source pair, sample) cell. The float evaluator
-// keeps the two float64 source matrices (16 bytes); rtw's integer twin
-// additionally keeps int64 copies of both (32 bytes), so its blocks
-// halve again at the same geometry.
-func BlockSizeBytes(n, m, bytesPerCell int) int {
-	return blockSizeForBudget(n, m, bytesPerCell, CacheBudget())
-}
+func BlockSize(n, m int) int { return blockSizeForBudget(n, m, CacheBudget()) }
 
 // blockSizeForBudget is the selection rule with an explicit budget,
 // split out so tests can pin the measured regimes machine-independently.
-func blockSizeForBudget(n, m, bytesPerCell, budget int) int {
+func blockSizeForBudget(n, m, budget int) int {
 	k := 256
-	for k > 16 && bytesPerCell*n*m*k > budget {
+	for k > 16 && 16*n*m*k > budget {
 		k >>= 1
 	}
 	return k

@@ -10,51 +10,35 @@ import (
 )
 
 func init() {
-	// rtw is warm (solver.Warm): Engine.Reset reseeds the bank to its
-	// construction streams and keeps it, with every scratch buffer,
-	// whenever the (n, m) geometry repeats.
+	// rtw is warm (solver.Warm): Engine.Reset keeps the sampler's banks
+	// and the wide kernel's bank and scratch whenever the (n, m)
+	// geometry repeats.
 	solver.Register("rtw", func(cfg solver.Config) solver.Solver {
 		return solver.NewWarm("rtw",
 			func(f *cnf.Formula) (*Engine, error) {
 				if cfg.FindModel {
 					return nil, solver.ErrNoModelRecovery("rtw")
 				}
-				return New(f, cfg.Seed)
+				return New(f, core.Options{
+					Seed:       cfg.Seed,
+					MaxSamples: cfg.MaxSamples,
+					Theta:      cfg.Theta,
+					Workers:    cfg.Workers,
+				})
 			},
-			func(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span) (solver.Result, error) {
-				return check(ctx, eng, f, sp, cfg)
-			})
+			check)
 	})
 }
 
-// check runs one telegraph-wave check. The engine has no round-boundary
-// progress hook, so the span's SNR trajectory is the single end-of-check
-// point (the final mean, stderr, and distance to the theta·stderr
-// decision line).
-func check(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span, cfg solver.Config) (solver.Result, error) {
-	r, err := eng.CheckCtx(ctx, cfg.MaxSamples, cfg.Theta)
-	out := solver.Result{
-		Stats: solver.Stats{
-			Samples: r.Samples, Mean: r.Mean, StdErr: r.StdErr,
-			// The integer-parity kernel bypasses both accelerated paths.
-			FillAccel: "none", EvalAccel: "none",
-		},
+// check runs one telegraph-wave check: mc's check over noise.RTW where
+// float64 is exact, the wide kernel beyond. Both end in
+// core.CheckStatus, the SNR gate shared by every sampling engine, which
+// is conservative for RTW: its ±1 carriers need fewer samples than
+// uniform sources.
+func check(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span) (solver.Result, error) {
+	if eng.wide {
+		o := eng.mc.Options()
+		return eng.wk.check(ctx, o.MaxSamples, o.Theta, sp)
 	}
-	if sp != nil && r.Samples > 0 {
-		dist := 0.0
-		if r.StdErr > 0 {
-			dist = r.Mean/r.StdErr - cfg.Theta
-		}
-		sp.Point(obs.TrajPoint{
-			Round: 1, Samples: r.Samples,
-			Mean: r.Mean, StdErr: r.StdErr, Dist: dist,
-		})
-	}
-	if err != nil {
-		return out, err
-	}
-	// The shared SNR gate is conservative for RTW, whose ±1 carriers
-	// need fewer samples than uniform sources.
-	out.Status = core.CheckStatus(r.Satisfiable, f.NumVars, f.NumClauses(), r.Samples)
-	return out, nil
+	return core.MCCheck(ctx, eng.mc, f, sp, false)
 }

@@ -51,17 +51,8 @@ func PaperSNRLog10(n, m int, samples int64, k float64) float64 {
 		math.Log10(3) - float64(n*m)*math.Log10(2)
 }
 
-// RequiredSamples returns the number of noise samples needed to reach
-// the target SNR for an instance with K satisfying minterms:
-// N = (3·target·2^(nm)/K)^2 + 1. The result may be +Inf when the budget
-// exceeds float64 range, which is itself the experiment's conclusion.
-func RequiredSamples(n, m int, k, target float64) float64 {
-	r := 3 * target * math.Exp2(float64(n*m)) / k
-	return r*r + 1
-}
-
-// RequiredSamplesLog10 returns log10(RequiredSamples), stable for any
-// n·m.
+// RequiredSamplesLog10 returns log10(core.RequiredSamples), stable for
+// any n·m.
 func RequiredSamplesLog10(n, m int, k, target float64) float64 {
 	return 2 * (math.Log10(3*target) + float64(n*m)*math.Log10(2) - math.Log10(k))
 }

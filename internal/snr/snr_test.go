@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/noise"
 )
@@ -42,7 +43,7 @@ func TestPaperSNRLog10MatchesLinear(t *testing.T) {
 
 func TestRequiredSamplesInvertsSNR(t *testing.T) {
 	n, m, k, target := 2, 3, 2.0, 5.0
-	need := RequiredSamples(n, m, k, target)
+	need := core.RequiredSamples(n, m, k, target)
 	got := PaperSNR(n, m, int64(need), k)
 	if math.Abs(got-target) > 0.01*target {
 		t.Errorf("SNR at required samples = %v, want %v", got, target)
@@ -50,7 +51,7 @@ func TestRequiredSamplesInvertsSNR(t *testing.T) {
 }
 
 func TestRequiredSamplesLog10(t *testing.T) {
-	lin := RequiredSamples(2, 3, 1, 2)
+	lin := core.RequiredSamples(2, 3, 1, 2)
 	lg := RequiredSamplesLog10(2, 3, 1, 2)
 	// The +1 in the linear form is negligible here.
 	if math.Abs(lg-math.Log10(lin-1)) > 1e-9 {
