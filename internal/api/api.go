@@ -165,7 +165,7 @@ func Solve(w http.ResponseWriter, r *http.Request) (Request, *cnf.Formula, []byt
 	if req.Task == solver.TaskEquivalent {
 		f, err = miter(body)
 	} else {
-		f, err = dimacs.Read(bytes.NewReader(body))
+		f, err = dimacs.Parse(body)
 	}
 	if err != nil {
 		return req, nil, nil, &Error{Code: http.StatusBadRequest, Err: err}

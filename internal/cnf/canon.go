@@ -1,10 +1,12 @@
 package cnf
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Canonical is the renaming-stable normal form of a formula, produced by
@@ -21,16 +23,18 @@ import (
 // Canonicalize). Models translate between the original and canonical
 // spaces through ToCanonical/FromCanonical; original variables with no
 // occurrences are unconstrained and stay unassigned on the way back,
-// which still satisfies every clause.
+// which still satisfies every clause. A Canonical holds nothing per
+// declared variable: the original's declared count is kept as a number.
 type Canonical struct {
 	// F is the canonical formula: variables renamed, literals sorted
 	// within clauses, duplicate literals dropped, clauses sorted with
 	// duplicates removed.
 	F *Formula
-	// fromOrig maps an original variable to its canonical name (0 for
-	// variables with no occurrence); toOrig is the inverse.
-	fromOrig []Var
-	toOrig   []Var
+	// toOrig maps a canonical variable to its original name (index 0 is
+	// unused); numVars is the original's declared count, the length of
+	// the models FromCanonical returns.
+	toOrig  []Var
+	numVars int
 	// fp is the digest, computed once at Canonicalize (callers like the
 	// service fingerprint the same Canonical at both lookup and store).
 	fp string
@@ -48,100 +52,100 @@ type Canonical struct {
 // with the same polarities, which makes swapping them an automorphism of
 // the clause set — the tie-break (first occurrence) cannot change the
 // canonical formula, only which original name maps where.
+//
+// Every array Canonicalize builds is sized by the literals f holds,
+// never by its declared variable count.
 func Canonicalize(f *Formula) *Canonical {
-	// Drop duplicate literals per clause and then duplicate clauses
-	// (identical literal sets; set identity is renaming-invariant even
-	// though the comparison keys below are not).
-	seenClause := make(map[string]bool, len(f.Clauses))
-	clauses := make([]Clause, 0, len(f.Clauses))
-	var keyBuf []byte
-	for _, cl := range f.Clauses {
-		d := cl.Dedup()
-		sorted := d.Clone()
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		keyBuf = keyBuf[:0]
-		for _, l := range sorted {
-			keyBuf = binary.LittleEndian.AppendUint32(keyBuf, uint32(l))
-		}
-		if seenClause[string(keyBuf)] {
-			continue
-		}
-		seenClause[string(keyBuf)] = true
-		clauses = append(clauses, d)
-	}
-
-	// Occurrence signatures: per variable, the sorted (clause, polarity)
-	// pairs packed as ints. firstSeen breaks signature ties
-	// deterministically.
-	sigs := make([][]uint64, f.NumVars+1)
-	firstSeen := make([]int, f.NumVars+1)
-	order := make([]Var, 0, f.NumVars)
-	pos := 0
-	for j, cl := range clauses {
+	// Number the occurring variables 0, 1, ... in first-occurrence order
+	// and keep each clause as its sorted set of dense literals (2i for
+	// variable i, 2i+1 for its negation), unless an earlier clause has
+	// the same set. Kept clause j is lits[bounds[j]:bounds[j+1]].
+	n := f.NumLiterals()
+	ids := newVarIDs(n)
+	seen := make([]int32, 2*n) // 1 + the last clause index holding a dense literal
+	lits := make([]int32, 0, n)
+	bounds := make([]int32, 1, len(f.Clauses)+1)
+	b := bits.Len(uint(2 * len(f.Clauses)))
+	table, shift := make([]int32, 1<<b), 64-uint(b) // 1 + a kept clause index; 0 is free
+	for i, cl := range f.Clauses {
+		a, stamp := len(lits), int32(i+1)
 		for _, l := range cl {
-			v := l.Var()
-			if sigs[v] == nil {
-				firstSeen[v] = pos
-				order = append(order, v)
+			if d := ids.id(l.Var())<<1 | int32(l&1); seen[d] != stamp {
+				seen[d] = stamp
+				lits = append(lits, d)
 			}
-			p := uint64(j) << 1
-			if l.IsNeg() {
-				p |= 1
+		}
+		key := lits[a:]
+		slices.Sort(key)
+		h := uint64(len(key))
+		for _, d := range key {
+			h = (h ^ uint64(d)) * 0x9e3779b97f4a7c15
+		}
+		for s := h >> shift; ; s = (s + 1) & uint64(len(table)-1) {
+			if j := table[s]; j == 0 {
+				table[s] = int32(len(bounds))
+				bounds = append(bounds, int32(len(lits)))
+				break
+			} else if slices.Equal(lits[bounds[j-1]:bounds[j]], key) {
+				lits = lits[:a]
+				break
 			}
-			sigs[v] = append(sigs[v], p)
-			pos++
 		}
 	}
-	// Occurrences were collected in clause order with polarities
-	// interleaved; sort each signature so it is a set.
-	for _, v := range order {
-		s := sigs[v]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	kept := len(bounds) - 1
+
+	// The signatures, packed: variable i's (clause<<1 | polarity) pairs
+	// are sigs[off[i]:off[i+1]]. Appending clause by clause, each clause
+	// sorted, puts every signature in order.
+	nv := len(ids.orig)
+	off := make([]int32, nv+1)
+	for _, d := range lits {
+		off[d>>1+1]++
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := sigs[order[i]], sigs[order[j]]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
+	for i := range nv {
+		off[i+1] += off[i]
+	}
+	sigs := make([]int32, len(lits))
+	next := slices.Clone(off[:nv])
+	for j := range kept {
+		for _, d := range lits[bounds[j]:bounds[j+1]] {
+			sigs[next[d>>1]] = int32(j)<<1 | d&1
+			next[d>>1]++
 		}
-		if len(a) != len(b) {
-			return len(a) < len(b)
+	}
+	order := make([]int32, nv)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		if c := slices.Compare(sigs[off[x]:off[x+1]], sigs[off[y]:off[y+1]]); c != 0 {
+			return c
 		}
-		return firstSeen[order[i]] < firstSeen[order[j]]
+		return cmp.Compare(x, y) // first occurrence
 	})
-
-	c := &Canonical{fromOrig: make([]Var, f.NumVars+1)}
-	c.toOrig = append(c.toOrig, 0) // canonical variables are 1-based
-	for i, v := range order {
-		c.fromOrig[v] = Var(i + 1)
-		c.toOrig = append(c.toOrig, v)
+	c := &Canonical{toOrig: make([]Var, nv+1), numVars: f.NumVars}
+	rank := next // reused: rank[i] is variable i's canonical name
+	for k, i := range order {
+		rank[i] = int32(k + 1)
+		c.toOrig[k+1] = ids.orig[i]
 	}
 
-	// Rewrite clauses into the canonical names, sort literals, sort
-	// clauses.
-	out := make([]Clause, len(clauses))
-	for i, cl := range clauses {
-		oc := make(Clause, len(cl))
-		for k, l := range cl {
-			oc[k] = NewLit(c.fromOrig[l.Var()], l.IsNeg())
+	// Rewrite the kept clauses under the canonical names into one arena,
+	// sort literals, sort clauses.
+	arena := make([]Lit, len(lits))
+	out := make([]Clause, kept)
+	for j := range out {
+		cl := arena[bounds[j]:bounds[j+1]:bounds[j+1]]
+		for k, d := range lits[bounds[j]:bounds[j+1]] {
+			cl[k] = NewLit(Var(rank[d>>1]), d&1 == 1)
 		}
-		sort.Slice(oc, func(a, b int) bool { return oc[a] < oc[b] })
-		out[i] = oc
+		slices.Sort(cl)
+		out[j] = cl
 	}
-	sort.Slice(out, func(i, j int) bool { return lessClause(out[i], out[j]) })
-	c.F = &Formula{NumVars: len(order), Clauses: out}
+	slices.SortFunc(out, slices.Compare[Clause])
+	c.F = &Formula{NumVars: nv, Clauses: out}
 	c.fp = fingerprint(c.F)
 	return c
-}
-
-func lessClause(a, b Clause) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // Fingerprint returns a collision-resistant key for the canonical
@@ -152,17 +156,15 @@ func lessClause(a, b Clause) bool {
 func (c *Canonical) Fingerprint() string { return c.fp }
 
 func fingerprint(f *Formula) string {
-	h := sha256.New()
-	var buf [4]byte
+	buf := make([]byte, 0, 4*(f.NumLiterals()+len(f.Clauses)))
 	for _, cl := range f.Clauses {
 		for _, l := range cl {
-			binary.LittleEndian.PutUint32(buf[:], uint32(l))
-			h.Write(buf[:])
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
 		}
-		binary.LittleEndian.PutUint32(buf[:], 0) // clause terminator; 0 is no literal
-		h.Write(buf[:])
+		buf = binary.LittleEndian.AppendUint32(buf, 0) // clause terminator; 0 is no literal
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // ToCanonical translates an assignment over the original variables into
@@ -173,10 +175,8 @@ func (c *Canonical) ToCanonical(a Assignment) Assignment {
 		return nil
 	}
 	out := NewAssignment(c.F.NumVars)
-	for v := Var(1); int(v) < len(c.fromOrig); v++ {
-		if cv := c.fromOrig[v]; cv != 0 {
-			out[cv] = a.Get(v)
-		}
+	for cv, v := range c.toOrig[1:] {
+		out[cv+1] = a.Get(v)
 	}
 	return out
 }
@@ -189,9 +189,9 @@ func (c *Canonical) FromCanonical(a Assignment) Assignment {
 	if a == nil {
 		return nil
 	}
-	out := NewAssignment(len(c.fromOrig) - 1)
-	for cv := Var(1); int(cv) < len(c.toOrig); cv++ {
-		out[c.toOrig[cv]] = a.Get(cv)
+	out := NewAssignment(c.numVars)
+	for cv, v := range c.toOrig[1:] {
+		out[v] = a.Get(Var(cv + 1))
 	}
 	return out
 }

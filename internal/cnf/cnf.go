@@ -15,6 +15,7 @@ package cnf
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -22,6 +23,10 @@ import (
 // Var identifies a Boolean variable. Variables are numbered 1..NumVars;
 // 0 is reserved as "no variable".
 type Var int32
+
+// MaxVar is the largest variable a Lit can hold: the packed encoding
+// keeps 2v+1 in an int32.
+const MaxVar = 1<<30 - 1
 
 // Lit is a literal: a variable or its negation, in packed encoding.
 type Lit int32
@@ -112,20 +117,6 @@ func (c Clause) IsTautology() bool {
 		seen[l] = true
 	}
 	return false
-}
-
-// Dedup returns a copy of the clause with duplicate literals removed,
-// preserving first-occurrence order.
-func (c Clause) Dedup() Clause {
-	seen := make(map[Lit]bool, len(c))
-	out := make(Clause, 0, len(c))
-	for _, l := range c {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // Clone returns a deep copy of the clause.
@@ -223,21 +214,33 @@ func (f *Formula) Validate() error {
 }
 
 // Simplify returns a copy with tautological clauses dropped and duplicate
-// literals removed from each remaining clause. The satisfying set is
-// unchanged. The bool reports whether an empty clause is present, which
-// makes the formula trivially unsatisfiable.
+// literals removed from each remaining clause, first occurrences kept in
+// order. The satisfying set is unchanged. The bool reports whether an
+// empty clause is present, which makes the formula trivially
+// unsatisfiable.
 func (f *Formula) Simplify() (*Formula, bool) {
-	g := &Formula{NumVars: f.NumVars}
+	n := f.NumLiterals()
+	ids := newVarIDs(n)
+	seen := make([]int32, 2*n) // 1 + the last clause index holding a dense literal
+	arena := make(Clause, 0, n)
+	g := &Formula{NumVars: f.NumVars, Clauses: make([]Clause, 0, len(f.Clauses))}
 	hasEmpty := false
-	for _, c := range f.Clauses {
-		if c.IsTautology() {
-			continue
+clauses:
+	for i, c := range f.Clauses {
+		a, stamp := len(arena), int32(i+1)
+		for _, l := range c {
+			d := ids.id(l.Var())<<1 | int32(l&1)
+			if seen[d^1] == stamp { // tautology
+				arena = arena[:a]
+				continue clauses
+			}
+			if seen[d] != stamp {
+				seen[d] = stamp
+				arena = append(arena, l)
+			}
 		}
-		d := c.Dedup()
-		if len(d) == 0 {
-			hasEmpty = true
-		}
-		g.Clauses = append(g.Clauses, d)
+		hasEmpty = hasEmpty || len(arena) == a
+		g.Clauses = append(g.Clauses, arena[a:len(arena):len(arena)])
 	}
 	return g, hasEmpty
 }
@@ -268,4 +271,38 @@ func (f *Formula) Vars() []Var {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// varIDs numbers variables 0, 1, 2, ... in the order they are first
+// looked up, in an open-addressing table sized by the literal
+// occurrences it serves rather than by the largest variable name.
+type varIDs struct {
+	slots []varSlot
+	shift uint
+	orig  []Var // orig[i] is the variable numbered i
+}
+
+type varSlot struct {
+	v  Var
+	id int32 // 1 + the variable's number; 0 marks a free slot
+}
+
+// newVarIDs returns a table for up to n literal occurrences.
+func newVarIDs(n int) *varIDs {
+	b := bits.Len(uint(2 * n))
+	return &varIDs{slots: make([]varSlot, 1<<b), shift: 64 - uint(b), orig: make([]Var, 0, n)}
+}
+
+// id returns v's number, numbering v next if it is new.
+func (t *varIDs) id(v Var) int32 {
+	for s := uint64(uint32(v)) * 0x9e3779b97f4a7c15 >> t.shift; ; s = (s + 1) & uint64(len(t.slots)-1) {
+		slot := &t.slots[s]
+		if slot.id == 0 {
+			t.orig = append(t.orig, v)
+			*slot = varSlot{v, int32(len(t.orig))}
+		}
+		if slot.v == v {
+			return slot.id - 1
+		}
+	}
 }

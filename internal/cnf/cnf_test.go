@@ -73,18 +73,6 @@ func TestClauseBasics(t *testing.T) {
 	}
 }
 
-func TestClauseDedup(t *testing.T) {
-	c := NewClause(1, -2, 1, 3, -2)
-	d := c.Dedup()
-	if len(d) != 3 || d[0] != Pos(1) || d[1] != Neg(2) || d[2] != Pos(3) {
-		t.Errorf("Dedup = %v", d)
-	}
-	// Original untouched.
-	if len(c) != 5 {
-		t.Error("Dedup mutated its receiver")
-	}
-}
-
 func TestFormulaConstruction(t *testing.T) {
 	f := New(3)
 	f.Add(1, 2)

@@ -1,10 +1,15 @@
 package dimacs
 
 import (
+	"errors"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/gen"
+	"repro/internal/rng"
 )
 
 const sample = `c paper Example 5
@@ -123,6 +128,55 @@ func TestParseErrorMessage(t *testing.T) {
 	}
 }
 
+func TestParseRefusesVariablesPastMaxVar(t *testing.T) {
+	for _, doc := range []string{
+		"p cnf 5000000000 1\n4294967297 0\n", // read as (x1) by a reader that wraps
+		"p cnf 1073741824 1\n1 0\n",
+		"p cnf 3 1\n1500000000 0\n",
+		"p cnf 1073741823 1\n1 -1073741824 0\n",
+	} {
+		_, err := Parse([]byte(doc))
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, strconv.Itoa(cnf.MaxVar)) {
+			t.Errorf("%q: got %v, want a ParseError naming %d", doc, err, cnf.MaxVar)
+		}
+	}
+	f, err := Parse([]byte("p cnf 1073741823 1\n-1073741823 0\n"))
+	if err != nil || f.Clauses[0][0] != cnf.Neg(cnf.MaxVar) {
+		t.Fatalf("the largest variable: %v, %v", f, err)
+	}
+}
+
+// TestHugeHeaderCostsTheBody: Parse and Canonicalize allocate by the
+// bytes of a body, not by the variable count its header declares, and
+// the fingerprint is the one of the same clauses under a header that
+// declares only the variables they use.
+func TestHugeHeaderCostsTheBody(t *testing.T) {
+	for _, tc := range []struct{ body, lean string }{
+		{"p cnf 10000000 1\n1 -10000000 0\n", "p cnf 2 1\n1 -2 0\n"},
+		{"p cnf 1000000000 1\n1 0\n", "p cnf 1 1\n1 0\n"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := Parse([]byte(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := cnf.Canonicalize(f).Fingerprint()
+		runtime.ReadMemStats(&after)
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 64<<10 {
+			t.Errorf("%q: Parse and Canonicalize allocated %d bytes", tc.body, bytes)
+		}
+		lean, err := ReadString(tc.lean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cnf.Canonicalize(lean).Fingerprint(); fp != want {
+			t.Errorf("%q fingerprints %s, %q %s", tc.body, fp, tc.lean, want)
+		}
+	}
+}
+
 func TestWriteComment(t *testing.T) {
 	f := cnf.FromClauses([]int{1})
 	out := WriteString(f, "two\nlines")
@@ -140,5 +194,19 @@ func TestWriteEmptyFormula(t *testing.T) {
 	}
 	if g.NumVars != 0 || g.NumClauses() != 0 {
 		t.Errorf("empty formula round trip: %v", g)
+	}
+}
+
+// BenchmarkParse reads a planted 50-variable, 210-clause 3-SAT body
+// (about 2.5 KB), the size of the fleet's requests.
+func BenchmarkParse(b *testing.B) {
+	f, _ := gen.PlantedKSAT(rng.New(1), 50, 210, 3)
+	body := []byte(WriteString(f, ""))
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Parse(body); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

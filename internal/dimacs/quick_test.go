@@ -63,10 +63,3 @@ func TestCommentInsensitivityQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -63,6 +63,8 @@ func TestRequestConformance(t *testing.T) {
 	}
 	rows = append(rows,
 		row{"garbage body", "/solve", "", "this is not dimacs", http.StatusBadRequest},
+		// Variable 4294967297 wraps to x1 in an int32 literal.
+		row{"variable past cnf.MaxVar", "/solve", "", "p cnf 5000000000 1\n4294967297 0\n", http.StatusBadRequest},
 		row{"one-instance equivalence", "/solve", "task=equivalent", conformanceSAT, http.StatusBadRequest},
 		row{"batch equivalence", "/solve/batch", "task=equivalent", conformanceSAT + conformanceSAT, http.StatusBadRequest},
 		row{"empty batch", "/solve/batch", "", "", http.StatusBadRequest},
