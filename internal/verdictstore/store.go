@@ -37,13 +37,14 @@
 // states a crash can leave behind are therefore (a) the file as it was,
 // or (b) the file plus a prefix of the final record (a torn tail) —
 // earlier records are never rewritten, so they are never at risk. Open
-// scans forward validating frame bounds, checksum, and JSON; at the
-// first record that fails any check it truncates the file back to the
-// last good boundary and keeps everything before it. A torn tail thus
-// costs exactly the verdict that was being written, which the next
-// solve re-earns. (A single Write is not guaranteed atomic by POSIX,
-// but nothing here depends on atomicity — any partial suffix is
-// detected and dropped by the same scan.)
+// scans forward validating frame bounds, checksum, JSON, and a
+// definitive status; at the first record that fails any check it
+// truncates the file back to the last good boundary and keeps
+// everything before it. A torn tail thus costs exactly the verdict
+// that was being written, which the next solve re-earns. (A single
+// Write is not guaranteed atomic by POSIX, but nothing here depends on
+// atomicity — any partial suffix is detected and dropped by the same
+// scan.)
 //
 // Compaction: the file grows by one record per newly-earned verdict and
 // Put skips keys already present, so growth is bounded by the number of
@@ -202,8 +203,11 @@ func (s *Store) load() error {
 		if crc32.ChecksumIEEE(payload) != sum {
 			break
 		}
+		// A record Put could not have written (UNKNOWN, or no status at
+		// all) ends the scan like a corrupt one: replaying it would serve
+		// a run's shortfall as the formula's verdict.
 		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if err := json.Unmarshal(payload, &rec); err != nil || !rec.Result.Status.Definitive() {
 			break
 		}
 		good += int64(len(frame)) + int64(length)

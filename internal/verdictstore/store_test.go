@@ -379,7 +379,7 @@ func TestSnapshotSeedsNewStore(t *testing.T) {
 
 // frameEnd returns the byte offset just past the n-th record (1-based)
 // by walking the frames exactly as load does.
-func frameEnd(t *testing.T, data []byte, n int) int64 {
+func frameEnd(t testing.TB, data []byte, n int) int64 {
 	t.Helper()
 	off := int64(len(magic))
 	for i := 0; i < n; i++ {

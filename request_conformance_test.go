@@ -66,6 +66,9 @@ func TestRequestConformance(t *testing.T) {
 		// Variable 4294967297 wraps to x1 in an int32 literal.
 		row{"variable past cnf.MaxVar", "/solve", "", "p cnf 5000000000 1\n4294967297 0\n", http.StatusBadRequest},
 		row{"one-instance equivalence", "/solve", "task=equivalent", conformanceSAT, http.StatusBadRequest},
+		// Lowered, this pair would build 8,000,000 circuit inputs, ~5 GB.
+		row{"equivalence pair past api.MaxMiterVars", "/solve", "task=equivalent",
+			"p cnf 4000000 1\n1 0\np cnf 4000000 1\n1 0\n", http.StatusBadRequest},
 		row{"batch equivalence", "/solve/batch", "task=equivalent", conformanceSAT + conformanceSAT, http.StatusBadRequest},
 		row{"empty batch", "/solve/batch", "", "", http.StatusBadRequest},
 		row{"257-instance batch", "/solve/batch", "", strings.Repeat(conformanceSAT, 257), http.StatusRequestEntityTooLarge},
