@@ -273,6 +273,24 @@ func (f *Formula) Vars() []Var {
 	return out
 }
 
+// DenseLits numbers the variables occurring in f 0, 1, 2, ... in the
+// order they first occur. It returns every literal occurrence of f,
+// clause by clause and duplicates kept, as 2i for variable i and 2i+1
+// for its negation, and vars, where vars[i] is variable i's name in f.
+// Both are sized by the literals f holds, never by its declared
+// variable count.
+func (f *Formula) DenseLits() (lits []int32, vars []Var) {
+	n := f.NumLiterals()
+	ids := newVarIDs(n)
+	lits = make([]int32, 0, n)
+	for _, c := range f.Clauses {
+		for _, l := range c {
+			lits = append(lits, ids.id(l.Var())<<1|int32(l&1))
+		}
+	}
+	return lits, ids.orig
+}
+
 // varIDs numbers variables 0, 1, 2, ... in the order they are first
 // looked up, in an open-addressing table sized by the literal
 // occurrences it serves rather than by the largest variable name.

@@ -1,6 +1,7 @@
 package cnf
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,6 +149,20 @@ func TestVars(t *testing.T) {
 		if vs[i] != want[i] {
 			t.Fatalf("Vars = %v, want %v", vs, want)
 		}
+	}
+}
+
+func TestDenseLits(t *testing.T) {
+	// Variables are numbered in first-occurrence order whatever their
+	// names, duplicates stay, and nothing scales with the declared count.
+	f := FromClauses([]int{9, -4, 9}, []int{-9, 1 << 29})
+	f.NumVars = MaxVar
+	lits, vars := f.DenseLits()
+	if want := []int32{0, 3, 0, 1, 4}; !slices.Equal(lits, want) {
+		t.Errorf("lits = %v, want %v", lits, want)
+	}
+	if want := []Var{9, 4, 1 << 29}; !slices.Equal(vars, want) {
+		t.Errorf("vars = %v, want %v", vars, want)
 	}
 }
 

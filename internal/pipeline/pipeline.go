@@ -266,9 +266,10 @@ func (p *Pipeline) fanOut(ctx context.Context, comps []*simplify.Component) ([]s
 		wg.Add(1)
 		go func(i int, comp *simplify.Component, lease *enginepool.Lease) {
 			defer wg.Done()
-			// One span per component: its geometry and lease warmth are
+			// One span per component: its geometry, lease warmth and
+			// deciding engine (under a portfolio, the winning member) are
 			// the trace's answer to "which component was the straggler,
-			// and did it pay a cold engine build on top".
+			// who decided it, and did it pay a cold engine build on top".
 			sp, solveCtx := obs.StartSpan(compCtx, "pipeline.component")
 			if sp != nil {
 				sp.SetAttr("component", strconv.Itoa(i))
@@ -280,6 +281,7 @@ func (p *Pipeline) fanOut(ctx context.Context, comps []*simplify.Component) ([]s
 			lease.Release()
 			if sp != nil {
 				sp.SetAttr("status", r.Status.String())
+				sp.SetAttr("engine", r.Engine)
 				sp.Finish()
 			}
 			results[i] = slot{r, err}

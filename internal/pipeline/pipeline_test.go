@@ -9,12 +9,15 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/solver"
 
 	// Real engines for the integration paths.
 	_ "repro/internal/cdcl"
 	_ "repro/internal/dpll"
+	_ "repro/internal/portfolio"
+	_ "repro/internal/walksat"
 )
 
 // Stub engines, registered once for the whole package test binary.
@@ -207,6 +210,53 @@ func TestRealEnginesOnDecomposableUnion(t *testing.T) {
 		}
 		if r.Engine != "pre("+inner+")" {
 			t.Errorf("result engine = %q, want %q", r.Engine, "pre("+inner+")")
+		}
+	}
+}
+
+// TestComponentSpanNamesDecidingEngine: every pipeline.component span
+// carries the engine that decided the component, and under a portfolio
+// that is the member that won the component's race.
+func TestComponentSpanNamesDecidingEngine(t *testing.T) {
+	planted1, _ := gen.PlantedKSAT(rng.New(31), 20, 91, 3)
+	planted2, _ := gen.PlantedKSAT(rng.New(32), 20, 91, 3)
+	sat := gen.DisjointUnion(planted1, planted2)
+	for _, tc := range []struct {
+		engine string
+		want   map[string]bool
+	}{
+		{"pre(cdcl)", map[string]bool{"cdcl": true}},
+		{"pre(portfolio)", map[string]bool{"cdcl": true, "walksat": true}},
+	} {
+		s, err := solver.New(tc.engine, solver.WithMembers("cdcl", "walksat"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTrace("")
+		root := tr.Root("solve")
+		r, err := s.Solve(obs.ContextWithSpan(context.Background(), root), sat)
+		root.Finish()
+		if err != nil || r.Status != solver.StatusSat {
+			t.Fatalf("%s: got (%v, %v), want SAT", tc.engine, r.Status, err)
+		}
+		spans := 0
+		tr.JSON().Walk(func(sp *obs.SpanJSON) {
+			if sp.Name != "pipeline.component" {
+				return
+			}
+			spans++
+			engine := ""
+			for _, a := range sp.Attrs {
+				if a.Key == "engine" {
+					engine = a.Val
+				}
+			}
+			if !tc.want[engine] {
+				t.Errorf("%s: component span engine = %q, want one of %v", tc.engine, engine, tc.want)
+			}
+		})
+		if spans != 2 {
+			t.Errorf("%s: %d component spans, want 2", tc.engine, spans)
 		}
 	}
 }

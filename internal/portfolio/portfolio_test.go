@@ -3,6 +3,7 @@ package portfolio
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -124,4 +125,34 @@ func TestPortfolioBeatsSlowMember(t *testing.T) {
 		t.Errorf("portfolio (%v) did not beat slowest member alone (%v)", raceWall, mcWall)
 	}
 	t.Logf("winner=%s race=%v mcAlone=%v", r.Engine, raceWall, mcWall)
+}
+
+// TestLostRacesLeaveNoGoroutines runs races that cdcl decides while mc
+// and walksat, on budgets they cannot exhaust first, lose and are
+// cancelled; once Solve has returned, no member goroutine may outlive
+// its race.
+func TestLostRacesLeaveNoGoroutines(t *testing.T) {
+	f := gen.PaperUNSAT()
+	p := New(solver.Config{Seed: 1, MaxSamples: 1 << 40, MaxFlips: 1 << 30, Restarts: 1 << 30})
+	start := runtime.NumGoroutine()
+	wins := map[string]int{}
+	for i := 0; i < 50; i++ {
+		r, err := p.Solve(context.Background(), f)
+		if err != nil || r.Status != solver.StatusUnsat {
+			t.Fatalf("race %d: (%v, %v), want UNSAT", i, r.Status, err)
+		}
+		wins[r.Engine]++
+	}
+	if wins["cdcl"] == 0 {
+		t.Errorf("cdcl won no race: %v", wins)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after the races, %d before:\n%s",
+				runtime.NumGoroutine(), start, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
+	}
 }

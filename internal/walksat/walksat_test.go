@@ -1,11 +1,14 @@
 package walksat
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/cnf"
 	"repro/internal/gen"
 	"repro/internal/rng"
+	"repro/internal/solver"
 )
 
 func TestSolvePaperSatInstances(t *testing.T) {
@@ -53,15 +56,6 @@ func TestSolvePlantedInstances(t *testing.T) {
 	}
 }
 
-func TestGSATMode(t *testing.T) {
-	g := rng.New(6)
-	f, _ := gen.PlantedKSAT(g, 10, 30, 3)
-	r := Solve(f, Options{Seed: 3, Greedy: true})
-	if !r.Found || !r.Assignment.Satisfies(f) {
-		t.Error("GSAT failed on a small planted instance")
-	}
-}
-
 func TestDeterministicBySeed(t *testing.T) {
 	f := gen.PaperExample6()
 	a := Solve(f, Options{Seed: 7})
@@ -79,6 +73,52 @@ func TestTrivialCases(t *testing.T) {
 	f.Clauses = append(f.Clauses, cnf.Clause{})
 	if r := Solve(f, Options{Seed: 1}); r.Found {
 		t.Error("empty clause cannot be satisfied")
+	}
+	// p cnf 0 1 holding the empty clause: no variables does not make
+	// it trivially satisfied.
+	f = &cnf.Formula{Clauses: []cnf.Clause{{}}}
+	if r := Solve(f, Options{Seed: 1}); r.Found {
+		t.Error("empty clause over zero variables read as satisfied")
+	}
+}
+
+func TestLiteralOutOfRangeIsAnError(t *testing.T) {
+	f := cnf.New(2)
+	f.Clauses = append(f.Clauses, cnf.Clause{cnf.Pos(1), cnf.Neg(9)}) // bypass AddClause growth
+	if r, err := SolveCtx(context.Background(), f, Options{Seed: 1}); err == nil || r.Found {
+		t.Errorf("SolveCtx = (%v, %v), want an error", r.Found, err)
+	}
+	s, err := solver.NewWith("walksat", solver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := s.Solve(context.Background(), f); err == nil || r.Status != solver.StatusUnknown {
+		t.Errorf("registry walksat = (%v, %v), want UNKNOWN with an error", r.Status, err)
+	}
+}
+
+// TestIndexSizedByOccurringVars pins that the search state follows the
+// literals a formula holds: on a header declaring 2,000,000 variables
+// with a handful of (unsatisfiable) clauses, SolveCtx allocates one
+// declared-size assignment, reused across its three restarts, and
+// little else.
+func TestIndexSizedByOccurringVars(t *testing.T) {
+	const n = 2_000_000
+	f := cnf.New(n)
+	for _, c := range [][]int{{1, 7}, {1, -7}, {-1, 1_999_999}, {-1, -1_999_999}, {12, -7, 1}} {
+		f.Add(c...)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := Solve(f, Options{Seed: 1, Restarts: 3, MaxFlips: 100})
+	runtime.ReadMemStats(&after)
+	if r.Found || r.Stats.Restarts != 3 {
+		t.Fatalf("unsatisfiable formula: found %v, stats %+v", r.Found, r.Stats)
+	}
+	const slack = 64 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got > n+1+slack {
+		t.Errorf("SolveCtx allocated %d bytes, want at most the %d-byte assignment + %d", got, n+1, slack)
 	}
 }
 

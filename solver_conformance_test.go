@@ -7,6 +7,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -193,6 +194,28 @@ func TestEmptyClauseIsStructurallyUnsat(t *testing.T) {
 	r, err := Solve(context.Background(), "mc", f, WithModel(true))
 	if err != nil || r.Status != StatusUnsat {
 		t.Errorf("mc with model: got (%v, %v), want UNSAT", r.Status, err)
+	}
+}
+
+// TestZeroVariableEmptyClauseIsNeverSat: a body declaring no variables
+// that holds an empty clause is UNSAT, not trivially satisfied by the
+// empty assignment (regression: walksat read it as SAT and won the
+// portfolio race against cdcl's UNSAT).
+func TestZeroVariableEmptyClauseIsNeverSat(t *testing.T) {
+	for _, body := range []string{"p cnf 0 1\n0\n", "p cnf 0 2\n0\n0\n"} {
+		f, err := ReadDIMACS(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		for _, name := range Engines() {
+			r, err := Solve(context.Background(), name, f, conformanceOpts()...)
+			if err == nil && r.Status == StatusSat {
+				t.Errorf("%s on %q: SAT (%v)", name, body, r)
+			}
+		}
+		if r, err := Solve(context.Background(), "portfolio", f, conformanceOpts()...); err != nil || r.Status != StatusUnsat {
+			t.Errorf("portfolio on %q: (%v, %v), want UNSAT", body, r.Status, err)
+		}
 	}
 }
 
