@@ -40,17 +40,35 @@ type Elimination struct {
 // an empty resolvent was derived (only possible when both sides hold a
 // unit clause, i.e. (v)·(¬v) — normally unit propagation has removed
 // those first).
+//
+// An attempt on v depends only on the clauses holding v or ¬v, taken
+// in clause order, and every pass keeps surviving clauses in their
+// relative order and appends new ones at the end. So a variable
+// neither of whose literals changed since its last failed attempt
+// would fail again, and is skipped. An attempt's resolvents are built
+// in one scratch arena and copied out only when it commits.
 func (x *index) eliminate(clauses []cnf.Clause, numVars int, res *Result) (out []cnf.Clause, conflict, changed bool) {
+	due := func(v cnf.Var) bool {
+		return x.changed[cnf.Pos(v)] >= x.failed[v] || x.changed[cnf.Neg(v)] >= x.failed[v]
+	}
+	v := cnf.Var(1)
+	for int(v) <= numVars && !due(v) {
+		v++
+	}
+	if int(v) > numVars {
+		return clauses, false, false // nothing to revisit
+	}
 	x.build(clauses)
 	all := clauses
 	dead := make([]bool, len(all))
-	var resolvents []cnf.Clause
-	for v := cnf.Var(1); int(v) <= numVars; v++ {
-		pos, neg := x.live(cnf.Pos(v), dead), x.live(cnf.Neg(v), dead)
-		if len(pos) == 0 || len(neg) == 0 {
-			continue // absent or pure: the pure pass handles it
+	for ; int(v) <= numVars; v++ {
+		if !due(v) {
+			continue
 		}
-		if len(pos)*len(neg) > maxResolvePairs {
+		pos, neg := x.live(cnf.Pos(v), dead), x.live(cnf.Neg(v), dead)
+		// Absent or pure (the pure pass handles it), or too many pairs.
+		if len(pos) == 0 || len(neg) == 0 || len(pos)*len(neg) > maxResolvePairs {
+			x.failed[v] = x.clock
 			continue
 		}
 		// (v)·(¬v) resolve to the empty clause. Checked before the pair
@@ -58,23 +76,23 @@ func (x *index) eliminate(clauses []cnf.Clause, numVars int, res *Result) (out [
 		if hasUnit(all, pos) && hasUnit(all, neg) {
 			return nil, true, true
 		}
-		resolvents = resolvents[:0]
+		x.arena, x.ends = x.arena[:0], x.ends[:0]
 		bounded := true
 	pairs:
 		for _, pi := range pos {
 			for _, ni := range neg {
-				r, ok := x.resolve(all[pi], all[ni], v)
-				if !ok || x.seen(r, resolvents) {
+				if !x.resolve(all[pi], all[ni], v) {
 					continue // tautological or duplicate resolvent
 				}
-				if len(resolvents) == len(pos)+len(neg) {
+				if len(x.ends) == len(pos)+len(neg) {
 					bounded = false // elimination would grow the formula
 					break pairs
 				}
-				resolvents = append(resolvents, r.Clone())
+				x.ends = append(x.ends, len(x.arena))
 			}
 		}
 		if !bounded {
+			x.failed[v] = x.clock
 			continue
 		}
 
@@ -86,13 +104,18 @@ func (x *index) eliminate(clauses []cnf.Clause, numVars int, res *Result) (out [
 		for k, i := range touched {
 			elim.Clauses[k] = all[i]
 			dead[i] = true
+			x.touch(all[i])
 		}
-		for _, r := range resolvents {
+		lits, start := slices.Clone(x.arena), 0
+		for _, end := range x.ends {
+			r := lits[start:end:end]
 			for _, l := range r {
 				x.occ[l] = append(x.occ[l], int32(len(all)))
 			}
+			x.grow(r)
 			all = append(all, r)
 			dead = append(dead, false)
+			start = end
 		}
 		res.Eliminations = append(res.Eliminations, elim)
 		res.Stats.VarsEliminated++
@@ -132,39 +155,37 @@ func hasUnit(clauses []cnf.Clause, idx []int32) bool {
 	return false
 }
 
-// resolve computes the resolvent of p (containing v) and n (containing
-// ¬v) on v: p's other literals, then n's that p lacks. ok is false when
-// the resolvent is tautological. The result is only valid until the
-// next call, and its literals are left as the stamp set.
-func (x *index) resolve(p, n cnf.Clause, v cnf.Var) (cnf.Clause, bool) {
+// resolve appends to the arena the resolvent of p (containing v) and n
+// (containing ¬v) on v: p's other literals, then n's that p lacks. It
+// reports false, and leaves the arena as it was, when the resolvent is
+// tautological or equals one already in the arena.
+func (x *index) resolve(p, n cnf.Clause, v cnf.Var) bool {
 	x.mark(nil)
-	out := x.buf[:0]
+	start := len(x.arena)
 	for _, c := range [...]cnf.Clause{p, n} {
 		for _, l := range c {
 			if l.Var() == v {
 				continue
 			}
 			if x.stamp[l.Negate()] == x.epoch {
-				return nil, false
+				x.arena = x.arena[:start]
+				return false
 			}
 			if x.stamp[l] != x.epoch {
 				x.stamp[l] = x.epoch
-				out = append(out, l)
+				x.arena = append(x.arena, l)
 			}
 		}
 	}
-	x.buf = out
-	return out, true
-}
-
-// seen reports whether r, whose literals are the stamp set, equals one
-// of the clauses in rs (clauses compare as sets: none repeats a
-// literal).
-func (x *index) seen(r cnf.Clause, rs []cnf.Clause) bool {
-	for _, d := range rs {
-		if len(d) == len(r) && x.count(d) == len(d) {
-			return true
+	// The new resolvent's literals are the stamp set; clauses compare as
+	// sets, since none repeats a literal.
+	r, prev := x.arena[start:], 0
+	for _, end := range x.ends {
+		if d := x.arena[prev:end]; len(d) == len(r) && x.count(d) == len(d) {
+			x.arena = x.arena[:start]
+			return false
 		}
+		prev = end
 	}
-	return false
+	return true
 }

@@ -1,10 +1,6 @@
 package simplify
 
-import (
-	"sort"
-
-	"repro/internal/cnf"
-)
+import "repro/internal/cnf"
 
 // Component is one variable-disjoint subformula of a decomposition: no
 // variable of F occurs in any other component, so the components can be
@@ -76,27 +72,39 @@ func Decompose(f *cnf.Formula) []*Component {
 		}
 	}
 
-	// Group clauses by their root variable. Empty clauses collect under
-	// the pseudo-root 0, which no variable can reach.
-	groups := map[int32][]cnf.Clause{}
-	for _, c := range f.Clauses {
-		root := int32(0)
+	// Group clauses by their root variable with a stable counting sort,
+	// so each group keeps clause order and the groups come out in
+	// ascending root order. Empty clauses collect under the pseudo-root
+	// 0, which no variable can reach.
+	roots := make([]int32, len(f.Clauses))
+	next := make([]int32, f.NumVars+2) // next[r+1]: clauses under root r, then group r's next slot
+	for i, c := range f.Clauses {
 		if len(c) > 0 {
-			root = find(int32(c[0].Var()))
+			roots[i] = find(int32(c[0].Var()))
 		}
-		groups[root] = append(groups[root], c)
+		next[roots[i]+1]++
+	}
+	groups := 0
+	for r := 1; r < len(next); r++ {
+		if next[r] > 0 {
+			groups++
+		}
+		next[r] += next[r-1]
+	}
+	grouped := make([]cnf.Clause, len(f.Clauses))
+	for i, c := range f.Clauses {
+		grouped[next[roots[i]]] = c
+		next[roots[i]]++
 	}
 
-	roots := make([]int32, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-
-	out := make([]*Component, 0, len(groups))
-	for _, root := range roots {
-		g, vars := compact(groups[root])
-		out = append(out, &Component{F: g, VarMap: vars})
+	// Group r now ends at next[r], where group r+1 begins.
+	out := make([]*Component, 0, groups)
+	for start, r := int32(0), 0; r < len(next)-1; r++ {
+		if end := next[r]; end > start {
+			g, vars := compact(grouped[start:end])
+			out = append(out, &Component{F: g, VarMap: vars})
+			start = end
+		}
 	}
 	return out
 }

@@ -14,13 +14,17 @@ import (
 // followed by one byte per literal (variable and sign). At most 24
 // clauses are read; a clause cut short by the end of the data is kept
 // as far as it goes.
-func decodeFormula(data []byte) *cnf.Formula {
+func decodeFormula(data []byte) *cnf.Formula { return decodeFormulaUpTo(data, 8, 24) }
+
+// decodeFormulaUpTo is decodeFormula with n in 1..maxVars (at most 128)
+// and at most maxClauses clauses.
+func decodeFormulaUpTo(data []byte, maxVars, maxClauses int) *cnf.Formula {
 	if len(data) == 0 {
 		return cnf.New(1)
 	}
-	f := cnf.New(1 + int(data[0])%8)
+	f := cnf.New(1 + int(data[0])%maxVars)
 	data = data[1:]
-	for len(data) > 0 && f.NumClauses() < 24 {
+	for len(data) > 0 && f.NumClauses() < maxClauses {
 		k := int(data[0]) % 5
 		data = data[1:]
 		c := cnf.Clause{}

@@ -2,9 +2,10 @@
 // literal elimination, tautology and duplicate removal, clause
 // subsumption, self-subsuming resolution (clause strengthening) and
 // bounded variable elimination. The passes visit clauses through
-// per-literal occurrence lists, never pair by pair, and Simplify's
-// output is a pure function of its input, down to clause and literal
-// order.
+// per-literal occurrence lists, never pair by pair; after their first
+// run they revisit only the clauses and variables that changed since.
+// Simplify's output is a pure function of its input, down to clause and
+// literal order.
 //
 // Preprocessing matters more for NBL-SAT than for classical solvers:
 // the Monte-Carlo engine's sample budget grows as 4^(n·m)
@@ -14,8 +15,10 @@
 package simplify
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cnf"
@@ -130,7 +133,9 @@ func Condition(f *cnf.Formula, bound cnf.Assignment) *Result {
 
 // reduce runs the passes over g to a fixpoint (or opts.MaxRounds),
 // recording into d, and returns the reduced clauses; they are
-// meaningless once d.ProvedUnsat is set.
+// meaningless once d.ProvedUnsat is set. Each pass starts by advancing
+// the index's clock, so the change stamps tell subsumption,
+// strengthening and elimination what changed since they last ran.
 func reduce(g *cnf.Formula, opts Options, d *Result) []cnf.Clause {
 	clauses := g.Clauses
 	x := newIndex(g.NumVars)
@@ -139,6 +144,7 @@ func reduce(g *cnf.Formula, opts Options, d *Result) []cnf.Clause {
 
 		if !opts.DisableUnits {
 			var conflict bool
+			x.clock++
 			clauses, conflict, changed = x.propagateUnits(clauses, d)
 			if conflict {
 				d.ProvedUnsat = true
@@ -146,21 +152,25 @@ func reduce(g *cnf.Formula, opts Options, d *Result) []cnf.Clause {
 			}
 		}
 		if !opts.DisablePure {
-			if c, ch := eliminatePure(clauses, g.NumVars, d); ch {
+			x.clock++
+			if c, ch := x.eliminatePure(clauses, g.NumVars, d); ch {
 				clauses, changed = c, true
 			}
 		}
 		if !opts.DisableSubsumption {
+			x.clock++
 			if c, ch := x.subsume(clauses, d); ch {
 				clauses, changed = c, true
 			}
 		}
 		if !opts.DisableStrengthen {
+			x.clock++
 			if c, ch := x.strengthen(clauses, d); ch {
 				clauses, changed = c, true
 			}
 		}
 		if !opts.DisableBVE {
+			x.clock++
 			c, conflict, ch := x.eliminate(clauses, g.NumVars, d)
 			if conflict {
 				d.ProvedUnsat = true
@@ -219,30 +229,32 @@ func (r *Result) lift(d *Result, vars []cnf.Var, clauses []cnf.Clause) {
 // compact renumbers the variables occurring in clauses to 1..n in
 // ascending order of their original identity, returning the compacted
 // formula and the map from compacted variable v to the original
-// variable varMap[v-1]. Shared by Simplify and Decompose.
+// variable varMap[v-1]. Shared by Simplify and Decompose. The renaming
+// comes from DenseLits and one sort of the occurring names, and the
+// compacted clauses share one literal arena.
 func compact(clauses []cnf.Clause) (*cnf.Formula, []cnf.Var) {
-	used := map[cnf.Var]bool{}
-	for _, c := range clauses {
-		for _, l := range c {
-			used[l.Var()] = true
-		}
+	lits, names := (&cnf.Formula{Clauses: clauses}).DenseLits()
+	byName := make([]int32, len(names)) // dense numbers in ascending name order
+	for i := range byName {
+		byName[i] = int32(i)
 	}
-	vars := make([]cnf.Var, 0, len(used))
-	for v := range used {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	remap := make(map[cnf.Var]cnf.Var, len(vars))
-	for i, v := range vars {
-		remap[v] = cnf.Var(i + 1)
+	slices.SortFunc(byName, func(a, b int32) int { return cmp.Compare(names[a], names[b]) })
+	vars := make([]cnf.Var, len(names))
+	rename := make([]cnf.Var, len(names)) // dense number -> compacted variable
+	for k, i := range byName {
+		vars[k] = names[i]
+		rename[i] = cnf.Var(k + 1)
 	}
 	out := cnf.New(len(vars))
-	for _, c := range clauses {
-		d := make(cnf.Clause, len(c))
-		for i, l := range c {
-			d[i] = cnf.NewLit(remap[l.Var()], l.IsNeg())
-		}
-		out.Clauses = append(out.Clauses, d)
+	if len(clauses) > 0 {
+		out.Clauses = make([]cnf.Clause, len(clauses))
+	}
+	arena := make(cnf.Clause, len(lits))
+	for i, d := range lits {
+		arena[i] = cnf.NewLit(rename[d>>1], d&1 == 1)
+	}
+	for i, c := range clauses {
+		out.Clauses[i], arena = arena[:len(c):len(c)], arena[len(c):]
 	}
 	return out, vars
 }
@@ -300,21 +312,43 @@ func (r *Result) Reconstruct(model cnf.Assignment) cnf.Assignment {
 }
 
 // index is the scratch state the passes share: per-literal occurrence
-// lists and a literal-stamp set. A pass builds the lists from its own
-// input and then visits only the clauses that share a literal with the
-// clause at hand, never every pair; the stamp set holds one clause's
-// literals at a time and empties in O(1) by advancing its epoch.
+// lists, a literal-stamp set and the change stamps. A pass builds the
+// lists from its own input and then visits only the clauses that share
+// a literal with the clause at hand, never every pair; the stamp set
+// holds one clause's literals at a time and empties in O(1) by
+// advancing its epoch.
+//
+// The change stamps let a pass revisit only what changed since it last
+// ran. The clock advances when each pass starts; a pass that removes a
+// clause stamps its literals in changed, and one that adds or shrinks a
+// clause stamps them in changed and in grown. Subsume, strengthen and
+// eliminate each state their skip rule and why it is exact.
 type index struct {
-	occ   [][]int32  // occ[l]: indices of the clauses containing l, ascending
-	stamp []uint64   // stamp[l] == epoch: l is in the set
-	epoch uint64     // 64 bits: never wraps back onto a stale stamp
-	buf   cnf.Clause // resolve's output, reused
+	occ   [][]int32 // occ[l]: indices of the clauses containing l, ascending
+	stamp []uint64  // stamp[l] == epoch: l is in the set
+	epoch uint64    // 64 bits: never wraps back onto a stale stamp
+
+	clock        uint32
+	changed      []uint32 // changed[l]: clock of the last change to a clause holding l
+	grown        []uint32 // grown[l]: clock of the last clause holding l added or shrunk
+	failed       []uint32 // failed[v]: clock of v's last failed elimination; 0 for none
+	subsumed     uint32   // clock at subsume's last start; 0 before the first
+	strengthened uint32   // clock at strengthen's last start; 0 before the first
+
+	arena cnf.Clause // an elimination attempt's resolvents, end to end
+	ends  []int      // resolvent k is arena[ends[k-1]:ends[k]]
 }
 
 // newIndex sizes an index for the literals of variables 1..numVars.
 func newIndex(numVars int) *index {
 	n := 2 * (numVars + 1)
-	return &index{occ: make([][]int32, n), stamp: make([]uint64, n)}
+	return &index{
+		occ:     make([][]int32, n),
+		stamp:   make([]uint64, n),
+		changed: make([]uint32, n),
+		grown:   make([]uint32, n),
+		failed:  make([]uint32, numVars+1),
+	}
 }
 
 // build fills the occurrence lists from clauses.
@@ -348,6 +382,46 @@ func (x *index) count(c cnf.Clause) int {
 	return n
 }
 
+// touch records that c is being removed.
+func (x *index) touch(c cnf.Clause) {
+	for _, l := range c {
+		x.changed[l] = x.clock
+	}
+}
+
+// grow records that c is being added or shrunk.
+func (x *index) grow(c cnf.Clause) {
+	for _, l := range c {
+		x.changed[l] = x.clock
+		x.grown[l] = x.clock
+	}
+}
+
+// stale reports whether more than k literals of c have not grown since
+// the clock since.
+func (x *index) stale(c cnf.Clause, since uint32, k int) bool {
+	for _, l := range c {
+		if x.grown[l] < since {
+			if k == 0 {
+				return true
+			}
+			k--
+		}
+	}
+	return false
+}
+
+// anyFresh reports whether some clause is not stale(c, since, k): a
+// pass with nothing to revisit does not run at all.
+func (x *index) anyFresh(clauses []cnf.Clause, since uint32, k int) bool {
+	for _, c := range clauses {
+		if !x.stale(c, since, k) {
+			return true
+		}
+	}
+	return false
+}
+
 // without returns a copy of c with the literal l removed.
 func without(c cnf.Clause, l cnf.Lit) cnf.Clause {
 	d := make(cnf.Clause, 0, len(c)-1)
@@ -374,8 +448,8 @@ func (h *minHeap) Pop() any {
 // set. The next unit is always the earliest unit clause in clause
 // order, taken from a heap of unit-clause indices; a unit removes the
 // clauses in its occurrence list and shrinks those holding its
-// negation. conflict reports a derived contradiction: a unit opposing a
-// forced value, or a clause shrunk to empty.
+// negation, stamping both. conflict reports a derived contradiction: a
+// unit opposing a forced value, or a clause shrunk to empty.
 func (x *index) propagateUnits(clauses []cnf.Clause, res *Result) (out []cnf.Clause, conflict, changed bool) {
 	units := &minHeap{}
 	for i, c := range clauses {
@@ -405,7 +479,10 @@ func (x *index) propagateUnits(clauses []cnf.Clause, res *Result) (out []cnf.Cla
 		res.Forced.Set(unit.Var(), val)
 
 		for _, j := range x.occ[unit] {
-			dead[j] = true // satisfied
+			if !dead[j] {
+				dead[j] = true // satisfied
+				x.touch(clauses[j])
+			}
 		}
 		neg := unit.Negate()
 		for _, j := range x.occ[neg] {
@@ -416,13 +493,14 @@ func (x *index) propagateUnits(clauses []cnf.Clause, res *Result) (out []cnf.Cla
 			if len(d) == 0 {
 				return nil, true, true
 			}
+			x.grow(clauses[j])
 			clauses[j] = d
 			if len(d) == 1 {
 				heap.Push(units, int(j))
 			}
 		}
 	}
-	out = clauses[:0:0]
+	out = make([]cnf.Clause, 0, len(clauses))
 	for i, c := range clauses {
 		if !dead[i] {
 			out = append(out, c)
@@ -431,8 +509,9 @@ func (x *index) propagateUnits(clauses []cnf.Clause, res *Result) (out []cnf.Cla
 	return out, false, true
 }
 
-// eliminatePure assigns variables appearing with a single polarity.
-func eliminatePure(clauses []cnf.Clause, numVars int, res *Result) ([]cnf.Clause, bool) {
+// eliminatePure assigns variables appearing with a single polarity and
+// removes the clauses they satisfy, stamping them.
+func (x *index) eliminatePure(clauses []cnf.Clause, numVars int, res *Result) ([]cnf.Clause, bool) {
 	polarity := make([]int8, numVars+1) // 1 pos, 2 neg, 3 both
 	for _, c := range clauses {
 		for _, l := range c {
@@ -462,7 +541,7 @@ func eliminatePure(clauses []cnf.Clause, numVars int, res *Result) ([]cnf.Clause
 	if !found {
 		return clauses, false
 	}
-	out := clauses[:0:0]
+	out := make([]cnf.Clause, 0, len(clauses))
 	for _, c := range clauses {
 		satisfied := false
 		for _, l := range c {
@@ -471,7 +550,9 @@ func eliminatePure(clauses []cnf.Clause, numVars int, res *Result) ([]cnf.Clause
 				break
 			}
 		}
-		if !satisfied {
+		if satisfied {
+			x.touch(c)
+		} else {
 			out = append(out, c)
 		}
 	}
@@ -480,37 +561,59 @@ func eliminatePure(clauses []cnf.Clause, numVars int, res *Result) ([]cnf.Clause
 
 // subsume removes clauses that are supersets of another clause
 // (C subsumes D when C ⊆ D: every model satisfying C satisfies D, so D
-// is redundant). Clauses are processed shortest-first so survivors are
-// the strongest; among equal clauses the sort's tie order picks the
-// survivor. A superset of C holds C's rarest literal, so only that
-// literal's occurrence list is searched.
+// is redundant). A clause removes every strict superset and every equal
+// clause after it in a shortest-first sort.Slice of the clauses; the
+// removed set depends on nothing else, so clauses are visited in clause
+// order and the sort runs only once two equal clauses meet. A superset
+// of C holds C's rarest literal, so only that literal's occurrence list
+// is searched.
+//
+// After a subsume pass no live clause is a subset of another, so a new
+// pair C ⊆ D needs C or D added or shrunk since; either way every
+// literal of C grew. A clause with a literal that did not grow since
+// this pass last began therefore subsumes nothing and is skipped.
 func (x *index) subsume(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) {
-	order := make([]int, len(clauses))
-	for i := range order {
-		order[i] = i
+	since := x.subsumed
+	if !x.anyFresh(clauses, since, 0) {
+		return clauses, false
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return len(clauses[order[a]]) < len(clauses[order[b]])
-	})
-	rank := make([]int, len(clauses))
-	for r, i := range order {
-		rank[i] = r
-	}
+	x.subsumed = x.clock
 	x.build(clauses)
+	var rank []int
+	first := func(i, j int) bool { // whether i sorts before its equal j
+		if rank == nil {
+			order := make([]int, len(clauses))
+			for k := range order {
+				order[k] = k
+			}
+			sort.Slice(order, func(a, b int) bool {
+				return len(clauses[order[a]]) < len(clauses[order[b]])
+			})
+			rank = make([]int, len(clauses))
+			for r, k := range order {
+				rank[k] = r
+			}
+		}
+		return rank[i] < rank[j]
+	}
 	removed := make([]bool, len(clauses))
-	changed := false
-	for r, i := range order {
-		if removed[i] {
+	n := 0
+	remove := func(j int) {
+		removed[j] = true
+		x.touch(clauses[j])
+		n++
+	}
+	for i, c := range clauses {
+		if removed[i] || x.stale(c, since, 0) {
 			continue
 		}
-		c := clauses[i]
 		if len(c) == 0 {
-			// The empty clause subsumes every later clause.
-			for _, j := range order[r+1:] {
-				if !removed[j] {
-					removed[j] = true
-					res.Stats.ClausesSubsumed++
-					changed = true
+			// The empty clause subsumes every other clause. Which of
+			// two empty clauses survives cannot be told apart: the
+			// formula is then UNSAT.
+			for j := range clauses {
+				if j != i && !removed[j] {
+					remove(j)
 				}
 			}
 			continue
@@ -523,20 +626,20 @@ func (x *index) subsume(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) 
 		}
 		x.mark(c)
 		for _, j := range x.occ[rarest] {
-			if rank[j] <= r || removed[j] {
+			d := clauses[j]
+			if int(j) == i || removed[j] || len(d) < len(c) || x.count(d) != len(c) {
 				continue
 			}
-			if x.count(clauses[j]) == len(c) {
-				removed[j] = true
-				res.Stats.ClausesSubsumed++
-				changed = true
+			if len(d) > len(c) || first(i, int(j)) {
+				remove(int(j))
 			}
 		}
 	}
-	if !changed {
+	if n == 0 {
 		return clauses, false
 	}
-	out := clauses[:0:0]
+	res.Stats.ClausesSubsumed += n
+	out := make([]cnf.Clause, 0, len(clauses)-n)
 	for i, c := range clauses {
 		if !removed[i] {
 			out = append(out, c)
@@ -551,11 +654,26 @@ func (x *index) subsume(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) 
 // the earlier ones strengthened it; the candidates D for a literal l of
 // C are the occurrence list of ¬l. Clauses only lose literals here, so
 // a list can only hold extra entries, which the Contains check skips.
+//
+// A pair (C, D) that did not fire at C's last visit cannot fire while
+// neither clause changes. If D grew, all of its literals grew, and D
+// holds every literal of C but l; if C grew, all of C's did. A clause
+// with two literals that did not grow since this pass last began is
+// therefore skipped. That is read at its visit, so a D shrunk earlier
+// in the same pass counts.
 func (x *index) strengthen(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) {
+	since := x.strengthened
+	if !x.anyFresh(clauses, since, 1) {
+		return clauses, false
+	}
+	x.strengthened = x.clock
 	x.build(clauses)
 	changed := false
 	for i := range clauses {
 		c := clauses[i]
+		if x.stale(c, since, 1) {
+			continue
+		}
 		// A candidate holds ¬l and so never l (clauses are not
 		// tautologies): it holds A = C \ {l} exactly when len(C)-1 of
 		// its literals are in C. One stamp set serves every l.
@@ -567,6 +685,7 @@ func (x *index) strengthen(clauses []cnf.Clause, res *Result) ([]cnf.Clause, boo
 				if int(j) == i || x.count(d) != len(c)-1 || !d.Contains(neg) {
 					continue
 				}
+				x.grow(d)
 				clauses[j] = without(d, neg)
 				res.Stats.LiteralsStrength++
 				changed = true

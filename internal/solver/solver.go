@@ -1025,10 +1025,15 @@ type named struct {
 	impl Solver
 }
 
+// Solve refuses a formula with a literal outside 1..NumVars before the
+// engine sees it, so no engine can crash on one or answer it.
 func (n *named) Solve(ctx context.Context, f *cnf.Formula) (Result, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{Engine: n.name, Wall: time.Since(start)}, err
+	}
+	if err := f.Validate(); err != nil {
+		return Result{Engine: n.name, Status: StatusUnknown, Wall: time.Since(start)}, err
 	}
 	r, err := n.impl.Solve(ctx, f)
 	if r.Engine == "" {

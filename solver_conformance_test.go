@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cnf"
 )
 
 // conformanceInstances are the paper's named instances with their
@@ -215,6 +217,22 @@ func TestZeroVariableEmptyClauseIsNeverSat(t *testing.T) {
 		}
 		if r, err := Solve(context.Background(), "portfolio", f, conformanceOpts()...); err != nil || r.Status != StatusUnsat {
 			t.Errorf("portfolio on %q: (%v, %v), want UNSAT", body, r.Status, err)
+		}
+	}
+}
+
+// TestOutOfRangeLiteralIsAnError: a formula declaring 2 variables that
+// holds the clause (x1 ∨ ¬x5) is an error for every engine, with no
+// verdict, not a crash (cdcl, dpll, hybrid and every pre() shell once
+// panicked, taking the process down from a portfolio member goroutine)
+// and not SAT (count once answered it).
+func TestOutOfRangeLiteralIsAnError(t *testing.T) {
+	f := &Formula{NumVars: 2, Clauses: []Clause{{cnf.Pos(1), cnf.Neg(5)}}}
+	names := append(Engines(), "pre(cdcl)", "pre(count)", "pre(wcount)", "pre(portfolio)")
+	for _, name := range names {
+		r, err := Solve(context.Background(), name, f, conformanceOpts()...)
+		if err == nil || r.Status != StatusUnknown {
+			t.Errorf("%s: (%v, %v), want an error and no verdict", name, r.Status, err)
 		}
 	}
 }
