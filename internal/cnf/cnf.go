@@ -16,7 +16,6 @@ package cnf
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -255,22 +254,6 @@ func (f *Formula) String() string {
 		parts[i] = c.String()
 	}
 	return strings.Join(parts, " · ")
-}
-
-// Vars returns the sorted list of variables that actually occur.
-func (f *Formula) Vars() []Var {
-	seen := make(map[Var]bool)
-	for _, c := range f.Clauses {
-		for _, l := range c {
-			seen[l.Var()] = true
-		}
-	}
-	out := make([]Var, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // DenseLits numbers the variables occurring in f 0, 1, 2, ... in the

@@ -138,20 +138,6 @@ func TestSimplify(t *testing.T) {
 	}
 }
 
-func TestVars(t *testing.T) {
-	f := FromClauses([]int{4, -2}, []int{-4, 7})
-	vs := f.Vars()
-	want := []Var{2, 4, 7}
-	if len(vs) != len(want) {
-		t.Fatalf("Vars = %v", vs)
-	}
-	for i := range want {
-		if vs[i] != want[i] {
-			t.Fatalf("Vars = %v, want %v", vs, want)
-		}
-	}
-}
-
 func TestDenseLits(t *testing.T) {
 	// Variables are numbered in first-occurrence order whatever their
 	// names, duplicates stay, and nothing scales with the declared count.

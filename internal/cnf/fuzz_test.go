@@ -131,8 +131,10 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 		back := c.FromCanonical(c.ToCanonical(model))
 		used := make([]bool, form.NumVars+1)
-		for _, v := range form.Vars() {
-			used[v] = true
+		for _, c := range form.Clauses {
+			for _, l := range c {
+				used[l.Var()] = true
+			}
 		}
 		for v := 1; v <= form.NumVars; v++ {
 			if want := model[v]; !used[v] && back[v] != cnf.Unassigned || used[v] && back[v] != want {

@@ -15,6 +15,9 @@
 //     weighted model count K' (E[S_N] = K'·sigma^(2nm)), which is what
 //     the superposition algebra of Section III guarantees the mean
 //     converges to. They serve as ground truth in tests and experiments.
+//     K' under a partial binding is count.WeightedContext on the formula
+//     with one unit clause per bound variable; core keeps no 2^n loop
+//     of its own.
 package core
 
 import (

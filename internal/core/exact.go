@@ -7,6 +7,7 @@ import (
 	"math/big"
 
 	"repro/internal/cnf"
+	"repro/internal/count"
 	"repro/internal/noise"
 )
 
@@ -28,50 +29,25 @@ func WeightedCount(f *cnf.Formula, bound cnf.Assignment) *big.Int {
 	return total
 }
 
-// WeightedCountCtx is WeightedCount with cancellation: the 2^n minterm
-// enumeration polls ctx every few thousand assignments and returns the
-// partial sum with ctx.Err() when the context ends.
+// WeightedCountCtx is WeightedCount with cancellation: it returns a nil
+// count with ctx.Err() when the context ends. K'(f, bound) is
+// count.WeightedContext on f with one unit clause per bound variable:
+// a unit clause weighs 1 under the assignments that satisfy it and 0
+// under the rest, so it keeps exactly the assignments consistent with
+// the bindings at their own weights. The units come first, so an
+// inconsistent assignment fails at its first clause.
 func WeightedCountCtx(ctx context.Context, f *cnf.Formula, bound cnf.Assignment) (*big.Int, error) {
-	n := f.NumVars
-	if n > MaxExactVars {
-		panic(fmt.Sprintf("core: exact engine limited to %d variables, got %d", MaxExactVars, n))
+	if f.NumVars > MaxExactVars {
+		panic(fmt.Sprintf("core: exact engine limited to %d variables, got %d", MaxExactVars, f.NumVars))
 	}
-	total := new(big.Int)
-	w := new(big.Int)
-	for bits := uint64(0); bits < 1<<n; bits++ {
-		if bits&0xfff == 0 {
-			if err := ctx.Err(); err != nil {
-				return total, err
-			}
-		}
-		consistent := true
-		for v := 1; v <= n; v++ {
-			want := bound.Get(cnf.Var(v))
-			bit := bits&(1<<(v-1)) != 0
-			if want == cnf.True && !bit || want == cnf.False && bit {
-				consistent = false
-				break
-			}
-		}
-		if !consistent {
-			continue
-		}
-		a := cnf.AssignmentFromBits(bits, n)
-		w.SetInt64(1)
-		sat := true
-		for _, c := range f.Clauses {
-			t := a.SatisfiedLiterals(c)
-			if t == 0 {
-				sat = false
-				break
-			}
-			w.Mul(w, big.NewInt(int64(t)))
-		}
-		if sat {
-			total.Add(total, w)
+	g := cnf.New(f.NumVars)
+	for v := 1; v <= f.NumVars; v++ {
+		if val := bound.Get(cnf.Var(v)); val != cnf.Unassigned {
+			g.Clauses = append(g.Clauses, cnf.Clause{cnf.NewLit(cnf.Var(v), val == cnf.False)})
 		}
 	}
-	return total, nil
+	g.Clauses = append(g.Clauses, f.Clauses...)
+	return count.WeightedContext(ctx, g)
 }
 
 // ExactMean returns the closed-form E[S_N] = K'·sigma^(2nm) for the
@@ -88,11 +64,6 @@ func ExactMean(f *cnf.Formula, bound cnf.Assignment, fam noise.Family) float64 {
 // It reports SAT exactly when E[S_N] > 0, i.e. K' > 0.
 func ExactCheck(f *cnf.Formula) bool {
 	return WeightedCount(f, cnf.NewAssignment(f.NumVars)).Sign() > 0
-}
-
-// ExactCheckBound is ExactCheck on the reduced hyperspace.
-func ExactCheckBound(f *cnf.Formula, bound cnf.Assignment) bool {
-	return WeightedCount(f, bound).Sign() > 0
 }
 
 // ExactAssign is the idealized Algorithm 2: it recovers a satisfying

@@ -9,17 +9,24 @@
 //
 // Two algorithms are provided: exhaustive enumeration (simple, used to
 // validate everything else) and a DPLL-style counter with unit
-// propagation and connected-component decomposition that comfortably
-// handles the instance sizes any NBL simulation can reach.
+// propagation that comfortably handles the instance sizes any NBL
+// simulation can reach. Count and Weighted both number the variables
+// that occur densely (cnf.Formula.DenseLits), split the formula with
+// simplify.Decompose, multiply the component results and shift in a
+// factor of 2 per declared variable no clause mentions, so their cost
+// follows the literals, not the declared variable count. Count runs the
+// DPLL counter on each component; Weighted enumerates each one, and is
+// the only production loop that computes K' (core's exact engine calls
+// it too).
 package count
 
 import (
 	"context"
 	"fmt"
 	"math/big"
-	"sort"
 
 	"repro/internal/cnf"
+	"repro/internal/simplify"
 )
 
 // maxBruteVars bounds exhaustive enumeration: 2^28 evaluations is the
@@ -135,117 +142,44 @@ func CountContext(ctx context.Context, f *cnf.Formula) (*big.Int, CountStats, er
 	if hasEmpty {
 		return new(big.Int), c.st, nil
 	}
-	mentioned := g.Vars()
-	free := g.NumVars - len(mentioned)
-
-	// Compact variables to 1..len(mentioned) for dense indexing.
-	remap := make(map[cnf.Var]cnf.Var, len(mentioned))
-	for i, v := range mentioned {
-		remap[v] = cnf.Var(i + 1)
-	}
-	h := cnf.New(len(mentioned))
-	for _, c := range g.Clauses {
-		d := make(cnf.Clause, len(c))
-		for i, l := range c {
-			d[i] = cnf.NewLit(remap[l.Var()], l.IsNeg())
+	comps, free := split(g)
+	result := big.NewInt(1)
+	for _, comp := range comps {
+		n := c.countDPLL(comp.F, newPartial(comp.F.NumVars))
+		if c.err != nil {
+			return nil, c.st, c.err
 		}
-		h.AddClause(d)
+		if result.Mul(result, n).Sign() == 0 {
+			return result, c.st, nil
+		}
 	}
+	return result.Lsh(result, uint(free)), c.st, nil
+}
 
-	result := c.countComponents(h)
-	if c.err != nil {
-		return nil, c.st, c.err
+// split numbers the variables that occur in f 1, 2, 3, ... in the
+// order they first occur and splits the renamed formula with
+// simplify.Decompose. free counts the declared variables no clause
+// mentions, each a factor of 2 in any count. Both the renaming and the
+// decomposition are sized by the literals f holds, never by its
+// declared variable count.
+func split(f *cnf.Formula) (comps []*simplify.Component, free int) {
+	lits, vars := f.DenseLits()
+	g := cnf.New(len(vars))
+	g.Clauses = make([]cnf.Clause, len(f.Clauses))
+	arena := make(cnf.Clause, len(lits))
+	for i, d := range lits {
+		arena[i] = cnf.NewLit(cnf.Var(d>>1+1), d&1 == 1)
 	}
-	if free > 0 {
-		result.Mul(result, new(big.Int).Lsh(big.NewInt(1), uint(free)))
+	for i, c := range f.Clauses {
+		g.Clauses[i], arena = arena[:len(c):len(c)], arena[len(c):]
 	}
-	return result, c.st, nil
+	return simplify.Decompose(g), max(f.NumVars-len(vars), 0)
 }
 
 // IsSatisfiable reports whether f has at least one model. It shares the
 // DPLL machinery but short-circuits at the first model.
 func IsSatisfiable(f *cnf.Formula) bool {
 	return Count(f).Sign() > 0
-}
-
-// countComponents splits the formula into connected components of its
-// variable-interaction graph and multiplies their counts. All variables
-// of h must be mentioned (callers compact first).
-func (c *counter) countComponents(h *cnf.Formula) *big.Int {
-	comps := components(h)
-	result := big.NewInt(1)
-	for _, comp := range comps {
-		n := c.countDPLL(comp, newPartial(comp.NumVars))
-		if c.err != nil {
-			return result
-		}
-		result.Mul(result, n)
-		if result.Sign() == 0 {
-			return result
-		}
-	}
-	return result
-}
-
-// components partitions clauses into connected components via union-find
-// on variables, returning each component as a compacted sub-formula.
-func components(h *cnf.Formula) []*cnf.Formula {
-	parent := make([]int, h.NumVars+1)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, c := range h.Clauses {
-		for i := 1; i < len(c); i++ {
-			union(int(c[0].Var()), int(c[i].Var()))
-		}
-	}
-
-	groups := make(map[int][]cnf.Clause)
-	for _, c := range h.Clauses {
-		r := find(int(c[0].Var()))
-		groups[r] = append(groups[r], c)
-	}
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots) // determinism
-
-	out := make([]*cnf.Formula, 0, len(groups))
-	for _, r := range roots {
-		clauses := groups[r]
-		remap := make(map[cnf.Var]cnf.Var)
-		sub := cnf.New(0)
-		for _, c := range clauses {
-			d := make(cnf.Clause, len(c))
-			for i, l := range c {
-				nv, ok := remap[l.Var()]
-				if !ok {
-					nv = cnf.Var(len(remap) + 1)
-					remap[l.Var()] = nv
-				}
-				d[i] = cnf.NewLit(nv, l.IsNeg())
-			}
-			sub.AddClause(d)
-		}
-		sub.NumVars = len(remap)
-		out = append(out, sub)
-	}
-	return out
 }
 
 // partial tracks a partial assignment during the DPLL recursion.

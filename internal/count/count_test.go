@@ -2,6 +2,7 @@ package count
 
 import (
 	"math/big"
+	"runtime"
 	"testing"
 
 	"repro/internal/cnf"
@@ -169,4 +170,34 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+func TestCountsFollowClausesNotDeclaredVars(t *testing.T) {
+	// A header may declare far more variables than the clauses use. The
+	// renaming and the decomposition follow the literals; only the
+	// result, 2^free times the component counts, grows with the header:
+	// 50,000,000 bits is 6 MiB.
+	f := cnf.FromClauses([]int{1, -7}, []int{7, 49_999_999}, []int{-3, 5})
+	f.NumVars = 50_000_000
+	// The first two clauses have 4 models of weight 6 in all, the third
+	// 3 models of weight 4, and 49,999,995 variables are free.
+	free := uint(f.NumVars - 5)
+	models := new(big.Int).Lsh(big.NewInt(4*3), free)
+	weighted := new(big.Int).Lsh(big.NewInt(6*4), free)
+	for _, c := range []struct {
+		name  string
+		count func(*cnf.Formula) *big.Int
+		want  *big.Int
+	}{{"Count", Count, models}, {"Weighted", Weighted, weighted}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := c.count(f)
+		runtime.ReadMemStats(&after)
+		if got.Cmp(c.want) != 0 {
+			t.Errorf("%s: wrong count (%d bits, want %d)", c.name, got.BitLen(), c.want.BitLen())
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+			t.Errorf("%s allocated %d MiB for %d declared variables, want < 16", c.name, alloc>>20, f.NumVars)
+		}
+	}
 }

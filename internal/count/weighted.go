@@ -34,119 +34,57 @@ func Weighted(f *cnf.Formula) *big.Int {
 // panic (same message text), so the wcount engine can reject a formula
 // without killing its worker. This is the entry point services use;
 // Weighted keeps the oracle-style signature for tests.
+//
+// The components come from simplify.Decompose over the variables that
+// occur, renamed densely, so an empty clause is a zero-variable
+// component of weight 0 and the work is sized by the literals f holds.
 func WeightedContext(ctx context.Context, f *cnf.Formula) (*big.Int, error) {
-	for _, c := range f.Clauses {
-		if len(c) == 0 {
-			return new(big.Int), nil
-		}
-	}
-	// Union-find over variables through shared clauses.
-	parent := make([]int, f.NumVars+1)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, c := range f.Clauses {
-		for i := 1; i < len(c); i++ {
-			ra, rb := find(int(c[0].Var())), find(int(c[i].Var()))
-			if ra != rb {
-				parent[ra] = rb
-			}
-		}
-	}
-
-	// Group clauses and variables by component root.
-	compClauses := map[int][]cnf.Clause{}
-	compVars := map[int][]cnf.Var{}
-	seenVar := make([]bool, f.NumVars+1)
-	for _, c := range f.Clauses {
-		root := find(int(c[0].Var()))
-		compClauses[root] = append(compClauses[root], c)
-		for _, l := range c {
-			v := l.Var()
-			if !seenVar[v] {
-				seenVar[v] = true
-				compVars[find(int(v))] = append(compVars[find(int(v))], v)
-			}
-		}
-	}
-
-	free := 0
-	for v := 1; v <= f.NumVars; v++ {
-		if !seenVar[v] {
-			free++
-		}
-	}
-
+	comps, free := split(f)
 	total := big.NewInt(1)
-	for root, clauses := range compClauses {
-		vars := compVars[root]
-		if len(vars) > maxBruteVars {
+	for _, comp := range comps {
+		if comp.F.NumVars > maxBruteVars {
 			return nil, fmt.Errorf("count: Weighted component has %d variables, limit %d",
-				len(vars), maxBruteVars)
+				comp.F.NumVars, maxBruteVars)
 		}
-		w, err := weightedComponent(ctx, clauses, vars)
+		w, err := weightedComponent(ctx, comp.F)
 		if err != nil {
 			return nil, err
 		}
-		total.Mul(total, w)
-		if total.Sign() == 0 {
+		if total.Mul(total, w).Sign() == 0 {
 			return total, nil
 		}
 	}
-	if free > 0 {
-		total.Mul(total, new(big.Int).Lsh(big.NewInt(1), uint(free)))
-	}
-	return total, nil
+	return total.Lsh(total, uint(free)), nil
 }
 
-// weightedComponent enumerates the component's local assignments and
-// sums the per-clause satisfied-literal products. The context is
-// polled every 4096 assignments: enumeration is exponential in the
-// component's variable count, so a cancelled request must not hold a
-// worker for the remainder of 2^n iterations.
-func weightedComponent(ctx context.Context, clauses []cnf.Clause, vars []cnf.Var) (*big.Int, error) {
-	index := make(map[cnf.Var]int, len(vars))
-	for i, v := range vars {
-		index[v] = i
-	}
-	total := new(big.Int)
-	w := new(big.Int)
-	for bits := uint64(0); bits < 1<<uint(len(vars)); bits++ {
+// weightedComponent enumerates the assignments of a component over
+// variables 1..f.NumVars and sums the per-clause satisfied-literal
+// products. The context is polled every 4096 assignments: enumeration
+// is exponential in the component's variable count, so a cancelled
+// request must not hold a worker for the remainder of 2^n iterations.
+func weightedComponent(ctx context.Context, f *cnf.Formula) (*big.Int, error) {
+	total, w, t := new(big.Int), new(big.Int), new(big.Int)
+assignments:
+	for bits := uint64(0); bits < 1<<f.NumVars; bits++ {
 		if bits&4095 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
 		w.SetInt64(1)
-		sat := true
-		for _, c := range clauses {
-			t := 0
+		for _, c := range f.Clauses {
+			n := int64(0)
 			for _, l := range c {
-				val := bits&(1<<uint(index[l.Var()])) != 0
-				if l.IsNeg() {
-					val = !val
-				}
-				if val {
-					t++
-				}
+				// Variable v is bit v-1, and a literal is true when that
+				// bit differs from its negation bit.
+				n += int64((bits>>(l.Var()-1) ^ uint64(l)) & 1)
 			}
-			if t == 0 {
-				sat = false
-				break
+			if n == 0 {
+				continue assignments
 			}
-			w.Mul(w, big.NewInt(int64(t)))
+			w.Mul(w, t.SetInt64(n))
 		}
-		if sat {
-			total.Add(total, w)
-		}
+		total.Add(total, w)
 	}
 	return total, nil
 }

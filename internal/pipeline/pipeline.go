@@ -17,12 +17,14 @@
 // of k small subformulas costs the NBL engine max_i(n_i·m_i), not
 // (Σn_i)(Σm_i). Both reductions happen before any noise is drawn.
 //
-// The pipeline stages:
+// Decide, count and weighted-count run the same stages:
 //
-//  1. Simplify proves equisatisfiable reductions. If it derives the
-//     empty clause the answer is UNSAT with zero samples; if it
-//     eliminates every clause the answer is SAT and Reconstruct
-//     produces a model from the forced values alone.
+//  1. The reductions the task allows: every Simplify pass for decide,
+//     the count-preserving ones for count, none for K'. If they derive
+//     the empty clause the answer is UNSAT (a zero count) with zero
+//     samples; if they remove every clause the answer is SAT, with a
+//     model Reconstruct builds from the forced values alone, or a count
+//     of 2^free.
 //  2. Decompose splits the reduced formula into variable-disjoint
 //     components by union-find over clauses.
 //  3. Every component is solved concurrently by a fresh instance of the
@@ -30,9 +32,12 @@
 //     its deadline budget). The first UNSAT component cancels the rest:
 //     the conjunction is already decided.
 //  4. Verdicts merge: any UNSAT -> UNSAT; otherwise any UNKNOWN (or
-//     error) -> UNKNOWN; otherwise SAT, with the component models
-//     lifted through Component.Lift and simplify.Reconstruct back to
-//     the input variable space when every component produced one.
+//     error) -> UNKNOWN; otherwise SAT. Decide lifts the component
+//     models through Component.Lift and simplify.Reconstruct back to
+//     the input variable space when every component produced one; the
+//     counting tasks multiply the component counts into 2^free, where
+//     free counts the declared variables neither forced nor in a
+//     component.
 //
 // Result.Stats carries the reduction trail: NMBefore/NMAfter bracket
 // the preprocessing, Components counts the fan-out, and the wrapped
@@ -60,8 +65,8 @@ func init() {
 	// The shell holds no geometry-sized state (Reset is always warm);
 	// the lease pool keys it geometry-free.
 	solver.MarkStateless("pre")
-	// The pipeline is count-safe (solveCount/solveWeighted pick
-	// count-preserving stages), so pre(count) and pre(wcount) work;
+	// The pipeline is count-safe (reduce picks count-preserving
+	// stages), so pre(count) and pre(wcount) work;
 	// NewWith intersects this list with the inner engine's own tasks.
 	solver.RegisterTasks("pre", solver.TaskDecide, solver.TaskCount, solver.TaskWeightedCount)
 }
@@ -98,17 +103,172 @@ func New(inner string, cfg solver.Config) (*Pipeline, error) {
 // from the pool — so any instance is reusable as-is for any formula.
 func (p *Pipeline) Reset(f *cnf.Formula) bool { return true }
 
-// Solve implements solver.Solver, dispatching on the configured task:
-// counting tasks take count-preserving variants of the pipeline, decide
-// takes the full reduction.
+// Solve implements solver.Solver. Every task takes one path: the
+// reductions the task allows, the short-circuits, one Decompose, one
+// fan-out and one merge. Only the merge's SAT step differs: decide
+// lifts the component models, the counting tasks multiply the
+// component counts.
 func (p *Pipeline) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
-	switch p.cfg.Task {
-	case solver.TaskCount:
-		return p.solveCount(ctx, f)
-	case solver.TaskWeightedCount:
-		return p.solveWeighted(ctx, f)
+	counting := p.cfg.Task == solver.TaskCount || p.cfg.Task == solver.TaskWeightedCount
+	pre := p.reduce(ctx, f)
+	out := solver.Result{Stats: solver.Stats{
+		NMBefore: int64(pre.Stats.NMBefore()),
+		NMAfter:  int64(pre.Stats.NMAfter()),
+	}}
+	unsat := func() (solver.Result, error) {
+		out.Status = solver.StatusUnsat
+		if counting {
+			out.Count = new(big.Int)
+		}
+		return out, nil
 	}
-	return p.solveDecide(ctx, f)
+	if pre.ProvedUnsat {
+		return unsat()
+	}
+
+	var comps []*simplify.Component
+	if pre.F.NumClauses() > 0 {
+		comps = runDecompose(ctx, pre.F)
+		out.Stats.Components = int64(len(comps))
+	}
+	// Every declared variable is exactly one of: forced (a factor of 1
+	// in any count), in a component (counted by the inner engine), or
+	// free (a factor of 2). The counting reductions eliminate none.
+	free := f.NumVars
+	for v := 1; counting && v < len(pre.Forced); v++ {
+		if pre.Forced[v] != cnf.Unassigned {
+			free--
+		}
+	}
+	for _, c := range comps {
+		free -= c.F.NumVars
+		for _, cl := range c.F.Clauses {
+			if len(cl) == 0 {
+				// Defensive: Simplify leaves no empty clauses, but a
+				// caller-supplied Simplify option set might.
+				return unsat()
+			}
+		}
+	}
+	var (
+		count      *big.Int
+		model      cnf.Assignment
+		haveModels = true
+	)
+	if counting {
+		count = new(big.Int).Lsh(big.NewInt(1), uint(free))
+	} else {
+		model = cnf.NewAssignment(pre.F.NumVars)
+	}
+	sat := func() (solver.Result, error) {
+		out.Status = solver.StatusSat
+		if counting {
+			out.Count = count
+		} else if haveModels {
+			out.Assignment = pre.Reconstruct(model)
+		}
+		return out, nil
+	}
+	if len(comps) == 0 {
+		// Everything was forced or freed: any completion of the forced
+		// values is a model, and there are 2^free of them.
+		return sat()
+	}
+
+	results, compCtx, cancel, err := p.fanOut(ctx, comps)
+	if err != nil {
+		return out, err
+	}
+	defer cancel()
+
+	// Merge. Stats counters sum across components; the first sampling
+	// statistic seen survives (component statistics are per-subformula
+	// and cannot be combined). One UNSAT component decides the
+	// conjunction (a zero count zeroes the product); any unknown or
+	// cancelled-loser component leaves the rest unknowable.
+	var (
+		unknown, zero bool
+		firstErr      error
+	)
+	for i, o := range results {
+		if out.Stats.StdErr == 0 && o.r.Stats.StdErr != 0 {
+			out.Stats.Mean, out.Stats.StdErr = o.r.Stats.Mean, o.r.Stats.StdErr
+		}
+		out.Stats.Add(o.r.Stats)
+		switch {
+		case o.err == nil && o.r.Status == solver.StatusUnsat:
+			zero = true
+		case o.err == nil && o.r.Status == solver.StatusSat && counting:
+			if o.r.Count == nil {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("pipeline %s component %d/%d: SAT without a count under task %s",
+						p.inner, i+1, len(comps), p.cfg.Task)
+				}
+				continue
+			}
+			count.Mul(count, o.r.Count)
+		case o.err == nil && o.r.Status == solver.StatusSat:
+			if o.r.Assignment != nil {
+				comps[i].Lift(o.r.Assignment, model)
+			} else {
+				haveModels = false
+			}
+		case o.err == nil:
+			unknown = true
+		case compCtx.Err() != nil && ctx.Err() == nil:
+			// Cancelled loser of a decided conjunction, not a failure.
+			unknown = true
+		default:
+			if firstErr == nil {
+				firstErr = fmt.Errorf("pipeline %s component %d/%d: %w",
+					p.inner, i+1, len(comps), o.err)
+			}
+		}
+	}
+
+	switch {
+	case zero:
+		return unsat()
+	case ctx.Err() != nil:
+		return out, ctx.Err()
+	case firstErr != nil:
+		return out, firstErr
+	case unknown:
+		out.Status = solver.StatusUnknown
+		return out, nil
+	}
+	return sat()
+}
+
+// reduce runs the reductions the task allows. Decide takes every
+// Simplify pass. Count keeps only the count-preserving ones: unit
+// propagation (a forced variable has one value in every model),
+// subsumption and strengthening (both logical equivalences); pure
+// literals and BVE preserve only satisfiability, so they are forced
+// off. K' takes none: it weights each model by the product over
+// clauses of the number of satisfied literals, so even unit propagation
+// changes it (for f = (x)·(x+y), K' = 3, since the model x=y=1
+// satisfies the second clause twice, but propagating the unit first
+// leaves (y) free-standing with K' = 2·1). Its Result is then f itself,
+// refuted only by an empty clause, with no simplify span.
+// Decomposition is safe for all three: it renames variables without
+// touching clause contents, and counts factor over variable-disjoint
+// components.
+func (p *Pipeline) reduce(ctx context.Context, f *cnf.Formula) *simplify.Result {
+	opts := p.Simplify
+	switch p.cfg.Task {
+	case solver.TaskWeightedCount:
+		n, m := f.NumVars, f.NumClauses()
+		r := &simplify.Result{F: f, Stats: simplify.Stats{VarsBefore: n, VarsAfter: n, ClausesBefore: m, ClausesAfter: m}}
+		for _, c := range f.Clauses {
+			r.ProvedUnsat = r.ProvedUnsat || len(c) == 0
+		}
+		return r
+	case solver.TaskCount:
+		opts.DisablePure = true
+		opts.DisableBVE = true
+	}
+	return runSimplify(ctx, f, opts)
 }
 
 // runSimplify is Simplify with its span: nm before/after and the BVE
@@ -136,102 +296,6 @@ func runDecompose(ctx context.Context, f *cnf.Formula) []*simplify.Component {
 		sp.Finish()
 	}
 	return comps
-}
-
-// solveDecide is the original decide pipeline: full Simplify,
-// short-circuits, Decompose, fan out, merge verdicts.
-func (p *Pipeline) solveDecide(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
-	pre := runSimplify(ctx, f, p.Simplify)
-	out := solver.Result{Stats: solver.Stats{
-		NMBefore: int64(pre.Stats.NMBefore()),
-		NMAfter:  int64(pre.Stats.NMAfter()),
-	}}
-
-	if pre.ProvedUnsat {
-		out.Status = solver.StatusUnsat
-		return out, nil
-	}
-	if pre.F.NumClauses() == 0 {
-		// Everything was forced or freed: any completion of the forced
-		// values is a model.
-		out.Status = solver.StatusSat
-		out.Assignment = pre.Reconstruct(cnf.NewAssignment(pre.F.NumVars))
-		return out, nil
-	}
-
-	comps := runDecompose(ctx, pre.F)
-	out.Stats.Components = int64(len(comps))
-	for _, c := range comps {
-		for _, cl := range c.F.Clauses {
-			if len(cl) == 0 {
-				// Defensive: Simplify leaves no empty clauses, but a
-				// caller-supplied Simplify option set might.
-				out.Status = solver.StatusUnsat
-				return out, nil
-			}
-		}
-	}
-
-	results, compCtx, cancel, err := p.fanOut(ctx, comps)
-	if err != nil {
-		return out, err
-	}
-	defer cancel()
-
-	// Merge. Stats counters sum across components; the first sampling
-	// statistic seen survives (component statistics are per-subformula
-	// and cannot be combined).
-	var (
-		unsat    bool
-		unknown  bool
-		firstErr error
-	)
-	model := cnf.NewAssignment(pre.F.NumVars)
-	haveModels := true
-	for i, o := range results {
-		if out.Stats.StdErr == 0 && o.r.Stats.StdErr != 0 {
-			out.Stats.Mean, out.Stats.StdErr = o.r.Stats.Mean, o.r.Stats.StdErr
-		}
-		out.Stats.Add(o.r.Stats)
-		switch {
-		case o.err == nil && o.r.Status == solver.StatusUnsat:
-			unsat = true
-		case o.err == nil && o.r.Status == solver.StatusSat:
-			if o.r.Assignment != nil {
-				comps[i].Lift(o.r.Assignment, model)
-			} else {
-				haveModels = false
-			}
-		case o.err == nil:
-			unknown = true
-		case compCtx.Err() != nil && ctx.Err() == nil:
-			// Cancelled loser of a decided conjunction, not a failure.
-			unknown = true
-		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("pipeline %s component %d/%d: %w",
-					p.inner, i+1, len(comps), o.err)
-			}
-		}
-	}
-
-	switch {
-	case unsat:
-		out.Status = solver.StatusUnsat
-		return out, nil
-	case ctx.Err() != nil:
-		return out, ctx.Err()
-	case firstErr != nil:
-		return out, firstErr
-	case unknown:
-		out.Status = solver.StatusUnknown
-		return out, nil
-	}
-	out.Status = solver.StatusSat
-	if haveModels {
-		out.Assignment = pre.Reconstruct(model)
-	}
-	return out, nil
 }
 
 // slot is one component's outcome in a fan-out.
@@ -292,169 +356,4 @@ func (p *Pipeline) fanOut(ctx context.Context, comps []*simplify.Component) ([]s
 	}
 	wg.Wait()
 	return results, compCtx, cancel, nil
-}
-
-// solveCount is the counting pipeline. It keeps only the
-// count-preserving reductions: unit propagation (a forced variable has
-// exactly one value in every model, so it contributes a factor of 1),
-// subsumption and self-subsuming strengthening (both
-// logical-equivalence transformations). Pure-literal elimination and
-// bounded variable elimination are forced off — both preserve only
-// satisfiability, not the number of models (a pure literal's variable
-// still takes two values in models where its clauses are otherwise
-// satisfied). Variables that end up in no clause — free — contribute a
-// factor of 2 each, and component counts multiply because components
-// share no variables.
-func (p *Pipeline) solveCount(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
-	opts := p.Simplify
-	opts.DisablePure = true
-	opts.DisableBVE = true
-	pre := runSimplify(ctx, f, opts)
-	out := solver.Result{Stats: solver.Stats{
-		NMBefore: int64(pre.Stats.NMBefore()),
-		NMAfter:  int64(pre.Stats.NMAfter()),
-	}}
-
-	if pre.ProvedUnsat {
-		out.Status = solver.StatusUnsat
-		out.Count = new(big.Int)
-		return out, nil
-	}
-
-	// Every original variable is exactly one of: forced (factor 1),
-	// surviving in pre.F (counted by the engines below), or free
-	// (factor 2). BVE is off, so there is no fourth, eliminated kind.
-	forced := 0
-	for v := cnf.Var(1); int(v) <= f.NumVars; v++ {
-		if pre.Forced.Get(v) != cnf.Unassigned {
-			forced++
-		}
-	}
-	free := f.NumVars - forced - pre.F.NumVars
-	count := new(big.Int).Lsh(big.NewInt(1), uint(free))
-
-	if pre.F.NumClauses() == 0 {
-		// Everything was forced or freed: the forced prefix admits
-		// exactly the 2^free completions already accumulated.
-		out.Status = solver.StatusSat
-		out.Count = count
-		return out, nil
-	}
-
-	comps := runDecompose(ctx, pre.F)
-	out.Stats.Components = int64(len(comps))
-	for _, c := range comps {
-		for _, cl := range c.F.Clauses {
-			if len(cl) == 0 {
-				// Defensive: Simplify leaves no empty clauses, but a
-				// caller-supplied Simplify option set might.
-				out.Status = solver.StatusUnsat
-				out.Count = new(big.Int)
-				return out, nil
-			}
-		}
-	}
-	return p.mergeCounts(ctx, out, comps, count)
-}
-
-// solveWeighted is the weighted-counting (K') pipeline. It must not
-// Simplify at all: K' weights each model by the product over clauses of
-// the number of satisfied literals, so even unit propagation changes
-// the answer — for f = (x)·(x+y), K' = 3 (the model x=y=1 satisfies
-// the second clause twice), but propagating the unit first leaves (y)
-// free-standing with K' = 2·1. Decomposition alone is K'-safe: it
-// renames variables without touching clause contents, and weights
-// factor over variable-disjoint components. Free variables contribute
-// ×2 each (they satisfy nothing, with two completions per model).
-func (p *Pipeline) solveWeighted(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
-	nm := int64(f.NumVars) * int64(f.NumClauses())
-	out := solver.Result{Stats: solver.Stats{NMBefore: nm, NMAfter: nm}}
-
-	for _, cl := range f.Clauses {
-		if len(cl) == 0 {
-			out.Status = solver.StatusUnsat
-			out.Count = new(big.Int)
-			return out, nil
-		}
-	}
-	if f.NumClauses() == 0 {
-		// The empty product weights every assignment 1: K' = 2^n.
-		out.Status = solver.StatusSat
-		out.Count = new(big.Int).Lsh(big.NewInt(1), uint(f.NumVars))
-		return out, nil
-	}
-
-	comps := runDecompose(ctx, f)
-	out.Stats.Components = int64(len(comps))
-	mentioned := 0
-	for _, c := range comps {
-		mentioned += c.F.NumVars
-	}
-	base := new(big.Int).Lsh(big.NewInt(1), uint(f.NumVars-mentioned))
-	return p.mergeCounts(ctx, out, comps, base)
-}
-
-// mergeCounts fans the components out and multiplies their counts into
-// base (which already carries the 2^free factor). Any zero-count
-// (UNSAT) component zeroes the product; any unknown or cancelled-loser
-// component leaves the total unknowable, so no count is reported.
-func (p *Pipeline) mergeCounts(ctx context.Context, out solver.Result, comps []*simplify.Component, base *big.Int) (solver.Result, error) {
-	results, compCtx, cancel, err := p.fanOut(ctx, comps)
-	if err != nil {
-		return out, err
-	}
-	defer cancel()
-
-	var (
-		unsat    bool
-		unknown  bool
-		firstErr error
-	)
-	count := base
-	for i, o := range results {
-		if out.Stats.StdErr == 0 && o.r.Stats.StdErr != 0 {
-			out.Stats.Mean, out.Stats.StdErr = o.r.Stats.Mean, o.r.Stats.StdErr
-		}
-		out.Stats.Add(o.r.Stats)
-		switch {
-		case o.err == nil && o.r.Status == solver.StatusUnsat:
-			unsat = true
-		case o.err == nil && o.r.Status == solver.StatusSat:
-			if o.r.Count == nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("pipeline %s component %d/%d: SAT without a count under task %s",
-						p.inner, i+1, len(comps), p.cfg.Task)
-				}
-				continue
-			}
-			count.Mul(count, o.r.Count)
-		case o.err == nil:
-			unknown = true
-		case compCtx.Err() != nil && ctx.Err() == nil:
-			// Cancelled loser of an already-zeroed product, not a failure.
-			unknown = true
-		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("pipeline %s component %d/%d: %w",
-					p.inner, i+1, len(comps), o.err)
-			}
-		}
-	}
-
-	switch {
-	case unsat:
-		out.Status = solver.StatusUnsat
-		out.Count = new(big.Int)
-		return out, nil
-	case ctx.Err() != nil:
-		return out, ctx.Err()
-	case firstErr != nil:
-		return out, firstErr
-	case unknown:
-		out.Status = solver.StatusUnknown
-		return out, nil
-	}
-	out.Status = solver.StatusSat
-	out.Count = count
-	return out, nil
 }

@@ -70,10 +70,6 @@ func (p *Portfolio) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, e
 	}
 	leases := make([]*enginepool.Lease, len(members))
 	for i, name := range members {
-		if name == "portfolio" {
-			releaseAll(leases[:i])
-			return solver.Result{}, fmt.Errorf("portfolio: cannot nest itself as a member")
-		}
 		l, err := enginepool.Default.Acquire(name, p.cfg, f)
 		if err != nil {
 			releaseAll(leases[:i])

@@ -53,11 +53,6 @@ import (
 	"repro/internal/obs"
 )
 
-// maxTrackedJobs bounds the id→node map; past it the map is dropped
-// wholesale and resolution falls back to prefix-parsing, which is
-// always correct (the map only saves the scan).
-const maxTrackedJobs = 1 << 16
-
 // Node is one nblserve replica.
 type Node struct {
 	Name string // label used in job ids and the node= metric label
@@ -89,7 +84,6 @@ type Router struct {
 	now     func() time.Time
 
 	mu      sync.Mutex
-	jobNode map[string]string    // namespaced job id -> node name
 	coolOff map[string]time.Time // node name -> earliest next attempt
 
 	// traces holds the router-side spans of forwarded submissions,
@@ -126,7 +120,6 @@ func New(cfg Config) (*Router, error) {
 		client:  cfg.Client,
 		defCool: cfg.Cooldown,
 		now:     cfg.Now,
-		jobNode: make(map[string]string),
 		coolOff: make(map[string]time.Time),
 		traces:  obs.NewRing(256),
 	}
@@ -266,8 +259,8 @@ type reply struct {
 
 // submit routes one parsed instance by the canonical fingerprint of f
 // and forwards body, the client's bytes for it, to the first replica
-// that takes it, as a /solve under query. An admitted job is tracked
-// and its router-side trace kept. A refusal the request model cannot
+// that takes it, as a /solve under query. An admitted job's router-side
+// trace is kept. A refusal the request model cannot
 // see (an unknown engine, the counting bound) comes back as the
 // replica worded it. The error, an *api.Error, is a 503 when every
 // replica refused and a 502 when the answer was unreadable.
@@ -302,7 +295,6 @@ func (rt *Router) submit(r *http.Request, f *cnf.Formula, query string, body []b
 		return reply{}, &api.Error{Code: http.StatusBadGateway,
 			Err: fmt.Errorf("%s answered an unreadable job snapshot: %w", node.Name, err)}
 	}
-	rt.track(rep.id, node.Name)
 	rt.submits.Add(1)
 	root.SetAttr("node", node.Name)
 	root.Finish()
@@ -333,34 +325,23 @@ func (rt *Router) retryAfterFleet() int {
 	return secs
 }
 
-// track records a namespaced job id's node for later proxying.
-func (rt *Router) track(id, node string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if len(rt.jobNode) >= maxTrackedJobs {
-		rt.jobNode = make(map[string]string)
-	}
-	rt.jobNode[id] = node
-}
-
 // resolve maps a namespaced job id back to its node and the remote
-// id. The map is the fast path; prefix-parsing the node name out of
-// the id is the fallback that survives a router restart.
+// id. The router names a job <node>-<remote id>, and replica ids
+// (j<N>) hold no "-", so the node is the longest node name that,
+// followed by "-", prefixes the id: with nodes east and east-2,
+// east-2-j7 is east-2's j7 and east-j7 is east's. The id alone decides,
+// so a restarted router resolves every id it ever issued.
 func (rt *Router) resolve(id string) (Node, string, bool) {
-	rt.mu.Lock()
-	name, ok := rt.jobNode[id]
-	rt.mu.Unlock()
+	var (
+		owner  Node
+		remote string
+	)
 	for _, nd := range rt.nodes {
-		if ok && nd.Name == name {
-			return nd, strings.TrimPrefix(id, nd.Name+"-"), true
-		}
-		if !ok {
-			if rest, found := strings.CutPrefix(id, nd.Name+"-"); found && rest != "" {
-				return nd, rest, true
-			}
+		if rest, found := strings.CutPrefix(id, nd.Name+"-"); found && rest != "" && len(nd.Name) >= len(owner.Name) {
+			owner, remote = nd, rest
 		}
 	}
-	return Node{}, "", false
+	return owner, remote, remote != ""
 }
 
 // rewriteJobID namespaces the "id" field of a job-snapshot JSON body

@@ -293,12 +293,11 @@ func TestBadDIMACSRejectedAtRouter(t *testing.T) {
 }
 
 // TestJobProxyResolvesNode: /jobs/{id} and DELETE find the owning
-// node via the id map, and — after the map is gone — via the
-// prefix-parse fallback.
+// node from the namespaced id alone.
 func TestJobProxyResolvesNode(t *testing.T) {
 	b0 := newFakeBackend(t, "n0")
 	b1 := newFakeBackend(t, "n1")
-	rt, ts := newTestRouter(t, nil, b0, b1)
+	_, ts := newTestRouter(t, nil, b0, b1)
 
 	resp, job := postSolve(t, ts.URL, dimacsA)
 	id, _ := job["id"].(string)
@@ -326,11 +325,8 @@ func TestJobProxyResolvesNode(t *testing.T) {
 		t.Fatalf("snapshot id %v, want %q (renamespaced)", got["id"], id)
 	}
 
-	// Simulate a router restart: the id map is empty, only the
-	// namespaced id itself identifies the node.
-	rt.mu.Lock()
-	rt.jobNode = make(map[string]string)
-	rt.mu.Unlock()
+	// Simulate a router restart: only the namespaced id itself
+	// identifies the node.
 	if got := get(); got["id"] != id {
 		t.Fatalf("prefix-fallback snapshot id %v, want %q", got["id"], id)
 	}
@@ -353,6 +349,31 @@ func TestJobProxyResolvesNode(t *testing.T) {
 	uresp.Body.Close()
 	if uresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id: HTTP %d, want 404", uresp.StatusCode)
+	}
+}
+
+// TestResolveLongestNodePrefix: a fresh router, holding no state about
+// any job, resolves an id to the longest node name that prefixes it, so
+// east-2's jobs do not go to east.
+func TestResolveLongestNodePrefix(t *testing.T) {
+	for _, nodes := range [][]Node{
+		{{Name: "east", URL: "http://east"}, {Name: "east-2", URL: "http://east-2"}},
+		{{Name: "east-2", URL: "http://east-2"}, {Name: "east", URL: "http://east"}},
+	} {
+		rt, err := New(Config{Nodes: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, want := range map[string]string{"east-2-j7": "east-2/j7", "east-j7": "east/j7"} {
+			if nd, remote, ok := rt.resolve(id); !ok || nd.Name+"/"+remote != want {
+				t.Errorf("%v: resolve(%q) = %s/%s %t, want %s", nodes, id, nd.Name, remote, ok, want)
+			}
+		}
+		for _, id := range []string{"west-j7", "east-", "east", "j7"} {
+			if nd, _, ok := rt.resolve(id); ok {
+				t.Errorf("%v: resolve(%q) = %s, want no node", nodes, id, nd.Name)
+			}
+		}
 	}
 }
 

@@ -90,8 +90,8 @@ func TestTraceRelayWithoutRouterSide(t *testing.T) {
 	}
 	id, _ := m["id"].(string)
 
-	// Simulate a router restart that kept job tracking (a re-resolve
-	// via the X-NBL-Node prefix) but lost the in-memory trace ring.
+	// Simulate a router restart: the id still names its node, but the
+	// in-memory trace ring is lost.
 	rt.traces = obs.NewRing(1)
 
 	tresp, err := http.Get(ts.URL + "/jobs/" + id + "/trace")

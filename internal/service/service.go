@@ -205,7 +205,6 @@ type Server struct {
 	// cancelling a queued job removes it here immediately, so a
 	// cancelled job never occupies backlog capacity as a tombstone.
 	pending []*Job
-	queued  int64
 	running int64
 
 	wg sync.WaitGroup
@@ -336,7 +335,6 @@ func (s *Server) Submit(f *cnf.Formula, req api.Request) (*Job, error) {
 	job.queueSpan = job.root.StartChild("queue.wait")
 	s.register(job)
 	s.pending = append(s.pending, job)
-	s.queued++
 	s.cond.Signal()
 	s.mu.Unlock()
 	// A per-job deadline must bound the whole job, not just the solve:
@@ -357,7 +355,6 @@ func (s *Server) reapQueued(j *Job) {
 	for i, p := range s.pending {
 		if p == j {
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			s.queued--
 			found = true
 			break
 		}
@@ -496,7 +493,6 @@ func (s *Server) worker() {
 		}
 		job := s.pending[0]
 		s.pending = s.pending[1:]
-		s.queued--
 		s.running++
 		s.mu.Unlock()
 
@@ -686,7 +682,7 @@ func (s *Server) RetryAfterSeconds() (secs int, ok bool) {
 func (s *Server) Counts() (queued, running int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queued, s.running
+	return int64(len(s.pending)), s.running
 }
 
 // Snapshot is a point-in-time copy of a job's observable state.

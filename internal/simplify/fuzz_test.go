@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cdcl"
 	"repro/internal/cnf"
-	"repro/internal/count"
 )
 
 // decodeFormula reads a formula from fuzz bytes: the first byte picks
@@ -53,7 +52,7 @@ func FuzzSimplifyReconstruct(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := decodeFormula(data)
-		want := count.Brute(in)
+		want := bruteCount(in)
 
 		r := Simplify(in, Options{})
 		if r.Stats.NMAfter() > r.Stats.NMBefore() {
@@ -95,7 +94,7 @@ func FuzzSimplifyReconstruct(f *testing.F) {
 			}
 		}
 		free := in.NumVars - forced - r.F.NumVars
-		if got := count.Brute(r.F) << free; got != want {
+		if got := bruteCount(r.F) << free; got != want {
 			t.Fatalf("count %d, want %d (free %d, reduced %s)\ninput %s", got, want, free, r.F, in)
 		}
 	})
@@ -136,7 +135,7 @@ func FuzzCondition(f *testing.F) {
 				withUnits.Clauses = append(withUnits.Clauses, cnf.Clause{cnf.Neg(v)})
 			}
 		}
-		want := count.Brute(withUnits)
+		want := bruteCount(withUnits)
 
 		r := Condition(in, bound)
 		if r.ProvedUnsat {
@@ -158,7 +157,7 @@ func FuzzCondition(f *testing.F) {
 			}
 		}
 		free := in.NumVars - forced - r.F.NumVars
-		if got := count.Brute(r.F) << free; got != want {
+		if got := bruteCount(r.F) << free; got != want {
 			t.Fatalf("residual %s has %d models with %d free variables, want %d\ninput %s bound %s",
 				r.F, got, free, want, in, bound)
 		}

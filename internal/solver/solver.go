@@ -462,6 +462,9 @@ const MaxWorkers = 64
 // the sampler). The float bounds guard verdicts, not just resources: a
 // NaN theta fails every SAT comparison, so each check would end in a
 // definitive UNSAT, and a negative one certifies SAT on noise alone.
+// No member may be the portfolio or wrap it at any depth, such as
+// pre(pre(portfolio)): every member inherits the Config, members
+// included, so the portfolio would lease itself without bound.
 func (c Config) Validate() error {
 	for _, k := range []struct {
 		name string
@@ -484,6 +487,13 @@ func (c Config) Validate() error {
 	}
 	if c.Workers > MaxWorkers {
 		return fmt.Errorf("solver: bad workers %d: the cap is %d", c.Workers, MaxWorkers)
+	}
+	for _, m := range c.Members {
+		for expr, ok := m, true; ok; _, expr, ok = splitMeta(expr) {
+			if expr == "portfolio" {
+				return fmt.Errorf("solver: bad member %q: a portfolio cannot race itself", m)
+			}
+		}
 	}
 	return nil
 }

@@ -12,7 +12,8 @@ import (
 // them, so the CLI, this library, nblserve and every pool, portfolio
 // and pipeline construction refuse the same values. A NaN theta fails
 // every SAT comparison (a definitive UNSAT for a satisfiable formula),
-// and a negative one certifies SAT on noise.
+// and a negative one certifies SAT on noise. A portfolio member that
+// is or wraps the portfolio would lease the portfolio without bound.
 func TestNewWithRefusesOutOfRangeKnobs(t *testing.T) {
 	rows := []struct {
 		knob string
@@ -25,6 +26,9 @@ func TestNewWithRefusesOutOfRangeKnobs(t *testing.T) {
 		{"workers", Config{Workers: 65}},
 		{"samples", Config{MaxSamples: -1}},
 		{"noise", Config{NoiseP: math.NaN()}},
+		// A member that is or wraps the portfolio would race itself.
+		{`"portfolio"`, Config{Members: []string{"portfolio"}}},
+		{"pre(pre(portfolio))", Config{Members: []string{"cdcl", "pre(pre(portfolio))"}}},
 	}
 	for _, engine := range []string{"mc", "rtw", "portfolio", "pre(mc)"} {
 		for _, row := range rows {
@@ -33,7 +37,7 @@ func TestNewWithRefusesOutOfRangeKnobs(t *testing.T) {
 			}
 		}
 		// The edges of the bounds still construct.
-		if _, err := NewWith(engine, Config{Workers: 64, MaxSamples: 1}); err != nil {
+		if _, err := NewWith(engine, Config{Workers: 64, MaxSamples: 1, Members: []string{"pre(cdcl)", "walksat"}}); err != nil {
 			t.Errorf("%s at the bounds: %v", engine, err)
 		}
 	}

@@ -56,7 +56,10 @@ func TestRequestConformance(t *testing.T) {
 	}
 	var rows []row
 	for _, path := range []string{"/solve", "/solve/batch"} {
-		for _, q := range []string{"samples=x", "theta=NaN", "workers=65", "timeout=-1s", "task=bogus"} {
+		// A portfolio racing pre(portfolio) would lease itself without
+		// bound and, with no timeout, grow until the replica died.
+		for _, q := range []string{"samples=x", "theta=NaN", "workers=65", "timeout=-1s", "task=bogus",
+			"engine=portfolio&members=pre(portfolio)"} {
 			rows = append(rows, row{q, path, q, conformanceSAT, http.StatusBadRequest})
 		}
 		rows = append(rows, row{"17 MiB body", path, "", huge, http.StatusRequestEntityTooLarge})
