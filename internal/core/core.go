@@ -61,8 +61,11 @@ type Options struct {
 	// Block overrides the sampling batch size. Default 0 selects the
 	// cache-aware hyperspace.BlockSize for the instance geometry. The
 	// per-source sample streams are identical for every block size
-	// (SampleSource's FillBlockAt contract), so Block never changes
-	// results — only throughput.
+	// (SampleSource's FillBlockAt contract), so the samples drawn, their
+	// count and the verdict do not change with Block. Mean and StdErr
+	// can, in their last bits: the block size is also the sampler's
+	// chunk size, and the chunks fix the order in which per-chunk
+	// moments merge.
 	Block int
 }
 

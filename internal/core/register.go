@@ -150,8 +150,8 @@ func MCCheck(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span, fin
 			out.Status = CheckStatus(r.Satisfiable, f.NumVars, f.NumClauses(), r.Samples)
 		}
 	}
-	// The hot path's two kernels: the block evaluator's row primitives
-	// and the noise fill for the engine's family.
+	// The hot path's kernels: the block evaluator's clause and tau
+	// kernels and the noise fill for the engine's family.
 	out.Stats.EvalAccel = hyperspace.EvalAccelName()
 	out.Stats.FillAccel = noise.FillAccelKernel(eng.Options().Family)
 	return out, err

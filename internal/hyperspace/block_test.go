@@ -1,6 +1,7 @@
 package hyperspace
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -15,49 +16,162 @@ var allFamilies = []noise.Family{
 	noise.UniformHalf, noise.UniformUnit, noise.Gaussian, noise.RTW, noise.Pulse,
 }
 
+// tameSource is a counter-addressed SampleSource with random signs
+// whose positive sources have magnitudes in [0.9, 1.1) and negative
+// ones an eighth of that. At uf20-91 tau_N, a sum of products of 91
+// bank samples per variable, underflows to ±0 on nearly every sample of
+// every bank family, so S_N = tau_N·Sigma_N reads ±0 whatever Sigma_N
+// is. Over this source every prodPos stays near ±1 and every g = pos+neg
+// near ±1, so tau_N and Sigma_N stay finite and nonzero and a
+// block-versus-scalar comparison sees every bit of both.
+type tameSource struct {
+	n, m int
+	seed uint64
+}
+
+func (s tameSource) Dims() (int, int) { return s.n, s.m }
+
+func (s tameSource) FillBlockAt(base uint64, k int, pos, neg []float64) {
+	nm := s.n * s.m
+	for src := 0; src < 2*nm; src++ {
+		rows, row, scale := pos, src, 1.0
+		if src >= nm {
+			rows, row, scale = neg, src-nm, 0.125
+		}
+		dst := rows[row*k : row*k+k]
+		rng.FillUniformAt(rng.StreamBase(s.seed, uint64(src)), base, dst, -1, 2)
+		for i, u := range dst {
+			dst[i] = math.Copysign(scale*(1+(math.Abs(u)-0.5)/5), u)
+		}
+	}
+}
+
+// blockSources returns the sources the block tests run every formula
+// over: a bank of each family and a tame source, all on one seed.
+func blockSources(seed uint64, n, m int) []SampleSource {
+	var out []SampleSource
+	for _, fam := range allFamilies {
+		out = append(out, noise.NewBank(fam, seed, n, m))
+	}
+	return append(out, tameSource{n, m, seed})
+}
+
+// requireBlockMatchesScalar evaluates samples base..base+len(out)-1 on
+// block with StepBlockAt and requires each to equal scalar's StepAt S
+// bit for bit, so signed zeros and NaN payloads count too.
+func requireBlockMatchesScalar(t *testing.T, label string, block, scalar *Evaluator, base uint64, out []float64) {
+	t.Helper()
+	block.StepBlockAt(base, out)
+	for s := range out {
+		if want := scalar.StepAt(base + uint64(s)).S; math.Float64bits(out[s]) != math.Float64bits(want) {
+			t.Fatalf("%s, base %d, k %d, sample %d: StepBlockAt %v (%#x) != StepAt %v (%#x)", label, base, len(out), s,
+				out[s], math.Float64bits(out[s]), want, math.Float64bits(want))
+		}
+	}
+}
+
 // TestStepBlockBitIdenticalToStep is the block-kernel conformance test:
 // for every noise family, StepBlockAt must reproduce the exact float64
 // values of per-sample StepAt over the same streams — including with
 // bindings applied and across uneven block sizes — so verdicts and
-// replay determinism are untouched by the batched path.
+// replay determinism are untouched by the batched path. The formulas
+// run from the paper's examples to uf20-91, the geometry the sampler
+// benchmark measures, plus one with a duplicate literal, a tautology, a
+// unit and an empty clause.
 func TestStepBlockBitIdenticalToStep(t *testing.T) {
 	g := rng.New(7)
 	formulas := []*cnf.Formula{
 		gen.PaperSAT(),
 		gen.PaperExample5(),
 		gen.RandomKSAT(g, 6, 14, 3),
+		gen.RandomKSAT(g, 20, 91, 3),
+		cnf.FromClauses([]int{1, -2, 1}, []int{3, -3}, []int{-4}, []int{}, []int{2, 4, -1}),
 	}
 	blocks := []int{1, 3, 16, 97, 256}
-	for _, fam := range allFamilies {
-		for fi, f := range formulas {
-			n, m := f.NumVars, f.NumClauses()
-			scalar := New(f, noise.NewBank(fam, 42, n, m))
-			block := New(f, noise.NewBank(fam, 42, n, m))
+	for fi, f := range formulas {
+		n, m := f.NumVars, f.NumClauses()
+		blockSrcs := blockSources(42, n, m)
+		for si, src := range blockSources(42, n, m) {
+			scalar := New(f, src)
+			block := New(f, blockSrcs[si])
 
 			// Bind a couple of variables identically on both evaluators so
 			// the reduced-tau branches are exercised too.
-			scalar.Bind(1, cnf.True)
-			block.Bind(1, cnf.True)
-			if n > 2 {
-				scalar.Bind(2, cnf.False)
-				block.Bind(2, cnf.False)
+			for _, e := range []*Evaluator{scalar, block} {
+				e.Bind(1, cnf.True)
+				if n > 2 {
+					e.Bind(2, cnf.False)
+				}
 			}
 
 			var base uint64
 			for _, k := range blocks {
 				out := make([]float64, k)
-				block.StepBlockAt(base, out)
-				for s := 0; s < k; s++ {
-					want := scalar.StepAt(base + uint64(s)).S
-					if out[s] != want {
-						t.Fatalf("family %v formula %d block %d sample %d: StepBlockAt %v != StepAt %v",
-							fam, fi, k, s, out[s], want)
-					}
-				}
+				requireBlockMatchesScalar(t, fmt.Sprintf("formula %d, source %d", fi, si), block, scalar, base, out)
 				base += uint64(k)
 			}
 		}
 	}
+}
+
+// FuzzStepBlockMatchesScalar holds StepBlockAt to the scalar kernel on
+// arbitrary formulas: every sample of a block must equal StepAt's S bit
+// for bit. data decodes to 1–24 variables and 1–48 clauses of 0–5
+// literals (fuzzFormula), so duplicate literals, x ∨ ¬x and empty
+// clauses all occur; bind gives each variable a binding (two bits per
+// variable: unbound, False, True, unbound), source picks a noise family
+// or the tame source, k is the block length (1–300) and base the
+// first sample index.
+func FuzzStepBlockMatchesScalar(f *testing.F) {
+	f.Add([]byte{1, 3, 2, 0, 2, 2, 1, 3, 2, 1, 2}, uint64(0), uint8(0), uint16(5), uint64(0))          // PaperSAT-like, no bindings
+	f.Add([]byte{4, 4, 3, 2, 2, 5, 2, 6, 7, 1, 1, 0}, uint64(0b1001), uint8(1), uint16(63), uint64(1)) // duplicate, tautology, unit, empty
+	f.Add([]byte{19, 47, 3, 9, 20, 31}, uint64(0x123456789), uint8(2), uint16(299), uint64(1<<40))     // 20 variables, 48 clauses
+	f.Add([]byte{0, 0}, uint64(2), uint8(3), uint16(0), uint64(math.MaxUint64-3))                      // one variable, one empty clause, a wrapping base
+	f.Add([]byte{23, 30, 5, 1, 2, 3, 4, 5}, uint64(0xffffffffffff), uint8(4), uint16(16), uint64(77))  // 24 variables
+	f.Add([]byte{9, 20, 1, 18}, uint64(0xaaaa), uint8(5), uint16(130), uint64(3))                      // tame source
+	f.Fuzz(func(t *testing.T, data []byte, bind uint64, source uint8, k uint16, base uint64) {
+		form := fuzzFormula(data)
+		n, m := form.NumVars, form.NumClauses()
+		pick := int(source) % (len(allFamilies) + 1)
+		scalar := New(form, blockSources(uint64(len(data)), n, m)[pick])
+		block := New(form, blockSources(uint64(len(data)), n, m)[pick])
+		for v := 1; v <= n; v++ {
+			val := cnf.Value(bind >> (2 * (v - 1)) & 3)
+			if val > cnf.True {
+				val = cnf.Unassigned
+			}
+			scalar.Bind(cnf.Var(v), val)
+			block.Bind(cnf.Var(v), val)
+		}
+		requireBlockMatchesScalar(t, form.String(), block, scalar, base, make([]float64, 1+int(k)%300))
+	})
+}
+
+// fuzzFormula decodes data into a formula: data[0] picks 1–24
+// variables, data[1] 1–48 clauses, and then each clause reads a length
+// byte (0–5 literals) and one byte per literal (variable b/2 mod n,
+// negated when b is odd). Missing bytes read as 0, so every input
+// decodes.
+func fuzzFormula(data []byte) *cnf.Formula {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	f := cnf.New(1 + next()%24)
+	clauses := 1 + next()%48
+	for range clauses {
+		c := make(cnf.Clause, next()%6)
+		for i := range c {
+			b := next()
+			c[i] = cnf.NewLit(cnf.Var(1+(b>>1)%f.NumVars), b&1 == 1)
+		}
+		f.Clauses = append(f.Clauses, c)
+	}
+	return f
 }
 
 // TestStepBlockInterleavesWithStep checks the stream contract: StepAt
@@ -100,13 +214,7 @@ func TestStepBlockShrinkingBlocksReuseScratch(t *testing.T) {
 	block := New(f, noise.NewBank(noise.Gaussian, 3, n, m))
 	var base uint64
 	for _, k := range []int{128, 5, 64, 1, 128} {
-		out := make([]float64, k)
-		block.StepBlockAt(base, out)
-		for s := 0; s < k; s++ {
-			if want := scalar.StepAt(base + uint64(s)).S; out[s] != want {
-				t.Fatalf("block %d sample %d: %v != %v", k, s, out[s], want)
-			}
-		}
+		requireBlockMatchesScalar(t, "Gaussian", block, scalar, base, make([]float64, k))
 		base += uint64(k)
 	}
 }
@@ -163,10 +271,10 @@ func TestStepBlockAtReplaysRange(t *testing.T) {
 
 // TestStepBlockAtOddGeometry pins the block path's bit-equality with
 // the scalar kernel on the shapes the vector kernels find hardest: odd
-// block lengths (which force the assembly's len&^3 prefix plus a
-// portable tail of every residue) and stream bases that are not
+// block lengths (which force the assembly's k&^3 and k&^15 prefixes
+// plus portable tails of every residue) and stream bases that are not
 // multiples of the vector width (so lanes straddle the counter
-// arbitrarily). The scalar StepAt path never touches the row primitives,
+// arbitrarily). The scalar StepAt path never touches the block kernels,
 // so on AVX2 hardware this pins AVX2-vs-scalar exactly; elsewhere it
 // pins portable block-vs-scalar.
 func TestStepBlockAtOddGeometry(t *testing.T) {
@@ -180,21 +288,15 @@ func TestStepBlockAtOddGeometry(t *testing.T) {
 		for _, k := range []int{1, 3, 7, 17, 255} {
 			out := make([]float64, k)
 			for _, base := range bases {
-				block.StepBlockAt(base, out)
-				for s := 0; s < k; s++ {
-					if want := scalar.StepAt(base + uint64(s)).S; out[s] != want {
-						t.Fatalf("family %v k=%d base=%d sample %d: StepBlockAt %v != StepAt %v",
-							fam, k, base, s, out[s], want)
-					}
-				}
+				requireBlockMatchesScalar(t, fam.String(), block, scalar, base, out)
 			}
 		}
 	}
 }
 
 // TestStepBlockAtOddGeometryWithBindings repeats the odd-shape sweep
-// with partial bindings, covering the tau branch kernels (select
-// positive, select negative, sum) on unaligned tails.
+// with partial bindings, covering the tau kernel's three branches
+// (positive, negative, their sum) on unaligned tails.
 func TestStepBlockAtOddGeometryWithBindings(t *testing.T) {
 	g := rng.New(33)
 	f := gen.RandomKSAT(g, 5, 11, 3)
@@ -209,13 +311,7 @@ func TestStepBlockAtOddGeometryWithBindings(t *testing.T) {
 		for _, k := range []int{3, 7, 17} {
 			out := make([]float64, k)
 			for _, base := range []uint64{1, 6, 255} {
-				block.StepBlockAt(base, out)
-				for s := 0; s < k; s++ {
-					if want := scalar.StepAt(base + uint64(s)).S; out[s] != want {
-						t.Fatalf("family %v k=%d base=%d sample %d: StepBlockAt %v != StepAt %v",
-							fam, k, base, s, out[s], want)
-					}
-				}
+				requireBlockMatchesScalar(t, fam.String(), block, scalar, base, out)
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 // TestAVX2DispatchFollowsCPU is rng's test of the same name for the
 // evaluator: on a linux/amd64 host whose /proc/cpuinfo lists avx2, the
-// row kernels must dispatch to AVX2. Elsewhere the test skips.
+// clause and tau kernels must dispatch to AVX2. Elsewhere the test skips.
 func TestAVX2DispatchFollowsCPU(t *testing.T) {
 	if !cpuinfoListsAVX2(t) {
 		t.Skip("/proc/cpuinfo does not list avx2")

@@ -1,108 +1,59 @@
 package hyperspace
 
-import "repro/internal/rng"
+import (
+	"unsafe"
 
-// amd64: each row primitive runs the assembly kernel over the aligned
-// prefix (len &^ 3 lanes, four float64 per iteration) and the portable
-// loop over the tail. The kernels use separate VMULPD/VADDPD
-// instructions in the scalar kernel's association order — never FMA —
-// so every lane is bit-identical to the portable loop, which
-// TestRowKernelsMatchPortable asserts. The CPU gate is shared with the
-// rng fill kernels: one CPUID+XGETBV probe decides both.
+	"repro/internal/cnf"
+	"repro/internal/rng"
+)
+
+// amd64: each kernel runs its assembly twin over a prefix of the block
+// and the portable body over the tail: the clause kernel over the first
+// k&^3 samples, four at a time, and the tau kernel over the first k&^15,
+// sixteen at a time (every block the sampler cuts from a power-of-two
+// BlockSize is a multiple of 16). The assembly uses separate
+// VMULPD/VADDPD instructions in eval's order — never FMA — so every lane
+// is bit-identical to the portable body, which TestKernelsMatchPortable
+// asserts. The CPU gate is shared with the rng fill kernels: one
+// CPUID+XGETBV probe decides both.
 var evalHaveAVX2 = rng.HasAVX2()
 
+// clauseAVX2 is clauseGo over samples [0, lanes) of a block whose rows
+// hold k samples: the clause's first source row starts first floats
+// into src, and stride = m·k is the distance between the clause's
+// variable rows. lanes must be a positive multiple of 4.
+//
 //go:noescape
-func evalMulToAVX2(dst, a, b *float64, n int)
+func clauseAVX2(src *float64, first, stride, n int, lits *clauseLit, nlits int, slots, out *float64, lanes int)
 
+// tauAVX2 is tauGo over samples [0, lanes) of a block of n variables, m
+// clauses and k samples per row; bound points at 0-based variable 0's
+// binding. lanes must be a positive multiple of 16.
+//
 //go:noescape
-func evalMulPairAVX2(dst, a, b *float64, n int)
+func tauAVX2(src *float64, n, m, k int, bound *cnf.Value, out *float64, lanes int)
 
-//go:noescape
-func evalMulAVX2(dst, a *float64, n int)
-
-//go:noescape
-func evalAddToAVX2(dst, a, b *float64, n int)
-
-//go:noescape
-func evalAddAVX2(dst, a *float64, n int)
-
-//go:noescape
-func evalMulSumAVX2(dst, a, b *float64, n int)
-
-//go:noescape
-func evalAddMulAVX2(dst, a, b *float64, n int)
-
-//go:noescape
-func evalAddMul2AVX2(dst, a, b, c *float64, n int)
-
-func vecMulTo(dst, a, b []float64) {
-	n := 0
-	if p := len(dst) &^ 3; evalHaveAVX2 && p > 0 {
-		evalMulToAVX2(&dst[0], &a[0], &b[0], p)
-		n = p
+// clauseKernel runs clause j's kernel over the whole block.
+func clauseKernel(b *blockScratch, j int, lits []clauseLit, out []float64) {
+	lanes := 0
+	if evalHaveAVX2 {
+		lanes = len(out) &^ 3
 	}
-	mulToGo(dst[n:], a[n:], b[n:])
+	if lanes > 0 {
+		clauseAVX2(unsafe.SliceData(b.src), j*b.k, b.m*b.k, b.n, unsafe.SliceData(lits), len(lits),
+			unsafe.SliceData(b.slots), &out[0], lanes)
+	}
+	clauseGo(b, j, lits, out, lanes, len(out))
 }
 
-func vecMulPair(dst, a, b []float64) {
-	n := 0
-	if p := len(dst) &^ 3; evalHaveAVX2 && p > 0 {
-		evalMulPairAVX2(&dst[0], &a[0], &b[0], p)
-		n = p
+// tauKernel runs the tau kernel over the whole block.
+func tauKernel(b *blockScratch, bound []cnf.Value, out []float64) {
+	lanes := 0
+	if evalHaveAVX2 {
+		lanes = len(out) &^ 15
 	}
-	mulPairGo(dst[n:], a[n:], b[n:])
-}
-
-func vecMul(dst, a []float64) {
-	n := 0
-	if p := len(dst) &^ 3; evalHaveAVX2 && p > 0 {
-		evalMulAVX2(&dst[0], &a[0], p)
-		n = p
+	if lanes > 0 {
+		tauAVX2(unsafe.SliceData(b.src), b.n, b.m, b.k, unsafe.SliceData(bound), &out[0], lanes)
 	}
-	mulGo(dst[n:], a[n:])
-}
-
-func vecAddTo(dst, a, b []float64) {
-	n := 0
-	if p := len(dst) &^ 3; evalHaveAVX2 && p > 0 {
-		evalAddToAVX2(&dst[0], &a[0], &b[0], p)
-		n = p
-	}
-	addToGo(dst[n:], a[n:], b[n:])
-}
-
-func vecAdd(dst, a []float64) {
-	n := 0
-	if p := len(dst) &^ 3; evalHaveAVX2 && p > 0 {
-		evalAddAVX2(&dst[0], &a[0], p)
-		n = p
-	}
-	addGo(dst[n:], a[n:])
-}
-
-func vecMulSum(dst, a, b []float64) {
-	n := 0
-	if p := len(dst) &^ 3; evalHaveAVX2 && p > 0 {
-		evalMulSumAVX2(&dst[0], &a[0], &b[0], p)
-		n = p
-	}
-	mulSumGo(dst[n:], a[n:], b[n:])
-}
-
-func vecAddMul(dst, a, b []float64) {
-	n := 0
-	if p := len(dst) &^ 3; evalHaveAVX2 && p > 0 {
-		evalAddMulAVX2(&dst[0], &a[0], &b[0], p)
-		n = p
-	}
-	addMulGo(dst[n:], a[n:], b[n:])
-}
-
-func vecAddMul2(dst, a, b, c []float64) {
-	n := 0
-	if p := len(dst) &^ 3; evalHaveAVX2 && p > 0 {
-		evalAddMul2AVX2(&dst[0], &a[0], &b[0], &c[0], p)
-		n = p
-	}
-	addMul2Go(dst[n:], a[n:], b[n:], c[n:])
+	tauGo(b, bound, out, lanes, len(out))
 }

@@ -14,7 +14,11 @@
 // point of the NBL construction is that the *factored* forms above are
 // linear in n·m per sample. Evaluator computes one sample of S_N in
 // O(n·m) time and O(n·m) space using prefix/suffix products, supporting
-// the variable bindings that Algorithm 2 applies to tau_N.
+// the variable bindings that Algorithm 2 applies to tau_N. StepAt runs
+// the scalar kernel, the reference; StepBlockAt evaluates a block of
+// samples with one clause kernel call per clause and one tau kernel
+// call (AVX2 assembly where the CPU has it, portable Go elsewhere), bit
+// for bit equal to StepAt.
 package hyperspace
 
 import (
@@ -68,29 +72,33 @@ type Evaluator struct {
 	prodPos, prodNeg []float64
 	pre, suf         []float64
 
-	// Block scratch (SoA, sized lazily to the largest block seen): the
-	// sample matrices hold k samples per source in source-major layout,
-	// the per-variable products and clause prefix/suffix arrays hold k
-	// values per entry. Reused across StepBlockAt calls — the block path
+	// lits holds every clause's literals in the kernels' form, clause j's
+	// at lits[litOff[j]:litOff[j+1]] in clause order. New and Reset build
+	// it from the formula.
+	lits   []clauseLit
+	litOff []int
+
+	// Block scratch, reused across StepBlockAt calls: the block path
 	// allocates nothing per sample.
 	blk blockScratch
 }
 
-// blockScratch holds the StepBlockAt working set for blocks up to cap k.
+// blockScratch is StepBlockAt's working set. The source buffer is sized
+// lazily for the largest block seen; every row holds the active block's
+// k samples, so k is every row's stride.
 type blockScratch struct {
-	k                int
-	pos, neg         []float64 // k samples per source, [(i*m+j)*k+s]
-	prodPos, prodNeg []float64 // per-variable clause products, [i*k+s]
-	tau, sigma, z    []float64 // per-sample accumulators, [s]
-	g                []float64 // per-clause variable factors pos+neg, [v*k+s]
-	pre, suf         []float64 // row storage for computed prefix/suffix rows
-	// preR[v] (1 <= v <= n-1) is the prefix-product row prod_{w<v} g_w;
-	// sufR[v] (1 <= v <= n-1) is the suffix row prod_{w>=v} g_w. Rows
-	// that equal a bare g row (preR[1], sufR[n-1]) alias into g and are
-	// never recomputed; the leave-one-out terms of Z_j read these rows
-	// directly. pre[n], suf[0] of the scalar kernel are all-ones rows and
-	// have no storage here — the mult-by-one is elided, which is exact.
-	preR, sufR [][]float64
+	n, m, k int
+	// src holds variable v's clause-j positive source at [(v·m+j)·k+s]
+	// and its negative source n·m·k further on. A variable's clause rows
+	// are thus consecutive, which the tau kernel walks; a clause's
+	// variable rows are m·k apart, and its negative rows follow its
+	// positive ones n rows on, which is what a clauseLit's row counts in.
+	src []float64
+	// slots is the clause kernel's scratch, slotFloats per variable: one
+	// lane group's g_v, pre_v and after_v (see clauseGo). New stores the
+	// chains' all-ones starts, pre_0 and after_{n-1}; no kernel writes
+	// them.
+	slots []float64
 }
 
 // New returns an Evaluator for formula f drawing samples from bank.
@@ -105,7 +113,7 @@ func New(f *cnf.Formula, bank SampleSource) *Evaluator {
 		panic(err)
 	}
 	nm := n * m
-	return &Evaluator{
+	e := &Evaluator{
 		f: f, bank: bank, n: n, m: m,
 		bound:   cnf.NewAssignment(n),
 		pos:     make([]float64, nm),
@@ -114,16 +122,50 @@ func New(f *cnf.Formula, bank SampleSource) *Evaluator {
 		prodNeg: make([]float64, n),
 		pre:     make([]float64, n+1),
 		suf:     make([]float64, n+1),
+		blk:     blockScratch{n: n, m: m, slots: newSlots(n)},
+	}
+	e.buildLits()
+	return e
+}
+
+// newSlots returns the clause kernel's scratch for n variables, with
+// the prefix chain's start pre_0 and the suffix chain's start after_{n-1}
+// set to 1 in every lane.
+func newSlots(n int) []float64 {
+	slots := make([]float64, n*slotFloats)
+	if n > 0 {
+		for l := range 4 {
+			slots[4+l] = 1
+			slots[(n-1)*slotFloats+8+l] = 1
+		}
+	}
+	return slots
+}
+
+// buildLits builds the kernels' literal table for e.f.
+func (e *Evaluator) buildLits() {
+	e.lits, e.litOff = e.lits[:0], append(e.litOff[:0], 0)
+	for _, c := range e.f.Clauses {
+		for _, l := range c {
+			v := int32(l.Var()) - 1
+			row := v
+			if l.IsNeg() {
+				row += int32(e.n)
+			}
+			e.lits = append(e.lits, clauseLit{row: row, v: v})
+		}
+		e.litOff = append(e.litOff, len(e.lits))
 	}
 }
 
 // Reset re-targets the evaluator at a new formula with the same (n, m)
 // geometry, keeping every allocation: the sample matrices, product and
 // prefix/suffix scratch, and the block working set are all sized by
-// (n, m, k) only, so a formula swap costs nothing but clearing the
-// bindings. This is the warm-path primitive of long-running services —
-// a worker that has solved one uf20-91 instance re-serves the next one
-// without rebuilding its 2·n·m-generator bank or any scratch. It panics
+// (n, m, k) only, so a formula swap costs nothing but rebuilding the
+// literal table in place and clearing the bindings. This is the
+// warm-path primitive of long-running services — a worker that has
+// solved one uf20-91 instance re-serves the next one without
+// rebuilding its 2·n·m-generator bank or any scratch. It panics
 // on a geometry mismatch (callers check dims first) or an invalid
 // formula, mirroring New.
 func (e *Evaluator) Reset(f *cnf.Formula) {
@@ -135,6 +177,7 @@ func (e *Evaluator) Reset(f *cnf.Formula) {
 		panic(err)
 	}
 	e.f = f
+	e.buildLits()
 	for v := range e.bound {
 		e.bound[v] = cnf.Unassigned
 	}
@@ -185,135 +228,36 @@ func (e *Evaluator) StepAt(i uint64) Sample {
 // exactly the floating-point operations of StepAt in the same order, so
 // a block is bit-identical to len(out) StepAt calls over the same
 // sample range (the conformance tests assert this for every noise
-// family). The win is structural: the source dispatch, the binding
-// switch, and the prefix/suffix scratch are amortized over the block,
-// inner loops run stride-1 over SoA buffers, and nothing is allocated
-// per sample.
+// family). The work is one source fill; one clause kernel call per
+// clause, which reads the clause's 2n source rows once and multiplies
+// Z_j into the running Sigma_N; and one tau kernel call, which forms
+// each variable's clause products from its consecutive rows, then
+// tau_N and S_N = tau_N·Sigma_N. Both keep a lane group's values in
+// registers, the clause kernel also in a per-variable scratch that
+// stays in L1, and nothing is allocated per sample.
 func (e *Evaluator) StepBlockAt(base uint64, out []float64) {
 	k := len(out)
 	if k == 0 {
 		return
 	}
-	n, m := e.n, e.m
 	b := e.ensureBlock(k)
-	e.bank.FillBlockAt(base, k, b.pos[:n*m*k], b.neg[:n*m*k])
+	nmk := e.n * e.m * k
+	e.bank.FillBlockAt(base, k, b.src[:nmk:nmk], b.src[nmk:2*nmk:2*nmk])
 
-	// Per-variable products across clauses (cf. eval's first loop). The
-	// all-ones initialization of the scalar kernel is elided by seeding
-	// the accumulator rows from the first clause (1*x == x exactly), and
-	// the clause loop is unrolled by pairs with the same association
-	// order, so every product is bit-identical to the scalar kernel's.
-	for i := 0; i < n; i++ {
-		pp := b.prodPos[i*k : i*k+k]
-		pn := b.prodNeg[i*k : i*k+k]
-		row := i * m * k
-		if m == 1 {
-			copy(pp, b.pos[row:row+k])
-			copy(pn, b.neg[row:row+k])
-			continue
-		}
-		vecMulTo(pp, b.pos[row:row+k], b.pos[row+k:row+2*k])
-		vecMulTo(pn, b.neg[row:row+k], b.neg[row+k:row+2*k])
-		j := 2
-		for ; j+1 < m; j += 2 {
-			o := row + j*k
-			vecMulPair(pp, b.pos[o:o+k], b.pos[o+k:o+2*k])
-			vecMulPair(pn, b.neg[o:o+k], b.neg[o+k:o+2*k])
-		}
-		if j < m {
-			o := row + j*k
-			vecMul(pp, b.pos[o:o+k])
-			vecMul(pn, b.neg[o:o+k])
-		}
+	// Sigma_N accumulates in out from eval's starting value.
+	for s := range out {
+		out[s] = 1
 	}
-
-	// tau_N per sample, selecting the bound branch once per variable;
-	// variable 1 seeds the accumulator, again eliding the mult-by-one.
-	tau := b.tau[:k]
-	for i := 0; i < n; i++ {
-		pp := b.prodPos[i*k : i*k+k]
-		pn := b.prodNeg[i*k : i*k+k]
-		switch e.bound[i+1] {
-		case cnf.True:
-			if i == 0 {
-				copy(tau, pp)
-				continue
-			}
-			vecMul(tau, pp)
-		case cnf.False:
-			if i == 0 {
-				copy(tau, pn)
-				continue
-			}
-			vecMul(tau, pn)
-		default:
-			if i == 0 {
-				vecAddTo(tau, pp, pn)
-				continue
-			}
-			vecMulSum(tau, pp, pn)
-		}
+	for j := 0; j < e.m; j++ {
+		clauseKernel(b, j, e.lits[e.litOff[j]:e.litOff[j+1]], out)
 	}
-
-	// Sigma_N per sample. Per clause, the variable factors g_v = pos+neg
-	// are materialized once (the scalar kernel computes each twice, in
-	// its prefix and suffix passes), the interior prefix/suffix rows are
-	// cumulative products over g, and the boundary rows alias g itself.
-	// The leave-one-out term of a literal on variable v multiplies in the
-	// scalar kernel's order lit*pre[v]*suf[v+1], with all-ones boundary
-	// rows elided exactly.
-	// g and the prefix/suffix rows use the allocated stride b.k (the row
-	// table aliases were built against it); pos/neg/prod use the active
-	// block size k as their stride. Rows are always iterated to k only.
-	gs := b.k
-	sigma := b.sigma[:k]
-	z := b.z[:k]
-	for j := 0; j < m; j++ {
-		for v := 0; v < n; v++ {
-			o := (v*m + j) * k
-			vecAddTo(b.g[v*gs:v*gs+k], b.pos[o:o+k], b.neg[o:o+k])
-		}
-		for v := 2; v <= n-1; v++ {
-			vecMulTo(b.preR[v][:k], b.preR[v-1][:k], b.g[(v-1)*gs:(v-1)*gs+k])
-		}
-		for v := n - 2; v >= 1; v-- {
-			vecMulTo(b.sufR[v][:k], b.sufR[v+1][:k], b.g[v*gs:v*gs+k])
-		}
-		for s := 0; s < k; s++ {
-			z[s] = 0
-		}
-		for _, l := range e.f.Clauses[j] {
-			v := int(l.Var()) - 1
-			o := (v*m + j) * k
-			lits := b.pos[o : o+k]
-			if l.IsNeg() {
-				lits = b.neg[o : o+k]
-			}
-			switch {
-			case n == 1:
-				vecAdd(z, lits)
-			case v == 0:
-				vecAddMul(z, lits, b.sufR[1][:k])
-			case v == n-1:
-				vecAddMul(z, lits, b.preR[n-1][:k])
-			default:
-				vecAddMul2(z, lits, b.preR[v][:k], b.sufR[v+1][:k])
-			}
-		}
-		if j == 0 {
-			copy(sigma, z)
-			continue
-		}
-		vecMul(sigma, z)
-	}
-
-	vecMulTo(out, tau, sigma)
+	tauKernel(b, e.bound[1:], out)
 }
 
-// EvalAccelName reports the StepBlockAt row-kernel backend active in
-// this process: "avx2" on amd64 when the CPU supports it (same gate as
-// the rng fill kernels), "none" for the portable loops. Solver stats
-// and bench reports echo it so a recorded result names the kernel that
+// EvalAccelName reports the StepBlockAt kernel backend active in this
+// process: "avx2" on amd64 when the CPU supports it (same gate as the
+// rng fill kernels), "none" for the portable kernels. Solver stats and
+// bench reports echo it so a recorded result names the kernel that
 // produced it — the two backends are bit-identical, so the name is
 // provenance, not a caveat.
 func EvalAccelName() string {
@@ -323,49 +267,15 @@ func EvalAccelName() string {
 	return "none"
 }
 
-// ensureBlock sizes the block scratch for blocks of k samples.
+// ensureBlock sizes the source buffer for blocks of k samples and
+// makes k the active row stride. A smaller block reuses a prefix of the
+// buffer.
 func (e *Evaluator) ensureBlock(k int) *blockScratch {
 	b := &e.blk
-	if k <= b.k {
-		// Smaller blocks reuse a prefix of the buffers: StepBlockAt indexes
-		// every array with the active k as the stride, so only total
-		// length matters.
-		return b
+	if 2*e.n*e.m*k > len(b.src) {
+		b.src = make([]float64, 2*e.n*e.m*k)
 	}
-	nm := e.n * e.m
-	n := e.n
-	// The allocated stride rounds up to the vector width (4 float64) so
-	// every g/pre/suf row the AVX2 kernels stream over is a whole number
-	// of vector rows and no row's tail shares a 32-byte group with the
-	// next row's head. Active blocks still index with their own k; only
-	// capacity is rounded.
-	kk := (k + 3) &^ 3
-	b.k = kk
-	b.pos = make([]float64, nm*kk)
-	b.neg = make([]float64, nm*kk)
-	b.prodPos = make([]float64, n*kk)
-	b.prodNeg = make([]float64, n*kk)
-	b.tau = make([]float64, kk)
-	b.sigma = make([]float64, kk)
-	b.z = make([]float64, kk)
-	b.g = make([]float64, n*kk)
-	// Interior prefix/suffix rows get their own storage; boundary rows
-	// alias g (pre[1] = g_0, suf[n-1] = g_{n-1}), so re-filling g per
-	// clause refreshes them for free.
-	b.pre = make([]float64, n*kk)
-	b.suf = make([]float64, n*kk)
-	b.preR = make([][]float64, n)
-	b.sufR = make([][]float64, n)
-	if n >= 2 {
-		b.preR[1] = b.g[0:kk]
-		b.sufR[n-1] = b.g[(n-1)*kk : n*kk]
-		for v := 2; v <= n-1; v++ {
-			b.preR[v] = b.pre[v*kk : v*kk+kk]
-		}
-		for v := 1; v <= n-2; v++ {
-			b.sufR[v] = b.suf[v*kk : v*kk+kk]
-		}
-	}
+	b.k = k
 	return b
 }
 

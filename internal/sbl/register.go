@@ -49,7 +49,7 @@ func check(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span) (solv
 	out := solver.Result{
 		Stats: solver.Stats{
 			Samples: r.Samples, Mean: r.Mean,
-			// The observation loop runs the block evaluator's row kernels;
+			// The observation loop runs the block evaluator's kernels;
 			// the carrier fill is the scalar cosine table walk.
 			FillAccel: "none", EvalAccel: hyperspace.EvalAccelName(),
 		},

@@ -174,7 +174,7 @@ type Stats struct {
 	// FillAccel and EvalAccel name the accelerated kernels active in the
 	// build that produced this result ("avx2" or "none"): FillAccel the
 	// noise-fill backend for the engine's noise family, EvalAccel the
-	// S_N block-evaluator row kernels. Both backends are
+	// S_N block evaluator's clause and tau kernels. Both backends are
 	// bit-identical to the portable paths, so these are provenance
 	// fields, not result qualifiers. Empty for engines without a sampled
 	// hot path, which keeps their records byte-identical.
