@@ -8,12 +8,14 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/cnf"
 	"repro/internal/enginepool"
+	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
@@ -203,58 +205,125 @@ func TestPoolMixedGeometryTrafficStaysSound(t *testing.T) {
 	}
 }
 
-// TestStatelessShellsKeyGeometryFree pins the geometry-free pool
-// keying of stateless meta shells: a pre(...) or portfolio instance
-// released after serving one formula shape comes back warm for a
-// completely different shape (one idle shell serves every (n, m)),
-// while a bank-pinning engine like mc leased across shapes stays cold
-// — its warmth is geometry-sized and must not be shared.
-func TestStatelessShellsKeyGeometryFree(t *testing.T) {
-	small := PaperSAT()
-	big := DisjointUnion(PaperExample6(), PaperExample6(), PaperExample6())
-	if small.NumVars == big.NumVars && small.NumClauses() == big.NumClauses() {
-		t.Fatal("test needs two distinct geometries")
+// TestPoolWarmAcrossSeeds pins the seedless pool key: an engine leased
+// and solved under seed 5, then leased again under seed 6, comes back
+// warm and must return bit-for-bit what a cold construction under seed
+// 6 does (mc, mc's Algorithm 2 with a sampled residual, rtw on both
+// kernels, sbl). mc also leases again under Seed 0, which the registry
+// defaults to 1, so the warm lease must not run under 0.
+func TestPoolWarmAcrossSeeds(t *testing.T) {
+	for _, tc := range poolConformanceCases() {
+		var next []uint64
+		switch tc.name {
+		case "mc-sat":
+			next = []uint64{6, 0}
+		case "mc-model-residual", "rtw-sat", "rtw-wide", "sbl-ex6":
+			next = []uint64{6}
+		}
+		for _, seed := range next {
+			t.Run(fmt.Sprintf("%s-seed-%d", tc.name, seed), func(t *testing.T) {
+				pool := enginepool.New(4)
+				first := poolSolve(t, pool, tc.engine, tc.cfg, tc.f)
+				cfg := tc.cfg
+				cfg.Seed = seed
+				lease, err := pool.Acquire(tc.engine, cfg, tc.f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer lease.Release()
+				if !lease.Warm() {
+					t.Fatal("lease under a new seed came back cold")
+				}
+				warm, err := lease.Solve(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold := registrySolve(t, tc.engine, cfg, tc.f)
+				if warm.Status != cold.Status || warm.Stats != cold.Stats ||
+					!reflect.DeepEqual(warm.Assignment, cold.Assignment) {
+					t.Errorf("warm: %v %+v %v\ncold: %v %+v %v",
+						warm.Status, warm.Stats, warm.Assignment, cold.Status, cold.Stats, cold.Assignment)
+				}
+				// sbl's carriers are deterministic; every other row must
+				// tell the seeds apart, or it could not catch a lease that
+				// kept seed 5.
+				if tc.engine != "sbl" && first.Stats == cold.Stats {
+					t.Errorf("seeds 5 and %d drew the same stats %+v", seed, cold.Stats)
+				}
+			})
+		}
 	}
-	cfg := solver.Config{Seed: 5, MaxSamples: 1_000_000}
+}
 
-	crossGeometryLease := func(t *testing.T, expr string) *enginepool.Lease {
-		t.Helper()
-		pool := enginepool.New(4)
-		l1, err := pool.Acquire(expr, cfg, small)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l1.Solve(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		l1.Release()
-		l2, err := pool.Acquire(expr, cfg, big)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(l2.Release)
-		return l2
-	}
+// TestStatelessShellsKeyGeometryFree pins where the warmth of the
+// stateless shells lives. A pre(...) or portfolio lease is never warm
+// and never idles in the pool: the shell holds nothing to reuse, so
+// every Acquire builds one. The engines a shell leases from the shared
+// pool are what warm up: the second pre(mc) solve's component leases
+// its mc warm. A bank-pinning engine like mc leased across shapes
+// stays cold, since its warmth is geometry-sized.
+func TestStatelessShellsKeyGeometryFree(t *testing.T) {
+	// rand8-hard survives preprocessing as one (8, 25) component, so
+	// pre(mc) leases an mc for it.
+	f := readTestdata(t, "testdata/rand8-hard.cnf")
+	cfg := solver.Config{Seed: 5, MaxSamples: 20_000}
 
 	for _, expr := range []string{"pre(mc)", "portfolio", "pre(portfolio)"} {
 		t.Run(expr, func(t *testing.T) {
-			l := crossGeometryLease(t, expr)
-			if !l.Warm() {
-				t.Fatalf("%s re-leased cold across geometries; stateless shells must key (n,m)-free", expr)
+			pool := enginepool.New(4)
+			var componentWarm []string
+			for i := 0; i < 2; i++ {
+				l, err := pool.Acquire(expr, cfg, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if l.Warm() {
+					t.Fatalf("lease %d of %s came back warm", i, expr)
+				}
+				tr := obs.NewTrace("")
+				root := tr.Root("solve")
+				_, err = l.Solve(obs.ContextWithSpan(context.Background(), root))
+				root.Finish()
+				l.Release()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr.JSON().Walk(func(sp *obs.SpanJSON) {
+					if sp.Name != "pipeline.component" {
+						return
+					}
+					for _, a := range sp.Attrs {
+						if a.Key == "warm" {
+							componentWarm = append(componentWarm, a.Val)
+						}
+					}
+				})
 			}
-			r, err := l.Solve(context.Background())
-			if err != nil {
-				t.Fatal(err)
+			if st := pool.Stats(); st.Hits != 0 || st.Misses != 2 || st.Size != 0 {
+				t.Errorf("%s: %d hits, %d misses, %d idle; want 0, 2, 0", expr, st.Hits, st.Misses, st.Size)
 			}
-			if r.Status != StatusSat {
-				t.Fatalf("warm cross-geometry solve: %v, want SAT", r.Status)
+			if expr == "pre(mc)" && (len(componentWarm) != 2 || componentWarm[1] != "true") {
+				t.Errorf("pre(mc) component leases warm = %v, want the second true", componentWarm)
 			}
 		})
 	}
 
 	t.Run("mc-stays-geometry-keyed", func(t *testing.T) {
-		if l := crossGeometryLease(t, "mc"); l.Warm() {
-			t.Fatal("mc re-leased warm across geometries; bank state must stay geometry-keyed")
+		pool := enginepool.New(4)
+		small := PaperSAT()
+		big := DisjointUnion(PaperExample6(), PaperExample6(), PaperExample6())
+		for i, g := range []*Formula{small, big} {
+			l, err := pool.Acquire("mc", cfg, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Warm() {
+				t.Fatalf("lease %d: mc re-leased warm across geometries; bank state must stay geometry-keyed", i)
+			}
+			if _, err := l.Solve(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			l.Release()
 		}
 	})
 }

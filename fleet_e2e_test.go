@@ -3,7 +3,7 @@
 // its own durable verdict store), and drive the fleet contracts over
 // real TCP — fingerprint-routed placement, cross-node determinism, a
 // renamed twin answered from cache without a second solve, warm-pool
-// hits through the geometry-free shell keying, and a verdict
+// hits across seeds through the seedless pool key, and a verdict
 // surviving a replica kill/restart bit-identically through the store.
 package repro
 
@@ -261,31 +261,26 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Fatal("cold replica's model does not satisfy uf8")
 	}
 
-	// 4. Warm-pool economics: distinct trivial instances (different
-	// fingerprints AND different geometries) through the stateless
-	// pre(mc) shell. However placement splits them, at most one lease
-	// per replica is cold — geometry-free shell keying makes every
-	// subsequent pre(mc) lease on a node warm.
+	// 4. Warm-pool economics: bare mc on one formula under several
+	// seeds. Each seed is its own cache key, so every job solves, and
+	// placement follows the fingerprint alone, so every job lands on
+	// one replica. The pool key leaves the seed out, so every lease
+	// after the first takes the same warm engine. No other step leases
+	// mc, so the first lease is cold.
 	before := scrapeMetrics(t, rp.base)["nblfleet_pool_warm_hits_total"]
-	trivial := []string{
-		"p cnf 3 3\n1 0\n2 0\n3 0\n",
-		"p cnf 3 3\n-1 0\n2 0\n3 0\n",
-		"p cnf 4 4\n1 0\n2 0\n3 0\n4 0\n",
-		"p cnf 4 4\n-1 0\n-2 0\n3 0\n4 0\n",
-		"p cnf 5 5\n1 0\n2 0\n3 0\n4 0\n5 0\n",
-		"p cnf 5 5\n-1 0\n-2 0\n-3 0\n4 0\n5 0\n",
-	}
-	for i, body := range trivial {
+	const body = "p cnf 3 2\n1 2 0\n-1 3 0\n"
+	seeds := []int{1, 2, 3, 4}
+	for _, seed := range seeds {
 		_, job, _ := fleetPost(t,
-			rp.base+"/solve?engine=pre(mc)&sync=1&samples=400000", body)
-		if job.State != "done" || job.Result == nil || job.Result.Status != StatusSat {
-			t.Fatalf("trivial instance %d: %+v", i, job)
+			fmt.Sprintf("%s/solve?engine=mc&sync=1&samples=400000&seed=%d", rp.base, seed), body)
+		if job.State != "done" || job.CacheHit || job.Result == nil || job.Result.Status != StatusSat {
+			t.Fatalf("mc under seed %d: %+v", seed, job)
 		}
 	}
 	after := scrapeMetrics(t, rp.base)["nblfleet_pool_warm_hits_total"]
-	if warm := after - before; warm < float64(len(trivial)-2) {
-		t.Fatalf("fleet warm-pool hits rose by %v over %d shell jobs, want >= %d",
-			warm, len(trivial), len(trivial)-2)
+	if warm := after - before; warm != float64(len(seeds)-1) {
+		t.Fatalf("fleet warm-pool hits rose by %v over %d seeds of one formula, want %d",
+			warm, len(seeds), len(seeds)-1)
 	}
 
 	// 5. Kill the owning replica and restart it on the same address

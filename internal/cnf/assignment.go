@@ -115,8 +115,12 @@ func (a Assignment) Clone() Assignment {
 }
 
 // String renders the assignment as the paper's cube notation, e.g.
-// "!x1 x2 ?x3" with ? marking unassigned variables.
+// "!x1 x2 ?x3" with ? marking unassigned variables. An assignment over
+// no variables, nil included, renders as "".
 func (a Assignment) String() string {
+	if len(a) <= 1 {
+		return ""
+	}
 	parts := make([]string, 0, len(a)-1)
 	for v := 1; v < len(a); v++ {
 		switch a[v] {

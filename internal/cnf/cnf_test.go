@@ -1,6 +1,7 @@
 package cnf
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -180,6 +181,31 @@ func TestAssignmentBasics(t *testing.T) {
 	}
 	if a.String() != "x1 !x2 x3" {
 		t.Errorf("String = %q", a.String())
+	}
+}
+
+// TestAssignmentString covers the cube notation down to no variables:
+// a nil or empty Assignment, such as an UNSAT Result's model, formats
+// as "" instead of panicking.
+func TestAssignmentString(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    Assignment
+		want string
+	}{
+		{"nil", nil, ""},
+		{"empty", Assignment{}, ""},
+		{"no variables", NewAssignment(0), ""},
+		{"one unassigned", NewAssignment(1), "?x1"},
+		{"one true", AssignmentFromBools([]bool{true}), "x1"},
+		{"one false", AssignmentFromBools([]bool{false}), "!x1"},
+	} {
+		if got := tc.a.String(); got != tc.want {
+			t.Errorf("%s: String = %q, want %q", tc.name, got, tc.want)
+		}
+		if got := fmt.Sprint(tc.a); got != tc.want {
+			t.Errorf("%s: %%v = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

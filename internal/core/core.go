@@ -144,15 +144,16 @@ func NewEngine(f *cnf.Formula, opts Options) (*Engine, error) {
 	return &Engine{f: f, opts: opts.withDefaults()}, nil
 }
 
-// Reset re-targets the engine at a new formula, restoring the
+// Reset re-targets the engine at a new formula and seed, restoring the
 // fresh-engine state (checkSeq restarts at zero, so a Reset engine is
-// result-identical to NewEngine with the same Options). When the new
-// formula has the same (n, m) geometry as the old one, every worker's
-// noise bank, evaluator, and block buffer are kept — the warm path a
-// long-running solve service relies on to amortize the 2·n·m-generator
-// bank across requests; a geometry change drops the workers and they
-// rebuild lazily on the next check.
-func (e *Engine) Reset(f *cnf.Formula) error {
+// result-identical to NewEngine with the same Options under that
+// Seed). When the new formula has the same (n, m) geometry as the old
+// one, every worker's noise bank, evaluator, and block buffer are kept
+// — the banks re-seed at every check anyway — which is the warm path a
+// long-running solve service relies on to amortize the
+// 2·n·m-generator bank across requests; a geometry change drops the
+// workers and they rebuild lazily on the next check.
+func (e *Engine) Reset(f *cnf.Formula, seed uint64) error {
 	if f.NumVars < 1 {
 		return ErrNoVariables
 	}
@@ -169,6 +170,7 @@ func (e *Engine) Reset(f *cnf.Formula) error {
 		e.workers = nil
 	}
 	e.f = f
+	e.opts.Seed = seed
 	e.checkSeq = 0
 	return nil
 }

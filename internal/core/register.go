@@ -22,17 +22,17 @@ import (
 func init() {
 	// mc is warm (solver.Warm): the engine persists across Solve calls,
 	// and Engine.Reset keeps the per-worker banks, evaluators and block
-	// buffers whenever the (n, m) geometry repeats.
+	// buffers whenever the (n, m) geometry repeats, whatever the seed.
 	solver.Register("mc", func(cfg solver.Config) solver.Solver {
-		return solver.NewWarm("mc",
-			func(f *cnf.Formula) (*Engine, error) {
+		return solver.NewWarm("mc", cfg.Seed,
+			func(f *cnf.Formula, seed uint64) (*Engine, error) {
 				fam, err := ParseFamily(cfg.Family)
 				if err != nil {
 					return nil, err
 				}
 				return NewEngine(f, Options{
 					Family:     fam,
-					Seed:       cfg.Seed,
+					Seed:       seed,
 					MaxSamples: cfg.MaxSamples,
 					Theta:      cfg.Theta,
 					Workers:    cfg.Workers,

@@ -13,8 +13,9 @@ import (
 
 // TestResetIsResultIdenticalToFreshEngine pins the warm-path contract:
 // an engine re-targeted with Reset must produce exactly the Result a
-// freshly constructed engine would, both when the geometry matches
-// (banks and evaluators reused) and when it changes (workers dropped).
+// freshly constructed engine under the Reset's seed would, both when
+// the geometry matches (banks and evaluators reused) and when it
+// changes (workers dropped), under its own seed and under another.
 func TestResetIsResultIdenticalToFreshEngine(t *testing.T) {
 	opts := Options{Family: noise.UniformUnit, Seed: 11, MaxSamples: 200_000, Workers: 2}
 	f1 := cnf.FromClauses([]int{1, 2}, []int{-1, -2})              // 2x2
@@ -27,18 +28,20 @@ func TestResetIsResultIdenticalToFreshEngine(t *testing.T) {
 	}
 	warm.Check()
 
-	for _, f := range []*cnf.Formula{f2, f3, f1} {
-		if err := warm.Reset(f); err != nil {
+	for i, f := range []*cnf.Formula{f2, f3, f1, f2} {
+		want := opts
+		want.Seed += uint64(i % 2) // seeds 11, 12, 11, 12
+		if err := warm.Reset(f, want.Seed); err != nil {
 			t.Fatal(err)
 		}
 		got := warm.Check()
-		fresh, err := NewEngine(f, opts)
+		fresh, err := NewEngine(f, want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := fresh.Check()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("warm result differs from fresh on %s:\nwarm  %+v\nfresh %+v", f, got, want)
+		if cold := fresh.Check(); !reflect.DeepEqual(got, cold) {
+			t.Errorf("warm result differs from fresh on %s under seed %d:\nwarm  %+v\nfresh %+v",
+				f, want.Seed, got, cold)
 		}
 	}
 }
@@ -48,11 +51,11 @@ func TestResetRejectsInvalidFormulas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Reset(cnf.New(0)); err == nil {
+	if err := eng.Reset(cnf.New(0), 1); err == nil {
 		t.Error("Reset must reject a zero-variable formula")
 	}
 	bad := &cnf.Formula{NumVars: 1, Clauses: []cnf.Clause{{cnf.Pos(5)}}}
-	if err := eng.Reset(bad); err == nil {
+	if err := eng.Reset(bad, 1); err == nil {
 		t.Error("Reset must reject out-of-range literals")
 	}
 	// The engine must still work after rejected Resets.

@@ -12,27 +12,22 @@ func init() {
 		return &countSolver{cfg: cfg}
 	})
 	solver.RegisterTasks("count", solver.TaskDecide, solver.TaskCount)
-	solver.MarkStateless("count")
 	solver.Register("wcount", func(cfg solver.Config) solver.Solver {
 		return &wcountSolver{cfg: cfg}
 	})
 	solver.RegisterTasks("wcount", solver.TaskDecide, solver.TaskWeightedCount)
-	solver.MarkStateless("wcount")
 }
 
 // countSolver adapts the exact DPLL counter to the registry. The
 // counter holds no cross-solve state (every Solve builds its own
-// compacted copy), so Reset is unconditionally warm and the pool keys
-// the engine geometry-free like the meta shells. Under TaskDecide it
-// still counts and reports the verdict — exact counting is a sound
-// (if expensive) decision procedure — so the capability set includes
-// decide and the conformance suites can race it against the samplers.
+// compacted copy), so the lease pool builds one per lease and keeps
+// none idle. Under TaskDecide it still counts and reports the verdict
+// — exact counting is a sound (if expensive) decision procedure — so
+// the capability set includes decide and the conformance suites can
+// race it against the samplers.
 type countSolver struct {
 	cfg solver.Config
 }
-
-// Reset implements solver.Reusable: stateless, so always warm.
-func (s *countSolver) Reset(f *cnf.Formula) bool { return true }
 
 func (s *countSolver) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 	if s.cfg.FindModel {
@@ -51,9 +46,6 @@ func (s *countSolver) Solve(ctx context.Context, f *cnf.Formula) (solver.Result,
 type wcountSolver struct {
 	cfg solver.Config
 }
-
-// Reset implements solver.Reusable: stateless, so always warm.
-func (s *wcountSolver) Reset(f *cnf.Formula) bool { return true }
 
 func (s *wcountSolver) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 	if s.cfg.FindModel {

@@ -1,47 +1,52 @@
 // Package enginepool is the engine lease pool: the first-class
-// lifecycle for warm solver instances that PR 4 prototyped as a
-// per-worker trick inside nblserve.
+// lifecycle for warm solver instances, which began as a per-worker
+// warm table inside nblserve.
 //
 // Why a pool, and why here: the noise-based-logic engines pay a large
-// fixed cost per construction — 2·n·m xoshiro generators per worker
-// bank, evaluator scratch, block buffers — that is pure overhead when
-// an instance lives and dies with one Solve. core.Engine.Reset (and
-// now rtw/sbl Reset) showed the state can be re-targeted at a new
-// formula of the same (n, m) geometry for free, with results
-// bit-identical to a cold construction. The pool turns that primitive
-// into an architecture every layer shares: pipeline component fan-out,
-// portfolio members, and service workers all lease instead of build,
-// so any repeated-geometry traffic anywhere in the process warms up.
+// fixed cost per construction — 2·n·m noise sources per worker bank,
+// evaluator scratch, block buffers — that is pure overhead when an
+// instance lives and dies with one Solve. The engines' Reset re-targets
+// that state at a new formula and seed of the same (n, m) geometry,
+// with results bit-identical to a cold construction. The pool turns
+// that primitive into an architecture every layer shares: pipeline
+// component fan-out, portfolio members, and service workers all lease
+// instead of build, so any repeated-geometry traffic anywhere in the
+// process warms up.
 //
 // Lease lifecycle (the state machine documented in DESIGN.md):
 //
 //	Acquire(expr, cfg, f)
-//	   ├─ idle instance under (expr, cfg.Key(), n, m) → pop, Reset(f)
-//	   │     ├─ Reset true  → WARM HIT   (banks/buffers reused)
-//	   │     └─ Reset false → COLD MISS  (state dropped; still sound)
+//	   ├─ idle instance under (expr, cfg.Key() seedless, n, m) → pop, Reset(cfg)
+//	   │     ├─ engine built   → WARM HIT   (banks/buffers reused)
+//	   │     └─ engine unbuilt → COLD MISS  (the Solve builds it)
 //	   └─ none → solver.NewWith(expr, cfg) → COLD MISS
 //	... exclusive use: Lease.Solve ...
 //	Release
 //	   ├─ solver implements solver.Reusable → back to idle (LRU refresh)
 //	   │     └─ idle > capacity → evict least recently released
-//	   └─ not reusable (stateless search engines) → dropped
+//	   └─ not reusable → dropped
+//
+// Only the warm sampling engines (solver.Warm: mc, rtw, sbl) are
+// Reusable. Everything else — the search engines, the counters and the
+// pre and portfolio shells, whose warmth lives in the engines they
+// lease from this same pool — is built on every Acquire and dropped on
+// Release, so no idle slot holds an instance with nothing to reuse.
+//
+// The key leaves out the seed: a warm engine's state depends on its
+// formula's geometry and the other knobs, not on the seed. Reset hands
+// the instance its lease's seed, and every check re-derives its noise
+// streams from (seed, check sequence). So a stream of jobs that each
+// carry their own seed still leases warm.
 //
 // Correctness: a lease is exclusive — an instance is either idle in
-// the pool or held by exactly one caller, never both — and Reset
-// restores fresh-construction state (mc restarts checkSeq, rtw reseeds
-// its bank, sbl rewinds its carriers), so a warm Solve returns
-// bit-for-bit the Result a cold instance would. The conformance suite
-// asserts this for every pooled engine and meta-expression. Capacity
-// bounds only idle instances, so Acquire never blocks: concurrent
-// demand beyond the cap simply constructs cold.
-//
-// Expressions marked stateless in the registry (solver.MarkStateless:
-// the pre shell, the portfolio racer) key geometry-free — (n, m) is
-// zeroed in their pool key, so one idle shell serves every formula
-// shape instead of occupying one LRU slot per geometry class it ever
-// touched. This is sound exactly because such shells hold no
-// geometry-sized state of their own: their warmth lives in the inner
-// engines they lease, which keep full geometry keying.
+// the pool or held by exactly one caller, never both — and the Solve
+// re-targets the engine at the lease's formula and seed, restoring
+// fresh-construction state (mc restarts checkSeq, rtw reseeds its
+// bank, sbl rewinds its carriers), so a warm Solve returns bit-for-bit
+// the Result a cold instance would. The conformance suite asserts this
+// for every pooled engine, across seeds. Capacity bounds only idle
+// instances, so Acquire never blocks: concurrent demand beyond the cap
+// simply constructs cold.
 package enginepool
 
 import (
@@ -66,10 +71,10 @@ const DefaultCapacity = 32
 // the same mc instances a bare-mc portfolio member will lease next.
 var Default = New(DefaultCapacity)
 
-// key identifies a reuse class: instances are interchangeable exactly
-// when they were built from the same engine expression and Config and
-// target the same (n, m) geometry (bank and scratch shapes are pure
-// functions of these).
+// key identifies a reuse class: idle instances are interchangeable
+// exactly when they were built from the same engine expression and
+// Config, up to the seed, and target the same (n, m) geometry (bank
+// and scratch shapes are pure functions of these).
 type key struct {
 	expr, cfg string
 	n, m      int
@@ -101,7 +106,7 @@ func New(capacity int) *Pool {
 }
 
 // Lease is an exclusively held solver instance, bound to the formula
-// it was acquired (and Reset) for. Release it when the solve finishes
+// and Config it was acquired for. Release it when the solve finishes
 // — leases are not reentrant and must not be shared.
 type Lease struct {
 	pool     *Pool
@@ -113,17 +118,14 @@ type Lease struct {
 }
 
 // Acquire leases a solver for expr/cfg targeting formula f. An idle
-// instance of the same (expr, cfg, geometry) class is reset and
-// returned warm; otherwise a fresh instance is constructed (any
-// registry error surfaces here, exactly as solver.NewWith would).
+// instance of the same (expr, seedless cfg, geometry) class is handed
+// cfg through Reset and returned, warm when its engine is built;
+// otherwise a fresh instance is constructed (any registry error
+// surfaces here, exactly as solver.NewWith would).
 func (p *Pool) Acquire(expr string, cfg solver.Config, f *cnf.Formula) (*Lease, error) {
-	n, m := f.NumVars, f.NumClauses()
-	if solver.Stateless(expr) {
-		// Stateless shells hold no geometry-sized state; one idle
-		// instance serves every (n, m).
-		n, m = 0, 0
-	}
-	k := key{expr: expr, cfg: cfg.Key(), n: n, m: m}
+	seedless := cfg
+	seedless.Seed = 0
+	k := key{expr: expr, cfg: seedless.Key(), n: f.NumVars, m: f.NumClauses()}
 
 	p.mu.Lock()
 	var e *entry
@@ -139,8 +141,7 @@ func (p *Pool) Acquire(expr string, cfg solver.Config, f *cnf.Formula) (*Lease, 
 	p.mu.Unlock()
 
 	if e != nil {
-		// Reset outside the pool lock: it can touch n·m-sized state.
-		warm := e.s.(solver.Reusable).Reset(f)
+		warm := e.s.(solver.Reusable).Reset(cfg)
 		p.mu.Lock()
 		if warm {
 			p.hits++
@@ -162,18 +163,19 @@ func (p *Pool) Acquire(expr string, cfg solver.Config, f *cnf.Formula) (*Lease, 
 }
 
 // Solve runs the leased solver on the formula the lease was acquired
-// for. Taking no formula parameter is deliberate: the pool key and the
-// Reset that warmed the instance both describe Acquire's formula, so
-// solving anything else would file the instance under a lying key.
+// for. Taking no formula parameter is deliberate: the pool key
+// describes Acquire's formula, so solving anything else would file the
+// instance under a lying key.
 func (l *Lease) Solve(ctx context.Context) (solver.Result, error) {
 	return l.s.Solve(ctx, l.f)
 }
 
-// Warm reports whether this lease reused pooled warm state.
+// Warm reports whether this lease took an idle instance with a built
+// engine, whose banks and buffers the Solve reuses.
 func (l *Lease) Warm() bool { return l.warm }
 
-// Release returns the instance to the pool (reusable solvers) or drops
-// it (stateless ones). Idempotent; the lease must not be used after.
+// Release returns the instance to the pool (Reusable solvers) or drops
+// it (all others). Idempotent; the lease must not be used after.
 func (l *Lease) Release() {
 	if l.released {
 		return
@@ -213,9 +215,9 @@ func (p *Pool) release(l *Lease) {
 
 // Stats is a point-in-time snapshot of the pool counters.
 type Stats struct {
-	// Hits counts Acquires served by an idle instance whose warm state
-	// survived Reset; Misses counts cold constructions (no idle
-	// instance, a geometry-dropped Reset, or a non-reusable engine).
+	// Hits counts Acquires served by an idle instance with a built
+	// engine; Misses counts the rest (no idle instance, an idle one that
+	// never built its engine, or a non-reusable engine).
 	Hits, Misses int64
 	// Evictions counts idle instances dropped by the LRU capacity bound.
 	Evictions int64

@@ -62,8 +62,8 @@ func TestDistinctClassesDoNotShare(t *testing.T) {
 	p := enginepool.New(8)
 	sat := gen.PaperSAT()      // (2, 4)
 	ex6 := gen.PaperExample6() // different geometry class
-	other := cfg()
-	other.Seed = 99 // different config key
+	budget := cfg()
+	budget.MaxSamples = 30_000 // different config key
 
 	for _, step := range []struct {
 		expr string
@@ -72,7 +72,7 @@ func TestDistinctClassesDoNotShare(t *testing.T) {
 	}{
 		{"mc", cfg(), sat},
 		{"mc", cfg(), ex6},  // same expr, different geometry -> cold
-		{"mc", other, sat},  // same expr+geometry, different cfg -> cold
+		{"mc", budget, sat}, // same expr+geometry, different budget -> cold
 		{"rtw", cfg(), sat}, // different expr -> cold
 	} {
 		l, err := p.Acquire(step.expr, step.cfg, step.f)
@@ -82,8 +82,8 @@ func TestDistinctClassesDoNotShare(t *testing.T) {
 		if l.Warm() {
 			t.Errorf("acquire %s/%v unexpectedly warm", step.expr, step.f)
 		}
-		// Solve so the instance accretes warm state: a pooled adapter
-		// that never ran holds no banks and honestly resets cold.
+		// Solve so the instance builds its engine: a pooled adapter
+		// that never ran holds no banks and honestly leases cold.
 		if _, err := l.Solve(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -93,15 +93,23 @@ func TestDistinctClassesDoNotShare(t *testing.T) {
 		t.Errorf("want 0 hits / 4 misses, got %d / %d", st.Hits, st.Misses)
 	}
 
-	// Each class is now warm for its own key only.
-	l, err := p.Acquire("mc", cfg(), sat)
-	if err != nil {
-		t.Fatal(err)
+	// Each class is now warm for its own key only. The seed is not part
+	// of the key: a lease under another seed takes the same instance.
+	reseeded := cfg()
+	reseeded.Seed = 99
+	for _, c := range []solver.Config{cfg(), reseeded} {
+		l, err := p.Acquire("mc", c, sat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !l.Warm() {
+			t.Errorf("matching class not warm under seed %d", c.Seed)
+		}
+		l.Release()
 	}
-	if !l.Warm() {
-		t.Error("matching class not warm after release")
+	if st := p.Stats(); st.Hits != 2 || st.Size != 4 {
+		t.Errorf("want 2 hits and 4 idle instances, got %d / %d", st.Hits, st.Size)
 	}
-	l.Release()
 }
 
 func TestNonReusableEnginesAreNotPooled(t *testing.T) {
@@ -191,11 +199,11 @@ func TestAcquireUnknownEngine(t *testing.T) {
 	}
 }
 
-// TestPoolStress hammers one pool from many goroutines across engines
-// and geometry classes — the -race CI step runs exactly this test. The
-// assertions are the pool invariants: every acquire is counted exactly
-// once, the idle set never exceeds capacity, and every solve returns a
-// sound verdict for its instance.
+// TestPoolStress hammers one pool from many goroutines across engines,
+// geometry classes and seeds — the -race CI step runs exactly this
+// test. The assertions are the pool invariants: every acquire is
+// counted exactly once, the idle set never exceeds capacity, and every
+// solve returns a sound verdict for its instance.
 func TestPoolStress(t *testing.T) {
 	p := enginepool.New(6)
 	type class struct {
@@ -222,7 +230,11 @@ func TestPoolStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c := classes[(g+i)%len(classes)]
-				l, err := p.Acquire(c.expr, cfg(), c.f)
+				// A seed per acquire: the pool key leaves it out, so
+				// seeds share warm instances (seed 0 takes the default).
+				seeded := cfg()
+				seeded.Seed = uint64(g*iters + i)
+				l, err := p.Acquire(c.expr, seeded, c.f)
 				if err != nil {
 					errs <- err
 					return

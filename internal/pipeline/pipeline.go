@@ -62,9 +62,6 @@ func init() {
 	solver.RegisterMeta("pre", func(inner string, cfg solver.Config) (solver.Solver, error) {
 		return New(inner, cfg)
 	})
-	// The shell holds no geometry-sized state (Reset is always warm);
-	// the lease pool keys it geometry-free.
-	solver.MarkStateless("pre")
 	// The pipeline is count-safe (reduce picks count-preserving
 	// stages), so pre(count) and pre(wcount) work;
 	// NewWith intersects this list with the inner engine's own tasks.
@@ -77,8 +74,6 @@ func init() {
 type Pipeline struct {
 	inner string
 	cfg   solver.Config
-	// Simplify selects the preprocessing passes (zero value: all).
-	Simplify simplify.Options
 }
 
 // New validates the inner engine expression and returns the pipeline.
@@ -97,11 +92,6 @@ func New(inner string, cfg solver.Config) (*Pipeline, error) {
 	}
 	return &Pipeline{inner: inner, cfg: cfg}, nil
 }
-
-// Reset implements solver.Reusable. The pipeline itself holds no
-// per-formula state — its warmth lives in the inner engines it leases
-// from the pool — so any instance is reusable as-is for any formula.
-func (p *Pipeline) Reset(f *cnf.Formula) bool { return true }
 
 // Solve implements solver.Solver. Every task takes one path: the
 // reductions the task allows, the short-circuits, one Decompose, one
@@ -142,13 +132,6 @@ func (p *Pipeline) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, er
 	}
 	for _, c := range comps {
 		free -= c.F.NumVars
-		for _, cl := range c.F.Clauses {
-			if len(cl) == 0 {
-				// Defensive: Simplify leaves no empty clauses, but a
-				// caller-supplied Simplify option set might.
-				return unsat()
-			}
-		}
 	}
 	var (
 		count      *big.Int
@@ -255,7 +238,7 @@ func (p *Pipeline) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, er
 // touching clause contents, and counts factor over variable-disjoint
 // components.
 func (p *Pipeline) reduce(ctx context.Context, f *cnf.Formula) *simplify.Result {
-	opts := p.Simplify
+	var opts simplify.Options
 	switch p.cfg.Task {
 	case solver.TaskWeightedCount:
 		n, m := f.NumVars, f.NumClauses()

@@ -36,13 +36,14 @@ func init() {
 			return solver.Result{}, ctx.Err()
 		})
 	})
-	// stub-unsat2 answers UNSAT for 2-clause components and blocks on
-	// everything else, so a decomposed solve only terminates if the
-	// pipeline cancels siblings after the first UNSAT.
-	solver.Register("stub-unsat2", func(cfg solver.Config) solver.Solver {
+	// stub-unsat-small answers UNSAT for components of fewer than 16
+	// variables and blocks on everything else, so a decomposed solve
+	// only terminates if the pipeline cancels siblings after the first
+	// UNSAT.
+	solver.Register("stub-unsat-small", func(cfg solver.Config) solver.Solver {
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 			stubUnsatSolves.Add(1)
-			if f.NumClauses() == 2 {
+			if f.NumVars < 16 {
 				return solver.Result{Status: solver.StatusUnsat}, nil
 			}
 			<-ctx.Done()
@@ -107,25 +108,20 @@ func TestPreprocessingShortCircuits(t *testing.T) {
 }
 
 func TestUnsatComponentCancelsSiblings(t *testing.T) {
-	// Three components: two random blocks the stub parks on, plus a
-	// 2-clause block the stub answers UNSAT. The solve only terminates
-	// (well inside the 10s guard) if that UNSAT cancels the siblings.
-	// Preprocessing is disabled so all three components reach the stub
-	// exactly as built.
+	// Three components survive preprocessing: two 20-variable random
+	// blocks the stub parks on (19 and 20 variables after it), plus a
+	// 15/64 block (15/60 after it) the stub answers UNSAT. The solve
+	// only terminates (well inside the 10s guard) if that UNSAT cancels
+	// the siblings.
 	f := gen.DisjointUnion(
 		gen.RandomKSAT(rng.New(3), 20, 91, 3),
 		gen.RandomKSAT(rng.New(4), 20, 91, 3),
-		cnf.FromClauses([]int{1, 2, 3}, []int{-1, -2, -3}),
+		gen.RandomKSAT(rng.New(5), 15, 64, 3),
 	)
-	p, err := New("stub-unsat2", solver.Config{})
+	p, err := New("stub-unsat-small", solver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Simplify.DisableUnits = true
-	p.Simplify.DisablePure = true
-	p.Simplify.DisableSubsumption = true
-	p.Simplify.DisableStrengthen = true
-	p.Simplify.DisableBVE = true
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

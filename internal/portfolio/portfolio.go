@@ -30,9 +30,6 @@ func init() {
 	solver.Register("portfolio", func(cfg solver.Config) solver.Solver {
 		return New(cfg)
 	})
-	// The racer holds no geometry-sized state (members are leased
-	// per-solve); the lease pool keys it geometry-free.
-	solver.MarkStateless("portfolio")
 }
 
 // Portfolio races a set of registry engines. Construct with New or via
@@ -49,11 +46,6 @@ type Portfolio struct {
 func New(cfg solver.Config) *Portfolio {
 	return &Portfolio{cfg: cfg}
 }
-
-// Reset implements solver.Reusable. The portfolio holds no per-formula
-// state — warmth lives in the member engines it leases from the pool —
-// so any instance is reusable as-is for any formula.
-func (p *Portfolio) Reset(f *cnf.Formula) bool { return true }
 
 // Solve implements solver.Solver. The first member to return a
 // definitive Status wins: its Result is returned with Engine naming the

@@ -12,15 +12,15 @@ import (
 func init() {
 	// rtw is warm (solver.Warm): Engine.Reset keeps the sampler's banks
 	// and the wide kernel's bank and scratch whenever the (n, m)
-	// geometry repeats.
+	// geometry repeats, whatever the seed.
 	solver.Register("rtw", func(cfg solver.Config) solver.Solver {
-		return solver.NewWarm("rtw",
-			func(f *cnf.Formula) (*Engine, error) {
+		return solver.NewWarm("rtw", cfg.Seed,
+			func(f *cnf.Formula, seed uint64) (*Engine, error) {
 				if cfg.FindModel {
 					return nil, solver.ErrNoModelRecovery("rtw")
 				}
 				return New(f, core.Options{
-					Seed:       cfg.Seed,
+					Seed:       seed,
 					MaxSamples: cfg.MaxSamples,
 					Theta:      cfg.Theta,
 					Workers:    cfg.Workers,

@@ -61,19 +61,20 @@ func New(f *cnf.Formula, opts core.Options) (*Engine, error) {
 	return e, nil
 }
 
-// Reset re-targets the engine at a new formula, restoring fresh-engine
-// state, and re-picks the kernel from the new clause widths: the bound
-// depends on clause sizes, not just (n, m), so one geometry can cross
-// between the kernels. A Reset engine is result-identical to a New one
-// — the warm-path contract the engine lease pool relies on. When the
-// (n, m) geometry matches, the sampler's banks and the wide kernel's
-// bank and scratch are kept.
-func (e *Engine) Reset(f *cnf.Formula) error {
+// Reset re-targets the engine at a new formula and seed, restoring
+// fresh-engine state, and re-picks the kernel from the new clause
+// widths: the bound depends on clause sizes, not just (n, m), so one
+// geometry can cross between the kernels. A Reset engine is
+// result-identical to a New one under that Seed — the warm-path
+// contract the engine lease pool relies on. When the (n, m) geometry
+// matches, the sampler's banks and the wide kernel's bank and scratch
+// are kept.
+func (e *Engine) Reset(f *cnf.Formula, seed uint64) error {
 	width, err := widthBits(f)
 	if err != nil {
 		return err
 	}
-	if err := e.mc.Reset(f); err != nil {
+	if err := e.mc.Reset(f, seed); err != nil {
 		return err
 	}
 	e.target(f, width)

@@ -148,7 +148,7 @@ func TestResetCrossesKernelBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, f := range []*cnf.Formula{wide, narrow, wide} {
-		if err := e.Reset(f); err != nil {
+		if err := e.Reset(f, 1); err != nil {
 			t.Fatal(err)
 		}
 		if e.wide != (f == wide) {

@@ -12,10 +12,11 @@ import (
 
 func init() {
 	// sbl is warm (solver.Warm): Engine.Reset keeps the carrier bank
-	// whenever the (n, m) geometry repeats.
+	// whenever the (n, m) geometry repeats. Its carriers are
+	// deterministic, so the seed goes unused.
 	solver.Register("sbl", func(cfg solver.Config) solver.Solver {
-		return solver.NewWarm("sbl",
-			func(f *cnf.Formula) (*Engine, error) {
+		return solver.NewWarm("sbl", cfg.Seed,
+			func(f *cnf.Formula, _ uint64) (*Engine, error) {
 				if cfg.FindModel {
 					return nil, solver.ErrNoModelRecovery("sbl")
 				}

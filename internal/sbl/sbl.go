@@ -268,12 +268,13 @@ func (e *Engine) CheckCtx(ctx context.Context) (Result, error) {
 // state (every check observes from t = 0, so only the formula and the
 // bindings need replacing): a Reset engine is result-identical to
 // New(f, opts) — the warm-path contract the engine lease pool relies
-// on. When the (n, m) geometry matches, the carrier bank is kept
-// verbatim (cycles and period depend only on 2·n·m and the allocation)
-// and the evaluator re-targets in place; otherwise the engine is
-// rebuilt, which can fail if the new geometry exceeds the
-// allocator's bandwidth (same rule as New).
-func (e *Engine) Reset(f *cnf.Formula) error {
+// on. The carriers are deterministic, so the seed, which the warm
+// adapter hands every engine, is unused. When the (n, m) geometry
+// matches, the carrier bank is kept verbatim (cycles and period depend
+// only on 2·n·m and the allocation) and the evaluator re-targets in
+// place; otherwise the engine is rebuilt, which can fail if the new
+// geometry exceeds the allocator's bandwidth (same rule as New).
+func (e *Engine) Reset(f *cnf.Formula, _ uint64) error {
 	if f.NumVars != e.bank.n || f.NumClauses() != e.bank.m {
 		fresh, err := New(f, e.opts)
 		if err != nil {

@@ -121,7 +121,7 @@ func TestResetRewinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := e.Check()
-	if err := e.Reset(gen.PaperExample7()); err != nil {
+	if err := e.Reset(gen.PaperExample7(), 1); err != nil {
 		t.Fatal(err)
 	}
 	b := e.Check()
@@ -130,7 +130,7 @@ func TestResetRewinds(t *testing.T) {
 	}
 	// Re-target across a geometry change: the engine must rebuild and
 	// behave exactly like a fresh construction.
-	if err := e.Reset(gen.PaperSAT()); err != nil {
+	if err := e.Reset(gen.PaperSAT(), 1); err != nil {
 		t.Fatal(err)
 	}
 	warm := e.Check()
@@ -143,10 +143,10 @@ func TestResetRewinds(t *testing.T) {
 	}
 	// A rebuild that violates the allocator's bandwidth must fail and
 	// leave the engine usable for a later (valid) Reset.
-	if err := e.Reset(gen.Pigeonhole(3)); err == nil {
+	if err := e.Reset(gen.Pigeonhole(3), 1); err == nil {
 		t.Error("oversized geometric allocation accepted by Reset")
 	}
-	if err := e.Reset(gen.PaperSAT()); err != nil {
+	if err := e.Reset(gen.PaperSAT(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if again := e.Check(); again != warm {

@@ -219,7 +219,7 @@ func (m *metrics) render(w *bytes.Buffer, g gauges) {
 	// lifecycle. Occupancy label cardinality is bounded by the pool's
 	// capacity (idle instances, each with one expression), so the
 	// per-expression series cannot grow without limit.
-	prom.Counter(w, "nblserve_pool_warm_hits_total", "Engine leases served from the idle pool with warm state intact (banks/buffers for bare engines; the shell itself for meta expressions).", g.pool.Hits)
+	prom.Counter(w, "nblserve_pool_warm_hits_total", "Engine leases served from the idle pool with a built engine, whose banks and buffers the solve reuses.", g.pool.Hits)
 	prom.Counter(w, "nblserve_pool_cold_misses_total", "Engine leases constructed cold.", g.pool.Misses)
 	prom.Counter(w, "nblserve_pool_evictions_total", "Idle engines dropped by the pool's LRU capacity bound.", g.pool.Evictions)
 	prom.Gauge(w, "nblserve_pool_capacity", "Idle-instance capacity of the engine lease pool.", int64(g.pool.Capacity))

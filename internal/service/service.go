@@ -10,15 +10,17 @@
 // amortizes it three ways:
 //
 //   - Workers lease engines from the shared lease pool
-//     (enginepool.Default) per job. The pool keeps warm instances keyed
-//     by (engine expression, config, geometry): repeated-geometry
-//     traffic reuses noise banks, evaluators, and block buffers via the
-//     engines' Reset primitives, and because pipeline components and
-//     portfolio members lease from the same pool, pre(...) and
-//     portfolio submissions warm up inside too — a warm engine left by
-//     one worker's pre(mc) component is picked up by the next bare-mc
-//     job, whoever runs it. Pool hit/miss/eviction counters and
-//     occupancy are exposed on /metrics.
+//     (enginepool.Default) per job. The pool keeps the warm sampling
+//     engines (mc, rtw, sbl) idle, keyed by engine expression, config
+//     without the seed, and geometry: repeated-geometry traffic reuses
+//     noise banks, evaluators, and block buffers via the engines' Reset
+//     primitives, whatever seed each request carries. The pre(...) and
+//     portfolio shells hold nothing and are built per job, but their
+//     components and members lease from the same pool, so those
+//     submissions warm up inside too — a warm engine left by one
+//     worker's pre(mc) component is picked up by the next bare-mc job,
+//     whoever runs it. Pool hit/miss/eviction counters and occupancy
+//     are exposed on /metrics.
 //   - Repeated formulas dedupe through the verdict cache, keyed by a
 //     renaming-stable canonical fingerprint (cnf.Canonicalize):
 //     resubmitting a formula — even relabeled — replays the stored

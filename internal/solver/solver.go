@@ -374,24 +374,22 @@ type Solver interface {
 }
 
 // Reusable is implemented by solvers whose constructed state — noise
-// banks, evaluators, block buffers — outlives a single Solve and can be
-// re-targeted at a new formula. It is the contract the engine lease
-// pool (internal/enginepool) is built on: a leased solver is Reset
-// before every reuse, and the boolean reports whether the reuse was
-// warm.
+// banks, evaluators, block buffers — outlives a single Solve and can
+// serve the next formula of its (n, m) geometry. It is the contract the
+// engine lease pool (internal/enginepool) is built on. The pool keys an
+// idle instance by everything its state depends on, which leaves out
+// the seed, and hands a leased instance its caller's Config through
+// Reset before the Solve.
 //
-// Reset must leave the solver result-identical to a freshly
-// constructed one: a warm Solve after Reset returns bit-for-bit the
-// Result a cold instance would (the conformance tests assert this for
-// every pooled engine). The return value is purely an accounting
-// signal — true when the (n, m) geometry class of f allowed the
-// bank/buffer state to be kept (a warm hit), false when internal state
-// had to be dropped or never existed (the solver is still usable, just
-// cold). Reset must not fail: formula validation stays in Solve, where
-// the error has a caller to land on.
+// Reset records cfg's defaulted seed for the next Solve, and reports
+// whether the instance holds a built engine: a warm hit. A Solve after
+// Reset must return bit-for-bit the Result a fresh construction under
+// cfg would (the conformance tests assert this for every pooled
+// engine). Reset must not fail: formula validation stays in Solve,
+// where the error has a caller to land on.
 type Reusable interface {
 	Solver
-	Reset(f *cnf.Formula) bool
+	Reset(cfg Config) bool
 }
 
 // Func adapts a plain function to the Solver interface.
@@ -444,10 +442,10 @@ type Config struct {
 	// Task selects what the solve computes (decide, count,
 	// weighted-count); zero defaults to TaskDecide. The task rides the
 	// Config — not a separate parameter — because it changes engine
-	// behavior the same way every other knob does: a pre() shell warmed
-	// under decide must not serve a counting request (the pipeline
-	// reads its task to pick count-safe preprocessing), so the task
-	// must separate pool and cache identities, which Key() guarantees.
+	// behavior the same way every other knob does: a decide verdict
+	// must not answer a counting request (the pipeline reads the task
+	// to pick count-safe preprocessing), so the task must separate
+	// cache identities, which Key() guarantees.
 	Task Task
 }
 
@@ -519,10 +517,12 @@ func (c Config) withDefaults() Config {
 
 // Key folds every engine-selecting knob into a comparison string: two
 // Configs with equal Keys construct behaviorally identical engines, so
-// the key is what warm-state reuse (the engine lease pool, the service
-// verdict cache) may safely share across. Defaults are applied first —
-// a zero Config and an explicit default Config select the same engine
-// and must key identically.
+// the key is what the service verdict cache may safely share answers
+// across. Defaults are applied first — a zero Config and an explicit
+// default Config select the same engine and must key identically. The
+// engine lease pool keys idle instances by Key with the seed zeroed: a
+// Reusable engine takes its seed at Reset, so instances that differ
+// only in seed hold the same warm state.
 //
 // The task is appended only when it is not decide: every decide Config
 // keys byte-identically to its pre-task-model form, so verdict-store
@@ -602,73 +602,56 @@ func CompleteResult(a cnf.Assignment, ok bool, err error, stats Stats) (Result, 
 }
 
 // WarmEngine is what Warm needs of an engine: re-targeting at a new
-// formula that restores fresh-engine state, or an error naming why the
-// formula is rejected (leaving the engine as it was).
+// formula and seed that restores fresh-engine state, or an error naming
+// why the formula is rejected (leaving the engine as it was).
 type WarmEngine interface {
-	Reset(f *cnf.Formula) error
+	Reset(f *cnf.Formula, seed uint64) error
 }
 
 // Warm is the registry adapter of the warm sampling engines (mc, rtw,
-// sbl). The engine is built on the first Solve and persists; later
-// formulas re-target it through its Reset, which keeps noise banks,
-// evaluators and block buffers whenever the (n, m) geometry repeats —
-// the amortization a long-running solve service depends on. Reset
-// restores fresh-engine state, so a warm Solve is result-identical to a
-// cold one. The mutex makes a shared instance safe (calls serialize);
-// anything that wants parallelism holds one instance per goroutine, as
-// the portfolio and the lease pool do.
+// sbl), and the one Reusable engine. The engine is built on the first
+// Solve and persists; every later Solve re-targets it at its formula
+// and the current seed through the engine's Reset, which keeps noise
+// banks, evaluators and block buffers whenever the (n, m) geometry
+// repeats — the amortization a long-running solve service depends on.
+// Reset restores fresh-engine state, so a warm Solve is
+// result-identical to a cold one. The mutex makes a shared instance
+// safe (calls serialize); anything that wants parallelism holds one
+// instance per goroutine, as the portfolio and the lease pool do.
 //
 // An engine package supplies only a constructor and a check function
 // mapping one check onto a Result; Warm owns the locking, the lazily
-// built engine, the Reusable warm report, and the "<name>.check" span.
+// built engine, the seed a lease hands it, and the "<name>.check" span.
 type Warm[E WarmEngine] struct {
 	span  string
-	build func(f *cnf.Formula) (E, error)
+	build func(f *cnf.Formula, seed uint64) (E, error)
 	check func(ctx context.Context, eng E, f *cnf.Formula, sp *obs.Span) (Result, error)
 
 	mu    sync.Mutex
+	seed  uint64 // the seed the next Solve runs under
 	eng   E
 	built bool
-	// n, m is the geometry eng last served; the warm report compares
-	// against it.
-	n, m int
-	// resetFor notes that Reset already re-targeted eng at this exact
-	// formula, so the next Solve skips the duplicate re-target (the
-	// engine lease pool resets on Acquire, then calls Solve with the
-	// same formula; re-deriving the streams twice would be pure waste).
-	resetFor *cnf.Formula
 }
 
-// NewWarm returns the warm adapter of engine name. check runs one check
-// on the engine and may add trajectory points to sp, the engine's
-// "<name>.check" span (nil on an untraced context).
-func NewWarm[E WarmEngine](name string,
-	build func(f *cnf.Formula) (E, error),
+// NewWarm returns the warm adapter of engine name, solving under seed
+// until a Reset hands it another. build constructs the engine for a
+// formula and seed; check runs one check on the engine and may add
+// trajectory points to sp, the engine's "<name>.check" span (nil on an
+// untraced context).
+func NewWarm[E WarmEngine](name string, seed uint64,
+	build func(f *cnf.Formula, seed uint64) (E, error),
 	check func(ctx context.Context, eng E, f *cnf.Formula, sp *obs.Span) (Result, error),
 ) *Warm[E] {
-	return &Warm[E]{span: name + ".check", build: build, check: check}
+	return &Warm[E]{span: name + ".check", seed: seed, build: build, check: check}
 }
 
-// Reset implements Reusable: it re-targets the engine at f ahead of the
-// next Solve and reports whether f has the geometry the engine last
-// served, so its banks and buffers survive. An engine that rejects f is
-// dropped and the report is cold — Solve will surface the error.
-func (w *Warm[E]) Reset(f *cnf.Formula) bool {
+// Reset implements Reusable: the next Solve runs under cfg's defaulted
+// seed, and the lease is warm when the engine is already built.
+func (w *Warm[E]) Reset(cfg Config) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.resetFor = nil
-	if !w.built {
-		return false
-	}
-	if err := w.eng.Reset(f); err != nil {
-		var none E
-		w.eng, w.built = none, false
-		return false
-	}
-	warm := f.NumVars == w.n && f.NumClauses() == w.m
-	w.n, w.m = f.NumVars, f.NumClauses()
-	w.resetFor = f
-	return warm
+	w.seed = cfg.withDefaults().Seed
+	return w.built
 }
 
 // Solve runs one check inside the engine's check span, which records
@@ -697,22 +680,17 @@ func (w *Warm[E]) Solve(ctx context.Context, f *cnf.Formula) (Result, error) {
 func (w *Warm[E]) solve(ctx context.Context, f *cnf.Formula, sp *obs.Span) (Result, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ready := w.resetFor == f
-	w.resetFor = nil
-	switch {
-	case ready:
-	case w.built:
-		if err := w.eng.Reset(f); err != nil {
+	if w.built {
+		if err := w.eng.Reset(f, w.seed); err != nil {
 			return Result{}, err
 		}
-	default:
-		eng, err := w.build(f)
+	} else {
+		eng, err := w.build(f, w.seed)
 		if err != nil {
 			return Result{}, err
 		}
 		w.eng, w.built = eng, true
 	}
-	w.n, w.m = f.NumVars, f.NumClauses()
 	return w.check(ctx, w.eng, f, sp)
 }
 
@@ -763,10 +741,9 @@ type Factory func(cfg Config) Solver
 type MetaFactory func(inner string, cfg Config) (Solver, error)
 
 var (
-	regMu     sync.RWMutex
-	registry  = map[string]Factory{}
-	metas     = map[string]MetaFactory{}
-	stateless = map[string]bool{}
+	regMu    sync.RWMutex
+	registry = map[string]Factory{}
+	metas    = map[string]MetaFactory{}
 	// taskSupport maps an engine or meta name to the tasks it can
 	// execute. Absent means {decide}: every pre-task engine decides, so
 	// the registry's default keeps old registrations valid without a
@@ -866,35 +843,6 @@ func checkTask(expr string, task Task) error {
 			expr, task, caps.Tasks)
 	}
 	return nil
-}
-
-// MarkStateless declares that the named engine or meta shell holds no
-// geometry-sized state of its own: its Reset is unconditionally warm
-// because the warmth lives elsewhere (a pre shell's inner engines, a
-// portfolio's members — each leased separately from the pool). The
-// engine lease pool keys such expressions geometry-free, so one idle
-// shell serves every (n, m) instead of occupying one LRU slot per
-// geometry class it ever touched. Typically called from the same init
-// that registers the engine.
-func MarkStateless(name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	stateless[name] = true
-}
-
-// Stateless reports whether the engine expression's top-level name —
-// "pre" for "pre(mc)", the name itself for a plain engine — is marked
-// stateless. Only the top level matters: a stateless shell around a
-// stateful inner engine is still a stateless *instance*, because the
-// inner engine is leased per-solve, not held by the shell.
-func Stateless(expr string) bool {
-	name := expr
-	if meta, _, ok := splitMeta(expr); ok {
-		name = meta
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return stateless[name]
 }
 
 // Register installs an engine factory under a name. It panics on a
@@ -1062,6 +1010,6 @@ func (n *named) Solve(ctx context.Context, f *cnf.Formula) (Result, error) {
 // bookkeeping, plus Reset forwarded to the implementation.
 type reusableNamed struct{ named }
 
-func (n *reusableNamed) Reset(f *cnf.Formula) bool {
-	return n.impl.(Reusable).Reset(f)
+func (n *reusableNamed) Reset(cfg Config) bool {
+	return n.impl.(Reusable).Reset(cfg)
 }
