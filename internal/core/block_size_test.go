@@ -10,7 +10,7 @@ import (
 )
 
 // TestBlockSizeNeverChangesVerdicts pins the conformance contract of
-// the cache-aware batch size: FillBlockAt reads each source's stream
+// the sampling batch size: FillBlockAt reads each source's stream
 // exactly as repeated scalar fills would, so any block size draws the
 // same samples and must produce the same verdict (the running mean can
 // drift by float merge-order ulps, never by enough to matter).

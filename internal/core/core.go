@@ -58,8 +58,9 @@ type Options struct {
 	// disjoint sample-index chunks of the same counter-addressed
 	// streams.
 	Workers int
-	// Block overrides the sampling batch size. Default 0 selects the
-	// cache-aware hyperspace.BlockSize for the instance geometry. The
+	// Block overrides the sampling batch size. Default 0 selects
+	// hyperspace.BlockSize for the instance geometry, which depends on
+	// the geometry alone, so every host samples the same bits. The
 	// per-source sample streams are identical for every block size
 	// (SampleSource's FillBlockAt contract), so the samples drawn, their
 	// count and the verdict do not change with Block. Mean and StdErr

@@ -60,9 +60,9 @@ import (
 )
 
 // DefaultCapacity bounds the shared Default pool. Each warm mc entry
-// pins per-worker banks and block scratch sized by its geometry
-// (~2 MiB at SATLIB scale with the cache-aware block size), so the cap
-// is a memory bound as much as an LRU tuning knob.
+// pins per-worker banks and block scratch sized by its geometry (~2 MiB
+// at SATLIB scale, the block budget of hyperspace.BlockSize), so the
+// cap is a memory bound as much as an LRU tuning knob.
 const DefaultCapacity = 32
 
 // Default is the process-wide pool every layer leases from: pipeline

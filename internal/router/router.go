@@ -25,8 +25,9 @@
 //
 // Job ids returned to clients are namespaced "<node>-<remote id>" so
 // ids from different replicas cannot collide; /jobs/{id}, its SSE
-// event stream, and DELETE resolve the node from an id→node map with
-// a prefix-parse fallback that survives a router restart. /metrics
+// event stream, and DELETE resolve the node from the id alone: the
+// owner is the node with the longest name that, followed by "-",
+// prefixes the id, so resolution survives a router restart. /metrics
 // aggregates the fleet: the router's own counters, every replica's
 // families relabeled with node="...", and nblfleet_* sums grouped by
 // the remaining labels.

@@ -23,21 +23,21 @@ import (
 //
 // where g_k = N^j_{x_k} + N^j_{!x_k} ∈ {-2, 0, 2}: each leave-one-out
 // product over n-1 factors of magnitude 2 is ±2^(n-1) or vanishes. The
-// same holds for tau_N — bound variables contribute ±1, free variables
-// ±2 or 0 — so the whole sample assembles as
+// same holds for tau_N — every variable contributes ±2 or 0 — so the
+// whole sample assembles as
 //
-//	S_N = t · (prod_j c_j) · 2^(u + m·(n-1))
+//	S_N = t · (prod_j c_j) · 2^(n + m·(n-1))
 //
-// with t ∈ {±1}, u = number of free variables, and every c_j a
-// clause-width-bounded integer. The only big.Int operations are the
-// c-product (m small multiplications), one left shift, and the two
-// moment accumulators. Better still, a sample is exactly zero as soon
-// as any tau factor or any c_j vanishes — for large n·m that is almost
-// every sample (a clause survives only when at most one of its n
-// variable factors is zero, probability ≈ (n+1)/2^n), so the expensive
-// assembly is rare and the kernel's cost is dominated by drawing the
-// 2·n·m source samples. Those come one hyperspace.BlockSize block of
-// every source per bank call, through the vector fill kernel.
+// with t ∈ {±1} and every c_j a clause-width-bounded integer. The only
+// big.Int operations are the c-product (m small multiplications), one
+// left shift, and the two moment accumulators. Better still, a sample
+// is exactly zero as soon as any tau factor or any c_j vanishes — for
+// large n·m that is almost every sample (a clause survives only when at
+// most one of its n variable factors is zero, probability ≈
+// (n+1)/2^n), so the expensive assembly is rare and the kernel's cost
+// is dominated by drawing the 2·n·m source samples. Those come one
+// hyperspace.BlockSize block of every source per bank call, through the
+// vector fill kernel.
 //
 // The kernel keeps its own cursor on the bank's sample-index axis: the
 // bank is seeded with the engine seed, each check draws the samples
@@ -53,15 +53,11 @@ type wideKernel struct {
 	f      *cnf.Formula
 	bank   *noise.Bank
 	cursor uint64
-	// bound constrains variables in tau_N as Algorithm 2 does. Checks
-	// run unbound; Reset clears it.
-	bound cnf.Assignment
 
 	k        int       // samples per bank call
 	pos, neg []float64 // one block of every source, [(i*m+j)*k+s]
 	pp, pn   []float64 // one variable's branch products, [s]
-	tau      []float64 // tau_N / 2^free, in {-1, 0, 1}, [s]
-	free     uint      // unbound variables
+	tau      []float64 // tau_N / 2^n, in {-1, 0, 1}, [s]
 
 	s, sq, c  big.Int // current sample, its square, small-int multiplier
 	sum, sum2 big.Int // exact Σ S and Σ S²
@@ -74,17 +70,13 @@ func (w *wideKernel) reset(f *cnf.Formula, seed uint64) {
 	if bn, bm := w.dims(); bn != n || bm != m {
 		k := hyperspace.BlockSize(n, m)
 		*w = wideKernel{
-			bank:  noise.NewBank(noise.RTW, seed, n, m),
-			bound: cnf.NewAssignment(n),
-			k:     k,
-			pos:   make([]float64, n*m*k), neg: make([]float64, n*m*k),
+			bank: noise.NewBank(noise.RTW, seed, n, m),
+			k:    k,
+			pos:  make([]float64, n*m*k), neg: make([]float64, n*m*k),
 			pp: make([]float64, k), pn: make([]float64, k), tau: make([]float64, k),
 		}
 	} else {
 		w.bank.Reseed(seed)
-		for v := range w.bound {
-			w.bound[v] = cnf.Unassigned
-		}
 	}
 	w.f = f
 	w.cursor = 0
@@ -101,8 +93,8 @@ func (w *wideKernel) dims() (n, m int) {
 
 // fill draws the next k samples of every source at the cursor and
 // evaluates tau_N for each, up to its power of two: the per-variable
-// branch products are ±1, a bound variable contributes its branch's
-// product and a free one half its branch sum, which is -1, 0 or 1.
+// branch products are ±1, and each variable contributes half its
+// branch sum, which is -1, 0 or 1.
 func (w *wideKernel) fill(k int) {
 	n, m := w.bank.Dims()
 	nmk := n * m * k
@@ -112,7 +104,6 @@ func (w *wideKernel) fill(k int) {
 	for s := range tau {
 		tau[s] = 1
 	}
-	w.free = 0
 	for i := 0; i < n; i++ {
 		o := i * m * k
 		copy(pp, w.pos[o:o+k])
@@ -125,20 +116,8 @@ func (w *wideKernel) fill(k int) {
 				pn[s] *= ns[s]
 			}
 		}
-		switch w.bound[i+1] {
-		case cnf.True:
-			for s := range tau {
-				tau[s] *= pp[s]
-			}
-		case cnf.False:
-			for s := range tau {
-				tau[s] *= pn[s]
-			}
-		default:
-			w.free++
-			for s := range tau {
-				tau[s] *= 0.5 * (pp[s] + pn[s])
-			}
+		for s := range tau {
+			tau[s] *= 0.5 * (pp[s] + pn[s])
 		}
 	}
 }
@@ -153,7 +132,7 @@ func (w *wideKernel) sample(k, s int, dst *big.Int) bool {
 	}
 	n, m := w.bank.Dims()
 	dst.SetInt64(int64(w.tau[s]))
-	shift := w.free
+	shift := uint(n)
 	for j := 0; j < m; j++ {
 		zeros, zi := 0, -1
 		sgnAll := 1.0 // product of signs of the nonzero g_v

@@ -38,7 +38,7 @@ func forceWide(t *testing.T, f *cnf.Formula, seed uint64) *Engine {
 // at most 53 bits, where the float evaluator is exact, the wide kernel
 // must produce exactly the S_N of hyperspace.Evaluator.StepAt over a
 // noise.RTW bank with the engine seed, sample for sample, across uneven
-// blocks and with x1 bound.
+// blocks.
 func TestWideKernelMatchesEvaluator(t *testing.T) {
 	narrow, _ := widened() // exactly 53 bits
 	formulas := []*cnf.Formula{
@@ -53,25 +53,18 @@ func TestWideKernelMatchesEvaluator(t *testing.T) {
 	for fi, f := range formulas {
 		seed := uint64(40 + fi)
 		e := forceWide(t, f, seed)
-		for _, bindX1 := range []bool{false, true} {
-			ev := hyperspace.New(f, noise.NewBank(noise.RTW, seed, f.NumVars, f.NumClauses()))
-			e.wk.reset(f, seed)
-			if bindX1 {
-				ev.Bind(1, cnf.True)
-				e.wk.bound[1] = cnf.True
-			}
-			i := uint64(0)
-			for _, k := range []int{1, 7, 256, 64, 33, 139} {
-				e.wk.fill(k)
-				for s := 0; s < k; s++ {
-					want := ev.StepAt(i).S
-					nonzero := e.wk.sample(k, s, &got)
-					if nonzero != (want != 0) || nonzero && (!got.IsInt64() || float64(got.Int64()) != want) {
-						t.Fatalf("formula %d x1 bound %v sample %d: wide %v (%s) vs evaluator %v",
-							fi, bindX1, i, nonzero, got.String(), want)
-					}
-					i++
+		ev := hyperspace.New(f, noise.NewBank(noise.RTW, seed, f.NumVars, f.NumClauses()))
+		i := uint64(0)
+		for _, k := range []int{1, 7, 256, 64, 33, 139} {
+			e.wk.fill(k)
+			for s := 0; s < k; s++ {
+				want := ev.StepAt(i).S
+				nonzero := e.wk.sample(k, s, &got)
+				if nonzero != (want != 0) || nonzero && (!got.IsInt64() || float64(got.Int64()) != want) {
+					t.Fatalf("formula %d sample %d: wide %v (%s) vs evaluator %v",
+						fi, i, nonzero, got.String(), want)
 				}
+				i++
 			}
 		}
 	}

@@ -34,10 +34,10 @@ func TestCarrierBankBlockBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckBlockSizeNeverChangesVerdict pins the cache-aware batch
-// size contract at the Check level: the DC sum is accumulated in
-// sample order regardless of batching, so Check results must be
-// bit-identical for every block size.
+// TestCheckBlockSizeNeverChangesVerdict pins the batch size contract
+// at the Check level: the DC sum is accumulated in sample order
+// regardless of batching, so Check results must be bit-identical for
+// every block size.
 func TestCheckBlockSizeNeverChangesVerdict(t *testing.T) {
 	f := gen.PaperExample6()
 	ref, err := New(f, Options{MaxSamples: 8192})

@@ -142,7 +142,7 @@ type Engine struct {
 	period int64
 	ev     *hyperspace.Evaluator
 	bank   *carrierBank
-	// block is the observation batch size, chosen cache-aware from the
+	// block is the observation batch size, hyperspace.BlockSize of the
 	// instance geometry (tests override it to prove verdict invariance).
 	block int
 }
@@ -223,9 +223,9 @@ func (e *Engine) Check() Result {
 }
 
 // CheckCtx is Check with cancellation: the observation loop walks the
-// window t = 0..window-1 in cache-aware e.block batches through the
-// evaluator's block kernel and polls ctx at every block boundary,
-// returning the partial window with ctx.Err() when the context ends.
+// window t = 0..window-1 in e.block batches through the evaluator's
+// block kernel and polls ctx at every block boundary, returning the
+// partial window with ctx.Err() when the context ends.
 // The DC accumulation order matches the scalar loop sample for sample,
 // so results are unchanged by the batching — for any block size.
 func (e *Engine) CheckCtx(ctx context.Context) (Result, error) {

@@ -273,6 +273,21 @@ func TestHTTPRejections(t *testing.T) {
 	if code, _ := postSolve(t, ts, "engine=mc&workers=100000", paperSATDIMACS); code != http.StatusBadRequest {
 		t.Errorf("huge workers: HTTP %d, want 400", code)
 	}
+	// An unknown portfolio member is refused at submit, sync or async,
+	// not answered by a job that fails on a worker.
+	for _, engine := range []string{"portfolio", "pre(portfolio)"} {
+		for _, sync := range []string{"&sync=1", ""} {
+			q := "engine=" + engine + "&members=nosuch" + sync
+			if code, _ := postSolve(t, ts, q, paperSATDIMACS); code != http.StatusBadRequest {
+				t.Errorf("%s: HTTP %d, want 400", q, code)
+			}
+		}
+		q := "engine=" + engine + "&members=cdcl,walksat&sync=1"
+		if code, job := postSolve(t, ts, q, paperSATDIMACS); code != http.StatusOK ||
+			job.Result == nil || job.Result.Status != solver.StatusSat {
+			t.Errorf("%s: HTTP %d, %+v, want a SAT answer", q, code, job)
+		}
+	}
 	resp, err := http.Get(ts.URL + "/jobs/j999")
 	if err != nil {
 		t.Fatal(err)

@@ -462,7 +462,9 @@ const MaxWorkers = 64
 // definitive UNSAT, and a negative one certifies SAT on noise alone.
 // No member may be the portfolio or wrap it at any depth, such as
 // pre(pre(portfolio)): every member inherits the Config, members
-// included, so the portfolio would lease itself without bound.
+// included, so the portfolio would lease itself without bound. Validate
+// looks nothing up in the registry, so nblrouter, which links no
+// engines, can run it; NewWith resolves the member names.
 func (c Config) Validate() error {
 	for _, k := range []struct {
 		name string
@@ -924,8 +926,10 @@ func New(name string, opts ...Option) (Solver, error) {
 // propagate one shared Config to every member. Besides plain registry
 // names it accepts meta-engine expressions of the form "meta(inner)"
 // (e.g. "pre(mc)"): the meta factory registered for "meta" wraps the
-// engine built from the inner expression. A Config that fails Validate
-// is refused before any engine is built.
+// engine built from the inner expression. A Config that fails Validate,
+// or names a member the registry cannot build, is refused before any
+// engine is built, so a portfolio cannot fail on a worker for a lineup
+// it was accepted with.
 func NewWith(name string, cfg Config) (Solver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -933,6 +937,11 @@ func NewWith(name string, cfg Config) (Solver, error) {
 	cfg = cfg.withDefaults()
 	if err := checkTask(name, cfg.Task); err != nil {
 		return nil, err
+	}
+	for _, m := range cfg.Members {
+		if _, err := CapabilitiesOf(m); err != nil {
+			return nil, fmt.Errorf("solver: bad member %q: %w", m, err)
+		}
 	}
 	regMu.RLock()
 	factory, ok := registry[name]

@@ -13,7 +13,8 @@ import (
 // and pipeline construction refuse the same values. A NaN theta fails
 // every SAT comparison (a definitive UNSAT for a satisfiable formula),
 // and a negative one certifies SAT on noise. A portfolio member that
-// is or wraps the portfolio would lease the portfolio without bound.
+// is or wraps the portfolio would lease the portfolio without bound,
+// and one the registry cannot build would fail only once leased.
 func TestNewWithRefusesOutOfRangeKnobs(t *testing.T) {
 	rows := []struct {
 		knob string
@@ -29,6 +30,9 @@ func TestNewWithRefusesOutOfRangeKnobs(t *testing.T) {
 		// A member that is or wraps the portfolio would race itself.
 		{`"portfolio"`, Config{Members: []string{"portfolio"}}},
 		{"pre(pre(portfolio))", Config{Members: []string{"cdcl", "pre(pre(portfolio))"}}},
+		// A member the registry cannot build would fail on a worker.
+		{`"nosuch"`, Config{Members: []string{"cdcl", "nosuch"}}},
+		{`"pre(nosuch)"`, Config{Members: []string{"pre(nosuch)"}}},
 	}
 	for _, engine := range []string{"mc", "rtw", "portfolio", "pre(mc)"} {
 		for _, row := range rows {
