@@ -10,9 +10,10 @@
 // exact model count; weighted-count asks for the clause-cover-weighted
 // count K' from the paper's E[S_N] = K'·σ^(2nm) identity; equivalent
 // asks whether two CNFs agree on every assignment (lowered to a decide
-// on their miter — UNSAT certifies equivalence). Counting tasks default
-// to the exact counting engines (count/wcount) unless -engine names one
-// explicitly.
+// on their miter — UNSAT certifies equivalence). Without -engine,
+// decide runs mc and the counting tasks run the engine nblserve picks
+// for them (pre(count), pre(wcount)); an -engine that cannot run the
+// task is an error (exit 2), as it is a 400 at nblserve.
 //
 // Engines (see repro.Engines()): mc (Monte-Carlo NBL, default), exact
 // (infinite-sample NBL), rtw (exact telegraph waves), sbl
@@ -51,7 +52,7 @@ const (
 
 func main() {
 	var (
-		engine  = flag.String("engine", "mc", "engine name: "+strings.Join(repro.Engines(), "|"))
+		engine  = flag.String("engine", "", "engine, default mc (pre(count)/pre(wcount) when counting): "+strings.Join(repro.Engines(), "|"))
 		family  = flag.String("family", "unit", "noise family for mc/analog: half|unit|gauss|rtw")
 		seed    = flag.Uint64("seed", 1, "experiment seed")
 		samples = flag.Int64("samples", 4_000_000,
@@ -98,13 +99,8 @@ func main() {
 		f.NumVars, f.NumClauses(), f.NumLiterals())
 
 	engineName := *engine
-	if task == repro.TaskCount && engineName == "mc" {
-		// The sampling default cannot count; swap in the exact counter
-		// unless the user named an engine themselves.
-		engineName = "count"
-	}
-	if task == repro.TaskWeightedCount && engineName == "mc" {
-		engineName = "wcount"
+	if engineName == "" {
+		engineName = task.DefaultEngine("mc")
 	}
 	if *prep {
 		// The pipeline meta-engine subsumes the old inline preprocessing:
@@ -115,24 +111,17 @@ func main() {
 		engineName = "pre(" + engineName + ")"
 	}
 
-	opts := []repro.Option{
-		repro.WithSeed(*seed),
-		repro.WithMaxSamples(*samples),
-		repro.WithWorkers(*workers),
-		repro.WithTheta(*theta),
-		repro.WithFamily(*family),
-		repro.WithAllocation(*alloc),
-		repro.WithModel(*assign),
+	cfg := repro.Config{
+		Seed: *seed, MaxSamples: *samples, Workers: *workers, Theta: *theta,
+		Family: *family, Allocation: *alloc, FindModel: *assign,
+		Members: solver.ParseMembers(*members),
 	}
-	if task == repro.TaskCount || task == repro.TaskWeightedCount {
+	if task.Counting() {
 		// Equivalence is already lowered to a plain decide on the miter;
 		// only counting tasks change what the engine must produce.
-		opts = append(opts, repro.WithTask(task))
+		cfg.Task = task
 	}
-	if *members != "" {
-		opts = append(opts, repro.WithMembers(solver.ParseMembers(*members)...))
-	}
-	s, err := repro.New(engineName, opts...)
+	s, err := repro.NewWith(engineName, cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestCountConformanceWithBrute(t *testing.T) {
 	for label, f := range countInstances(t) {
 		brute := new(big.Int).SetUint64(count.Brute(f))
 		for _, engine := range []string{"count", "pre(count)"} {
-			r, err := Solve(context.Background(), engine, f, WithTask(TaskCount))
+			r, err := Solve(context.Background(), engine, f, Config{Task: TaskCount})
 			if err != nil {
 				t.Fatalf("%s %s: %v", label, engine, err)
 			}
@@ -70,7 +70,7 @@ func TestWeightedCountConformanceWithBrute(t *testing.T) {
 	for label, f := range countInstances(t) {
 		brute := count.WeightedBrute(f)
 		for _, engine := range []string{"wcount", "pre(wcount)"} {
-			r, err := Solve(context.Background(), engine, f, WithTask(TaskWeightedCount))
+			r, err := Solve(context.Background(), engine, f, Config{Task: TaskWeightedCount})
 			if err != nil {
 				t.Fatalf("%s %s: %v", label, engine, err)
 			}
@@ -85,13 +85,13 @@ func TestWeightedCountConformanceWithBrute(t *testing.T) {
 // over an engine that cannot count must fail loudly at construction,
 // not return a countless SAT at solve time.
 func TestCountEngineRejectsDecideOnlyWrapper(t *testing.T) {
-	if _, err := New("cdcl", WithTask(TaskCount)); err == nil {
+	if _, err := NewWith("cdcl", Config{Task: TaskCount}); err == nil {
 		t.Error("cdcl accepted task=count")
 	}
-	if _, err := New("pre(cdcl)", WithTask(TaskCount)); err == nil {
+	if _, err := NewWith("pre(cdcl)", Config{Task: TaskCount}); err == nil {
 		t.Error("pre(cdcl) accepted task=count — the wrapper cannot add counting to a decide engine")
 	}
-	if _, err := New("pre(count)", WithTask(TaskCount)); err != nil {
+	if _, err := NewWith("pre(count)", Config{Task: TaskCount}); err != nil {
 		t.Errorf("pre(count) rejected its own task: %v", err)
 	}
 }
@@ -119,7 +119,7 @@ func TestGoldenCountRenamingInvariance(t *testing.T) {
 
 	want := big.NewInt(12) // golden: uf8-satlib has exactly 12 models
 	for label, f := range map[string]*Formula{"uf8": orig, "uf8-renamed": renamed} {
-		r, err := Solve(context.Background(), "pre(count)", f, WithTask(TaskCount))
+		r, err := Solve(context.Background(), "pre(count)", f, Config{Task: TaskCount})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

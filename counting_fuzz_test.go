@@ -87,7 +87,7 @@ func FuzzCountingMatchesBrute(f *testing.F) {
 			{"wcount", TaskWeightedCount, count.WeightedBrute(form)},
 			{"pre(wcount)", TaskWeightedCount, count.WeightedBrute(form)},
 		} {
-			r, err := Solve(ctx, run.engine, form, WithTask(run.task))
+			r, err := Solve(ctx, run.engine, form, Config{Task: run.task})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", run.engine, form, err)
 			}
@@ -99,7 +99,7 @@ func FuzzCountingMatchesBrute(f *testing.F) {
 		if got, want := core.WeightedCount(form, bound), boundWeightedBrute(form, bound); got.Cmp(want) != 0 {
 			t.Fatalf("core.WeightedCount on %v under %v: %v, want %v", form, bound, got, want)
 		}
-		r, err := Solve(ctx, "exact", form)
+		r, err := Solve(ctx, "exact", form, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/count"
 	"repro/internal/gen"
 	"repro/internal/rng"
 )
@@ -68,7 +69,7 @@ func TestEngineDifferential(t *testing.T) {
 	want := map[string]Status{}
 	sampled := 0
 	for _, label := range labels {
-		r, err := Solve(context.Background(), "cdcl", corpus[label], conformanceOpts()...)
+		r, err := Solve(context.Background(), "cdcl", corpus[label], conformanceConfig())
 		if err != nil || r.Status == StatusUnknown {
 			t.Fatalf("%s: cdcl gave no verdict: (%v, %v)", label, r.Status, err)
 		}
@@ -84,13 +85,14 @@ func TestEngineDifferential(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			complete := slices.Contains(completeEngines, name)
-			opts := append(conformanceOpts(), WithModel(slices.Contains(modelEngines, name)))
+			cfg := conformanceConfig()
+			cfg.FindModel = slices.Contains(modelEngines, name)
 			for _, label := range labels {
 				f := corpus[label]
 				if slices.Contains(samplingEngines, name) && f.NumVars*f.NumClauses() > 12 {
 					continue
 				}
-				r, err := Solve(context.Background(), name, f, opts...)
+				r, err := Solve(context.Background(), name, f, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -106,4 +108,55 @@ func TestEngineDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzEngineDifferential feeds arbitrary small formulas (fuzzFormula:
+// at most 8 variables and 16 clauses) to the engine differential, with
+// brute force as the oracle. The complete engines, bare and under
+// pre(·), and a cdcl,walksat portfolio must match it; walksat and sbl
+// under geometric4 may shrug, but a verdict they give must match it.
+// Every model must satisfy the formula. Any engine may refuse an input:
+// an error and no verdict. mc, rtw, analog and lineups holding them stay
+// with TestEngineDifferential's seeded corpus: over enough inputs a
+// fuzzer would find a 4σ draw, which is statistics, not a defect.
+func FuzzEngineDifferential(f *testing.F) {
+	f.Add(uint8(3), []byte{2, 2, 5, 2, 3, 4, 1, 0})
+	f.Add(uint8(2), []byte{3, 2, 2, 3, 0})
+	f.Add(uint8(1), []byte{1, 0, 1, 1})
+	f.Add(uint8(8), []byte{1, 4, 3, 6, 9, 12, 4, 0, 1, 2, 3})
+	f.Add(uint8(0), []byte{0})
+	type run struct {
+		engine   string
+		complete bool
+		cfg      Config
+	}
+	lineup, geometric := conformanceConfig(), conformanceConfig()
+	lineup.Members, geometric.Allocation = []string{"cdcl", "walksat"}, "geometric4"
+	// sbl is definitive only over a full carrier period, 2·4^(2nm)
+	// samples. 2·4^8 covers n·m = 4, the most the conformance budget
+	// covers too, so the smaller window loses no verdict and spares the
+	// ~1M samples sbl would spend shrugging on each larger input.
+	geometric.MaxSamples = 2 << 16
+	runs := []run{{"portfolio", true, lineup}, {"walksat", false, conformanceConfig()}, {"sbl", false, geometric}}
+	for _, e := range []string{"cdcl", "dpll", "exact", "count", "wcount", "hybrid"} {
+		runs = append(runs, run{e, true, conformanceConfig()}, run{"pre(" + e + ")", true, conformanceConfig()})
+	}
+	f.Fuzz(func(t *testing.T, n uint8, body []byte) {
+		form := fuzzFormula(n, body)
+		want := StatusUnsat
+		if count.Brute(form) > 0 {
+			want = StatusSat
+		}
+		for _, run := range runs {
+			r, err := Solve(context.Background(), run.engine, form, run.cfg)
+			switch {
+			case err != nil && (r.Status != StatusUnknown || r.Assignment != nil):
+				t.Fatalf("%s on %v: error %v with a verdict %v", run.engine, form, err, r)
+			case r.Status == StatusSat && r.Assignment != nil && !r.Assignment.Satisfies(form):
+				t.Fatalf("%s on %v: model %s does not satisfy it", run.engine, form, r.Assignment)
+			case err == nil && r.Status != want && (run.complete || r.Status != StatusUnknown):
+				t.Fatalf("%s on %v: %v, brute force says %v", run.engine, form, r.Status, want)
+			}
+		}
+	})
 }

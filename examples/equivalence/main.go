@@ -91,7 +91,7 @@ func checkEquivalence(name string, build func(*logic.Circuit)) {
 		name, f.NumVars, f.NumClauses())
 
 	// CDCL verdict (fast, complete), through the unified registry.
-	r, err := repro.Solve(context.Background(), "cdcl", f)
+	r, err := repro.Solve(context.Background(), "cdcl", f, repro.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

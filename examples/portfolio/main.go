@@ -29,10 +29,7 @@ func main() {
 	fmt.Printf("instance: %d variables, %d clauses (planted SAT)\n",
 		f.NumVars, f.NumClauses())
 
-	race, err := repro.New("portfolio",
-		repro.WithMembers("cdcl", "walksat", "mc"),
-		repro.WithSeed(7),
-	)
+	race, err := repro.NewWith("portfolio", repro.Config{Members: []string{"cdcl", "walksat", "mc"}, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,8 +52,7 @@ func main() {
 
 	// The UNSAT side: dpll and cdcl can both certify it; first one wins.
 	g := repro.PaperUNSAT()
-	r, err = repro.Solve(context.Background(), "portfolio", g,
-		repro.WithMembers("dpll", "cdcl"))
+	r, err = repro.Solve(context.Background(), "portfolio", g, repro.Config{Members: []string{"dpll", "cdcl"}})
 	if err != nil {
 		log.Fatal(err)
 	}

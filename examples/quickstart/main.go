@@ -23,15 +23,11 @@ func main() {
 
 	// The Monte-Carlo NBL engine simulates 2·n·m independent noise
 	// sources and estimates the mean of S_N = tau_N · Sigma_N
-	// (Algorithm 1); WithModel additionally recovers a satisfying
+	// (Algorithm 1); FindModel additionally recovers a satisfying
 	// assignment with at most n more reduced checks (Algorithm 2), each
 	// sampling only what unit propagation leaves open. Here binding
 	// x1 = 1 forces x2 = 0, so no reduced check is sampled.
-	mc, err := repro.New("mc",
-		repro.WithSeed(42),
-		repro.WithMaxSamples(1_000_000),
-		repro.WithModel(true),
-	)
+	mc, err := repro.NewWith("mc", repro.Config{Seed: 42, MaxSamples: 1_000_000, FindModel: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +40,7 @@ func main() {
 	// Every other engine answers through the same call. The complete
 	// baselines certify UNSAT too and always return a model on SAT.
 	for _, name := range []string{"exact", "cdcl", "dpll"} {
-		r, err := repro.Solve(context.Background(), name, f, repro.WithSeed(42))
+		r, err := repro.Solve(context.Background(), name, f, repro.Config{Seed: 42})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +52,7 @@ func main() {
 	// propagate into every engine's hot loop.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	race, err := repro.New("portfolio", repro.WithMembers("mc", "cdcl", "walksat"))
+	race, err := repro.NewWith("portfolio", repro.Config{Members: []string{"mc", "cdcl", "walksat"}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,8 +64,7 @@ func main() {
 
 	// And the paper's UNSAT example: S = (x1) · (!x1).
 	g := repro.PaperExample7()
-	r, err = repro.Solve(context.Background(), "mc", g,
-		repro.WithSeed(43), repro.WithMaxSamples(1_000_000))
+	r, err = repro.Solve(context.Background(), "mc", g, repro.Config{Seed: 43, MaxSamples: 1_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestIntegrationStochasticEnginesOnDecisiveInstances(t *testing.T) {
 			t.Errorf("trial %d: MC = %v, oracle = %v\n%s", trial, got, oracle, f)
 		}
 
-		r, err := Solve(context.Background(), "rtw", f, WithSeed(seed), WithMaxSamples(600_000))
+		r, err := Solve(context.Background(), "rtw", f, Config{Seed: seed, MaxSamples: 600_000})
 		if err != nil {
 			t.Fatal(err)
 		}

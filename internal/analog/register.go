@@ -9,15 +9,15 @@ import (
 )
 
 func init() {
-	solver.Register("analog", func(cfg solver.Config) solver.Solver {
+	solver.Register("analog", func(_ string, cfg solver.Config) (solver.Solver, error) {
+		if cfg.FindModel {
+			return nil, solver.ErrNoModelRecovery("analog")
+		}
+		fam, err := core.ParseFamily(cfg.Family)
+		if err != nil {
+			return nil, err
+		}
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
-			if cfg.FindModel {
-				return solver.Result{}, solver.ErrNoModelRecovery("analog")
-			}
-			fam, err := core.ParseFamily(cfg.Family)
-			if err != nil {
-				return solver.Result{}, err
-			}
 			eng, err := Compile(f, fam, cfg.Seed)
 			if err != nil {
 				return solver.Result{}, err
@@ -33,6 +33,6 @@ func init() {
 			// same SNR gate applies to its UNSAT claim.
 			out.Status = core.CheckStatus(r.Satisfiable, f.NumVars, f.NumClauses(), r.Samples)
 			return out, nil
-		})
+		}), nil
 	})
 }

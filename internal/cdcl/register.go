@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	solver.Register("cdcl", func(cfg solver.Config) solver.Solver {
+	solver.Register("cdcl", func(string, solver.Config) (solver.Solver, error) {
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 			s := New(f)
 			a, ok, err := s.SolveCtx(ctx)
@@ -19,6 +19,6 @@ func init() {
 				Conflicts:    st.Conflicts,
 				Restarts:     st.Restarts,
 			})
-		})
+		}), nil
 	})
 }

@@ -106,7 +106,7 @@ func TestAssignConditionedAgainstUnconditioned(t *testing.T) {
 // records on its mc.check span that one check was sampled — binding
 // x1 = 1 forces x2 = 0, so the Algorithm-1 check is the only one.
 func TestTracedAssignRecordsChecks(t *testing.T) {
-	s, err := solver.New("mc", solver.WithSeed(7), solver.WithMaxSamples(600_000), solver.WithModel(true))
+	s, err := solver.NewWith("mc", solver.Config{Seed: 7, MaxSamples: 600_000, FindModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,13 +23,13 @@ func init() {
 	// mc is warm (solver.Warm): the engine persists across Solve calls,
 	// and Engine.Reset keeps the per-worker banks, evaluators and block
 	// buffers whenever the (n, m) geometry repeats, whatever the seed.
-	solver.Register("mc", func(cfg solver.Config) solver.Solver {
+	solver.Register("mc", func(_ string, cfg solver.Config) (solver.Solver, error) {
+		fam, err := ParseFamily(cfg.Family)
+		if err != nil {
+			return nil, err
+		}
 		return solver.NewWarm("mc", cfg.Seed,
 			func(f *cnf.Formula, seed uint64) (*Engine, error) {
-				fam, err := ParseFamily(cfg.Family)
-				if err != nil {
-					return nil, err
-				}
 				return NewEngine(f, Options{
 					Family:     fam,
 					Seed:       seed,
@@ -40,10 +40,10 @@ func init() {
 			},
 			func(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span) (solver.Result, error) {
 				return MCCheck(ctx, eng, f, sp, cfg.FindModel)
-			})
+			}), nil
 	})
-	solver.Register("exact", func(cfg solver.Config) solver.Solver {
-		return exactSolver{cfg}
+	solver.Register("exact", func(_ string, cfg solver.Config) (solver.Solver, error) {
+		return exactSolver{cfg}, nil
 	})
 }
 

@@ -73,7 +73,7 @@ func TestMCSolverWarmReuseMatchesCold(t *testing.T) {
 		cnf.FromClauses([]int{1, 2}, []int{1, -2}, []int{-1, 2}, []int{-1, -2}), // paper UNSAT
 		cnf.FromClauses([]int{1}, []int{-1}),                                    // different geometry
 	}
-	warm, err := solver.New("mc", solver.WithSeed(3), solver.WithMaxSamples(300_000))
+	warm, err := solver.NewWith("mc", solver.Config{Seed: 3, MaxSamples: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestMCSolverWarmReuseMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := solver.New("mc", solver.WithSeed(3), solver.WithMaxSamples(300_000))
+		cold, err := solver.NewWith("mc", solver.Config{Seed: 3, MaxSamples: 300_000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestProgressReportsAtRoundBoundaries(t *testing.T) {
 	}
 
 	var snaps []solver.Stats
-	s, err := solver.New("mc", solver.WithMaxSamples(200_000))
+	s, err := solver.NewWith("mc", solver.Config{MaxSamples: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,49 +8,39 @@ import (
 )
 
 func init() {
-	solver.Register("count", func(cfg solver.Config) solver.Solver {
-		return &countSolver{cfg: cfg}
-	})
-	solver.RegisterTasks("count", solver.TaskDecide, solver.TaskCount)
-	solver.Register("wcount", func(cfg solver.Config) solver.Solver {
-		return &wcountSolver{cfg: cfg}
-	})
-	solver.RegisterTasks("wcount", solver.TaskDecide, solver.TaskWeightedCount)
+	solver.Register("count", factory("count", solveCount), solver.TaskDecide, solver.TaskCount)
+	solver.Register("wcount", factory("wcount", solveWeighted), solver.TaskDecide, solver.TaskWeightedCount)
 }
 
-// countSolver adapts the exact DPLL counter to the registry. The
-// counter holds no cross-solve state (every Solve builds its own
-// compacted copy), so the lease pool builds one per lease and keeps
-// none idle. Under TaskDecide it still counts and reports the verdict
-// — exact counting is a sound (if expensive) decision procedure — so
-// the capability set includes decide and the conformance suites can
-// race it against the samplers.
-type countSolver struct {
-	cfg solver.Config
-}
-
-func (s *countSolver) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
-	if s.cfg.FindModel {
-		return solver.Result{}, solver.ErrNoModelRecovery("count")
+// factory is the registry factory of a counting engine. A counter
+// recovers no model, so it refuses FindModel at construction. It holds
+// no cross-solve state (every Solve builds its own compacted copy), so
+// the lease pool builds one per lease and keeps none idle.
+func factory(name string, solve solver.Func) solver.Factory {
+	return func(_ string, cfg solver.Config) (solver.Solver, error) {
+		if cfg.FindModel {
+			return nil, solver.ErrNoModelRecovery(name)
+		}
+		return solve, nil
 	}
+}
+
+// solveCount adapts the exact DPLL counter to the registry. Under
+// TaskDecide it still counts and reports the verdict — exact counting
+// is a sound (if expensive) decision procedure — so the capability set
+// includes decide and the conformance suites can race it against the
+// samplers.
+func solveCount(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 	n, st, err := CountContext(ctx, f)
 	stats := solver.Stats{Decisions: st.Decisions, Propagations: st.Propagations}
 	return solver.CountResult(n, err, stats)
 }
 
-// wcountSolver adapts the clause-cover-weighted counter (the K' of
-// E[S_N] = K'·sigma^(2nm)) to the registry. Like countSolver it is
-// stateless and doubles as a decide engine: K' > 0 exactly when the
-// formula is satisfiable, because every satisfying assignment
-// contributes a positive weight.
-type wcountSolver struct {
-	cfg solver.Config
-}
-
-func (s *wcountSolver) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
-	if s.cfg.FindModel {
-		return solver.Result{}, solver.ErrNoModelRecovery("wcount")
-	}
+// solveWeighted adapts the clause-cover-weighted counter (the K' of
+// E[S_N] = K'·sigma^(2nm)) to the registry. It doubles as a decide
+// engine too: K' > 0 exactly when the formula is satisfiable, because
+// every satisfying assignment contributes a positive weight.
+func solveWeighted(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 	n, err := WeightedContext(ctx, f)
 	return solver.CountResult(n, err, solver.Stats{})
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	solver.Register("dpll", func(cfg solver.Config) solver.Solver {
+	solver.Register("dpll", func(string, solver.Config) (solver.Solver, error) {
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 			s := New(f, nil)
 			a, ok, err := s.SolveCtx(ctx)
@@ -18,6 +18,6 @@ func init() {
 				Propagations: st.Propagations,
 				Conflicts:    st.Backtracks,
 			})
-		})
+		}), nil
 	})
 }

@@ -441,7 +441,7 @@ func SolverComparison(f *cnf.Formula, seed uint64, mcSamples int64) []SolverRow 
 	})
 	timeIt("nbl-exact", func() string { return verdict(core.ExactCheck(f)) })
 	timeIt("rtw", func() string {
-		s, err := solver.New("rtw", solver.WithSeed(seed), solver.WithMaxSamples(mcSamples))
+		s, err := solver.NewWith("rtw", solver.Config{Seed: seed, MaxSamples: mcSamples})
 		if err != nil {
 			panic(err)
 		}

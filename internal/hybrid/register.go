@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	solver.Register("hybrid", func(cfg solver.Config) solver.Solver {
+	solver.Register("hybrid", func(_ string, cfg solver.Config) (solver.Solver, error) {
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 			// The exact coprocessor enumerates 2^n minterms per probe and
 			// refuses (panics) past MaxExactVars; reject up front.
@@ -27,6 +27,6 @@ func init() {
 				Conflicts:    r.DPLL.Backtracks,
 				Probes:       cop.Probes,
 			})
-		})
+		}), nil
 	})
 }

@@ -179,7 +179,7 @@ func TestPipelineGolden(t *testing.T) {
 	corpus := pipelineCorpus()
 	for family, fs := range corpus {
 		for ri, run := range goldenRuns {
-			s, err := solver.New(run.engine, solver.WithTask(run.task), solver.WithModel(run.model))
+			s, err := solver.NewWith(run.engine, solver.Config{Task: run.task, FindModel: run.model})
 			if err != nil {
 				t.Fatal(err)
 			}

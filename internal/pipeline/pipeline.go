@@ -1,7 +1,7 @@
 // Package pipeline makes preprocessing and decomposition first-class
 // members of the engine registry instead of a CLI afterthought: the
 // "pre" meta-engine — reachable as "pre(<engine>)" through
-// solver.New — runs the full solve pipeline
+// solver.NewWith — runs the full solve pipeline
 //
 //	Simplify -> short-circuit -> Decompose -> fan out -> merge
 //
@@ -59,34 +59,30 @@ import (
 )
 
 func init() {
+	// The pipeline is count-safe (reduce picks count-preserving
+	// stages), so pre(count) and pre(wcount) work; the registry
+	// intersects these tasks with the inner engine's own.
 	solver.RegisterMeta("pre", func(inner string, cfg solver.Config) (solver.Solver, error) {
 		return New(inner, cfg)
-	})
-	// The pipeline is count-safe (reduce picks count-preserving
-	// stages), so pre(count) and pre(wcount) work;
-	// NewWith intersects this list with the inner engine's own tasks.
-	solver.RegisterTasks("pre", solver.TaskDecide, solver.TaskCount, solver.TaskWeightedCount)
+	}, solver.TaskDecide, solver.TaskCount, solver.TaskWeightedCount)
 }
 
 // Pipeline is the preprocess-and-decompose meta-engine around one inner
 // engine expression. Construct with New or via
-// solver.New("pre(<engine>)").
+// solver.NewWith("pre(<engine>)", cfg).
 type Pipeline struct {
 	inner string
 	cfg   solver.Config
 }
 
-// New validates the inner engine expression and returns the pipeline.
-// Every component solve leases its inner engine from the shared engine
-// pool (enginepool.Default): leases are exclusive, so stateful engines
-// never share between concurrent components, while components of a
-// repeated geometry — across solves, or across requests in a resident
-// service — reuse warm instances instead of rebuilding noise banks.
+// New builds the inner engine once under cfg, so whatever its factory
+// refuses is refused here, and returns the pipeline. Every component
+// solve leases its inner engine from the shared engine pool
+// (enginepool.Default): leases are exclusive, so stateful engines never
+// share between concurrent components, while components of a repeated
+// geometry — across solves, or across requests in a resident service —
+// reuse warm instances instead of rebuilding noise banks.
 func New(inner string, cfg solver.Config) (*Pipeline, error) {
-	if inner == "" {
-		return nil, fmt.Errorf("pipeline: pre() needs an inner engine, e.g. pre(mc)")
-	}
-	// Fail at construction, not first Solve, on an unknown inner name.
 	if _, err := solver.NewWith(inner, cfg); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}

@@ -29,18 +29,18 @@ var (
 func init() {
 	// stub-block parks until its context ends — a stand-in for an
 	// engine grinding on an undecidable component.
-	solver.Register("stub-block", func(cfg solver.Config) solver.Solver {
+	solver.Register("stub-block", func(_ string, cfg solver.Config) (solver.Solver, error) {
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 			stubBlockedStarted.Add(1)
 			<-ctx.Done()
 			return solver.Result{}, ctx.Err()
-		})
+		}), nil
 	})
 	// stub-unsat-small answers UNSAT for components of fewer than 16
 	// variables and blocks on everything else, so a decomposed solve
 	// only terminates if the pipeline cancels siblings after the first
 	// UNSAT.
-	solver.Register("stub-unsat-small", func(cfg solver.Config) solver.Solver {
+	solver.Register("stub-unsat-small", func(_ string, cfg solver.Config) (solver.Solver, error) {
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 			stubUnsatSolves.Add(1)
 			if f.NumVars < 16 {
@@ -48,7 +48,7 @@ func init() {
 			}
 			<-ctx.Done()
 			return solver.Result{}, ctx.Err()
-		})
+		}), nil
 	})
 }
 
@@ -69,10 +69,10 @@ func TestConstructionErrors(t *testing.T) {
 	if _, err := New("no-such-engine", solver.Config{}); err == nil {
 		t.Error("pre(no-such-engine) must fail at construction")
 	}
-	if _, err := solver.New("pre(no-such-engine)"); err == nil {
+	if _, err := solver.NewWith("pre(no-such-engine)", solver.Config{}); err == nil {
 		t.Error("registry path must surface the unknown inner engine")
 	}
-	if _, err := solver.New("pre(pre(cdcl))"); err != nil {
+	if _, err := solver.NewWith("pre(pre(cdcl))", solver.Config{}); err != nil {
 		t.Errorf("nested meta expression should parse: %v", err)
 	}
 }
@@ -190,7 +190,7 @@ func TestRealEnginesOnDecomposableUnion(t *testing.T) {
 	planted2, _ := gen.PlantedKSAT(rng.New(32), 20, 91, 3)
 	sat := gen.DisjointUnion(planted1, planted2)
 	for _, inner := range []string{"cdcl", "dpll"} {
-		s, err := solver.New("pre(" + inner + ")")
+		s, err := solver.NewWith("pre("+inner+")", solver.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestComponentSpanNamesDecidingEngine(t *testing.T) {
 		{"pre(cdcl)", map[string]bool{"cdcl": true}},
 		{"pre(portfolio)", map[string]bool{"cdcl": true, "walksat": true}},
 	} {
-		s, err := solver.New(tc.engine, solver.WithMembers("cdcl", "walksat"))
+		s, err := solver.NewWith(tc.engine, solver.Config{Members: []string{"cdcl", "walksat"}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,13 +27,13 @@ import (
 var DefaultMembers = []string{"cdcl", "mc", "walksat"}
 
 func init() {
-	solver.Register("portfolio", func(cfg solver.Config) solver.Solver {
-		return New(cfg)
+	solver.Register("portfolio", func(_ string, cfg solver.Config) (solver.Solver, error) {
+		return New(cfg), nil
 	})
 }
 
 // Portfolio races a set of registry engines. Construct with New or via
-// solver.New("portfolio", solver.WithMembers(...)).
+// solver.NewWith("portfolio", solver.Config{Members: ...}).
 type Portfolio struct {
 	cfg solver.Config
 }
@@ -54,30 +54,32 @@ func New(cfg solver.Config) *Portfolio {
 // unsatisfiable instance) the combined Result has StatusUnknown, and
 // any member's genuine failure (a rejected instance, a bad config — not
 // a cancelled loser) surfaces as the error so a misconfigured lineup is
-// never mistaken for an honest budget-exhausted unknown.
+// never mistaken for an honest budget-exhausted unknown. A member whose
+// factory refuses the shared Config (rtw under FindModel, say) is such
+// a failed member: the rest of the lineup still races.
 func (p *Portfolio) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 	members := p.cfg.Members
 	if len(members) == 0 {
 		members = DefaultMembers
 	}
-	leases := make([]*enginepool.Lease, len(members))
-	for i, name := range members {
+	type outcome struct {
+		r   solver.Result
+		err error
+	}
+	results := make(chan outcome, len(members))
+	var leases []*enginepool.Lease
+	for _, name := range members {
 		l, err := enginepool.Default.Acquire(name, p.cfg, f)
 		if err != nil {
-			releaseAll(leases[:i])
-			return solver.Result{}, err
+			results <- outcome{solver.Result{Engine: name}, err}
+			continue
 		}
-		leases[i] = l
+		leases = append(leases, l)
 	}
 
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type outcome struct {
-		r   solver.Result
-		err error
-	}
-	results := make(chan outcome, len(leases))
 	for _, l := range leases {
 		go func(l *enginepool.Lease) {
 			r, err := l.Solve(raceCtx)
@@ -97,7 +99,7 @@ func (p *Portfolio) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, e
 	// abort within one hot-loop poll, so this wait is bounded and leaves
 	// no goroutine running past Solve (each goroutine releases its lease
 	// after its member's Solve returns, so no lease outlives the race).
-	for range leases {
+	for range members {
 		o := <-results
 		if !won && o.err == nil && o.r.Status.Definitive() {
 			winner, won = o, true
@@ -135,13 +137,4 @@ func (p *Portfolio) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, e
 		return solver.Result{Status: solver.StatusUnknown, Stats: agg}, nil
 	}
 	return solver.Result{Stats: agg}, memberErr
-}
-
-// releaseAll returns already-acquired leases on an aborted construction.
-func releaseAll(leases []*enginepool.Lease) {
-	for _, l := range leases {
-		if l != nil {
-			l.Release()
-		}
-	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 func TestPortfolioSATAndUNSAT(t *testing.T) {
-	p, err := solver.New("portfolio", solver.WithSeed(1))
+	p, err := solver.NewWith("portfolio", solver.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

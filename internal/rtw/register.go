@@ -13,12 +13,12 @@ func init() {
 	// rtw is warm (solver.Warm): Engine.Reset keeps the sampler's banks
 	// and the wide kernel's bank and scratch whenever the (n, m)
 	// geometry repeats, whatever the seed.
-	solver.Register("rtw", func(cfg solver.Config) solver.Solver {
+	solver.Register("rtw", func(_ string, cfg solver.Config) (solver.Solver, error) {
+		if cfg.FindModel {
+			return nil, solver.ErrNoModelRecovery("rtw")
+		}
 		return solver.NewWarm("rtw", cfg.Seed,
 			func(f *cnf.Formula, seed uint64) (*Engine, error) {
-				if cfg.FindModel {
-					return nil, solver.ErrNoModelRecovery("rtw")
-				}
 				return New(f, core.Options{
 					Seed:       seed,
 					MaxSamples: cfg.MaxSamples,
@@ -26,7 +26,7 @@ func init() {
 					Workers:    cfg.Workers,
 				})
 			},
-			check)
+			check), nil
 	})
 }
 

@@ -15,9 +15,9 @@ import (
 )
 
 // solve runs the registry's rtw engine on f.
-func solve(t testing.TB, f *cnf.Formula, opts ...solver.Option) solver.Result {
+func solve(t testing.TB, f *cnf.Formula, cfg solver.Config) solver.Result {
 	t.Helper()
-	s, err := solver.New("rtw", opts...)
+	s, err := solver.NewWith("rtw", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCheckDecisions(t *testing.T) {
 	} {
 		// 1M samples clear the Section III-F budget an UNSAT verdict on
 		// n·m = 8 needs (589,825).
-		if r := solve(t, tc.f, solver.WithSeed(7), solver.WithMaxSamples(1_000_000)); r.Status != tc.want {
+		if r := solve(t, tc.f, solver.Config{Seed: 7, MaxSamples: 1_000_000}); r.Status != tc.want {
 			t.Errorf("%s: got %v, want %v (%+v)", tc.name, r.Status, tc.want, r.Stats)
 		}
 	}
@@ -78,7 +78,7 @@ func TestCheckDecisions(t *testing.T) {
 
 func TestMeanConvergesToWeightedCount(t *testing.T) {
 	// RTW sources have sigma^2 = 1, so mean(S_N) -> K' = 2 on Example 6.
-	r := solve(t, gen.PaperExample6(), solver.WithSeed(3), solver.WithMaxSamples(400_000))
+	r := solve(t, gen.PaperExample6(), solver.Config{Seed: 3, MaxSamples: 400_000})
 	if math.Abs(r.Stats.Mean-2) > 0.2 {
 		t.Errorf("mean = %v, want ~2", r.Stats.Mean)
 	}
@@ -176,7 +176,7 @@ func TestZeroVarianceUnsatStaysUnsat(t *testing.T) {
 	} {
 		for _, budget := range tc.budgets {
 			for seed := uint64(1); seed <= 200; seed++ {
-				r := solve(t, tc.f, solver.WithSeed(seed), solver.WithMaxSamples(budget))
+				r := solve(t, tc.f, solver.Config{Seed: seed, MaxSamples: budget})
 				if r.Status == solver.StatusSat {
 					t.Errorf("%s seed %d budget %d: SAT from %+v", tc.name, seed, budget, r.Stats)
 				}

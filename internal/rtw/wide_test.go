@@ -137,7 +137,7 @@ func TestCheckBlockSizeNeverChangesVerdict(t *testing.T) {
 // bits, and seed 1 at 50,000 samples must read exactly what the
 // one-sample-per-call kernel read before the block fill.
 func TestWideGolden(t *testing.T) {
-	r := solve(t, repeat(cnf.FromClauses([]int{1}), 70), solver.WithSeed(1), solver.WithMaxSamples(50_000))
+	r := solve(t, repeat(cnf.FromClauses([]int{1}), 70), solver.Config{Seed: 1, MaxSamples: 50_000})
 	if r.Status != solver.StatusSat || r.Stats.Samples != 50_000 ||
 		r.Stats.Mean != 0.99608 || r.Stats.StdErr != 0.0044721463162393825 {
 		t.Errorf("got %v %+v, want SAT over 50000 samples, mean 0.99608, stderr 0.0044721463162393825",
@@ -173,7 +173,7 @@ func TestWideKernelOpensSATLIBScale(t *testing.T) {
 	}
 
 	// Through the registry: a definitive-or-honest verdict, no error.
-	if res := solve(t, f, solver.WithMaxSamples(2_000)); res.Status == solver.StatusUnsat {
+	if res := solve(t, f, solver.Config{MaxSamples: 2_000}); res.Status == solver.StatusUnsat {
 		t.Fatalf("a 2k-sample run cannot certify UNSAT at n·m=192 (SNR gate): %+v", res)
 	}
 

@@ -14,19 +14,19 @@ func init() {
 	// sbl is warm (solver.Warm): Engine.Reset keeps the carrier bank
 	// whenever the (n, m) geometry repeats. Its carriers are
 	// deterministic, so the seed goes unused.
-	solver.Register("sbl", func(cfg solver.Config) solver.Solver {
+	solver.Register("sbl", func(_ string, cfg solver.Config) (solver.Solver, error) {
+		if cfg.FindModel {
+			return nil, solver.ErrNoModelRecovery("sbl")
+		}
+		alloc, err := parseAllocation(cfg.Allocation)
+		if err != nil {
+			return nil, err
+		}
 		return solver.NewWarm("sbl", cfg.Seed,
 			func(f *cnf.Formula, _ uint64) (*Engine, error) {
-				if cfg.FindModel {
-					return nil, solver.ErrNoModelRecovery("sbl")
-				}
-				alloc, err := parseAllocation(cfg.Allocation)
-				if err != nil {
-					return nil, err
-				}
 				return New(f, Options{Alloc: alloc, MaxSamples: cfg.MaxSamples})
 			},
-			check)
+			check), nil
 	})
 }
 

@@ -357,8 +357,11 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	out := make([]traceSummaryJSON, 0, n)
-	for _, tj := range s.RecentTraces(n) {
+	// Size the list from the traces returned: RecentTraces clamps n to
+	// the ring, and a client's n must not size an allocation.
+	traces := s.RecentTraces(n)
+	out := make([]traceSummaryJSON, 0, len(traces))
+	for _, tj := range traces {
 		row := traceSummaryJSON{TraceID: tj.TraceID, Job: tj.Job}
 		if len(tj.Spans) > 0 {
 			row.Root = tj.Spans[0].Name

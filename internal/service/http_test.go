@@ -8,10 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dimacs"
 	"repro/internal/solver"
 
 	// Link the full engine registry in: the HTTP tests drive real
@@ -288,6 +291,54 @@ func TestHTTPRejections(t *testing.T) {
 			t.Errorf("%s: HTTP %d, %+v, want a SAT answer", q, code, job)
 		}
 	}
+	// A knob an engine's factory rules out is refused at submit, sync or
+	// async, by name: never a job that fails on a worker.
+	for _, tc := range []struct{ query, knob string }{
+		{"engine=mc&family=nosuch", "family"},
+		{"engine=pre(mc)&family=nosuch", "family"},
+		{"engine=sbl&alloc=nosuch", "alloc"},
+		{"engine=rtw&model=1", "model"},
+		{"engine=sbl&model=1", "model"},
+		{"engine=analog&model=1", "model"},
+		{"engine=count&model=1", "model"},
+		{"engine=wcount&model=1", "model"},
+		{"engine=pre(rtw)&model=1", "model"},
+	} {
+		for _, sync := range []string{"&sync=1", ""} {
+			q := tc.query + sync
+			resp, err := http.Post(ts.URL+"/solve?"+q, "text/plain", strings.NewReader(paperSATDIMACS))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.knob) {
+				t.Errorf("%s: HTTP %d %s, want a 400 naming %s", q, resp.StatusCode, msg, tc.knob)
+			}
+		}
+	}
+	// A lineup answers as it did: a member that refuses the Config is a
+	// failed member, and the rest still race.
+	sat, err := dimacs.Parse([]byte(paperSATDIMACS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := "engine=portfolio&members=cdcl,rtw&model=1&sync=1"
+	if code, job := postSolve(t, ts, q, paperSATDIMACS); code != http.StatusOK || job.Result == nil ||
+		job.Result.Status != solver.StatusSat || !job.Result.Assignment.Satisfies(sat) {
+		t.Errorf("%s: HTTP %d, %+v, want SAT with a model", q, code, job)
+	}
+	// So does the default engine, pre(portfolio), whose mc member refuses
+	// the family: rand8-hard keeps one component past preprocessing, so
+	// the lineup races, and cdcl decides it.
+	hard, err := os.ReadFile("../../testdata/rand8-hard.cnf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, job := postSolve(t, ts, "family=nosuch&sync=1", string(hard)); code != http.StatusOK ||
+		job.Result == nil || job.Result.Status != solver.StatusSat || job.Result.Stats.Components != 1 {
+		t.Errorf("default engine, family=nosuch: HTTP %d, %+v, want SAT from one raced component", code, job)
+	}
 	resp, err := http.Get(ts.URL + "/jobs/j999")
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +346,34 @@ func TestHTTPRejections(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing job: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPTracesSizesFromTheRing: GET /debug/traces?n= sizes its
+// answer from the traces the 256-trace ring returns, never from the
+// client's n, so a huge n costs what a small one does. Sized from n,
+// one 64-byte row per requested trace, n=1048576 allocated 64 MiB, and
+// an n near 2^31 asks for 128 GiB.
+func TestHTTPTracesSizesFromTheRing(t *testing.T) {
+	_, ts := newHTTPServer(t, Config{Workers: 1})
+	if code, _ := postSolve(t, ts, "engine=cdcl&sync=1", paperSATDIMACS); code != http.StatusOK {
+		t.Fatalf("solve: HTTP %d", code)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Get(ts.URL + "/debug/traces?n=1048576")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []traceSummaryJSON
+	err = json.NewDecoder(resp.Body).Decode(&rows)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusOK || err != nil || len(rows) != 1 {
+		t.Fatalf("HTTP %d, %d rows, %v; want 200 and the one trace", resp.StatusCode, len(rows), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("n=1048576 allocated %d bytes, want under 1 MiB", grew)
 	}
 }
 

@@ -258,11 +258,11 @@ func (s *Server) Submit(f *cnf.Formula, req api.Request) (*Job, error) {
 	}
 	engine := req.Engine
 	if engine == "" {
-		engine = s.defaultEngine(task)
+		engine = task.DefaultEngine(s.cfg.DefaultEngine)
 	}
-	// Fail a bad engine expression, config, or engine/task mismatch at
-	// submit time, not on a worker: the submitter is still on the line
-	// to see the 400.
+	// Fail a bad engine expression, config, engine/task mismatch, or a
+	// knob the engine's factory refuses at submit time, not on a worker:
+	// the submitter is still on the line to see the 400.
 	if _, err := solver.NewWith(engine, req.Solver); err != nil {
 		return nil, err
 	}
@@ -376,21 +376,6 @@ func (s *Server) reapQueued(j *Job) {
 	s.completeTrace(j, string(StateCancelled), "")
 	s.met.jobFinished(string(StateCancelled), j.Engine, j.Task, 0, 0)
 	close(j.done)
-}
-
-// defaultEngine picks the engine for a submission that names none:
-// counting tasks default to the exact counters behind the count-safe
-// pipeline — the decide default "pre(portfolio)" races engines that
-// cannot count — while decide and equivalent (a decide on a miter)
-// take the configured default.
-func (s *Server) defaultEngine(task solver.Task) string {
-	switch task {
-	case solver.TaskCount:
-		return "pre(count)"
-	case solver.TaskWeightedCount:
-		return "pre(wcount)"
-	}
-	return s.cfg.DefaultEngine
 }
 
 // register assigns an ID and stores the job; caller holds s.mu.

@@ -43,7 +43,7 @@ func newGate(seed uint64) *gateCtl {
 }
 
 func init() {
-	solver.Register("svc-echo", func(cfg solver.Config) solver.Solver {
+	solver.Register("svc-echo", func(_ string, cfg solver.Config) (solver.Solver, error) {
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 			n := echoCalls.Add(1)
 			// Odd variables true, even false — the test formulas are
@@ -62,16 +62,16 @@ func init() {
 				Assignment: model,
 				Stats:      solver.Stats{Decisions: n, Samples: 100},
 			}, nil
-		})
+		}), nil
 	})
-	solver.Register("svc-unknown", func(cfg solver.Config) solver.Solver {
+	solver.Register("svc-unknown", func(_ string, cfg solver.Config) (solver.Solver, error) {
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 			unknownCalls.Add(1)
 			return solver.Result{Status: solver.StatusUnknown}, nil
-		})
+		}), nil
 	})
 	// svc-nomodel: SAT; attaches the odd-true model only when asked.
-	solver.Register("svc-nomodel", func(cfg solver.Config) solver.Solver {
+	solver.Register("svc-nomodel", func(_ string, cfg solver.Config) (solver.Solver, error) {
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 			out := solver.Result{Status: solver.StatusSat}
 			if cfg.FindModel {
@@ -86,9 +86,9 @@ func init() {
 				out.Assignment = model
 			}
 			return out, nil
-		})
+		}), nil
 	})
-	solver.Register("svc-gate", func(cfg solver.Config) solver.Solver {
+	solver.Register("svc-gate", func(_ string, cfg solver.Config) (solver.Solver, error) {
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 			gateMu.Lock()
 			g := gates[cfg.Seed]
@@ -111,7 +111,7 @@ func init() {
 			case <-ctx.Done():
 				return solver.Result{Stats: solver.Stats{Samples: 7}}, ctx.Err()
 			}
-		})
+		}), nil
 	})
 }
 

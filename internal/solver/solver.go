@@ -12,7 +12,7 @@
 // and a common Stats block. Engines register themselves under a short
 // name in an init function of their own package; anything that imports
 // the engine packages (the repro facade, the CLI, the portfolio racer)
-// can then construct any of them with New(name, opts...) and race or
+// can then construct any of them with NewWith(name, cfg) and race or
 // swap them freely.
 //
 // Cancellation is part of the contract: every registered engine checks
@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,8 +38,8 @@ import (
 )
 
 // Task selects what question a solve answers about the formula. The
-// registry is task-typed: every engine declares the tasks it supports
-// (RegisterTasks; plain decide is the default), and NewWith rejects an
+// registry is task-typed: every engine registers with the tasks it
+// supports (plain decide is the default), and NewWith rejects an
 // engine/task mismatch at construction instead of silently deciding.
 type Task string
 
@@ -77,6 +78,21 @@ func ParseTask(s string) (Task, error) {
 
 // Counting reports whether the task produces a model count.
 func (t Task) Counting() bool { return t == TaskCount || t == TaskWeightedCount }
+
+// DefaultEngine names the engine a request for the task runs when it
+// names none: the exact counters behind the count-safe pipeline for the
+// counting tasks, and decide, the caller's default, otherwise (an
+// equivalence is a decide on its miter). nblserve and nblsat both pick
+// their engine here.
+func (t Task) DefaultEngine(decide string) string {
+	switch t {
+	case TaskCount:
+		return "pre(count)"
+	case TaskWeightedCount:
+		return "pre(wcount)"
+	}
+	return decide
+}
 
 // ParseMembers splits a comma-separated portfolio lineup from an
 // untrusted surface (HTTP query, CLI flag), dropping blank entries.
@@ -213,8 +229,8 @@ type Result struct {
 	// Status is the three-valued verdict.
 	Status Status
 	// Assignment is a satisfying assignment when Status is StatusSat and
-	// the engine produces models (complete engines always do; NBL check
-	// engines only under WithModel).
+	// the engine produces models (complete engines always do; mc only
+	// under Config.FindModel).
 	Assignment cnf.Assignment
 	// Engine is the registry name of the engine that produced the
 	// verdict. For a portfolio solve it names the winning member.
@@ -432,9 +448,9 @@ type Config struct {
 	Candidates int
 	// FindModel asks the mc engine to also run Algorithm 2 and return a
 	// satisfying assignment on SAT. Complete engines (exact, dpll, cdcl,
-	// hybrid) and walksat return a model regardless; the check-only NBL
-	// engines (rtw, sbl, analog) reject the option with an error rather
-	// than silently ignore it.
+	// hybrid) and walksat return a model regardless; the check-only
+	// engines (rtw, sbl, analog) and the counters (count, wcount) refuse
+	// the option at construction rather than silently ignore it.
 	FindModel bool
 	// Members lists the engines a portfolio races. Empty selects the
 	// default lineup.
@@ -541,48 +557,6 @@ func (c Config) Key() string {
 	}
 	return key
 }
-
-// Option mutates a Config (functional options for New).
-type Option func(*Config)
-
-// WithSeed seeds stochastic engines.
-func WithSeed(seed uint64) Option { return func(c *Config) { c.Seed = seed } }
-
-// WithMaxSamples sets the sample/step budget of the NBL engines.
-func WithMaxSamples(n int64) Option { return func(c *Config) { c.MaxSamples = n } }
-
-// WithTheta sets the SAT decision threshold in standard errors.
-func WithTheta(theta float64) Option { return func(c *Config) { c.Theta = theta } }
-
-// WithWorkers sets the Monte-Carlo sampling parallelism.
-func WithWorkers(w int) Option { return func(c *Config) { c.Workers = w } }
-
-// WithFamily selects the mc noise family by name.
-func WithFamily(name string) Option { return func(c *Config) { c.Family = name } }
-
-// WithAllocation selects the sbl carrier frequency plan by name.
-func WithAllocation(name string) Option { return func(c *Config) { c.Allocation = name } }
-
-// WithMaxFlips bounds walksat flips per restart.
-func WithMaxFlips(n int) Option { return func(c *Config) { c.MaxFlips = n } }
-
-// WithRestarts sets the walksat restart count.
-func WithRestarts(n int) Option { return func(c *Config) { c.Restarts = n } }
-
-// WithNoiseP sets the walksat random-walk probability.
-func WithNoiseP(p float64) Option { return func(c *Config) { c.NoiseP = p } }
-
-// WithCandidates caps hybrid coprocessor probes per decision.
-func WithCandidates(n int) Option { return func(c *Config) { c.Candidates = n } }
-
-// WithModel asks check-style engines to also recover a model on SAT.
-func WithModel(find bool) Option { return func(c *Config) { c.FindModel = find } }
-
-// WithMembers sets the portfolio lineup.
-func WithMembers(names ...string) Option { return func(c *Config) { c.Members = names } }
-
-// WithTask selects the solve task (decide, count, weighted-count).
-func WithTask(t Task) Option { return func(c *Config) { c.Task = t } }
 
 // CompleteResult maps a complete-search outcome onto a Result: a
 // non-nil error passes through (verdict unknown, partial stats kept), a
@@ -719,255 +693,169 @@ func CountResult(count *big.Int, err error, stats Stats) (Result, error) {
 	return out, nil
 }
 
-// ErrNoModelRecovery is the error a check-only engine returns when
-// Config.FindModel is requested: the option must fail loudly rather
-// than be silently ignored.
+// ErrNoModelRecovery is the error the factory of an engine that only
+// checks or counts returns when Config.FindModel is requested: the knob
+// must be refused before any formula is solved rather than be silently
+// ignored.
 func ErrNoModelRecovery(engine string) error {
 	return fmt.Errorf(
-		"%s: model recovery (WithModel) is not implemented; use mc or a complete engine", engine)
+		"%s: model recovery (FindModel) is not implemented; use mc or a complete engine", engine)
 }
 
-// Factory builds a configured engine. Construction must not fail;
-// instance-dependent validation belongs in Solve (the formula is not
-// known yet at construction time).
-type Factory func(cfg Config) Solver
+// Factory builds a configured engine. inner is the expression a
+// meta-engine "name(inner)" wraps, verbatim, and empty for a plain
+// engine. A factory refuses what the Config rules out, such as a knob
+// value the engine cannot honour; what the formula rules out waits for
+// Solve, since the formula is not known yet.
+type Factory func(inner string, cfg Config) (Solver, error)
 
-// MetaFactory builds a meta-engine from a parenthesized engine
-// expression: a name of the form "meta(inner)" resolves the registered
-// MetaFactory for "meta" with the inner expression verbatim. The inner
-// expression is itself a registry name — possibly another meta
-// expression — so wrappers compose: "pre(mc)", "pre(portfolio)",
-// "pre(pre(cdcl))" all parse. Construction may fail (unlike Factory):
-// the inner name is only known at parse time and an unknown inner
-// engine must surface immediately, not at Solve.
-type MetaFactory func(inner string, cfg Config) (Solver, error)
+// entry is one registry name: how to build it, the tasks it runs, and
+// whether it is a meta-engine, reached only as "name(inner)".
+type entry struct {
+	factory Factory
+	tasks   []Task
+	meta    bool
+}
 
 var (
 	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-	metas    = map[string]MetaFactory{}
-	// taskSupport maps an engine or meta name to the tasks it can
-	// execute. Absent means {decide}: every pre-task engine decides, so
-	// the registry's default keeps old registrations valid without a
-	// migration.
-	taskSupport = map[string][]Task{}
+	registry = map[string]entry{}
 )
 
-// RegisterTasks declares the tasks the named engine or meta shell
-// supports, replacing the implicit decide-only default. Typically
-// called from the same init that registers the engine. NewWith consults
-// this table and rejects an engine/task mismatch loudly instead of
-// letting a counting request be silently answered with a bare verdict.
-func RegisterTasks(name string, tasks ...Task) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	taskSupport[name] = append([]Task(nil), tasks...)
-}
-
-// Capabilities describes what a registered engine expression can do.
-type Capabilities struct {
-	// Tasks lists the tasks the expression supports.
-	Tasks []Task
-}
-
-// Supports reports whether t is in the capability set.
-func (c Capabilities) Supports(t Task) bool {
-	for _, have := range c.Tasks {
-		if have == t {
-			return true
-		}
-	}
-	return false
-}
-
-// CapabilitiesOf resolves the capability set of an engine expression.
-// A plain name yields its registered task list (default: decide only).
-// A meta expression "meta(inner)" yields the intersection of the
-// shell's tasks with the inner expression's — a count-capable pre()
-// around a decide-only engine cannot count, and vice versa. Unknown
-// names are an error.
-func CapabilitiesOf(expr string) (Capabilities, error) {
-	regMu.RLock()
-	_, plain := registry[expr]
-	list, listed := taskSupport[expr]
-	regMu.RUnlock()
-	if plain {
-		if !listed {
-			return Capabilities{Tasks: []Task{TaskDecide}}, nil
-		}
-		return Capabilities{Tasks: append([]Task(nil), list...)}, nil
-	}
-	if meta, inner, ok := splitMeta(expr); ok {
-		regMu.RLock()
-		_, found := metas[meta]
-		metaList, metaListed := taskSupport[meta]
-		regMu.RUnlock()
-		if found {
-			innerCaps, err := CapabilitiesOf(inner)
-			if err != nil {
-				return Capabilities{}, err
-			}
-			if !metaListed {
-				metaList = []Task{TaskDecide}
-			}
-			var both []Task
-			for _, t := range metaList {
-				if innerCaps.Supports(t) {
-					both = append(both, t)
-				}
-			}
-			return Capabilities{Tasks: both}, nil
-		}
-	}
-	return Capabilities{}, fmt.Errorf("solver: unknown engine %q (registered: %v, meta: %v)",
-		expr, Engines(), Metas())
-}
-
-// checkTask enforces the engine/task contract at construction time. It
-// deliberately ignores unknown expressions (NewWith's own unknown-name
-// error is the better message) and never accepts TaskEquivalent: that
-// task is not executable by any engine — callers lower it to TaskDecide
-// on a miter CNF (logic.EquivalenceCNF) before reaching the registry.
-func checkTask(expr string, task Task) error {
-	if task == TaskDecide {
-		return nil
-	}
-	if task == TaskEquivalent {
-		return fmt.Errorf(
-			"solver: task %q is not an engine task; lower it to a decide on a miter CNF (logic.EquivalenceCNF) first", task)
-	}
-	caps, err := CapabilitiesOf(expr)
-	if err != nil {
-		return nil // unknown name: let NewWith's lookup error fire instead
-	}
-	if !caps.Supports(task) {
-		return fmt.Errorf("solver: engine %q does not support task %q (supported: %v)",
-			expr, task, caps.Tasks)
-	}
-	return nil
-}
-
-// Register installs an engine factory under a name. It panics on a
-// duplicate name: engine names are a flat public namespace and a silent
+// Register installs a plain engine under name with the tasks it runs;
+// none listed means decide only. It panics on a duplicate name or a nil
+// factory: engine names are one flat public namespace, and a silent
 // overwrite would make solver behavior import-order dependent.
-func Register(name string, f Factory) {
+func Register(name string, f Factory, tasks ...Task) { register(name, entry{f, tasks, false}) }
+
+// RegisterMeta installs a meta-engine under name, reachable as
+// "name(inner)" where inner is any engine expression, so wrappers
+// compose: "pre(mc)", "pre(portfolio)", "pre(pre(cdcl))". It shares
+// Register's namespace: a meta may not reuse a plain engine's name.
+func RegisterMeta(name string, f Factory, tasks ...Task) { register(name, entry{f, tasks, true}) }
+
+func register(name string, e entry) {
+	if e.factory == nil {
+		panic(fmt.Sprintf("solver: %q registered with a nil factory", name))
+	}
+	if len(e.tasks) == 0 {
+		e.tasks = []Task{TaskDecide}
+	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("solver: Register called twice for %q", name))
+		panic(fmt.Sprintf("solver: %q registered twice", name))
 	}
-	if _, dup := metas[name]; dup {
-		panic(fmt.Sprintf("solver: Register %q collides with a registered meta-engine", name))
-	}
-	if f == nil {
-		panic(fmt.Sprintf("solver: Register %q with nil factory", name))
-	}
-	registry[name] = f
+	registry[name] = e
 }
 
-// RegisterMeta installs a meta-engine factory under a name, reachable
-// as "name(inner)" through New/NewWith. Like Register it panics on a
-// duplicate or nil registration; the two namespaces are shared (a meta
-// may not collide with a plain engine name, or "name(x)" would be
-// ambiguous with a formula-level reading of "name").
-func RegisterMeta(name string, f MetaFactory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := metas[name]; dup {
-		panic(fmt.Sprintf("solver: RegisterMeta called twice for %q", name))
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("solver: RegisterMeta %q collides with a registered engine", name))
-	}
-	if f == nil {
-		panic(fmt.Sprintf("solver: RegisterMeta %q with nil factory", name))
-	}
-	metas[name] = f
-}
-
-// Engines returns the sorted names of all registered engines.
-func Engines() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// Engines returns the sorted names of all registered plain engines.
+func Engines() []string { return names(false) }
 
 // Metas returns the sorted names of all registered meta-engines; each
 // is used as "name(inner)" where inner is any engine expression.
-func Metas() []string {
+func Metas() []string { return names(true) }
+
+func names(meta bool) []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	names := make([]string, 0, len(metas))
-	for name := range metas {
-		names = append(names, name)
+	out := []string{}
+	for name, e := range registry {
+		if e.meta == meta {
+			out = append(out, name)
+		}
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(out)
+	return out
 }
 
-// New builds the named engine with the given options applied over the
-// defaults. The returned Solver stamps Result.Engine and Result.Wall and
+// lookup resolves an engine expression to the factory that builds it,
+// the inner expression that factory wraps ("" for a plain engine), and
+// the tasks the whole expression runs. A meta expression runs only the
+// tasks both the shell and its inner expression run: a count-capable
+// pre() around a decide-only engine cannot count.
+func lookup(expr string) (Factory, string, []Task, error) {
+	regMu.RLock()
+	e, ok := registry[expr]
+	regMu.RUnlock()
+	if ok && !e.meta {
+		return e.factory, "", e.tasks, nil
+	}
+	if name, inner, isMeta := splitMeta(expr); isMeta {
+		regMu.RLock()
+		e, ok = registry[name]
+		regMu.RUnlock()
+		if ok && e.meta {
+			if inner == "" {
+				return nil, "", nil, fmt.Errorf("solver: %q has an empty inner expression; wrap an engine, e.g. %s(cdcl)", expr, name)
+			}
+			_, _, innerTasks, err := lookup(inner)
+			if err != nil {
+				return nil, "", nil, err
+			}
+			var both []Task
+			for _, t := range e.tasks {
+				if slices.Contains(innerTasks, t) {
+					both = append(both, t)
+				}
+			}
+			return e.factory, inner, both, nil
+		}
+	}
+	return nil, "", nil, fmt.Errorf("solver: unknown engine %q (registered: %v, meta: %v)",
+		expr, Engines(), Metas())
+}
+
+// TasksOf returns the tasks an engine expression runs, or an error
+// naming an unknown engine.
+func TasksOf(expr string) ([]Task, error) {
+	_, _, tasks, err := lookup(expr)
+	return slices.Clone(tasks), err
+}
+
+// NewWith builds the engine an expression names under cfg: a plain
+// registry name, or a meta-engine expression "meta(inner)" such as
+// "pre(mc)", whose factory wraps the engine built from inner. It is the
+// one constructor; the portfolio and the pipeline hand every member and
+// component the same Config through it. Everything the Config alone can
+// rule out is refused here, before any formula is solved: a knob outside
+// Validate's bounds, a task the expression does not run, a member the
+// registry cannot resolve, and whatever the engine's factory refuses.
+// The returned Solver stamps Result.Engine and Result.Wall and
 // short-circuits on an already-cancelled context, so individual engines
 // need not repeat either.
-func New(name string, opts ...Option) (Solver, error) {
-	var cfg Config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewWith(name, cfg)
-}
-
-// NewWith is New with an explicit Config — the portfolio uses it to
-// propagate one shared Config to every member. Besides plain registry
-// names it accepts meta-engine expressions of the form "meta(inner)"
-// (e.g. "pre(mc)"): the meta factory registered for "meta" wraps the
-// engine built from the inner expression. A Config that fails Validate,
-// or names a member the registry cannot build, is refused before any
-// engine is built, so a portfolio cannot fail on a worker for a lineup
-// it was accepted with.
-func NewWith(name string, cfg Config) (Solver, error) {
+func NewWith(expr string, cfg Config) (Solver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if err := checkTask(name, cfg.Task); err != nil {
+	if cfg.Task == TaskEquivalent {
+		return nil, fmt.Errorf(
+			"solver: task %q is not an engine task; lower it to a decide on a miter CNF (logic.EquivalenceCNF) first", cfg.Task)
+	}
+	factory, inner, tasks, err := lookup(expr)
+	if err != nil {
 		return nil, err
 	}
+	if !slices.Contains(tasks, cfg.Task) {
+		return nil, fmt.Errorf("solver: engine %q does not support task %q (supported: %v)",
+			expr, cfg.Task, tasks)
+	}
 	for _, m := range cfg.Members {
-		if _, err := CapabilitiesOf(m); err != nil {
+		if _, _, _, err := lookup(m); err != nil {
 			return nil, fmt.Errorf("solver: bad member %q: %w", m, err)
 		}
 	}
-	regMu.RLock()
-	factory, ok := registry[name]
-	regMu.RUnlock()
-	if ok {
-		return wrap(name, factory(cfg.withDefaults())), nil
+	impl, err := factory(inner, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if meta, inner, ok := splitMeta(name); ok {
-		regMu.RLock()
-		mf, found := metas[meta]
-		regMu.RUnlock()
-		if found {
-			impl, err := mf(inner, cfg.withDefaults())
-			if err != nil {
-				return nil, err
-			}
-			return wrap(name, impl), nil
-		}
-	}
-	return nil, fmt.Errorf("solver: unknown engine %q (registered: %v, meta: %v)",
-		name, Engines(), Metas())
+	return wrap(expr, impl), nil
 }
 
 // wrap adds the registry bookkeeping around an engine. A Reusable impl
 // yields a wrapper that is itself Reusable, so reusability survives the
-// trip through New/NewWith and the lease pool can see it.
+// trip through NewWith and the lease pool can see it.
 func wrap(name string, impl Solver) Solver {
 	n := &named{name: name, impl: impl}
 	if _, ok := impl.(Reusable); ok {

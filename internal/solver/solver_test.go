@@ -12,15 +12,12 @@ import (
 )
 
 func init() {
-	Register("test-fake", func(cfg Config) Solver {
+	Register("test-fake", func(_ string, cfg Config) (Solver, error) {
 		return Func(func(ctx context.Context, f *cnf.Formula) (Result, error) {
 			return Result{Status: StatusSat, Stats: Stats{Decisions: int64(cfg.Seed)}}, nil
-		})
+		}), nil
 	})
 	RegisterMeta("test-meta", func(inner string, cfg Config) (Solver, error) {
-		if inner == "" {
-			return nil, errors.New("test-meta: empty inner expression")
-		}
 		return Func(func(ctx context.Context, f *cnf.Formula) (Result, error) {
 			return Result{Status: StatusSat, Engine: "test-meta-saw:" + inner}, nil
 		}), nil
@@ -47,7 +44,7 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestNewUnknownEngine(t *testing.T) {
-	if _, err := New("no-such-engine"); err == nil {
+	if _, err := NewWith("no-such-engine", Config{}); err == nil {
 		t.Fatal("expected error for unknown engine")
 	} else if !strings.Contains(err.Error(), "no-such-engine") {
 		t.Errorf("error should name the engine: %v", err)
@@ -60,7 +57,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Fatal("expected panic on duplicate Register")
 		}
 	}()
-	Register("test-fake", func(Config) Solver { return nil })
+	Register("test-fake", func(string, Config) (Solver, error) { return nil, nil })
 }
 
 func TestEnginesSortedAndContainsRegistered(t *testing.T) {
@@ -80,7 +77,7 @@ func TestEnginesSortedAndContainsRegistered(t *testing.T) {
 }
 
 func TestNamedWrapperStampsEngineAndWall(t *testing.T) {
-	s, err := New("test-fake", WithSeed(7))
+	s, err := NewWith("test-fake", Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,26 +106,26 @@ func TestMetaExpressionUnbalancedParens(t *testing.T) {
 		"test-meta test-fake)", // missing open: ')' suffix but '(' absent
 		"(test-fake)",          // empty meta name
 	} {
-		if _, err := New(name); err == nil {
-			t.Errorf("New(%q): expected an error, got none", name)
+		if _, err := NewWith(name, Config{}); err == nil {
+			t.Errorf("NewWith(%q): expected an error, got none", name)
 		} else if !strings.Contains(err.Error(), "unknown engine") {
-			t.Errorf("New(%q): error should be an unknown-engine rejection, got %v", name, err)
+			t.Errorf("NewWith(%q): error should be an unknown-engine rejection, got %v", name, err)
 		}
 	}
 }
 
 func TestMetaExpressionEmptyInner(t *testing.T) {
-	_, err := New("test-meta()")
+	_, err := NewWith("test-meta()", Config{})
 	if err == nil {
 		t.Fatal("expected empty-inner construction to fail")
 	}
 	if !strings.Contains(err.Error(), "empty inner") {
-		t.Errorf("error should come from the meta factory: %v", err)
+		t.Errorf("the registry should refuse an empty inner expression by name: %v", err)
 	}
 }
 
 func TestMetaExpressionUnknownMetaName(t *testing.T) {
-	_, err := New("no-such-meta(test-fake)")
+	_, err := NewWith("no-such-meta(test-fake)", Config{})
 	if err == nil {
 		t.Fatal("expected error for unknown meta name")
 	}
@@ -141,12 +138,10 @@ func TestMetaExpressionUnknownMetaName(t *testing.T) {
 }
 
 func TestMetaExpressionUnknownInnerEngine(t *testing.T) {
-	// The solver package's own parser hands the inner expression to the
-	// meta factory verbatim; a factory that constructs the inner engine
-	// (like pipeline's) surfaces the unknown name at construction. The
-	// test meta does not construct, so the expression itself succeeds —
-	// asserting the inner string really is handed over verbatim.
-	s, err := New("test-meta(test-meta(test-fake))")
+	// The registry resolves the inner expression, then hands it to the
+	// meta factory verbatim. The test meta does not construct it, so the
+	// Result's Engine shows the string the factory received.
+	s, err := NewWith("test-meta(test-meta(test-fake))", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +151,11 @@ func TestMetaExpressionUnknownInnerEngine(t *testing.T) {
 	}
 	if r.Engine != "test-meta-saw:test-meta(test-fake)" {
 		t.Errorf("nested inner expression mangled: %q", r.Engine)
+	}
+	// An unknown inner engine is refused at construction, by name.
+	if _, err := NewWith("test-meta(no-such-inner)", Config{}); err == nil ||
+		!strings.Contains(err.Error(), "no-such-inner") {
+		t.Errorf("unknown inner engine: %v", err)
 	}
 }
 
@@ -179,7 +179,8 @@ func TestRegisterMetaCollisionsPanic(t *testing.T) {
 	cases := []func(){
 		func() { RegisterMeta("test-meta", func(string, Config) (Solver, error) { return nil, nil }) },
 		func() { RegisterMeta("test-fake", func(string, Config) (Solver, error) { return nil, nil }) },
-		func() { Register("test-meta", func(Config) Solver { return nil }) },
+		func() { Register("test-meta", func(string, Config) (Solver, error) { return nil, nil }) },
+		func() { Register("test-nil", nil) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -247,7 +248,7 @@ func TestProgressContextPlumbing(t *testing.T) {
 }
 
 func TestNamedWrapperShortCircuitsExpiredContext(t *testing.T) {
-	s, err := New("test-fake")
+	s, err := NewWith("test-fake", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

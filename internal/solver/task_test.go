@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,12 +14,11 @@ import (
 func init() {
 	// A fake engine that advertises counting support, for registry tests
 	// that must not depend on the real count package (import cycle).
-	Register("test-counter", func(cfg Config) Solver {
+	Register("test-counter", func(_ string, cfg Config) (Solver, error) {
 		return Func(func(ctx context.Context, f *cnf.Formula) (Result, error) {
 			return Result{Status: StatusSat, Count: big.NewInt(7)}, nil
-		})
-	})
-	RegisterTasks("test-counter", TaskDecide, TaskCount)
+		}), nil
+	}, TaskDecide, TaskCount)
 }
 
 func TestParseTask(t *testing.T) {
@@ -76,36 +76,28 @@ func TestConfigKeyTaskSuffix(t *testing.T) {
 	}
 }
 
-func TestCapabilitiesOf(t *testing.T) {
-	caps, err := CapabilitiesOf("test-counter")
-	if err != nil {
-		t.Fatal(err)
+func TestTasksOf(t *testing.T) {
+	for _, tc := range []struct {
+		expr string
+		want []Task
+	}{
+		{"test-counter", []Task{TaskDecide, TaskCount}},
+		// An engine registered with no tasks decides only.
+		{"test-fake", []Task{TaskDecide}},
+		// A meta wrapper intersects with its inner engine: test-meta
+		// registered no tasks, so even a counting inner collapses to
+		// decide.
+		{"test-meta(test-counter)", []Task{TaskDecide}},
+	} {
+		got, err := TasksOf(tc.expr)
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("TasksOf(%q) = %v, %v; want %v", tc.expr, got, err, tc.want)
+		}
 	}
-	if !caps.Supports(TaskCount) || !caps.Supports(TaskDecide) || caps.Supports(TaskWeightedCount) {
-		t.Errorf("test-counter caps = %v", caps.Tasks)
-	}
-
-	// Engines with no registration support decide only.
-	caps, err = CapabilitiesOf("test-fake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !caps.Supports(TaskDecide) || caps.Supports(TaskCount) {
-		t.Errorf("unregistered-task engine caps = %v", caps.Tasks)
-	}
-
-	// A meta wrapper intersects with its inner engine: test-meta has no
-	// task registration, so even a counting inner collapses to decide.
-	caps, err = CapabilitiesOf("test-meta(test-counter)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if caps.Supports(TaskCount) {
-		t.Errorf("test-meta(test-counter) must not inherit count: %v", caps.Tasks)
-	}
-
-	if _, err := CapabilitiesOf("no-such-engine-zzz"); err == nil {
-		t.Error("CapabilitiesOf accepted an unknown engine")
+	for _, expr := range []string{"no-such-engine-zzz", "test-meta(no-such-engine-zzz)", "test-meta"} {
+		if _, err := TasksOf(expr); err == nil {
+			t.Errorf("TasksOf accepted %q", expr)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	solver.Register("walksat", func(cfg solver.Config) solver.Solver {
+	solver.Register("walksat", func(_ string, cfg solver.Config) (solver.Solver, error) {
 		return solver.Func(func(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 			r, err := SolveCtx(ctx, f, Options{
 				MaxFlips: cfg.MaxFlips,
@@ -30,6 +30,6 @@ func init() {
 			// Local search proves nothing about UNSAT: no model within the
 			// budget stays StatusUnknown.
 			return out, nil
-		})
+		}), nil
 	})
 }

@@ -46,7 +46,37 @@ func TestNewWithRefusesOutOfRangeKnobs(t *testing.T) {
 		}
 	}
 
-	res, err := Solve(context.Background(), "mc", PaperSAT(), WithTheta(math.NaN()))
+	// A value one engine cannot honour is refused by that engine's
+	// factory, before any formula is solved: the noise family of mc and
+	// analog, sbl's carrier plan, and model recovery by the engines that
+	// only check or count. pre(·) builds its inner engine, so it refuses
+	// the same way.
+	for _, row := range []struct {
+		engine, knob string
+		cfg          Config
+	}{
+		{"mc", "family", Config{Family: "nosuch"}},
+		{"pre(mc)", "family", Config{Family: "nosuch"}},
+		{"analog", "family", Config{Family: "nosuch"}},
+		{"sbl", "allocation", Config{Allocation: "nosuch"}},
+		{"rtw", "model", Config{FindModel: true}},
+		{"sbl", "model", Config{FindModel: true}},
+		{"analog", "model", Config{FindModel: true}},
+		{"count", "model", Config{FindModel: true}},
+		{"wcount", "model", Config{FindModel: true}},
+		{"pre(rtw)", "model", Config{FindModel: true}},
+	} {
+		if _, err := NewWith(row.engine, row.cfg); err == nil || !strings.Contains(err.Error(), row.knob) {
+			t.Errorf("%s with %+v: err = %v, want a refusal naming %s", row.engine, row.cfg, err, row.knob)
+		}
+	}
+	// A portfolio builds its members per race, and a member that refuses
+	// the Config is a failed member, not a refused lineup.
+	if _, err := NewWith("portfolio", Config{FindModel: true, Members: []string{"cdcl", "rtw"}}); err != nil {
+		t.Errorf("portfolio over cdcl,rtw with FindModel: %v", err)
+	}
+
+	res, err := Solve(context.Background(), "mc", PaperSAT(), Config{Theta: math.NaN()})
 	if err == nil {
 		t.Fatalf("mc with theta NaN answered %v, want an error", res.Status)
 	}

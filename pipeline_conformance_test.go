@@ -28,7 +28,7 @@ func TestPipelineConformanceWithExactCheck(t *testing.T) {
 
 	for _, inner := range pipelineInners {
 		t.Run("pre("+inner+")", func(t *testing.T) {
-			s, err := New("pre("+inner+")", conformanceOpts()...)
+			s, err := NewWith("pre("+inner+")", conformanceConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,16 +78,14 @@ func TestPipelineUpgradesSamplingVerdicts(t *testing.T) {
 		{"paper-unsat", PaperUNSAT(), StatusUnsat},
 		{"disjoint-ex6x3", DisjointUnion(PaperExample6(), PaperExample6(), PaperExample6()), StatusSat},
 	} {
-		bare, err := Solve(context.Background(), "mc", tc.f,
-			WithSeed(1), WithMaxSamples(budget))
+		bare, err := Solve(context.Background(), "mc", tc.f, Config{Seed: 1, MaxSamples: budget})
 		if err != nil {
 			t.Fatalf("%s bare: %v", tc.label, err)
 		}
 		if bare.Status != StatusUnknown {
 			t.Fatalf("%s: bare mc unexpectedly definitive (%v); the upgrade demo needs an UNKNOWN", tc.label, bare)
 		}
-		piped, err := Solve(context.Background(), "pre(mc)", tc.f,
-			WithSeed(1), WithMaxSamples(budget))
+		piped, err := Solve(context.Background(), "pre(mc)", tc.f, Config{Seed: 1, MaxSamples: budget})
 		if err != nil {
 			t.Fatalf("%s pre(mc): %v", tc.label, err)
 		}
@@ -115,7 +113,7 @@ func TestPipelineOnSATLIBTestdata(t *testing.T) {
 		}
 		oracle := ExactCheck(f)
 		for _, inner := range []string{"cdcl", "dpll"} {
-			r, err := Solve(context.Background(), "pre("+inner+")", f, WithSeed(1))
+			r, err := Solve(context.Background(), "pre("+inner+")", f, Config{Seed: 1})
 			if err != nil {
 				t.Fatalf("%s pre(%s): %v", path, inner, err)
 			}
@@ -134,7 +132,7 @@ func TestPipelineCancellationMidComponent(t *testing.T) {
 	// tens of thousands; dpll needs seconds per component, so a 50ms
 	// deadline fires mid-component and must propagate out promptly.
 	f := DisjointUnion(Pigeonhole(8), Pigeonhole(8))
-	s, err := New("pre(dpll)", WithSeed(1))
+	s, err := NewWith("pre(dpll)", Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +159,7 @@ func TestPipelineAsPortfolioMember(t *testing.T) {
 	// decomposable instance no bare sampler can decide.
 	f := DisjointUnion(PaperExample6(), PaperExample6(), PaperExample6())
 	r, err := Solve(context.Background(), "portfolio", f,
-		WithSeed(1), WithMaxSamples(400_000), WithMembers("pre(mc)", "mc"))
+		Config{Seed: 1, MaxSamples: 400_000, Members: []string{"pre(mc)", "mc"}})
 	if err != nil {
 		t.Fatal(err)
 	}

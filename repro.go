@@ -18,12 +18,15 @@
 // Quickstart:
 //
 //	f := repro.FromClauses([]int{1, 2}, []int{-1, -2})
-//	s, _ := repro.New("portfolio", repro.WithSeed(42))
+//	s, _ := repro.NewWith("portfolio", repro.Config{Seed: 42})
 //	r, _ := s.Solve(context.Background(), f)
 //	fmt.Println(r.Status, r.Engine)   // SATISFIABLE cdcl
 //
-// Pick a specific engine with repro.New("mc"), repro.New("cdcl"), ...;
-// repro.Engines() lists everything registered.
+// Pick a specific engine with repro.NewWith("mc", repro.Config{}),
+// repro.NewWith("cdcl", repro.Config{}), ...; repro.Engines() lists
+// everything registered. A Config field an engine does not read is
+// ignored; a value it cannot honour (FindModel on rtw, an unknown noise
+// family on mc) is refused by NewWith, before any formula is solved.
 //
 // The facade re-exports the pieces a library user needs — CNF modeling,
 // DIMACS I/O, the solver registry, and the instance generators — while
@@ -46,8 +49,8 @@ import (
 	"repro/internal/solver"
 
 	// The remaining engines register themselves with the solver registry
-	// on import; the facade links them all in so repro.New can build any
-	// of them by name.
+	// on import; the facade links them all in so repro.NewWith can build
+	// any of them by name.
 	_ "repro/internal/analog"
 	_ "repro/internal/cdcl"
 	_ "repro/internal/dpll"
@@ -93,9 +96,8 @@ type (
 	Status = solver.Status
 	// Stats is the common effort block.
 	Stats = solver.Stats
-	// Option is a functional option for New.
-	Option = solver.Option
-	// Config is the explicit-options form used by NewWith.
+	// Config carries every knob an engine may consult; NewWith builds
+	// an engine under it.
 	Config = solver.Config
 	// Task names what a solve should produce: a decision, an exact model
 	// count, a weighted count (clause-cover K'), or an equivalence verdict.
@@ -117,23 +119,6 @@ const (
 	TaskEquivalent    = solver.TaskEquivalent
 )
 
-// Functional options for New, re-exported.
-var (
-	WithSeed       = solver.WithSeed
-	WithMaxSamples = solver.WithMaxSamples
-	WithTheta      = solver.WithTheta
-	WithWorkers    = solver.WithWorkers
-	WithFamily     = solver.WithFamily
-	WithAllocation = solver.WithAllocation
-	WithMaxFlips   = solver.WithMaxFlips
-	WithRestarts   = solver.WithRestarts
-	WithNoiseP     = solver.WithNoiseP
-	WithCandidates = solver.WithCandidates
-	WithModel      = solver.WithModel
-	WithMembers    = solver.WithMembers
-	WithTask       = solver.WithTask
-)
-
 // ParseTask maps a task name ("", "decide", "count", "weighted-count",
 // "equivalent") to its Task; "" means decide.
 func ParseTask(s string) (Task, error) { return solver.ParseTask(s) }
@@ -150,26 +135,24 @@ func ContextWithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	return solver.ContextWithProgress(ctx, fn)
 }
 
-// New builds a registered engine by name: "mc", "exact", "rtw", "sbl",
-// "analog", "hybrid", "dpll", "cdcl", "walksat", or "portfolio".
-// Meta-engine expressions compose around any of them: "pre(mc)" runs
-// the preprocess-and-decompose pipeline in front of the Monte-Carlo
-// engine (see internal/pipeline), and works anywhere an engine name
-// does — including as a portfolio member.
-func New(name string, opts ...Option) (Solver, error) { return solver.New(name, opts...) }
-
-// NewWith is New with an explicit Config.
+// NewWith builds a registered engine by name under cfg: "mc", "exact",
+// "rtw", "sbl", "analog", "hybrid", "dpll", "cdcl", "walksat", "count",
+// "wcount" or "portfolio". Meta-engine expressions compose around any of
+// them: "pre(mc)" runs the preprocess-and-decompose pipeline in front of
+// the Monte-Carlo engine (see internal/pipeline), and works anywhere an
+// engine name does — including as a portfolio member.
 func NewWith(name string, cfg Config) (Solver, error) { return solver.NewWith(name, cfg) }
 
-// Register installs a custom engine factory under a name.
-func Register(name string, f solver.Factory) { solver.Register(name, f) }
+// Register installs a custom engine factory under a name, with the
+// tasks it runs (decide when none are listed).
+func Register(name string, f solver.Factory, tasks ...Task) { solver.Register(name, f, tasks...) }
 
 // Engines returns the sorted names of all registered engines.
 func Engines() []string { return solver.Engines() }
 
 // Solve is a one-call convenience: build the named engine and solve f.
-func Solve(ctx context.Context, engine string, f *Formula, opts ...Option) (Result, error) {
-	s, err := New(engine, opts...)
+func Solve(ctx context.Context, engine string, f *Formula, cfg Config) (Result, error) {
+	s, err := NewWith(engine, cfg)
 	if err != nil {
 		return Result{}, err
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // solveWith builds engine through the registry and solves f.
-func solveWith(t *testing.T, engine string, f *Formula, opts ...Option) Result {
+func solveWith(t *testing.T, engine string, f *Formula, cfg Config) Result {
 	t.Helper()
-	s, err := New(engine, opts...)
+	s, err := NewWith(engine, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,11 +22,12 @@ func solveWith(t *testing.T, engine string, f *Formula, opts ...Option) Result {
 
 func TestFacadeQuickstartFlow(t *testing.T) {
 	f := FromClauses([]int{1, 2}, []int{-1, -2})
-	opts := []Option{WithFamily("unit"), WithSeed(1), WithMaxSamples(400_000)}
-	if r := solveWith(t, "mc", f, opts...); r.Status != StatusSat {
+	cfg := Config{Family: "unit", Seed: 1, MaxSamples: 400_000}
+	if r := solveWith(t, "mc", f, cfg); r.Status != StatusSat {
 		t.Fatalf("check: %v", r)
 	}
-	r := solveWith(t, "mc", f, append(opts, WithModel(true))...)
+	cfg.FindModel = true
+	r := solveWith(t, "mc", f, cfg)
 	if !r.Assignment.Satisfies(f) {
 		t.Errorf("assignment %s does not satisfy", r.Assignment)
 	}
@@ -49,8 +50,8 @@ func TestFacadeDIMACSRoundTrip(t *testing.T) {
 
 func TestFacadeSolversAgree(t *testing.T) {
 	for _, f := range []*Formula{PaperSAT(), PaperUNSAT(), PaperExample6(), PaperExample7()} {
-		dp := solveWith(t, "dpll", f).Status == StatusSat
-		cd := solveWith(t, "cdcl", f).Status == StatusSat
+		dp := solveWith(t, "dpll", f, Config{}).Status == StatusSat
+		cd := solveWith(t, "cdcl", f, Config{}).Status == StatusSat
 		ex := ExactCheck(f)
 		if dp != cd || cd != ex {
 			t.Errorf("%s: dpll=%v cdcl=%v exact=%v", f, dp, cd, ex)
@@ -83,7 +84,7 @@ func TestFacadeGenerators(t *testing.T) {
 }
 
 func TestFacadeWalkSAT(t *testing.T) {
-	r := solveWith(t, "walksat", PaperExample6(), WithSeed(3))
+	r := solveWith(t, "walksat", PaperExample6(), Config{Seed: 3})
 	if r.Status != StatusSat || !r.Assignment.Satisfies(PaperExample6()) {
 		t.Error("WalkSAT failed on Example 6")
 	}

@@ -38,7 +38,7 @@ func TestSATLIBTrailerFileSolvesEndToEnd(t *testing.T) {
 			t.Fatalf("uf8 clause %d empty: trailer leaked into clause data", i)
 		}
 	}
-	s, err := New("cdcl", WithModel(true))
+	s, err := NewWith("cdcl", Config{FindModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSATLIBTrailerFileSolvesEndToEnd(t *testing.T) {
 	// The paper's own S_SAT in SATLIB dialect, decided by the default
 	// NBL Monte-Carlo engine — the same path cmd/nblsat takes.
 	paper := readTestdata(t, "testdata/paper-sat-satlib.cnf")
-	mc, err := New("mc", WithSeed(1), WithMaxSamples(400_000))
+	mc, err := NewWith("mc", Config{Seed: 1, MaxSamples: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}

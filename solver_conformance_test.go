@@ -26,13 +26,13 @@ func conformanceInstances(t *testing.T) map[string]*Formula {
 	}
 }
 
-// conformanceOpts keeps the stochastic engines fast but reliable on the
+// conformanceConfig keeps the stochastic engines fast but reliable on the
 // tiny paper instances. The budget must clear the Section III-F SNR
 // requirement for an UNSAT claim on PaperUNSAT (n·m = 8 needs
 // 1 + 9·4^8 = 589,825 samples), or the sampling engines would be forced
 // into an honest UNKNOWN.
-func conformanceOpts() []Option {
-	return []Option{WithSeed(1), WithMaxSamples(1_000_000)}
+func conformanceConfig() Config {
+	return Config{Seed: 1, MaxSamples: 1_000_000}
 }
 
 func TestEngineConformanceWithExactCheck(t *testing.T) {
@@ -42,7 +42,7 @@ func TestEngineConformanceWithExactCheck(t *testing.T) {
 	}
 	for _, name := range engines {
 		t.Run(name, func(t *testing.T) {
-			s, err := New(name, conformanceOpts()...)
+			s, err := NewWith(name, conformanceConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestEngineCancellationOnExpiredDeadline(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// A huge budget makes any engine that ignores the deadline
 			// hang well past the promptness window.
-			s, err := New(name, WithSeed(1), WithMaxSamples(1<<40))
+			s, err := NewWith(name, Config{Seed: 1, MaxSamples: 1 << 40})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,8 +156,8 @@ func TestEngineMidRunCancellation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s, err := New(c.name, WithSeed(1), WithMaxSamples(1<<40),
-				WithRestarts(1<<30), WithMaxFlips(1<<30), WithMembers("mc"))
+			s, err := NewWith(c.name, Config{Seed: 1, MaxSamples: 1 << 40,
+				Restarts: 1 << 30, MaxFlips: 1 << 30, Members: []string{"mc"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,12 +188,12 @@ func TestEmptyClauseIsStructurallyUnsat(t *testing.T) {
 	// reported UNSAT).
 	f := FromClauses([]int{1, 2}, []int{})
 	for _, name := range []string{"mc", "exact", "dpll", "cdcl"} {
-		r, err := Solve(context.Background(), name, f)
+		r, err := Solve(context.Background(), name, f, Config{})
 		if err != nil || r.Status != StatusUnsat {
 			t.Errorf("%s: got (%v, %v), want UNSAT", name, r.Status, err)
 		}
 	}
-	r, err := Solve(context.Background(), "mc", f, WithModel(true))
+	r, err := Solve(context.Background(), "mc", f, Config{FindModel: true})
 	if err != nil || r.Status != StatusUnsat {
 		t.Errorf("mc with model: got (%v, %v), want UNSAT", r.Status, err)
 	}
@@ -210,12 +210,12 @@ func TestZeroVariableEmptyClauseIsNeverSat(t *testing.T) {
 			t.Fatalf("%q: %v", body, err)
 		}
 		for _, name := range Engines() {
-			r, err := Solve(context.Background(), name, f, conformanceOpts()...)
+			r, err := Solve(context.Background(), name, f, conformanceConfig())
 			if err == nil && r.Status == StatusSat {
 				t.Errorf("%s on %q: SAT (%v)", name, body, r)
 			}
 		}
-		if r, err := Solve(context.Background(), "portfolio", f, conformanceOpts()...); err != nil || r.Status != StatusUnsat {
+		if r, err := Solve(context.Background(), "portfolio", f, conformanceConfig()); err != nil || r.Status != StatusUnsat {
 			t.Errorf("portfolio on %q: (%v, %v), want UNSAT", body, r.Status, err)
 		}
 	}
@@ -230,7 +230,7 @@ func TestOutOfRangeLiteralIsAnError(t *testing.T) {
 	f := &Formula{NumVars: 2, Clauses: []Clause{{cnf.Pos(1), cnf.Neg(5)}}}
 	names := append(Engines(), "pre(cdcl)", "pre(count)", "pre(wcount)", "pre(portfolio)")
 	for _, name := range names {
-		r, err := Solve(context.Background(), name, f, conformanceOpts()...)
+		r, err := Solve(context.Background(), name, f, conformanceConfig())
 		if err == nil || r.Status != StatusUnknown {
 			t.Errorf("%s: (%v, %v), want an error and no verdict", name, r.Status, err)
 		}
@@ -238,14 +238,14 @@ func TestOutOfRangeLiteralIsAnError(t *testing.T) {
 }
 
 func TestSolveConvenience(t *testing.T) {
-	r, err := Solve(context.Background(), "cdcl", PaperExample6())
+	r, err := Solve(context.Background(), "cdcl", PaperExample6(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Status != StatusSat || !r.Assignment.Satisfies(PaperExample6()) {
 		t.Fatalf("Solve convenience: %v", r)
 	}
-	if _, err := Solve(context.Background(), "nope", PaperExample6()); err == nil {
+	if _, err := Solve(context.Background(), "nope", PaperExample6(), Config{}); err == nil {
 		t.Fatal("expected unknown-engine error")
 	}
 }

@@ -28,8 +28,7 @@ func TestWorkerCountNeverChangesResults(t *testing.T) {
 			for label, f := range instances {
 				var ref Result
 				for i, workers := range []int{1, 3, 8} {
-					s, err := New(engine,
-						WithSeed(1), WithMaxSamples(1_000_000), WithWorkers(workers))
+					s, err := NewWith(engine, Config{Seed: 1, MaxSamples: 1_000_000, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -79,7 +78,7 @@ func TestRTWIsMCOverTelegraphWaves(t *testing.T) {
 // the default uniform family names the fill and evaluator kernels this
 // build runs.
 func TestAccelEchoedInStats(t *testing.T) {
-	s, err := New("mc", WithSeed(1), WithMaxSamples(1_000_000))
+	s, err := NewWith("mc", Config{Seed: 1, MaxSamples: 1_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
