@@ -22,7 +22,7 @@
 // -members). Meta-engine expressions compose around any of them:
 // "pre(mc)" runs the preprocess-and-decompose pipeline in front of the
 // Monte-Carlo engine; -preprocess is shorthand for wrapping -engine in
-// pre(...).
+// pre(...), unless it already is a pipeline.
 //
 // Exit codes follow the SAT competition convention: 10 when the verdict
 // is SATISFIABLE, 20 when UNSATISFIABLE, 0 when UNKNOWN, and 2 on usage
@@ -98,18 +98,7 @@ func main() {
 	fmt.Fprintf(info, "instance: %d variables, %d clauses, %d literals\n",
 		f.NumVars, f.NumClauses(), f.NumLiterals())
 
-	engineName := *engine
-	if engineName == "" {
-		engineName = task.DefaultEngine("mc")
-	}
-	if *prep {
-		// The pipeline meta-engine subsumes the old inline preprocessing:
-		// it simplifies, short-circuits on preprocessing-proved verdicts,
-		// decomposes into variable-disjoint components, fans them out
-		// across the wrapped engine, and lifts component models back to
-		// the input variable space.
-		engineName = "pre(" + engineName + ")"
-	}
+	engineName := engineExpr(*engine, task, *prep)
 
 	cfg := repro.Config{
 		Seed: *seed, MaxSamples: *samples, Workers: *workers, Theta: *theta,
@@ -171,6 +160,24 @@ func main() {
 // solMode is set from the -sol flag; report honors it by emitting
 // SAT-competition s/v lines instead of prose.
 var solMode bool
+
+// engineExpr picks the engine expression to build: engine, or the
+// task's default (mc for decide, nblserve's pick for the counting
+// tasks), wrapped in pre(...) when preprocess is set and it is not
+// already a pipeline. The pipeline meta-engine simplifies,
+// short-circuits on preprocessing-proved verdicts, decomposes into
+// variable-disjoint components, fans them out across the wrapped
+// engine, and lifts component models back to the input variable
+// space; a second one around it would only simplify twice.
+func engineExpr(engine string, task repro.Task, preprocess bool) string {
+	if engine == "" {
+		engine = task.DefaultEngine("mc")
+	}
+	if preprocess && !strings.HasPrefix(engine, "pre(") {
+		engine = "pre(" + engine + ")"
+	}
+	return engine
+}
 
 // report prints the verdict and exits with the SAT-competition code.
 // Counting tasks print the count; equivalence prints the lifted verdict

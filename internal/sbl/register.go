@@ -41,20 +41,28 @@ func parseAllocation(name string) (Allocation, error) {
 	}
 }
 
-// check runs one SBL observation window. The DC read-out is
-// deterministic (no stderr), so the span's trajectory is one point
+// check runs one SBL observation window over the carriers' full
+// common period. The DC read-out is exact only over a full period; a
+// truncated window carries spectral leakage that can flip the decision,
+// so when the period exceeds MaxSamples the check answers UNKNOWN
+// without sampling, as no truncated window could be read as a verdict
+// (Engine.CheckCtx still observes one for the experiments). The read-out
+// is deterministic (no stderr), so the span's trajectory is one point
 // whose Dist is the absolute margin of the windowed mean over the
 // engine's threshold.
 func check(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span) (solver.Result, error) {
-	r, err := eng.CheckCtx(ctx)
 	out := solver.Result{
 		Stats: solver.Stats{
-			Samples: r.Samples, Mean: r.Mean,
 			// The observation loop runs the block evaluator's kernels;
 			// the carrier fill is the scalar cosine table walk.
 			FillAccel: "none", EvalAccel: hyperspace.EvalAccelName(),
 		},
 	}
+	if eng.Period() > eng.opts.MaxSamples {
+		return out, nil
+	}
+	r, err := eng.CheckCtx(ctx)
+	out.Stats.Samples, out.Stats.Mean = r.Samples, r.Mean
 	if sp != nil && r.Samples > 0 {
 		sp.Point(obs.TrajPoint{
 			Round: 1, Samples: r.Samples,
@@ -63,13 +71,6 @@ func check(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span) (solv
 	}
 	if err != nil {
 		return out, err
-	}
-	// The DC read-out is exact only over the carriers' full common
-	// period; a truncated window carries spectral leakage that can
-	// flip the decision, so it is reported as UNKNOWN rather than
-	// a verdict (matching how the integration suite treats SBL).
-	if !r.FullPeriod {
-		return out, nil
 	}
 	if r.Satisfiable {
 		out.Status = solver.StatusSat

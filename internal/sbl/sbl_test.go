@@ -1,11 +1,13 @@
 package sbl
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/cnf"
 	"repro/internal/gen"
+	"repro/internal/solver"
 )
 
 func TestGeometricExactOnExample7(t *testing.T) {
@@ -59,6 +61,27 @@ func TestGeometricWindowedStillDecidesTinyInstance(t *testing.T) {
 	}
 	if !r.Satisfiable {
 		t.Errorf("windowed decision failed: %+v", r)
+	}
+}
+
+// TestRegistrySkipsTruncatedWindow: through the registry, a carrier
+// period the sample budget cannot cover is UNKNOWN before any sample is
+// drawn, since a truncated window is never read as a verdict; a period
+// that fits is still observed whole and decided.
+func TestRegistrySkipsTruncatedWindow(t *testing.T) {
+	s, err := solver.NewWith("sbl", solver.Config{MaxSamples: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x1 := cnf.New(8) // (x1) over 8 variables: period 2·4^16
+	x1.Add(1)
+	r, err := s.Solve(context.Background(), x1)
+	if err != nil || r.Status != solver.StatusUnknown || r.Stats.Samples != 0 {
+		t.Errorf("(x1) over 8 variables: %v, %+v; want UNKNOWN with no samples", err, r)
+	}
+	r, err = s.Solve(context.Background(), gen.PaperExample7())
+	if err != nil || r.Status != solver.StatusUnsat || r.Stats.Samples != 512 {
+		t.Errorf("Example 7: %v, %+v; want UNSAT over its 512-sample period", err, r)
 	}
 }
 

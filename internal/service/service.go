@@ -34,9 +34,12 @@
 // cache, and either completes the job instantly (hit) or enqueues it.
 // A fixed pool of workers drains the queue; each job's solve runs under
 // its own context (per-job deadline, DELETE-driven cancel) derived from
-// the server's base context. Shutdown stops intake, lets the pool drain
-// queued and running jobs within a grace period, then cancels the base
-// context so stragglers return promptly with partial stats.
+// the server's base context. A terminal job keeps only its answer: its
+// formula, solve context and span tree are dropped once the trace is
+// in the ring, so the job table's memory follows the answers it serves.
+// Shutdown stops intake, lets the pool drain queued and running jobs
+// within a grace period, then cancels the base context so stragglers
+// return promptly with partial stats.
 package service
 
 import (
@@ -171,8 +174,9 @@ type Job struct {
 	canon *cnf.Canonical // computed at submit, reused by finish's cache put
 	cfg   solver.Config
 
-	// trace/root/queueSpan are written once at submit and only read
-	// afterwards; span mutation locks the trace itself.
+	// trace/root/queueSpan are written once at submit, read by the one
+	// goroutine that drives the job, and dropped by release once the
+	// trace is in the ring; span mutation locks the trace itself.
 	trace     *obs.Trace
 	root      *obs.Span
 	queueSpan *obs.Span
@@ -291,17 +295,14 @@ func (s *Server) Submit(f *cnf.Formula, req api.Request) (*Job, error) {
 	if res, ok := s.cache.get(job.root, task, engine, req.Solver.Key(), job.canon); ok {
 		// Replay: the stored Result verbatim (stats, wall, engine), the
 		// model translated through this submission's renaming. The job
-		// is fully terminal *before* register publishes it — once it is
+		// is terminal *before* register publishes it — once it is
 		// visible to GET/DELETE, a concurrent Cancel must only ever see
-		// a terminal state (it would otherwise race this finalization
-		// and double-close done).
+		// a terminal state (it would otherwise race this finalization).
 		job.state = StateDone
 		job.started = now
 		job.finished = now
 		job.result = res
 		job.cacheHit = true
-		job.release()
-		close(job.done)
 		s.mu.Lock()
 		if !s.accepting {
 			s.mu.Unlock()
@@ -309,8 +310,7 @@ func (s *Server) Submit(f *cnf.Formula, req api.Request) (*Job, error) {
 		}
 		s.register(job)
 		s.mu.Unlock()
-		s.completeTrace(job, string(StateDone), res.Status.String())
-		s.met.jobFinished(string(StateDone), engine, task, 0, 0)
+		s.retire(job, StateDone, res.Status.String(), 0, 0)
 		return job, nil
 	}
 
@@ -372,10 +372,7 @@ func (s *Server) reapQueued(j *Job) {
 	j.finished = time.Now()
 	j.mu.Unlock()
 	j.queueSpan.Finish()
-	j.release()
-	s.completeTrace(j, string(StateCancelled), "")
-	s.met.jobFinished(string(StateCancelled), j.Engine, j.Task, 0, 0)
-	close(j.done)
+	s.retire(j, StateCancelled, "", 0, 0)
 }
 
 // register assigns an ID and stores the job; caller holds s.mu.
@@ -543,16 +540,24 @@ func (s *Server) finish(job *Job, res solver.Result, err error) {
 	s.running--
 	s.mu.Unlock()
 
-	// All bookkeeping lands before done closes: the instant done is
+	// The cache entry lands before done closes: the instant done is
 	// observable (sync responses, long-polls), a client may resubmit
-	// the same formula or scrape /metrics, and both must already see
-	// this job's cache entry and counters.
+	// the same formula, and it must already hit.
 	if state == StateDone && job.canon != nil {
 		s.cache.put(job.Task, job.Engine, job.cfg.Key(), job.canon, res)
 	}
+	s.retire(job, state, res.Status.String(), res.Stats.Samples, res.Wall)
+}
+
+// retire is the last step of every path to a terminal state: it
+// completes the trace, releases what the job no longer needs, counts it
+// and closes done, in that order — release must follow completeTrace,
+// which reads the span tree, and every counter must land before done is
+// observable (a client may scrape /metrics the instant it is).
+func (s *Server) retire(job *Job, state State, status string, samples int64, wall time.Duration) {
+	s.completeTrace(job, string(state), status)
 	job.release()
-	s.completeTrace(job, string(state), res.Status.String())
-	s.met.jobFinished(string(state), job.Engine, job.Task, res.Stats.Samples, res.Wall)
+	s.met.jobFinished(string(state), job.Engine, job.Task, samples, wall)
 	close(job.done)
 }
 
@@ -598,13 +603,20 @@ func (s *Server) RecentTraces(n int) []*obs.TraceJSON {
 	return out
 }
 
-// release drops the references a terminal job no longer needs. The
-// retention table is bounded in jobs, not bytes; without this a stream
-// of large submissions would pin up to maxJobs parsed formulas.
+// release drops everything a terminal job holds of its solve, keeping
+// only its answer: state, times, result and error. The retention table
+// is bounded in jobs, not bytes; without this it would pin up to
+// maxJobs parsed formulas, canonical forms and span trees. It runs once
+// completeTrace has handed the trace to the ring, which from then on is
+// the span tree's only holder, so GET /jobs/{id}/trace and
+// /debug/traces keep serving the newest traceRing jobs. The solve
+// context and its cancel func go too: Cancel leaves a terminal job
+// untouched.
 func (j *Job) release() {
 	j.mu.Lock()
-	j.f = nil
-	j.canon = nil
+	j.f, j.canon = nil, nil
+	j.trace, j.root, j.queueSpan = nil, nil, nil
+	j.ctx, j.cancel = nil, nil
 	j.mu.Unlock()
 }
 

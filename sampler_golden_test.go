@@ -34,8 +34,12 @@ var samplerGoldenRuns = []struct {
 		"0d615aadff5d6caf7277aa4abeab62ece2144ac6c4bce92d2c4dcd8876798068"},
 	{"rtw paper", "rtw", Config{Seed: 5, MaxSamples: 1_000_000}, paperPairGolden,
 		"d3a6de6dc05a5eb36cb4e410b877fc7bf26cd54322e84c735baf0f5b9ed99135"},
-	{"sbl paper", "sbl", Config{Seed: 5, MaxSamples: 1_000_000}, paperPairGolden,
-		"5957ae08e116d4ed9f2f734a39097dd4e0080db4dc7c27ad4e8251e2ebe01909"},
+	// sbl reads a verdict only off a full carrier period and answers
+	// UNKNOWN without sampling when the period exceeds the budget, as it
+	// does on the paper pair (2·4^16 samples); Examples 6 and 7 (2·4^8
+	// and 2·4^4) fit, so their sum pins sbl's kernel.
+	{"sbl full period", "sbl", Config{Seed: 5, MaxSamples: 1_000_000}, fullPeriodGolden,
+		"029985b0c1b9507fe7376e339063133bfdf11634a6f439b8e7d437bcb7d6460c"},
 }
 
 // uf20Golden returns three uniform random 3-SAT formulas at the uf20-91
@@ -59,6 +63,10 @@ func paperGolden() []*Formula {
 }
 
 func paperPairGolden() []*Formula { return []*Formula{gen.PaperSAT(), gen.PaperUNSAT()} }
+
+// fullPeriodGolden returns the paper's instances whose sbl carrier
+// period fits a 1,000,000-sample budget.
+func fullPeriodGolden() []*Formula { return []*Formula{gen.PaperExample6(), gen.PaperExample7()} }
 
 // TestSamplerGolden pins what the sampled engines answer, bit for bit,
 // across the S_N kernels beneath them: mc at two worker counts on
