@@ -54,15 +54,16 @@ type Canonical struct {
 // canonical formula, only which original name maps where.
 //
 // Every array Canonicalize builds is sized by the literals f holds or
-// by the variables that can occur in them (see newVarIDs), never by its
-// declared variable count alone.
+// by a bound on the variables they name (see Formula.sizes), never by
+// its declared variable count.
 func Canonicalize(f *Formula) *Canonical {
 	// Number the occurring variables 0, 1, ... in first-occurrence order
 	// and keep each clause as its sorted set of dense literals (2i for
 	// variable i, 2i+1 for its negation), unless an earlier clause has
 	// the same set. Kept clause j is lits[bounds[j]:bounds[j+1]].
-	n := f.NumLiterals()
-	ids := newVarIDs(n, f.NumVars, true) // seen: 1 + the last clause index holding a dense literal
+	n, v := f.sizes()
+	ids := newVarIDs(v)
+	seen := make([]int32, 2*v) // 1 + the last clause index holding a dense literal
 	lits := make([]int32, 0, n)
 	bounds := make([]int32, 1, len(f.Clauses)+1)
 	b := bits.Len(uint(2 * len(f.Clauses)))
@@ -70,8 +71,8 @@ func Canonicalize(f *Formula) *Canonical {
 	for i, cl := range f.Clauses {
 		a, stamp := len(lits), int32(i+1)
 		for _, l := range cl {
-			if d := ids.id(l.Var())<<1 | int32(l&1); ids.seen[d] != stamp {
-				ids.seen[d] = stamp
+			if d := ids.id(l.Var())<<1 | int32(l&1); seen[d] != stamp {
+				seen[d] = stamp
 				lits = append(lits, d)
 			}
 		}

@@ -188,6 +188,26 @@ func (f *Formula) NumLiterals() int {
 	return n
 }
 
+// sizes returns f's literal occurrences n and a bound v ≤ n on the
+// distinct variables they name: the largest name, or n when some name is
+// below 1. A renaming table sized by v never fills, and neither a
+// declared variable count nor many occurrences of few variables
+// inflates it.
+func (f *Formula) sizes() (n, v int) {
+	top := Var(0)
+	for _, c := range f.Clauses {
+		n += len(c)
+		for _, l := range c {
+			if w := l.Var(); w > top {
+				top = w
+			} else if w < 1 {
+				top = MaxVar // no bound but n
+			}
+		}
+	}
+	return n, min(n, int(top))
+}
+
 // Clone returns a deep copy of the formula.
 func (f *Formula) Clone() *Formula {
 	g := &Formula{NumVars: f.NumVars, Clauses: make([]Clause, len(f.Clauses))}
@@ -218,8 +238,9 @@ func (f *Formula) Validate() error {
 // empty clause is present, which makes the formula trivially
 // unsatisfiable.
 func (f *Formula) Simplify() (*Formula, bool) {
-	n := f.NumLiterals()
-	ids := newVarIDs(n, f.NumVars, true) // seen: 1 + the last clause index holding a dense literal
+	n, v := f.sizes()
+	ids := newVarIDs(v)
+	seen := make([]int32, 2*v) // 1 + the last clause index holding a dense literal
 	arena := make(Clause, 0, n)
 	g := &Formula{NumVars: f.NumVars, Clauses: make([]Clause, 0, len(f.Clauses))}
 	hasEmpty := false
@@ -228,12 +249,12 @@ clauses:
 		a, stamp := len(arena), int32(i+1)
 		for _, l := range c {
 			d := ids.id(l.Var())<<1 | int32(l&1)
-			if ids.seen[d^1] == stamp { // tautology
+			if seen[d^1] == stamp { // tautology
 				arena = arena[:a]
 				continue clauses
 			}
-			if ids.seen[d] != stamp {
-				ids.seen[d] = stamp
+			if seen[d] != stamp {
+				seen[d] = stamp
 				arena = append(arena, l)
 			}
 		}
@@ -259,12 +280,11 @@ func (f *Formula) String() string {
 // order they first occur. It returns every literal occurrence of f,
 // clause by clause and duplicates kept, as 2i for variable i and 2i+1
 // for its negation, and vars, where vars[i] is variable i's name in f.
-// lits is sized by the literals f holds; vars and the renaming table by
-// the variables that can occur (see newVarIDs), never by a declared
-// variable count alone.
+// lits is sized by the literals f holds and vars by a bound on the
+// variables they name (see sizes), never by its declared variable count.
 func (f *Formula) DenseLits() (lits []int32, vars []Var) {
-	n := f.NumLiterals()
-	ids := newVarIDs(n, f.NumVars, false)
+	n, v := f.sizes()
+	ids := newVarIDs(v)
 	lits = make([]int32, 0, n)
 	for _, c := range f.Clauses {
 		for _, l := range c {
@@ -275,17 +295,12 @@ func (f *Formula) DenseLits() (lits []int32, vars []Var) {
 }
 
 // varIDs numbers variables 0, 1, 2, ... in the order they are first
-// looked up, in an open-addressing table sized by the variables that can
-// occur rather than by the largest variable name.
+// looked up, in an open-addressing table sized by a bound on the
+// variables it serves (see Formula.sizes).
 type varIDs struct {
 	slots []varSlot
 	shift uint
 	orig  []Var // orig[i] is the variable numbered i
-	// seen, when asked for, holds one stamp per dense literal (2i for
-	// variable i, 2i+1 for its negation) and grows with the table.
-	seen []int32
-	max  int // the variables the table holds before it must grow
-	lits int // the literal occurrences it serves, a bound on any formula's variables
 }
 
 type varSlot struct {
@@ -293,65 +308,22 @@ type varSlot struct {
 	id int32 // 1 + the variable's number; 0 marks a free slot
 }
 
-// newVarIDs returns a table for a formula with lits literal occurrences
-// over numVars declared variables, with a zeroed seen array when stamps
-// is set. It is sized by min(lits, numVars), or by lits alone when
-// numVars ≤ 0 leaves the count unknown: neither many occurrences of few
-// variables nor a huge header alone inflates it. A library-built formula
-// whose literals name more variables than numVars grows it to lits.
-func newVarIDs(lits, numVars int, stamps bool) *varIDs {
-	n := lits
-	if numVars > 0 && numVars < n {
-		n = numVars
-	}
-	t := &varIDs{orig: make([]Var, 0, n), lits: lits}
-	t.size(n)
-	if stamps {
-		t.seen = make([]int32, 2*n)
-	}
-	return t
-}
-
-// size empties the slots and makes room for n variables, keeping the
-// slots at most half full so probing always ends.
-func (t *varIDs) size(n int) {
+// newVarIDs returns a table for up to n variables.
+func newVarIDs(n int) *varIDs {
 	b := bits.Len(uint(2 * n))
-	t.slots, t.shift, t.max = make([]varSlot, 1<<b), 64-uint(b), n
+	return &varIDs{slots: make([]varSlot, 1<<b), shift: 64 - uint(b), orig: make([]Var, 0, n)}
 }
 
 // id returns v's number, numbering v next if it is new.
 func (t *varIDs) id(v Var) int32 {
-	slot := t.find(v)
-	if slot.id == 0 {
-		if len(t.orig) == t.max {
-			t.grow()
-			slot = t.find(v)
-		}
-		t.orig = append(t.orig, v)
-		*slot = varSlot{v, int32(len(t.orig))}
-	}
-	return slot.id - 1
-}
-
-// find returns v's slot, or the free slot v belongs in.
-func (t *varIDs) find(v Var) *varSlot {
 	for s := uint64(uint32(v)) * 0x9e3779b97f4a7c15 >> t.shift; ; s = (s + 1) & uint64(len(t.slots)-1) {
-		if slot := &t.slots[s]; slot.id == 0 || slot.v == v {
-			return slot
+		slot := &t.slots[s]
+		if slot.id == 0 {
+			t.orig = append(t.orig, v)
+			*slot = varSlot{v, int32(len(t.orig))}
 		}
-	}
-}
-
-// grow re-sizes the table for as many variables as it serves literal
-// occurrences, keeping every number and stamp. Only a formula whose
-// literals name more variables than it declares gets here, and no
-// formula can then fill the table.
-func (t *varIDs) grow() {
-	t.size(t.lits)
-	for i, v := range t.orig {
-		*t.find(v) = varSlot{v, int32(i + 1)}
-	}
-	if t.seen != nil {
-		t.seen = append(t.seen, make([]int32, 2*t.lits-len(t.seen))...)
+		if slot.v == v {
+			return slot.id - 1
+		}
 	}
 }

@@ -10,10 +10,8 @@ import (
 	"repro/internal/rng"
 )
 
-// underDeclared returns clauses over 50 variables named up to 100 whose
-// first clauses make a table sized for one variable grow mid-clause:
-// the duplicate x5 and the tautology x5 + !x5 are only found if the
-// stamps set before the growth survive it.
+// underDeclared returns clauses over 50 variables named up to 100,
+// led by a duplicate x5 and a tautology x5 + !x5.
 func underDeclared() []cnf.Clause {
 	f := cnf.FromClauses([]int{5, 9, 5}, []int{9, -5, 12, 5}, []int{-12, 3, 3, 100})
 	for i := range 60 {
@@ -26,49 +24,54 @@ func underDeclared() []cnf.Clause {
 // Canonicalize to first-occurrence numbering on formulas whose literals
 // name more variables than NumVars declares, or whose NumVars is 0
 // (unknown): each finishes with the output a correct declaration gives.
+// A name below 1, which no declaration bounds, is covered too.
 func TestRenamingOutgrowsNumVars(t *testing.T) {
-	clauses := underDeclared()
-	// The reference: numbering and clean-up straight from the
-	// definitions, by map.
-	ids := map[cnf.Var]int32{}
-	var wantVars []cnf.Var
-	var wantLits []int32
-	var wantClauses []cnf.Clause
-	for _, c := range clauses {
-		var kept cnf.Clause
-		taut := false
-		for _, l := range c {
-			if _, ok := ids[l.Var()]; !ok {
-				ids[l.Var()] = int32(len(wantVars))
-				wantVars = append(wantVars, l.Var())
+	for _, clauses := range [][]cnf.Clause{
+		underDeclared(),
+		append(underDeclared(), cnf.Clause{cnf.NewLit(0, true), cnf.NewLit(7, false)}),
+	} {
+		// The reference: numbering and clean-up straight from the
+		// definitions, by map.
+		ids := map[cnf.Var]int32{}
+		var wantVars []cnf.Var
+		var wantLits []int32
+		var wantClauses []cnf.Clause
+		for _, c := range clauses {
+			var kept cnf.Clause
+			taut := false
+			for _, l := range c {
+				if _, ok := ids[l.Var()]; !ok {
+					ids[l.Var()] = int32(len(wantVars))
+					wantVars = append(wantVars, l.Var())
+				}
+				wantLits = append(wantLits, ids[l.Var()]<<1|int32(l&1))
+				taut = taut || c.Contains(l.Negate())
+				if !kept.Contains(l) {
+					kept = append(kept, l)
+				}
 			}
-			wantLits = append(wantLits, ids[l.Var()]<<1|int32(l&1))
-			taut = taut || c.Contains(l.Negate())
-			if !kept.Contains(l) {
-				kept = append(kept, l)
+			if !taut {
+				wantClauses = append(wantClauses, kept)
 			}
 		}
-		if !taut {
-			wantClauses = append(wantClauses, kept)
-		}
-	}
-	declared := cnf.Canonicalize(&cnf.Formula{NumVars: 100, Clauses: clauses})
+		declared := cnf.Canonicalize(&cnf.Formula{NumVars: 100, Clauses: clauses})
 
-	for _, numVars := range []int{0, 1, 2, 49, 100, 1 << 20} {
-		f := &cnf.Formula{NumVars: numVars, Clauses: clauses}
-		lits, vars := f.DenseLits()
-		if !slices.Equal(lits, wantLits) || !slices.Equal(vars, wantVars) {
-			t.Errorf("NumVars %d: DenseLits numbers %v as %v, want %v as %v", numVars, vars, lits, wantVars, wantLits)
-		}
-		g, hasEmpty := f.Simplify()
-		if hasEmpty || !slices.EqualFunc(g.Clauses, wantClauses, slices.Equal) {
-			t.Errorf("NumVars %d: Simplify gives %v (empty clause %v), want %v", numVars, g.Clauses, hasEmpty, wantClauses)
-		}
-		c := cnf.Canonicalize(f)
-		if c.Fingerprint() != declared.Fingerprint() || !slices.Equal(c.ToOrig(), declared.ToOrig()) ||
-			c.F.String() != declared.F.String() {
-			t.Errorf("NumVars %d: Canonicalize gives %s over %v, want %s over %v",
-				numVars, c.F, c.ToOrig(), declared.F, declared.ToOrig())
+		for _, numVars := range []int{0, 1, 2, 49, 100, 1 << 20} {
+			f := &cnf.Formula{NumVars: numVars, Clauses: clauses}
+			lits, vars := f.DenseLits()
+			if !slices.Equal(lits, wantLits) || !slices.Equal(vars, wantVars) {
+				t.Errorf("NumVars %d: DenseLits numbers %v as %v, want %v as %v", numVars, vars, lits, wantVars, wantLits)
+			}
+			g, hasEmpty := f.Simplify()
+			if hasEmpty || !slices.EqualFunc(g.Clauses, wantClauses, slices.Equal) {
+				t.Errorf("NumVars %d: Simplify gives %v (empty clause %v), want %v", numVars, g.Clauses, hasEmpty, wantClauses)
+			}
+			c := cnf.Canonicalize(f)
+			if c.Fingerprint() != declared.Fingerprint() || !slices.Equal(c.ToOrig(), declared.ToOrig()) ||
+				c.F.String() != declared.F.String() {
+				t.Errorf("NumVars %d: Canonicalize gives %s over %v, want %s over %v",
+					numVars, c.F, c.ToOrig(), declared.F, declared.ToOrig())
+			}
 		}
 	}
 }

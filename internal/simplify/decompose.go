@@ -101,7 +101,7 @@ func Decompose(f *cnf.Formula) []*Component {
 	out := make([]*Component, 0, groups)
 	for start, r := int32(0), 0; r < len(next)-1; r++ {
 		if end := next[r]; end > start {
-			g, vars := compact(grouped[start:end], f.NumVars)
+			g, vars := compact(grouped[start:end])
 			out = append(out, &Component{F: g, VarMap: vars})
 			start = end
 		}

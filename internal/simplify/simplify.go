@@ -101,7 +101,7 @@ func Simplify(f *cnf.Formula, opts Options) *Result {
 		// ascending order: their per-literal scratch then follows the
 		// clauses, not the declared variable count, and the renaming
 		// keeps every order the passes depend on.
-		g, vars := compact(work.Clauses, work.NumVars)
+		g, vars := compact(work.Clauses)
 		d := &Result{Forced: cnf.NewAssignment(g.NumVars)}
 		res.lift(d, vars, reduce(g, opts, d))
 	}
@@ -218,7 +218,7 @@ func (r *Result) lift(d *Result, vars []cnf.Var, clauses []cnf.Clause) {
 	if r.ProvedUnsat {
 		return
 	}
-	r.F, r.VarMap = compact(clauses, len(vars))
+	r.F, r.VarMap = compact(clauses)
 	for i, v := range r.VarMap {
 		r.VarMap[i] = vars[v-1]
 	}
@@ -229,13 +229,11 @@ func (r *Result) lift(d *Result, vars []cnf.Var, clauses []cnf.Clause) {
 // compact renumbers the variables occurring in clauses to 1..n in
 // ascending order of their original identity, returning the compacted
 // formula and the map from compacted variable v to the original
-// variable varMap[v-1]. Shared by Simplify and Decompose. numVars is
-// the caller's bound on the variables clauses name, which sizes
-// DenseLits' renaming table. The renaming comes from DenseLits and one
-// sort of the occurring names, and the compacted clauses share one
-// literal arena.
-func compact(clauses []cnf.Clause, numVars int) (*cnf.Formula, []cnf.Var) {
-	lits, names := (&cnf.Formula{NumVars: numVars, Clauses: clauses}).DenseLits()
+// variable varMap[v-1]. Shared by Simplify and Decompose. The renaming
+// comes from DenseLits and one sort of the occurring names, and the
+// compacted clauses share one literal arena.
+func compact(clauses []cnf.Clause) (*cnf.Formula, []cnf.Var) {
+	lits, names := (&cnf.Formula{Clauses: clauses}).DenseLits()
 	byName := make([]int32, len(names)) // dense numbers in ascending name order
 	for i := range byName {
 		byName[i] = int32(i)
