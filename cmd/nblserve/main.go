@@ -13,8 +13,8 @@
 //	-queue    backlog bound before submissions get 503 (default 256)
 //	-cache    verdict-cache entries (default 4096; negative disables)
 //	-store    path to a durable verdict store file (empty disables);
-//	          definitive verdicts persist across restarts and the file
-//	          can be snapshot-shipped to seed another replica
+//	          definitive verdicts persist across restarts, and a byte
+//	          copy of the file seeds another replica
 //	-node-id  fleet node name, surfaced as the X-NBL-Node response
 //	          header and a node label on /metrics
 //	          (default hostname:port after the listen address resolves)

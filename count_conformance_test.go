@@ -141,7 +141,7 @@ func TestGoldenCountRenamingInvariance(t *testing.T) {
 	}
 	// And the counting key never collides with the decide key for the
 	// same bytes.
-	if decideKey := verdictstore.Key("pre(count)", Config{}.Key(), fpOrig); decideKey == keyOrig {
+	if decideKey := verdictstore.TaskKey("", "pre(count)", Config{}.Key(), fpOrig); decideKey == keyOrig {
 		t.Error("count key collides with the decide key")
 	}
 }

@@ -31,8 +31,10 @@ type Canonical struct {
 	// duplicates removed.
 	F *Formula
 	// toOrig maps a canonical variable to its original name (index 0 is
-	// unused); numVars is the original's declared count, the length of
-	// the models FromCanonical returns.
+	// unused); numVars, the length of the models FromCanonical returns,
+	// is the larger of the original's declared count and the largest
+	// name in toOrig (a formula built without Validate may name
+	// variables past its declared count).
 	toOrig  []Var
 	numVars int
 	// fp is the digest, computed once at Canonicalize (callers like the
@@ -129,6 +131,7 @@ func Canonicalize(f *Formula) *Canonical {
 	for k, i := range order {
 		rank[i] = int32(k + 1)
 		c.toOrig[k+1] = ids.orig[i]
+		c.numVars = max(c.numVars, int(ids.orig[i]))
 	}
 
 	// Rewrite the kept clauses under the canonical names into one arena,
@@ -185,14 +188,17 @@ func (c *Canonical) ToCanonical(a Assignment) Assignment {
 // FromCanonical translates an assignment over the canonical variables
 // back to the original variable space. Original variables with no
 // occurrences stay Unassigned: no clause mentions them, so any
-// completion satisfies the same clauses.
+// completion satisfies the same clauses. So does a name below 1, which
+// no Assignment can hold.
 func (c *Canonical) FromCanonical(a Assignment) Assignment {
 	if a == nil {
 		return nil
 	}
 	out := NewAssignment(c.numVars)
 	for cv, v := range c.toOrig[1:] {
-		out[v] = a.Get(Var(cv + 1))
+		if v > 0 {
+			out[v] = a.Get(Var(cv + 1))
+		}
 	}
 	return out
 }

@@ -86,6 +86,33 @@ func TestCanonicalModelTranslationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCanonicalModelLiftsUndeclaredNames: a formula built without
+// Validate may name variables past its declared count, or below 1;
+// a model still lifts back through the canonical space and satisfies it.
+func TestCanonicalModelLiftsUndeclaredNames(t *testing.T) {
+	for _, f := range []*Formula{
+		{NumVars: 2, Clauses: []Clause{{Pos(5), Neg(7)}}},
+		{NumVars: 2, Clauses: []Clause{{Lit(-4), Pos(1)}}},
+	} {
+		model := NewAssignment(7)
+		model.Set(1, True)
+		model.Set(5, True)
+		model.Set(7, True)
+		c := Canonicalize(f)
+		back := c.FromCanonical(c.ToCanonical(model))
+		if !back.Satisfies(f) {
+			t.Errorf("lifted model %s does not satisfy %s", back, f)
+		}
+		for _, cl := range f.Clauses {
+			for _, l := range cl {
+				if v := l.Var(); v > 0 && back.Get(v) != model.Get(v) {
+					t.Errorf("%s: x%d lifted to %v, want %v", f, v, back.Get(v), model.Get(v))
+				}
+			}
+		}
+	}
+}
+
 func TestCanonicalModelTransfersAcrossRenaming(t *testing.T) {
 	// The service cache scenario: a model solved for f, stored in
 	// canonical space, must satisfy the renamed twin g after translation

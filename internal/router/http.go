@@ -164,7 +164,7 @@ func (rt *Router) get(r *http.Request, nd Node, pathAndQuery string) (*http.Resp
 	if err != nil {
 		return nil, err
 	}
-	return rt.client.Do(req)
+	return backend.Do(req)
 }
 
 // proxyJob forwards one job-scoped request (snapshot or cancel) to
@@ -185,7 +185,7 @@ func (rt *Router) proxyJob(w http.ResponseWriter, r *http.Request, method string
 		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp, err := rt.client.Do(req)
+	resp, err := backend.Do(req)
 	if err != nil {
 		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("%s unreachable: %w", nd.Name, err))
 		return
@@ -248,8 +248,10 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
+	// A done event carries the whole snapshot, model included, on one
+	// data line, so a line may be as long as any relayed body.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), api.MaxBodyBytes)
 	for sc.Scan() {
 		line := sc.Text()
 		if data, found := strings.CutPrefix(line, "data: "); found {

@@ -64,11 +64,6 @@ type Node struct {
 type Config struct {
 	Nodes []Node
 
-	// Client issues all backend requests. Defaults to a client with
-	// no global timeout (SSE and long-polls must be allowed to run);
-	// per-request lifetime comes from the inbound request context.
-	Client *http.Client
-
 	// Cooldown is how long a node rests after a refusal that names no
 	// Retry-After (dial errors, bare 503s). Default 1s.
 	Cooldown time.Duration
@@ -77,10 +72,14 @@ type Config struct {
 	Now func() time.Time
 }
 
+// backend issues every request to a replica. It sets no global
+// timeout: SSE streams and long-polls must be allowed to run, and each
+// request's lifetime comes from the inbound request's context.
+var backend = &http.Client{}
+
 // Router fronts a fleet of nblserve replicas.
 type Router struct {
 	nodes   []Node
-	client  *http.Client
 	defCool time.Duration
 	now     func() time.Time
 
@@ -118,14 +117,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		nodes:   append([]Node(nil), cfg.Nodes...),
-		client:  cfg.Client,
 		defCool: cfg.Cooldown,
 		now:     cfg.Now,
 		coolOff: make(map[string]time.Time),
 		traces:  obs.NewRing(256),
-	}
-	if rt.client == nil {
-		rt.client = &http.Client{}
 	}
 	if rt.defCool <= 0 {
 		rt.defCool = time.Second
@@ -222,7 +217,7 @@ func (rt *Router) forward(r *http.Request, order []Node, method, pathAndQuery st
 		if traceID != "" {
 			req.Header.Set("X-NBL-Trace", traceID)
 		}
-		resp, err := rt.client.Do(req)
+		resp, err := backend.Do(req)
 		if err != nil {
 			rt.cool(nd.Name, rt.defCool)
 			rt.failovers.Add(1)
@@ -345,28 +340,40 @@ func (rt *Router) resolve(id string) (Node, string, bool) {
 	return owner, remote, remote != ""
 }
 
-// rewriteJobID namespaces the "id" field of a job-snapshot JSON body
-// and returns the rewritten body plus the namespaced id. Every other
-// field passes through byte-for-byte (RawMessage, no re-encoding), so
-// the router can never corrupt a verdict in transit.
+// rewriteJobID namespaces the top-level "id" member of a job-snapshot
+// JSON body and returns the rewritten body plus the namespaced id. It
+// inserts node+"-" at the start of the id's string value and relays
+// every other byte as the replica wrote it, so the router can never
+// corrupt a verdict in transit.
 func rewriteJobID(node string, raw []byte) ([]byte, string, error) {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, "", err
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return nil, "", errors.New("job snapshot is not a JSON object")
 	}
-	var remote string
-	if err := json.Unmarshal(m["id"], &remote); err != nil {
-		return nil, "", fmt.Errorf("job snapshot carries no id: %w", err)
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return nil, "", err
+		}
+		if key != "id" {
+			var skip json.RawMessage
+			if err := dec.Decode(&skip); err != nil {
+				return nil, "", err
+			}
+			continue
+		}
+		off := dec.InputOffset() // just past the key; the colon follows
+		tok, err := dec.Token()
+		remote, isString := tok.(string)
+		if err != nil || !isString {
+			return nil, "", errors.New("job snapshot's id is not a string")
+		}
+		quoted, _ := json.Marshal(node + "-") // a string always marshals
+		at := int(off) + bytes.IndexByte(raw[off:], '"') + 1
+		out := make([]byte, 0, len(raw)+len(quoted)-2)
+		out = append(out, raw[:at]...)
+		out = append(out, quoted[1:len(quoted)-1]...)
+		return append(out, raw[at:]...), node + "-" + remote, nil
 	}
-	id := node + "-" + remote
-	quoted, err := json.Marshal(id)
-	if err != nil {
-		return nil, "", err
-	}
-	m["id"] = quoted
-	out, err := json.Marshal(m)
-	if err != nil {
-		return nil, "", err
-	}
-	return out, id, nil
+	return nil, "", errors.New("job snapshot carries no id")
 }

@@ -1,15 +1,20 @@
 package router
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/service"
 )
 
 // fakeBackend is a minimal stand-in for one nblserve replica: it
@@ -349,6 +354,96 @@ func TestJobProxyResolvesNode(t *testing.T) {
 	uresp.Body.Close()
 	if uresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id: HTTP %d, want 404", uresp.StatusCode)
+	}
+}
+
+// TestJobProxyRelaysReplicaBytes: a job fetched through the router is
+// the owning nblserve replica's body byte for byte once the id value is
+// swapped back; only the id's value is rewritten in transit.
+func TestJobProxyRelaysReplicaBytes(t *testing.T) {
+	s := service.NewServer(service.Config{Workers: 1})
+	replica := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		replica.Close()
+		s.Shutdown(context.Background())
+	})
+	rt, err := New(Config{Nodes: []Node{{Name: "n0", URL: replica.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d, %v", url, resp.StatusCode, err)
+		}
+		return body
+	}
+	resp, err := http.Post(front.URL+"/solve?engine=cdcl&model=1&sync=1", "text/plain", strings.NewReader(dimacsA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job struct{ ID string }
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if err != nil || !strings.HasPrefix(job.ID, "n0-") {
+		t.Fatalf("solve answered id %q, %v", job.ID, err)
+	}
+	remote := strings.TrimPrefix(job.ID, "n0-")
+
+	viaRouter := get(front.URL + "/jobs/" + job.ID)
+	direct := get(replica.URL + "/jobs/" + remote)
+	swapped := bytes.Replace(viaRouter, []byte(strconv.Quote(job.ID)), []byte(strconv.Quote(remote)), 1)
+	if !bytes.Equal(swapped, direct) {
+		t.Errorf("router relayed\n%s\nreplica answered\n%s", viaRouter, direct)
+	}
+}
+
+// TestEventsProxyRelaysLongLines: a done event whose model pushes its
+// data line past 1 MiB reaches the client whole, id renamespaced.
+func TestEventsProxyRelaysLongLines(t *testing.T) {
+	model := make([]string, 200_000)
+	for i := range model {
+		model[i] = strconv.Itoa(i + 1)
+	}
+	data := `{"id":"j1","state":"done","result":{"status":"SATISFIABLE","model":[` + strings.Join(model, ",") + `]}}`
+	if len(data) <= 1<<20 {
+		t.Fatalf("data line is %d bytes, want more than 1 MiB", len(data))
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
+	})
+	replica := httptest.NewServer(mux)
+	t.Cleanup(replica.Close)
+	rt, err := New(Config{Nodes: []Node{{Name: "n0", URL: replica.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	resp, err := http.Get(front.URL + "/jobs/n0-j1/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "event: done\ndata: " + strings.Replace(data, `"j1"`, `"n0-j1"`, 1) + "\n\n"
+	if string(body) != want {
+		t.Fatalf("relayed %d bytes of the done event, want %d", len(body), len(want))
 	}
 }
 

@@ -66,7 +66,7 @@ func check(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span) (solv
 	if sp != nil && r.Samples > 0 {
 		sp.Point(obs.TrajPoint{
 			Round: 1, Samples: r.Samples,
-			Mean: r.Mean, Dist: r.Mean - eng.opts.Threshold,
+			Mean: r.Mean, Dist: r.Mean - threshold,
 		})
 	}
 	if err != nil {

@@ -82,18 +82,16 @@ type Options struct {
 	// period fits under the cap the read-out is exact; otherwise the
 	// window is truncated and spectral leakage adds noise. Default 1e6.
 	MaxSamples int64
-	// Threshold is the DC level above which the instance is declared
-	// SAT. Matched minterms contribute exactly 1 each, so 0.5 separates
-	// K' >= 1 from 0 with maximal margin. Default 0.5.
-	Threshold float64
 }
+
+// threshold is the DC level above which the instance is declared SAT.
+// Matched minterms contribute exactly 1 each, so 0.5 separates K' >= 1
+// from 0 with maximal margin.
+const threshold = 0.5
 
 func (o Options) withDefaults() Options {
 	if o.MaxSamples == 0 {
 		o.MaxSamples = 1_000_000
-	}
-	if o.Threshold == 0 {
-		o.Threshold = 0.5
 	}
 	return o
 }
@@ -257,7 +255,7 @@ func (e *Engine) CheckCtx(ctx context.Context) (Result, error) {
 	}
 	mean := sum / float64(window)
 	return Result{
-		Satisfiable: mean > e.opts.Threshold,
+		Satisfiable: mean > threshold,
 		Mean:        mean,
 		Samples:     window,
 		FullPeriod:  full,

@@ -38,28 +38,22 @@ import (
 //
 // The cache is optionally two-tiered: an LRU miss consults the durable
 // verdict store (internal/verdictstore) and, on a hit there, promotes
-// the record into the LRU. Puts write through to both tiers. The store
-// shares the LRU's key composition and its UNKNOWN exclusion, so the
-// correctness argument above covers both tiers; what the store adds is
-// survival across process restarts (and snapshot-shipping between
-// fleet nodes). Counter accounting: hits counts LRU hits, the store's
-// own counters count tier-2 lookups, and misses counts lookups that
-// missed *both* tiers — so hits + store-hits + misses partitions the
-// lookups.
+// the record into the LRU. Puts write through to both tiers. Both
+// tiers hold one shape, the store's Record with its model in canonical
+// space, under the store's key (verdictstore.TaskKey), and share its
+// UNKNOWN exclusion, so the correctness argument above covers both
+// tiers; what the store adds is survival across process restarts.
+// Counter accounting: hits counts LRU hits, the store's own counters
+// count tier-2 lookups, and misses counts lookups that missed *both*
+// tiers — so hits + store-hits + misses partitions the lookups.
 type verdictCache struct {
 	mu      sync.Mutex
 	cap     int
-	order   *list.List // front = most recently used
+	order   *list.List // of *verdictstore.Record; front = most recently used
 	entries map[string]*list.Element
 	store   *verdictstore.Store // optional durable tier; nil = LRU only
 
 	hits, misses, evictions int64
-}
-
-type cacheEntry struct {
-	key   string
-	res   solver.Result  // Assignment stripped; replayed verbatim otherwise
-	model cnf.Assignment // canonical-space model, nil when the solve produced none
 }
 
 // newVerdictCache returns a cache holding up to capacity entries over
@@ -75,14 +69,6 @@ func newVerdictCache(capacity int, store *verdictstore.Store) *verdictCache {
 	}
 }
 
-// cacheKey composes the LRU key. It delegates to the store tier's
-// TaskKey so the two tiers agree on what "the same solve" means: a
-// decide task yields the legacy three-part key (pre-task cache
-// identities replay unchanged), any other task prefixes it.
-func cacheKey(task solver.Task, engine, cfg, fingerprint string) string {
-	return verdictstore.TaskKey(string(task), engine, cfg, fingerprint)
-}
-
 // enabled reports whether any tier stores anything at all (it gates
 // whether Submit bothers to canonicalize).
 func (c *verdictCache) enabled() bool { return c.cap > 0 || c.store != nil }
@@ -96,39 +82,40 @@ func (c *verdictCache) get(sp *obs.Span, task solver.Task, engine, cfg string, c
 	if !c.enabled() {
 		return solver.Result{}, false
 	}
-	key := cacheKey(task, engine, cfg, canon.Fingerprint())
+	key := verdictstore.TaskKey(string(task), engine, cfg, canon.Fingerprint())
 	lru := sp.StartChild("cache.lru")
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.entries[key]; found {
-		e := el.Value.(*cacheEntry)
 		c.hits++
 		c.order.MoveToFront(el)
-		res := e.res
-		res.Assignment = canon.FromCanonical(e.model)
 		lru.SetAttr("hit", "true")
 		lru.Finish()
-		return res, true
+		return replay(el.Value.(*verdictstore.Record), canon), true
 	}
 	lru.SetAttr("hit", "false")
 	lru.Finish()
 	if c.store != nil {
 		st := sp.StartChild("cache.store")
 		if rec, ok := c.store.GetTask(string(task), engine, cfg, canon.Fingerprint()); ok {
-			e := &cacheEntry{key: key, res: rec.Result, model: rec.Result.Assignment}
-			e.res.Assignment = nil
-			c.insertLocked(key, e)
-			res := e.res
-			res.Assignment = canon.FromCanonical(e.model)
+			c.insertLocked(key, &rec)
 			st.SetAttr("hit", "true")
 			st.Finish()
-			return res, true
+			return replay(&rec, canon), true
 		}
 		st.SetAttr("hit", "false")
 		st.Finish()
 	}
 	c.misses++
 	return solver.Result{}, false
+}
+
+// replay returns rec's verdict with its canonical model translated into
+// the requester's variable space; everything else replays verbatim.
+func replay(rec *verdictstore.Record, canon *cnf.Canonical) solver.Result {
+	res := rec.Result
+	res.Assignment = canon.FromCanonical(rec.Result.Assignment)
+	return res
 }
 
 // put stores a definitive result in both tiers. UNKNOWN (or an errored
@@ -138,47 +125,38 @@ func (c *verdictCache) put(task solver.Task, engine, cfg string, canon *cnf.Cano
 	if !c.enabled() || !res.Status.Definitive() {
 		return
 	}
-	key := cacheKey(task, engine, cfg, canon.Fingerprint())
-	e := &cacheEntry{key: key, res: res, model: canon.ToCanonical(res.Assignment)}
-	e.res.Assignment = nil
+	res.Assignment = canon.ToCanonical(res.Assignment)
+	rec := &verdictstore.Record{
+		Engine: engine, ConfigKey: cfg, Fingerprint: canon.Fingerprint(),
+		Task: string(task), Result: res,
+	}
 	c.mu.Lock()
-	c.insertLocked(key, e)
+	c.insertLocked(rec.Key(), rec)
 	c.mu.Unlock()
 	if c.store != nil {
-		storeRes := e.res
-		storeRes.Assignment = e.model
-		// The record's Task field stays empty for decide so the framed
-		// bytes match the pre-task record format exactly.
-		recTask := string(task)
-		if recTask == string(solver.TaskDecide) {
-			recTask = ""
-		}
 		// Best-effort write-through: a full disk must not fail the job
 		// whose verdict was just earned — the LRU still has it, and the
 		// next process can re-earn it.
-		_ = c.store.Put(verdictstore.Record{
-			Engine: engine, ConfigKey: cfg, Fingerprint: canon.Fingerprint(),
-			Task: recTask, Result: storeRes,
-		})
+		_ = c.store.Put(*rec)
 	}
 }
 
-// insertLocked installs e under key in the LRU tier (a no-op when the
+// insertLocked installs rec under key in the LRU tier (a no-op when the
 // LRU is disabled). Caller holds c.mu.
-func (c *verdictCache) insertLocked(key string, e *cacheEntry) {
+func (c *verdictCache) insertLocked(key string, rec *verdictstore.Record) {
 	if c.cap <= 0 {
 		return
 	}
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		el.Value = e
+		el.Value = rec
 		return
 	}
-	c.entries[key] = c.order.PushFront(e)
+	c.entries[key] = c.order.PushFront(rec)
 	for len(c.entries) > c.cap {
 		last := c.order.Back()
 		c.order.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).key)
+		delete(c.entries, last.Value.(*verdictstore.Record).Key())
 		c.evictions++
 	}
 }

@@ -93,7 +93,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	if err := vs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if vs.Len() == 0 {
+	if vs.Stats().Entries == 0 {
 		t.Error("no verdict reached the store")
 	}
 	waitForGoroutines(t, start)

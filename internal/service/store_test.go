@@ -57,8 +57,8 @@ func TestStoreTierSurvivesRestart(t *testing.T) {
 	// "Restart": a brand-new store handle over the same file, a
 	// brand-new server with an empty LRU.
 	vs2 := openStore(t, path)
-	if vs2.Len() != 1 {
-		t.Fatalf("store reloaded %d verdicts, want 1", vs2.Len())
+	if vs2.Stats().Entries != 1 {
+		t.Fatalf("store reloaded %d verdicts, want 1", vs2.Stats().Entries)
 	}
 	s2 := newTestServer(t, Config{Workers: 1, Store: vs2})
 	job2, err := s2.Submit(testFormula(), api.Request{Engine: "svc-echo"})
@@ -137,8 +137,8 @@ func TestStoreNeverAdmitsUnknown(t *testing.T) {
 	if snap := waitDone(t, job); snap.Result.Status != solver.StatusUnknown {
 		t.Fatalf("svc-unknown returned %v", snap.Result.Status)
 	}
-	if vs.Len() != 0 {
-		t.Fatalf("UNKNOWN landed in the store: %d entries", vs.Len())
+	if vs.Stats().Entries != 0 {
+		t.Fatalf("UNKNOWN landed in the store: %d entries", vs.Stats().Entries)
 	}
 }
 

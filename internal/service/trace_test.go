@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bytes"
+	"io"
+	"log"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/cnf"
@@ -168,5 +172,39 @@ func TestTraceSharesSubmittedTraceID(t *testing.T) {
 	}
 	if tr.TraceID != "feedface01020304" {
 		t.Errorf("trace ID %q, want the submitted feedface01020304", tr.TraceID)
+	}
+}
+
+// TestTraceSlowLogsSpanTree: with -trace-slow at 1ns every solved job is
+// slow, so its span tree is logged under a "slow job <id>" line; at 0
+// nothing is.
+func TestTraceSlowLogsSpanTree(t *testing.T) {
+	var buf bytes.Buffer
+	defer func(w io.Writer) { log.SetOutput(w) }(log.Writer())
+	log.SetOutput(&buf)
+	for _, slow := range []time.Duration{0, time.Nanosecond} {
+		buf.Reset()
+		s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-echo", TraceSlow: slow})
+		j, err := s.Submit(testFormula(), api.Request{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j) // the line is logged before done closes
+		logged := buf.String()
+		if slow == 0 {
+			if strings.Contains(logged, "slow job") {
+				t.Errorf("-trace-slow 0 logged %q", logged)
+			}
+			continue
+		}
+		_, tree, found := strings.Cut(logged, "slow job "+j.ID+" ")
+		if !found {
+			t.Fatalf("-trace-slow 1ns logged no slow line for %s: %q", j.ID, logged)
+		}
+		for _, span := range []string{"queue.wait", "pool.acquire", "solve"} {
+			if !strings.Contains(tree, "  "+span+" ") {
+				t.Errorf("slow-job tree lacks %s:\n%s", span, tree)
+			}
+		}
 	}
 }

@@ -10,17 +10,20 @@
 // replica restart (deploy, crash, reschedule) discards every verdict it
 // ever earned, and the router's fingerprint locality faithfully sends
 // the repeats right back to the now-cold node. The store closes that
-// hole: verdicts append to a single flat file as they are earned, load
-// back on boot, and — because the file is append-only and
-// self-validating — can be snapshot-shipped between nodes with a plain
-// byte copy (Snapshot) to seed a new replica's locality before it
-// serves its first request.
+// hole: verdicts append to a single flat file as they are earned and
+// load back on boot. A store ships between nodes as a byte copy of its
+// one file; a copy taken mid-append ends in a torn final frame, which
+// Open drops.
 //
-// Only definitive verdicts are admitted, for exactly the reason the LRU
+// The package owns the stored verdict: its Record, the key that
+// identifies it (TaskKey), and the rules for writing one. Only
+// definitive verdicts are admitted, for exactly the reason the LRU
 // refuses them: SAT and UNSAT are properties of the clause set, while
 // UNKNOWN is a statement about one run (a budget, a cancellation, an
 // SNR gate). Persisting an UNKNOWN would upgrade a transient shortfall
-// into a durable wrong answer; Put rejects it.
+// into a durable wrong answer; Put rejects it, and Open stops at a
+// record without a definitive status. A decide verdict is written with
+// an empty Task, the form records had before tasks existed.
 //
 // # File format and the crash-safety argument
 //
@@ -46,15 +49,12 @@
 // atomicity — any partial suffix is detected and dropped by the same
 // scan.)
 //
-// Compaction: the file grows by one record per newly-earned verdict and
-// Put skips keys already present, so growth is bounded by the number of
-// distinct (engine, config, formula) triples ever decided — there is no
-// rewrite amplification to compact away in steady state. Compact exists
-// for the remaining case (a file inherited from an older node whose
-// tail was repeatedly torn, or after manual concatenation of shipped
-// snapshots): it rewrites live records to a temp file and renames it
-// into place, so a crash mid-compaction leaves either the old file or
-// the new one, never a hybrid.
+// Put skips keys the index already holds, so a file written by one
+// process holds each key once and grows by one record per distinct
+// (task, engine, config, formula) ever decided: there are no dead
+// records to reclaim. Concatenated store files are not a merge: the
+// second file's header does not parse as a frame, so Open keeps the
+// first file and truncates the rest as a torn tail.
 package verdictstore
 
 import (
@@ -66,8 +66,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 
 	"repro/internal/solver"
@@ -97,10 +95,11 @@ type Record struct {
 	ConfigKey   string `json:"config"`
 	Fingerprint string `json:"fingerprint"`
 	// Task is the solve task the verdict answers ("count",
-	// "weighted-count", "equivalent"); empty means decide. Decide
-	// records omit the field entirely, so a record written before tasks
-	// existed marshals byte-identically and replays unchanged — the
-	// store's record-version compatibility contract.
+	// "weighted-count", "equivalent"); empty or "decide" means decide.
+	// Put writes a decide record with the field empty, and empty
+	// omits it, so a record written before tasks existed marshals
+	// byte-identically and replays unchanged — the store's
+	// record-version compatibility contract.
 	Task string `json:"task,omitempty"`
 	// Result is the verdict to replay verbatim (stats and wall
 	// included), with Assignment in canonical variable space.
@@ -110,21 +109,17 @@ type Record struct {
 // Key returns the index key of the record's identity.
 func (r Record) Key() string { return TaskKey(r.Task, r.Engine, r.ConfigKey, r.Fingerprint) }
 
-// Key builds the store key for a decide identity triple. It matches the
-// in-process cache's key composition so the two tiers agree on what
-// "the same solve" means.
-func Key(engine, configKey, fingerprint string) string {
-	return engine + "\x00" + configKey + "\x00" + fingerprint
-}
-
-// TaskKey is Key extended with the solve task. A decide identity
-// ("" or "decide") yields exactly the legacy three-part key, so old
-// store files index under the same keys new decide lookups use; any
-// other task prefixes the key — collision-free against triples, since
-// engine expressions never contain NUL.
+// TaskKey builds the key of a verdict's identity; the service's LRU
+// keys by it too, so the two tiers agree on what "the same solve"
+// means. A decide identity ("" or "decide") yields the three-part key
+// engine NUL config NUL fingerprint that records had before tasks
+// existed, so old store files index under the keys new decide lookups
+// use; any other task prefixes that key with task NUL — collision-free
+// against the three-part keys, since engine expressions never contain
+// NUL.
 func TaskKey(task, engine, configKey, fingerprint string) string {
-	k := Key(engine, configKey, fingerprint)
-	if task == "" || task == "decide" {
+	k := engine + "\x00" + configKey + "\x00" + fingerprint
+	if task == "" || task == string(solver.TaskDecide) {
 		return k
 	}
 	return task + "\x00" + k
@@ -150,7 +145,6 @@ type Store struct {
 	hits, misses, appends int64
 	loaded                int64 // records recovered at Open
 	tornBytes             int64 // bytes truncated from the tail at Open
-	compactions           int64
 }
 
 // Open loads (or creates) the store at path. A torn tail — a final
@@ -211,9 +205,8 @@ func (s *Store) load() error {
 			break
 		}
 		good += int64(len(frame)) + int64(length)
-		// Later records win: an append-ordered file replayed forward
-		// converges on its newest verdict per key (relevant only for
-		// concatenated snapshots; Put itself never duplicates a key).
+		// Put never appends a key the index holds, so a key repeats only
+		// in a file no Store wrote; the later record wins.
 		s.index[rec.Key()] = rec
 		s.loaded++
 	}
@@ -230,14 +223,9 @@ func (s *Store) load() error {
 	return err
 }
 
-// Get returns the stored decide verdict for the identity triple. The
-// returned Result's Assignment is in canonical variable space.
-func (s *Store) Get(engine, configKey, fingerprint string) (Record, bool) {
-	return s.GetTask("", engine, configKey, fingerprint)
-}
-
-// GetTask returns the stored verdict for the task-qualified identity;
-// an empty or "decide" task resolves the legacy triple key.
+// GetTask returns the stored verdict for the task-qualified identity
+// (see TaskKey). The returned Result's Assignment is in canonical
+// variable space.
 func (s *Store) GetTask(task, engine, configKey, fingerprint string) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -253,10 +241,14 @@ func (s *Store) GetTask(task, engine, configKey, fingerprint string) (Record, bo
 // Put appends a definitive verdict. A key already present is left
 // alone (the earlier verdict is just as definitive, and skipping the
 // append is what keeps file growth bounded by distinct solves); an
-// UNKNOWN verdict is rejected with ErrNotDefinitive.
+// UNKNOWN verdict is rejected with ErrNotDefinitive. A decide record
+// is written with an empty Task, the pre-task form.
 func (s *Store) Put(rec Record) error {
 	if !rec.Result.Status.Definitive() {
 		return ErrNotDefinitive
+	}
+	if rec.Task == string(solver.TaskDecide) {
+		rec.Task = ""
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,23 +286,6 @@ func frameRecord(rec Record) ([]byte, error) {
 	return framed, nil
 }
 
-// Len returns the number of live (distinct-key) records.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
-
-// Path returns the backing file path.
-func (s *Store) Path() string { return s.path }
-
-// Sync flushes the backing file to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.f.Sync()
-}
-
 // Close syncs and closes the backing file. The store must not be used
 // afterwards.
 func (s *Store) Close() error {
@@ -323,82 +298,9 @@ func (s *Store) Close() error {
 	return s.f.Close()
 }
 
-// Snapshot copies the current file contents to w: a consistent,
-// self-validating byte image a new replica can load directly (appends
-// are blocked for the duration, reads are not affected afterwards).
-func (s *Store) Snapshot(w io.Writer) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, err := s.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return io.Copy(w, io.NewSectionReader(s.f, 0, info.Size()))
-}
-
-// Compact rewrites the file to exactly the live records (sorted by key
-// for determinism) via a temp file + rename, so a crash mid-compaction
-// leaves either the old file or the new one intact.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	tmp, err := os.CreateTemp(filepath.Dir(s.path), ".nblverdicts-compact-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	if _, err := tmp.Write([]byte(magic)); err != nil {
-		tmp.Close()
-		return err
-	}
-	for _, k := range keys {
-		framed, err := frameRecord(s.index[k])
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		if _, err := tmp.Write(framed); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
-		return err
-	}
-
-	// Swap the handle to the new file, positioned for appends.
-	nf, err := os.OpenFile(s.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
-		nf.Close()
-		return err
-	}
-	s.f.Close()
-	s.f = nf
-	s.compactions++
-	return nil
-}
-
 // Stats is a point-in-time snapshot of the store counters.
 type Stats struct {
-	// Hits and Misses count Get lookups.
+	// Hits and Misses count GetTask lookups.
 	Hits, Misses int64
 	// Appends counts records flushed to the file this process lifetime.
 	Appends int64
@@ -406,9 +308,8 @@ type Stats struct {
 	// were recovered from disk at Open.
 	Entries, Loaded int64
 	// TornBytes is how many trailing bytes Open discarded as a torn
-	// tail; Compactions counts Compact calls.
-	TornBytes   int64
-	Compactions int64
+	// tail.
+	TornBytes int64
 }
 
 // Stats returns the current counters.
@@ -418,6 +319,6 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Hits: s.hits, Misses: s.misses, Appends: s.appends,
 		Entries: int64(len(s.index)), Loaded: s.loaded,
-		TornBytes: s.tornBytes, Compactions: s.compactions,
+		TornBytes: s.tornBytes,
 	}
 }

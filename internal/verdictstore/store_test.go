@@ -70,11 +70,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != len(want) {
-		t.Fatalf("reloaded %d records, want %d", re.Len(), len(want))
+	if re.Stats().Entries != int64(len(want)) {
+		t.Fatalf("reloaded %d records, want %d", re.Stats().Entries, len(want))
 	}
 	for i, w := range want {
-		got, ok := re.Get(w.Engine, w.ConfigKey, w.Fingerprint)
+		got, ok := re.GetTask("", w.Engine, w.ConfigKey, w.Fingerprint)
 		if !ok {
 			t.Fatalf("record %d missing after reload", i)
 		}
@@ -110,8 +110,8 @@ func TestUnknownRejected(t *testing.T) {
 	if err := s.Put(rec); err != ErrNotDefinitive {
 		t.Fatalf("Put(UNKNOWN) = %v, want ErrNotDefinitive", err)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("UNKNOWN landed in the index: %d entries", s.Len())
+	if s.Stats().Entries != 0 {
+		t.Fatalf("UNKNOWN landed in the index: %d entries", s.Stats().Entries)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestDuplicateKeySkipsAppend(t *testing.T) {
 	if got := fileSize(t, path); got != size1 {
 		t.Fatalf("duplicate key grew the file: %d -> %d bytes", size1, got)
 	}
-	got, _ := s.Get(rec.Engine, rec.ConfigKey, rec.Fingerprint)
+	got, _ := s.GetTask("", rec.Engine, rec.ConfigKey, rec.Fingerprint)
 	if got.Result.Wall != rec.Result.Wall {
 		t.Fatalf("duplicate overwrote the stored verdict: wall %v", got.Result.Wall)
 	}
@@ -177,10 +177,10 @@ func TestTornTailTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: Open failed: %v", cut, err)
 		}
-		if re.Len() != 1 {
-			t.Fatalf("cut at %d: loaded %d records, want 1", cut, re.Len())
+		if re.Stats().Entries != 1 {
+			t.Fatalf("cut at %d: loaded %d records, want 1", cut, re.Stats().Entries)
 		}
-		if _, ok := re.Get(recs[0].Engine, recs[0].ConfigKey, recs[0].Fingerprint); !ok {
+		if _, ok := re.GetTask("", recs[0].Engine, recs[0].ConfigKey, recs[0].Fingerprint); !ok {
 			t.Fatalf("cut at %d: record 0 lost", cut)
 		}
 		st := re.Stats()
@@ -195,7 +195,7 @@ func TestTornTailTruncation(t *testing.T) {
 		if err := re.Put(recs[1]); err != nil {
 			t.Fatalf("cut at %d: re-append: %v", cut, err)
 		}
-		if _, ok := re.Get(recs[1].Engine, recs[1].ConfigKey, recs[1].Fingerprint); !ok {
+		if _, ok := re.GetTask("", recs[1].Engine, recs[1].ConfigKey, recs[1].Fingerprint); !ok {
 			t.Fatalf("cut at %d: re-appended record unreadable", cut)
 		}
 		re.Close()
@@ -293,10 +293,10 @@ func TestCorruptPayloadDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != 1 {
-		t.Fatalf("loaded %d records past a corrupt payload, want 1", re.Len())
+	if re.Stats().Entries != 1 {
+		t.Fatalf("loaded %d records past a corrupt payload, want 1", re.Stats().Entries)
 	}
-	if _, ok := re.Get(recs[1].Engine, recs[1].ConfigKey, recs[1].Fingerprint); ok {
+	if _, ok := re.GetTask("", recs[1].Engine, recs[1].ConfigKey, recs[1].Fingerprint); ok {
 		t.Fatal("corrupt record served from the index")
 	}
 }
@@ -313,67 +313,6 @@ func TestBadHeaderRefused(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	if !bytes.HasPrefix(data, []byte("p cnf")) {
 		t.Fatal("Open mutated a foreign file")
-	}
-}
-
-func TestCompact(t *testing.T) {
-	s, path := openTemp(t)
-	for i := 0; i < 5; i++ {
-		if err := s.Put(testRecord(i, solver.StatusSat)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := fileSize(t, path)
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 5 {
-		t.Fatalf("compaction changed the live set: %d", s.Len())
-	}
-	// Compaction of an already-deduped store preserves content and the
-	// store stays appendable.
-	if err := s.Put(testRecord(7, solver.StatusUnsat)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != 6 {
-		t.Fatalf("reloaded %d records after compact+append, want 6", re.Len())
-	}
-	_ = before
-}
-
-func TestSnapshotSeedsNewStore(t *testing.T) {
-	s, _ := openTemp(t)
-	for i := 0; i < 3; i++ {
-		if err := s.Put(testRecord(i, solver.StatusSat)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if _, err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// Ship the snapshot to a "new replica" and load it.
-	dst := filepath.Join(t.TempDir(), "shipped.nbl")
-	if err := os.WriteFile(dst, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != 3 {
-		t.Fatalf("shipped snapshot loaded %d records, want 3", re.Len())
 	}
 }
 

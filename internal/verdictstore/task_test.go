@@ -21,7 +21,7 @@ func bigFromString(t *testing.T, s string) *big.Int {
 }
 
 func TestTaskKey(t *testing.T) {
-	legacy := Key("cdcl", "cfg", "fp")
+	legacy := "cdcl\x00cfg\x00fp"
 	if got := TaskKey("", "cdcl", "cfg", "fp"); got != legacy {
 		t.Errorf("empty task key %q != legacy key %q", got, legacy)
 	}
@@ -29,7 +29,7 @@ func TestTaskKey(t *testing.T) {
 		t.Errorf("decide task key %q != legacy key %q", got, legacy)
 	}
 	counting := TaskKey("count", "count", "cfg", "fp")
-	if counting == Key("count", "cfg", "fp") {
+	if counting == TaskKey("", "count", "cfg", "fp") {
 		t.Error("count task key collides with the decide triple")
 	}
 	if !strings.HasPrefix(counting, "count\x00") {
@@ -41,8 +41,9 @@ func TestTaskKey(t *testing.T) {
 // a decide-only store file written before the task model existed must
 // replay bit-identically after. We prove it from the new side — decide
 // records marshal with no task field at all (so their frames are the
-// exact bytes the pre-task code wrote), legacy Get finds them, and a
-// rewrite of the same records reproduces the file byte for byte.
+// exact bytes the pre-task code wrote), the empty-task GetTask finds
+// them, and a rewrite of the same records reproduces the file byte for
+// byte.
 func TestDecideRecordsAreFormatCompatible(t *testing.T) {
 	s, path := openTemp(t)
 	recs := []Record{testRecord(0, solver.StatusSat), testRecord(1, solver.StatusUnsat)}
@@ -69,9 +70,9 @@ func TestDecideRecordsAreFormatCompatible(t *testing.T) {
 	}
 	defer s2.Close()
 	for _, want := range recs {
-		got, ok := s2.Get(want.Engine, want.ConfigKey, want.Fingerprint)
+		got, ok := s2.GetTask("", want.Engine, want.ConfigKey, want.Fingerprint)
 		if !ok || got.Result.Status != want.Result.Status {
-			t.Errorf("legacy Get(%q) = %+v, %v", want.Fingerprint, got, ok)
+			t.Errorf("GetTask(\"\", %q) = %+v, %v", want.Fingerprint, got, ok)
 		}
 		// And the task-aware path agrees for decide.
 		if _, ok := s2.GetTask(string(solver.TaskDecide), want.Engine, want.ConfigKey, want.Fingerprint); !ok {
@@ -103,6 +104,34 @@ func TestDecideRecordsAreFormatCompatible(t *testing.T) {
 	}
 }
 
+// TestPutWritesDecideInPreTaskForm: a record Put under the explicit
+// "decide" task is framed exactly as one with an empty Task, so callers
+// may pass the task they solved and the file keeps the pre-task format.
+func TestPutWritesDecideInPreTaskForm(t *testing.T) {
+	var files [2][]byte
+	for i, task := range []string{"", string(solver.TaskDecide)} {
+		s, path := openTemp(t)
+		rec := testRecord(0, solver.StatusSat)
+		rec.Task = task
+		if err := s.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := s.GetTask("", rec.Engine, rec.ConfigKey, rec.Fingerprint); got.Task != "" {
+			t.Errorf("task %q: stored record carries task %q", task, got.Task)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Errorf("a decide-task record framed differently from an empty-task one:\n%q\n%q", files[0], files[1])
+	}
+}
+
 // TestCountRecordsKeyedSeparately checks that a count verdict and a
 // decide verdict for the same (engine, config, fingerprint) triple
 // coexist, survive a reload, and round-trip the big.Int count.
@@ -119,8 +148,8 @@ func TestCountRecordsKeyedSeparately(t *testing.T) {
 	if err := s.Put(counting); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (decide and count must not collide)", s.Len())
+	if s.Stats().Entries != 2 {
+		t.Fatalf("Entries = %d, want 2 (decide and count must not collide)", s.Stats().Entries)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -137,7 +166,7 @@ func TestCountRecordsKeyedSeparately(t *testing.T) {
 	if got.Result.Count == nil || got.Result.Count.Cmp(counting.Result.Count) != 0 {
 		t.Errorf("count round trip = %v, want %v", got.Result.Count, counting.Result.Count)
 	}
-	if got2, ok := s2.Get(decide.Engine, decide.ConfigKey, decide.Fingerprint); !ok ||
+	if got2, ok := s2.GetTask("", decide.Engine, decide.ConfigKey, decide.Fingerprint); !ok ||
 		got2.Result.Status != solver.StatusSat || got2.Result.Count != nil {
 		t.Errorf("decide record polluted by count twin: %+v, %v", got2, ok)
 	}
