@@ -206,7 +206,7 @@ func (s *Store) load() error {
 		}
 		good += int64(len(frame)) + int64(length)
 		// Put never appends a key the index holds, so a key repeats only
-		// in a file no Store wrote; the later record wins.
+		// in a file no single Store wrote; the later record wins.
 		s.index[rec.Key()] = rec
 		s.loaded++
 	}

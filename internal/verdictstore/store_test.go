@@ -316,6 +316,49 @@ func TestBadHeaderRefused(t *testing.T) {
 	}
 }
 
+// TestConcatenationIsNotAMerge pins what the package doc says of
+// concatenated store files: the second file's header does not parse as
+// a frame, so Open keeps the first file's records and truncates the
+// whole second file as a torn tail.
+func TestConcatenationIsNotAMerge(t *testing.T) {
+	defer func(old func(string, ...any)) { Warnf = old }(Warnf)
+	Warnf = func(string, ...any) {}
+
+	var files [2][]byte
+	recs := []Record{testRecord(0, solver.StatusSat), testRecord(1, solver.StatusUnsat)}
+	for i, r := range recs {
+		s, path := openTemp(t)
+		if err := s.Put(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "concatenated.nbl")
+	if err := os.WriteFile(path, append(files[0], files[1]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Entries != 1 || st.TornBytes != int64(len(files[1])) {
+		t.Fatalf("opened %d records with %d torn bytes, want 1 and %d", st.Entries, st.TornBytes, len(files[1]))
+	}
+	if _, ok := s.GetTask("", recs[0].Engine, recs[0].ConfigKey, recs[0].Fingerprint); !ok {
+		t.Error("the first file's record is lost")
+	}
+	if got := fileSize(t, path); got != int64(len(files[0])) {
+		t.Errorf("file truncated to %d bytes, want the first file's %d", got, len(files[0]))
+	}
+}
+
 // frameEnd returns the byte offset just past the n-th record (1-based)
 // by walking the frames exactly as load does.
 func frameEnd(t testing.TB, data []byte, n int) int64 {
