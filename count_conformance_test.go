@@ -98,9 +98,10 @@ func TestCountEngineRejectsDecideOnlyWrapper(t *testing.T) {
 
 // TestGoldenCountRenamingInvariance pins the golden SATLIB pair: the
 // uf8 instance and its committed variable renaming have the same model
-// count (12), the same canonical fingerprint, and therefore the same
-// task-qualified cache/store key — a count computed for one node's
-// submission replays for the other across the fleet.
+// count (12), the same canonical fingerprint and declared count, and
+// therefore the same task-qualified cache/store key, built as the
+// service builds it — a count computed for one node's submission
+// replays for the other across the fleet.
 func TestGoldenCountRenamingInvariance(t *testing.T) {
 	read := func(path string) *Formula {
 		file, err := os.Open(path)
@@ -134,8 +135,10 @@ func TestGoldenCountRenamingInvariance(t *testing.T) {
 		t.Fatalf("fingerprints diverge: %s vs %s", fpOrig, fpRenamed)
 	}
 	cfg := Config{Task: TaskCount}
-	keyOrig := verdictstore.TaskKey(string(TaskCount), "pre(count)", cfg.Key(), fpOrig)
-	keyRenamed := verdictstore.TaskKey(string(TaskCount), "pre(count)", cfg.Key(), fpRenamed)
+	keyOrig := verdictstore.TaskKey(string(TaskCount), "pre(count)", cfg.Key(),
+		verdictstore.Fingerprint(string(TaskCount), fpOrig, orig.NumVars))
+	keyRenamed := verdictstore.TaskKey(string(TaskCount), "pre(count)", cfg.Key(),
+		verdictstore.Fingerprint(string(TaskCount), fpRenamed, renamed.NumVars))
 	if keyOrig != keyRenamed {
 		t.Errorf("task cache keys diverge:\n%s\n%s", keyOrig, keyRenamed)
 	}

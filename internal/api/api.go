@@ -11,13 +11,15 @@
 // lineup), model=1 (model recovery), timeout (Go duration) and sync=1
 // (/solve only: answer with the finished job).
 //
-// A /solve body is one DIMACS instance, or for task=equivalent two of
-// at most MaxMiterVars declared variables each, lowered to their miter
+// A /solve body is one DIMACS instance, or for task=equivalent two
+// over the same declared variables, lowered to their miter
 // (logic.EquivalenceCNF): UNSAT certifies the pair equivalent, and a
-// SAT model read over variables 1..n tells them apart. A /solve/batch
-// body holds 1..MaxBatch instances (dimacs.SplitBatch), each admitted
-// on its own, and cannot carry task=equivalent, whose pairing would be
-// ambiguous.
+// SAT model read over variables 1..n tells them apart. The miter costs
+// what the pair's clauses hold, whatever its headers declare; a pair
+// whose miter would need a variable past cnf.MaxVar is a 400. A
+// /solve/batch body holds 1..MaxBatch instances (dimacs.SplitBatch),
+// each admitted on its own, and cannot carry task=equivalent, whose
+// pairing would be ambiguous.
 package api
 
 import (
@@ -45,11 +47,6 @@ const (
 	// MaxBatch caps the instances of one /solve/batch body; a batch
 	// deeper than the default queue could never be admitted whole.
 	MaxBatch = 256
-	// MaxMiterVars caps the variables each instance of a task=equivalent
-	// pair may declare. The miter builds one circuit input per declared
-	// variable, about 1.1 KB each, so a pair at the cap allocates under
-	// 64 MiB however few variables its clauses use.
-	MaxMiterVars = 1 << 15
 )
 
 // Request is one submission's knobs.
@@ -238,10 +235,6 @@ func miter(body []byte) (*cnf.Formula, error) {
 	for i, chunk := range chunks {
 		if pair[i], err = dimacs.ReadString(chunk); err != nil {
 			return nil, fmt.Errorf("instance %d: %w", i+1, err)
-		}
-		if pair[i].NumVars > MaxMiterVars {
-			return nil, fmt.Errorf("instance %d declares %d variables; task=equivalent takes at most %d",
-				i+1, pair[i].NumVars, MaxMiterVars)
 		}
 	}
 	return logic.EquivalenceCNF(pair[0], pair[1])

@@ -1,13 +1,10 @@
 package api
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -98,32 +95,5 @@ func TestBatchStatus(t *testing.T) {
 		if got := BatchStatus(tc.items); got != tc.want {
 			t.Errorf("BatchStatus(%+v) = %d, want %d", tc.items, got, tc.want)
 		}
-	}
-}
-
-// TestMiterAtTheBound pins what MaxMiterVars is sized for: a
-// task=equivalent pair that declares exactly the bound is lowered
-// within 64 MiB of allocation, and one variable more is refused with a
-// 400 that names the bound before the miter is built.
-func TestMiterAtTheBound(t *testing.T) {
-	pair := func(n int) string {
-		one := fmt.Sprintf("p cnf %d 1\n1 -%d 0\n", n, n)
-		return one + one
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, _, _, err := Solve(post("/solve", "task=equivalent", pair(MaxMiterVars)))
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatalf("a pair at the bound was refused: %v", err)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
-		t.Errorf("lowering a pair at the bound allocated %d bytes, want under 64 MiB", alloc)
-	}
-
-	_, _, _, err = Solve(post("/solve", "task=equivalent", pair(MaxMiterVars+1)))
-	if Code(err) != http.StatusBadRequest || !strings.Contains(fmt.Sprint(err), strconv.Itoa(MaxMiterVars)) {
-		t.Errorf("a pair past the bound: got %v (code %d), want a 400 naming %d", err, Code(err), MaxMiterVars)
 	}
 }

@@ -11,6 +11,7 @@ package cdcl
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/cnf"
 )
@@ -39,6 +40,10 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
+	// vars lists the variables that occur, ascending: the only ones
+	// decided. The others are False in a model, as the False-first
+	// decision each would get never propagates.
+	vars []cnf.Var
 
 	seen  []bool // scratch for conflict analysis
 	stats Stats
@@ -69,6 +74,8 @@ func New(f *cnf.Formula) *Solver {
 		s.unsat = true
 		return s
 	}
+	_, s.vars = simplified.DenseLits()
+	slices.Sort(s.vars)
 	for _, c := range simplified.Clauses {
 		s.addClause(c)
 		if s.unsat {
@@ -291,13 +298,13 @@ func (s *Solver) cancelUntil(level int32) {
 	s.qhead = len(s.trail)
 }
 
-// pickBranchVar returns the unassigned variable with maximum VSIDS
-// activity (ties to the smallest index), or 0 if all are assigned.
+// pickBranchVar returns the unassigned occurring variable with maximum
+// VSIDS activity (ties to the smallest index), or 0 if none is left.
 func (s *Solver) pickBranchVar() cnf.Var {
 	best, bestAct := cnf.Var(0), -1.0
-	for v := 1; v <= s.nVars; v++ {
+	for _, v := range s.vars {
 		if s.assign[v] == cnf.Unassigned && s.activity[v] > bestAct {
-			best, bestAct = cnf.Var(v), s.activity[v]
+			best, bestAct = v, s.activity[v]
 		}
 	}
 	return best
@@ -374,10 +381,11 @@ func (s *Solver) SolveCtx(ctx context.Context) (cnf.Assignment, bool, error) {
 
 		v := s.pickBranchVar()
 		if v == 0 {
-			// All variables assigned without conflict: model found.
-			a := cnf.NewAssignment(s.nVars)
-			for i := 1; i <= s.nVars; i++ {
-				a.Set(cnf.Var(i), s.assign[i])
+			// All occurring variables assigned without conflict: model
+			// found; the others are False.
+			a := cnf.AssignmentFromBits(0, s.nVars)
+			for _, v := range s.vars {
+				a.Set(v, s.assign[v])
 			}
 			return a, true, nil
 		}

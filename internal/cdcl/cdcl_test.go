@@ -1,7 +1,10 @@
 package cdcl
 
 import (
+	"context"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/count"
@@ -157,5 +160,70 @@ func BenchmarkCDCLRandom3SATn50(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Solve(f)
+	}
+}
+
+// TestUnusedVariablesAreNotDecided: a variable in no clause is never
+// branched on, so a short body declaring many variables solves in time
+// linear in them, with the model that deciding each one False would
+// give.
+func TestUnusedVariablesAreNotDecided(t *testing.T) {
+	const n = 200_000
+	f := &cnf.Formula{NumVars: n, Clauses: []cnf.Clause{{cnf.Pos(1)}}}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	s := New(f)
+	a, ok, err := s.SolveCtx(ctx)
+	if err != nil || !ok {
+		t.Fatalf("p cnf %d 1 / 1 0: ok %v, err %v", n, ok, err)
+	}
+	want := cnf.NewAssignment(n)
+	for v := 1; v <= n; v++ {
+		want.Set(cnf.Var(v), cnf.False)
+	}
+	want.Set(1, cnf.True)
+	if !slices.Equal(a, want) {
+		t.Error("model differs from x1 true, every other variable false")
+	}
+	if d := s.Stats().Decisions; d != 0 {
+		t.Errorf("%d decisions, want 0", d)
+	}
+}
+
+// TestUnusedVariablesNeverChangeTheSearch holds the search over the
+// occurring variables to one that branches on every declared variable,
+// as the solver did before: on formulas whose variables are scattered
+// over a larger declared range, with tautologies that leave a variable
+// in no kept clause, the models and every counter but Decisions agree.
+func TestUnusedVariablesNeverChangeTheSearch(t *testing.T) {
+	g := rng.New(53)
+	for trial := 0; trial < 200; trial++ {
+		n := 4 + g.Intn(40)
+		f := cnf.New(n)
+		for range 1 + g.Intn(4*n) {
+			cl := cnf.Clause{}
+			for range 1 + g.Intn(3) {
+				cl = append(cl, cnf.NewLit(cnf.Var(1+g.Intn(n)), g.Bool()))
+			}
+			if g.Intn(10) == 0 {
+				cl = append(cl, cl[0].Negate())
+			}
+			f.Clauses = append(f.Clauses, cl)
+		}
+		got, every := New(f), New(f)
+		every.vars = every.vars[:0]
+		for v := 1; v <= n; v++ {
+			every.vars = append(every.vars, cnf.Var(v))
+		}
+		a, okA := got.Solve()
+		b, okB := every.Solve()
+		sa, sb := got.Stats(), every.Stats()
+		if okA != okB || !slices.Equal(a, b) || sa.Decisions > sb.Decisions {
+			t.Fatalf("trial %d: %v %v vs %v %v (decisions %d vs %d)", trial, okA, a, okB, b, sa.Decisions, sb.Decisions)
+		}
+		sa.Decisions = sb.Decisions
+		if sa != sb {
+			t.Fatalf("trial %d: stats %+v, branching on every variable %+v", trial, sa, sb)
+		}
 	}
 }

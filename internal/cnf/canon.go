@@ -159,6 +159,10 @@ func Canonicalize(f *Formula) *Canonical {
 // satisfiability.
 func (c *Canonical) Fingerprint() string { return c.fp }
 
+// NumVars returns the length of the models FromCanonical returns, the
+// declared variable count of a formula that passes Validate.
+func (c *Canonical) NumVars() int { return c.numVars }
+
 func fingerprint(f *Formula) string {
 	buf := make([]byte, 0, 4*(f.NumLiterals()+len(f.Clauses)))
 	for _, cl := range f.Clauses {

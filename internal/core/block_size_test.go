@@ -26,7 +26,7 @@ func TestBlockSizeNeverChangesVerdicts(t *testing.T) {
 	for label, f := range instances {
 		var ref Result
 		for i, block := range []int{16, 64, 100, 256} {
-			eng, err := NewEngine(f, Options{Seed: 7, MaxSamples: 60_000, Block: block})
+			eng, err := NewEngine(f, Options{Seed: 7, MaxSamples: 60_000, block: block})
 			if err != nil {
 				t.Fatalf("%s block=%d: %v", label, block, err)
 			}

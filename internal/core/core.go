@@ -47,9 +47,6 @@ type Options struct {
 	// CheckEvery is the cadence, in samples, of convergence checks.
 	// Default 50_000.
 	CheckEvery int64
-	// Digits is the significant-digit stability criterion of the paper's
-	// stopping rule. Default 3.
-	Digits int
 	// Theta is the SAT decision threshold in standard errors: the check
 	// returns SAT when mean > Theta·stderr. Default 4.
 	Theta float64
@@ -58,17 +55,22 @@ type Options struct {
 	// disjoint sample-index chunks of the same counter-addressed
 	// streams.
 	Workers int
-	// Block overrides the sampling batch size. Default 0 selects
+	// block overrides the sampling batch size in tests. Zero selects
 	// hyperspace.BlockSize for the instance geometry, which depends on
 	// the geometry alone, so every host samples the same bits. The
 	// per-source sample streams are identical for every block size
 	// (SampleSource's FillBlockAt contract), so the samples drawn, their
-	// count and the verdict do not change with Block. Mean and StdErr
+	// count and the verdict do not change with block. Mean and StdErr
 	// can, in their last bits: the block size is also the sampler's
 	// chunk size, and the chunks fix the order in which per-chunk
 	// moments merge.
-	Block int
+	block int
 }
+
+// digits is the significant-digit stability criterion of the paper's
+// stopping rule: a check may stop once its running mean holds this many
+// significant digits.
+const digits = 3
 
 // withDefaults fills zero fields with defaults.
 func (o Options) withDefaults() Options {
@@ -80,9 +82,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CheckEvery == 0 {
 		o.CheckEvery = 50_000
-	}
-	if o.Digits == 0 {
-		o.Digits = 3
 	}
 	if o.Theta == 0 {
 		o.Theta = 4

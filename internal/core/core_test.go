@@ -408,7 +408,7 @@ func TestResultString(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	e := mustEngine(t, gen.PaperExample6(), Options{})
 	o := e.Options()
-	if o.MaxSamples != 4_000_000 || o.Theta != 4 || o.Workers != 1 || o.Digits != 3 {
+	if o.MaxSamples != 4_000_000 || o.Theta != 4 || o.Workers != 1 {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
 }

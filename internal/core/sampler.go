@@ -17,7 +17,7 @@ import (
 // geometry by hyperspace.BlockSize: large enough to amortize the bank
 // dispatch and evaluator scratch setup, small enough that cancellation
 // polls (which happen at block boundaries) stay responsive and the SoA
-// block buffers stay cache-resident (Options.Block overrides).
+// block buffers stay cache-resident (Options.block overrides it in tests).
 
 // workerState is one worker's persistent sampling machinery: a noise
 // bank, the evaluator wired to it, and the block sample buffer. It is
@@ -54,7 +54,7 @@ func (e *Engine) evaluator(bound cnf.Assignment, seq uint64, w int) *hyperspace.
 	if st.bank == nil {
 		st.bank = noise.NewBank(e.opts.Family, seed, e.f.NumVars, e.f.NumClauses())
 		st.ev = hyperspace.New(e.f, st.bank)
-		k := e.opts.Block
+		k := e.opts.block
 		if k <= 0 {
 			k = hyperspace.BlockSize(e.f.NumVars, e.f.NumClauses())
 		}
@@ -72,7 +72,7 @@ func (e *Engine) evaluator(bound cnf.Assignment, seq uint64, w int) *hyperspace.
 // (rather than the budget) stopped the run.
 //
 // The sample-index axis is cut into fixed-size chunks (the block size,
-// which depends only on the instance geometry and Options.Block —
+// which depends only on the instance geometry and Options.block —
 // never on the worker count). A convergence round covers a fixed range
 // of chunks; workers
 // claim chunks dynamically from an atomic counter (deterministic
@@ -104,7 +104,7 @@ func (e *Engine) sample(ctx context.Context, bound cnf.Assignment, seq uint64) (
 	}
 
 	conv := &stats.Convergence{
-		Digits:     e.opts.Digits,
+		Digits:     digits,
 		Window:     4,
 		MaxSamples: e.opts.MaxSamples,
 	}

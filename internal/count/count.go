@@ -176,12 +176,6 @@ func split(f *cnf.Formula) (comps []*simplify.Component, free int) {
 	return simplify.Decompose(g), max(f.NumVars-len(vars), 0)
 }
 
-// IsSatisfiable reports whether f has at least one model. It shares the
-// DPLL machinery but short-circuits at the first model.
-func IsSatisfiable(f *cnf.Formula) bool {
-	return Count(f).Sign() > 0
-}
-
 // partial tracks a partial assignment during the DPLL recursion.
 type partial struct {
 	val      []cnf.Value

@@ -108,15 +108,6 @@ func TestCountExactlyK(t *testing.T) {
 	}
 }
 
-func TestIsSatisfiable(t *testing.T) {
-	if IsSatisfiable(gen.PaperUNSAT()) {
-		t.Error("S_UNSAT reported satisfiable")
-	}
-	if !IsSatisfiable(gen.PaperSAT()) {
-		t.Error("S_SAT reported unsatisfiable")
-	}
-}
-
 func TestWeightedBrutePaperExamples(t *testing.T) {
 	// Example 6: S=(x1+x2)(!x1+!x2). Models: 10 and 01. Under 10 the
 	// first clause has 1 true literal (x1), the second 1 (!x2): weight 1.

@@ -183,11 +183,3 @@ func (b *Bank) SourceAt(seed uint64, variable, clause int, neg bool) Source {
 	}
 	return NewSource(b.family, seed, uint64(idx))
 }
-
-// MaxProductMagnitude estimates the magnitude scale of a full noise
-// minterm product (2·n·m factors) for the family, used to warn about
-// float64 underflow: uniform-half factors shrink the product by 1/12 per
-// squared factor while unit-variance families hold it near 1.
-func (b *Bank) MaxProductMagnitude() float64 {
-	return math.Pow(b.family.Sigma2(), float64(b.n*b.m))
-}

@@ -230,17 +230,6 @@ func TestBankDimsPanics(t *testing.T) {
 	NewBank(UniformHalf, 1, 0, 1)
 }
 
-func TestMaxProductMagnitude(t *testing.T) {
-	b := NewBank(UniformHalf, 1, 2, 2)
-	if got, want := b.MaxProductMagnitude(), math.Pow(1.0/12, 4); math.Abs(got-want) > 1e-18 {
-		t.Errorf("MaxProductMagnitude = %v, want %v", got, want)
-	}
-	u := NewBank(RTW, 1, 5, 5)
-	if u.MaxProductMagnitude() != 1 {
-		t.Error("unit-variance family should have magnitude 1")
-	}
-}
-
 func BenchmarkBankFillUniform(b *testing.B) {
 	bank := NewBank(UniformHalf, 1, 20, 50)
 	pos, neg := make([]float64, 1000), make([]float64, 1000)

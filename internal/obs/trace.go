@@ -209,21 +209,6 @@ func (s *Span) Point(p TrajPoint) {
 	}
 }
 
-// TrajTail returns the last trajectory point and true when the span
-// has one (the diagnostic summary sites — slow-job logs, the CLI tree
-// printer — want the terminal SNR state without the full series).
-func (s *Span) TrajTail() (TrajPoint, bool) {
-	if s == nil {
-		return TrajPoint{}, false
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	if len(s.traj) == 0 {
-		return TrajPoint{}, false
-	}
-	return s.traj[len(s.traj)-1], true
-}
-
 // Trace returns the owning trace (nil for a nil span).
 func (s *Span) Trace() *Trace {
 	if s == nil {

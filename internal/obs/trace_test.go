@@ -101,10 +101,6 @@ func TestTrajectoryDecimation(t *testing.T) {
 			t.Fatalf("rounds not increasing at %d: %d then %d", i, traj[i-1].Round, traj[i].Round)
 		}
 	}
-	tail, ok := sp.TrajTail()
-	if !ok || tail.Round != traj[len(traj)-1].Round {
-		t.Fatalf("TrajTail = %+v, want last kept point", tail)
-	}
 }
 
 func TestGraft(t *testing.T) {

@@ -16,7 +16,8 @@ import (
 // of one clause set (see cnf.Canonicalize), while the engine and
 // config keep every entry a faithful replay of a solve the requester's
 // own parameters would have run — hit responses return the first
-// solve's Result verbatim, stats and wall time included.
+// solve's Result verbatim, stats and wall time included. A count's key
+// also holds the declared variable count (verdictstore.Fingerprint).
 //
 // Correctness argument: only definitive verdicts are stored. SAT and
 // UNSAT are properties of the clause set, invariant under the variable
@@ -75,14 +76,16 @@ func (c *verdictCache) enabled() bool { return c.cap > 0 || c.store != nil }
 
 // get returns the cached Result for (engine, config, canonical
 // formula), with the stored model translated into the requester's
-// variable space. An LRU miss falls through to the durable store; a
-// store hit is promoted into the LRU on its way out. Each probed tier
-// records a hit-tagged child span under sp (nil sp: untraced).
+// variable space; a nil canon, a job no tier serves, misses without
+// counting. An LRU miss falls through to the durable store; a store hit
+// is promoted into the LRU on its way out. Each probed tier records a
+// hit-tagged child span under sp (nil sp: untraced).
 func (c *verdictCache) get(sp *obs.Span, task solver.Task, engine, cfg string, canon *cnf.Canonical) (solver.Result, bool) {
-	if !c.enabled() {
+	if canon == nil {
 		return solver.Result{}, false
 	}
-	key := verdictstore.TaskKey(string(task), engine, cfg, canon.Fingerprint())
+	fp := verdictstore.Fingerprint(string(task), canon.Fingerprint(), canon.NumVars())
+	key := verdictstore.TaskKey(string(task), engine, cfg, fp)
 	lru := sp.StartChild("cache.lru")
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -97,7 +100,7 @@ func (c *verdictCache) get(sp *obs.Span, task solver.Task, engine, cfg string, c
 	lru.Finish()
 	if c.store != nil {
 		st := sp.StartChild("cache.store")
-		if rec, ok := c.store.GetTask(string(task), engine, cfg, canon.Fingerprint()); ok {
+		if rec, ok := c.store.GetTask(string(task), engine, cfg, fp); ok {
 			c.insertLocked(key, &rec)
 			st.SetAttr("hit", "true")
 			st.Finish()
@@ -118,17 +121,17 @@ func replay(rec *verdictstore.Record, canon *cnf.Canonical) solver.Result {
 	return res
 }
 
-// put stores a definitive result in both tiers. UNKNOWN (or an errored
-// solve — the caller never offers one) is rejected: see the type
-// comment.
+// put stores a definitive result in both tiers; a nil canon stores
+// nothing. UNKNOWN (or an errored solve — the caller never offers one)
+// is rejected: see the type comment.
 func (c *verdictCache) put(task solver.Task, engine, cfg string, canon *cnf.Canonical, res solver.Result) {
-	if !c.enabled() || !res.Status.Definitive() {
+	if canon == nil || !res.Status.Definitive() {
 		return
 	}
 	res.Assignment = canon.ToCanonical(res.Assignment)
 	rec := &verdictstore.Record{
-		Engine: engine, ConfigKey: cfg, Fingerprint: canon.Fingerprint(),
-		Task: string(task), Result: res,
+		Engine: engine, ConfigKey: cfg, Task: string(task), Result: res,
+		Fingerprint: verdictstore.Fingerprint(string(task), canon.Fingerprint(), canon.NumVars()),
 	}
 	c.mu.Lock()
 	c.insertLocked(rec.Key(), rec)

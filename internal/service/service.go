@@ -289,7 +289,9 @@ func (s *Server) Submit(f *cnf.Formula, req api.Request) (*Job, error) {
 	job.root.SetAttr("engine", engine)
 	job.root.SetAttr("task", string(task))
 
-	if s.cache.enabled() {
+	// K′ counts duplicate literals and clauses, which the canonical form
+	// drops, so no tier serves a weighted count.
+	if s.cache.enabled() && task != solver.TaskWeightedCount {
 		job.canon = cnf.Canonicalize(f)
 	}
 	if res, ok := s.cache.get(job.root, task, engine, req.Solver.Key(), job.canon); ok {
@@ -543,7 +545,7 @@ func (s *Server) finish(job *Job, res solver.Result, err error) {
 	// The cache entry lands before done closes: the instant done is
 	// observable (sync responses, long-polls), a client may resubmit
 	// the same formula, and it must already hit.
-	if state == StateDone && job.canon != nil {
+	if state == StateDone {
 		s.cache.put(job.Task, job.Engine, job.cfg.Key(), job.canon, res)
 	}
 	s.retire(job, state, res.Status.String(), res.Stats.Samples, res.Wall)

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -189,5 +190,45 @@ func TestCountCacheHitAcrossRenaming(t *testing.T) {
 	}
 	if snap2.Result.Count == nil || snap2.Result.Count.Cmp(snap1.Result.Count) != 0 {
 		t.Errorf("replayed count = %v, want %v", snap2.Result.Count, snap1.Result.Count)
+	}
+}
+
+// TestCountsReplayOnlyUnderTheirOwnIdentity: the canonical fingerprint
+// drops the declared variable count, duplicate literals and duplicate
+// clauses. A count doubles with each declared variable that occurs in
+// no clause, and K′ counts every duplicate, so a count must replay only
+// for the same declared count and a weighted count never. Run on the
+// LRU alone and on the store alone.
+func TestCountsReplayOnlyUnderTheirOwnIdentity(t *testing.T) {
+	for name, cfg := range map[string]func() Config{
+		"lru": func() Config { return Config{Workers: 1} },
+		"store": func() Config {
+			return Config{Workers: 1, CacheEntries: -1, Store: openStore(t, filepath.Join(t.TempDir(), "v.nbl"))}
+		},
+	} {
+		s := newTestServer(t, cfg())
+		for _, step := range []struct {
+			task solver.Task
+			f    *cnf.Formula
+			want string
+			hit  bool
+		}{
+			{solver.TaskCount, &cnf.Formula{NumVars: 1, Clauses: []cnf.Clause{{cnf.Pos(1)}}}, "1", false},
+			{solver.TaskCount, &cnf.Formula{NumVars: 2, Clauses: []cnf.Clause{{cnf.Pos(1)}}}, "2", false},
+			{solver.TaskCount, &cnf.Formula{NumVars: 2, Clauses: []cnf.Clause{{cnf.Pos(2)}}}, "2", true},
+			{solver.TaskWeightedCount, cnf.FromClauses([]int{1}), "1", false},
+			{solver.TaskWeightedCount, cnf.FromClauses([]int{1, 1}), "2", false},
+			{solver.TaskWeightedCount, cnf.FromClauses([]int{1}), "1", false},
+		} {
+			j, err := s.Submit(step.f, api.Request{Task: step.task})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := waitDone(t, j)
+			if snap.Result.Count == nil || snap.Result.Count.String() != step.want || snap.CacheHit != step.hit {
+				t.Errorf("%s: %s of %v answered %v (cache hit %v), want %s (cache hit %v)",
+					name, step.task, step.f, snap.Result.Count, snap.CacheHit, step.want, step.hit)
+			}
+		}
 	}
 }

@@ -66,6 +66,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strconv"
 	"sync"
 
 	"repro/internal/solver"
@@ -123,6 +124,18 @@ func TaskKey(task, engine, configKey, fingerprint string) string {
 		return k
 	}
 	return task + "\x00" + k
+}
+
+// Fingerprint is the formula identity a verdict of task is keyed by:
+// the canonical fingerprint fp, and for a count also the declared
+// variable count, which fp drops and which doubles a count with each
+// variable in no clause. Count records keyed by fp alone, as older
+// store files hold, never match that form.
+func Fingerprint(task, fp string, numVars int) string {
+	if task != string(solver.TaskCount) {
+		return fp
+	}
+	return fp + "/" + strconv.Itoa(numVars)
 }
 
 // ErrNotDefinitive is returned by Put for an UNKNOWN verdict.

@@ -207,10 +207,10 @@ func ExactAssign(f *Formula) (Assignment, bool) { return core.ExactAssign(f) }
 func CountModels(f *Formula) string { return count.Count(f).String() }
 
 // EquivalenceCNF lowers "are a and b logically equivalent?" to a decide
-// instance: it builds the miter of the two formulas (same variable
-// count required) and returns its Tseitin CNF. The miter is SAT exactly
-// when some shared input assignment makes a and b disagree, so UNSAT
-// certifies equivalence.
+// instance: the CNF miter of the two formulas (same variable count
+// required), whose variables 1..n are the shared inputs. The miter is
+// SAT exactly when some shared input assignment makes a and b disagree,
+// so UNSAT certifies equivalence.
 func EquivalenceCNF(a, b *Formula) (*Formula, error) { return logic.EquivalenceCNF(a, b) }
 
 // RandomKSAT generates a uniform random k-SAT instance.

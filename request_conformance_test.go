@@ -7,6 +7,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cnf"
 	"repro/internal/router"
 	"repro/internal/service"
 )
@@ -69,9 +71,9 @@ func TestRequestConformance(t *testing.T) {
 		// Variable 4294967297 wraps to x1 in an int32 literal.
 		row{"variable past cnf.MaxVar", "/solve", "", "p cnf 5000000000 1\n4294967297 0\n", http.StatusBadRequest},
 		row{"one-instance equivalence", "/solve", "task=equivalent", conformanceSAT, http.StatusBadRequest},
-		// Lowered, this pair would build 8,000,000 circuit inputs, ~5 GB.
-		row{"equivalence pair past api.MaxMiterVars", "/solve", "task=equivalent",
-			"p cnf 4000000 1\n1 0\np cnf 4000000 1\n1 0\n", http.StatusBadRequest},
+		// Its miter would need n + 2 clause variables + 2 outputs.
+		row{"equivalence pair past cnf.MaxVar", "/solve", "task=equivalent",
+			strings.Repeat("p cnf "+strconv.Itoa(cnf.MaxVar)+" 1\n1 0\n", 2), http.StatusBadRequest},
 		row{"batch equivalence", "/solve/batch", "task=equivalent", conformanceSAT + conformanceSAT, http.StatusBadRequest},
 		row{"empty batch", "/solve/batch", "", "", http.StatusBadRequest},
 		row{"257-instance batch", "/solve/batch", "", strings.Repeat(conformanceSAT, 257), http.StatusRequestEntityTooLarge},
@@ -116,6 +118,20 @@ func TestRequestConformance(t *testing.T) {
 		if routerCode != replicaCode || !bytes.Equal(routerBody, replicaBody) {
 			t.Errorf("%s %s: router answered %d %s, replica %d %s",
 				r.path, r.name, routerCode, routerBody, replicaCode, replicaBody)
+		}
+	}
+
+	// A pair declaring 4,000,000 variables costs what its two clauses
+	// hold, so both tiers answer it with the default engine.
+	pair := strings.Repeat("p cnf 4000000 1\n1 0\n", 2)
+	for _, base := range []string{front.URL, replica.URL} {
+		code, body := post(base, row{path: "/solve", query: "task=equivalent&sync=1", body: pair})
+		var job struct {
+			Equivalent *bool `json:"equivalent"`
+		}
+		if err := json.Unmarshal(body, &job); code != http.StatusOK || err != nil ||
+			job.Equivalent == nil || !*job.Equivalent {
+			t.Errorf("%s: a 4,000,000-variable equivalent pair answered %d %s", base, code, body)
 		}
 	}
 }
