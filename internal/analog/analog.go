@@ -6,11 +6,11 @@
 //
 // Blocks are evaluated once per timestep in netlist order (a block's
 // inputs must be created before it, so insertion order is a topological
-// order). Sources have no inputs; filters and correlators carry state
-// across steps. The compiler in compile.go lowers a CNF instance to a
-// netlist of these blocks, which is experiment E8's end-to-end check
-// that the paper's proposed architecture computes the same decision
-// statistic as the mathematical engine.
+// order). Noise sources have no inputs; the correlator carries state
+// across steps. Compile lowers a CNF instance to a netlist of these four
+// block kinds, which is experiment E8's end-to-end check that the
+// paper's proposed architecture computes the same decision statistic as
+// the mathematical engine.
 package analog
 
 import (
@@ -35,7 +35,6 @@ type Netlist struct {
 	blocks []Block
 	inputs [][]Net
 	values []float64
-	step   int64
 }
 
 // NewNetlist returns an empty netlist.
@@ -55,14 +54,8 @@ func (n *Netlist) Add(b Block, inputs ...Net) Net {
 	return Net(len(n.blocks) - 1)
 }
 
-// Size returns the number of blocks.
-func (n *Netlist) Size() int { return len(n.blocks) }
-
 // Value returns the current output value of a net.
 func (n *Netlist) Value(net Net) float64 { return n.values[net] }
-
-// Steps returns the number of timesteps simulated so far.
-func (n *Netlist) Steps() int64 { return n.step }
 
 // Step advances the simulation one timestep.
 func (n *Netlist) Step() {
@@ -74,7 +67,6 @@ func (n *Netlist) Step() {
 		}
 		n.values[i] = b.Step(scratch)
 	}
-	n.step++
 }
 
 // Run advances the simulation by steps timesteps.
@@ -89,20 +81,6 @@ type NoiseBlock struct{ Src noise.Source }
 
 // Step implements Block.
 func (b *NoiseBlock) Step([]float64) float64 { return b.Src.Next() }
-
-// SineBlock emits a unit-RMS sinusoid (an on-chip oscillator).
-type SineBlock struct {
-	Osc *noise.Sinusoid
-}
-
-// Step implements Block.
-func (b *SineBlock) Step([]float64) float64 { return b.Osc.Next() }
-
-// ConstBlock emits a constant.
-type ConstBlock struct{ V float64 }
-
-// Step implements Block.
-func (b *ConstBlock) Step([]float64) float64 { return b.V }
 
 // Adder sums its inputs (an ideal analog summing junction).
 type Adder struct{}
@@ -126,64 +104,6 @@ func (Multiplier) Step(in []float64) float64 {
 		p *= x
 	}
 	return p
-}
-
-// Gain scales its single input by K (a wideband amplifier).
-type Gain struct{ K float64 }
-
-// Step implements Block.
-func (g Gain) Step(in []float64) float64 { return g.K * in[0] }
-
-// LowPass is a first-order IIR low-pass filter
-// y[t] = y[t-1] + alpha·(x[t] - y[t-1]) with alpha in (0, 1].
-type LowPass struct {
-	Alpha float64
-	y     float64
-}
-
-// NewLowPass returns a first-order low-pass with the given smoothing
-// factor. Smaller alpha means a lower cutoff.
-func NewLowPass(alpha float64) *LowPass {
-	if alpha <= 0 || alpha > 1 {
-		panic("analog: LowPass alpha must be in (0,1]")
-	}
-	return &LowPass{Alpha: alpha}
-}
-
-// Step implements Block.
-func (f *LowPass) Step(in []float64) float64 {
-	f.y += f.Alpha * (in[0] - f.y)
-	return f.y
-}
-
-// CascadedLowPass chains k identical first-order sections, giving a
-// steeper (k-pole) roll-off — the "low-pass filters of high order"
-// Section V says a small frequency spacing would require.
-type CascadedLowPass struct {
-	sections []*LowPass
-}
-
-// NewCascadedLowPass builds a k-section cascade with per-section alpha.
-func NewCascadedLowPass(k int, alpha float64) *CascadedLowPass {
-	if k < 1 {
-		panic("analog: cascade needs at least one section")
-	}
-	c := &CascadedLowPass{}
-	for i := 0; i < k; i++ {
-		c.sections = append(c.sections, NewLowPass(alpha))
-	}
-	return c
-}
-
-// Step implements Block.
-func (c *CascadedLowPass) Step(in []float64) float64 {
-	x := in[0]
-	buf := [1]float64{}
-	for _, s := range c.sections {
-		buf[0] = x
-		x = s.Step(buf[:])
-	}
-	return x
 }
 
 // Correlator accumulates the running mean and variance of its input —

@@ -53,49 +53,6 @@ func (c ComponentCount) String() string {
 //	Sigma = prod_j Z_j                       1 multiplier
 //	S_N = tau * Sigma -> correlator
 func Compile(f *cnf.Formula, fam noise.Family, seed uint64) (*Engine, error) {
-	// Stream keys match the noise.Bank layout so the compiled engine
-	// samples the same processes as the mathematical engine.
-	return compile(f, func(sourceIdx int) Block {
-		return &NoiseBlock{Src: noise.NewSource(fam, seed, uint64(sourceIdx))}
-	})
-}
-
-// maxSBLSources caps the sinusoid compile so one full common period
-// (2·4^(2nm) timesteps) remains simulable.
-const maxSBLSources = 12
-
-// CompileSBL compiles the instance to the same Section V netlist but
-// with on-chip sinusoidal oscillator blocks as carriers, at the
-// collision-free geometric frequency plan of the sbl package (source k
-// oscillates at 4^k cycles per common period). Running the engine for
-// exactly the returned period makes the correlator's mean equal the
-// weighted model count K' deterministically.
-func CompileSBL(f *cnf.Formula) (*Engine, int64, error) {
-	k := 2 * f.NumVars * f.NumClauses()
-	if k > maxSBLSources {
-		return nil, 0, fmt.Errorf("analog: SBL compile supports 2nm <= %d sources, need %d",
-			maxSBLSources, k)
-	}
-	period := int64(2)
-	for i := 0; i < k; i++ {
-		period *= 4
-	}
-	eng, err := compile(f, func(sourceIdx int) Block {
-		cycles := 1
-		for i := 0; i < sourceIdx; i++ {
-			cycles *= 4
-		}
-		return &SineBlock{Osc: noise.NewSinusoid(cycles, int(period))}
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return eng, period, nil
-}
-
-// compile lowers the CNF to the block netlist, drawing carrier blocks
-// from mkSource (indexed (var*m+clause)*2 + polarity, the bank layout).
-func compile(f *cnf.Formula, mkSource func(sourceIdx int) Block) (*Engine, error) {
 	n, m := f.NumVars, f.NumClauses()
 	if n < 1 || m < 1 {
 		return nil, fmt.Errorf("analog: compile needs n >= 1 and m >= 1, got (%d,%d)", n, m)
@@ -117,8 +74,10 @@ func compile(f *cnf.Formula, mkSource func(sourceIdx int) Block) (*Engine, error
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
 			k := i*m + j
-			pos[k] = nl.Add(mkSource(2 * k))
-			neg[k] = nl.Add(mkSource(2*k + 1))
+			// Stream keys match the noise.Bank layout, so the compiled
+			// engine samples the same processes as the mathematical engine.
+			pos[k] = nl.Add(&NoiseBlock{Src: noise.NewSource(fam, seed, uint64(2*k))})
+			neg[k] = nl.Add(&NoiseBlock{Src: noise.NewSource(fam, seed, uint64(2*k+1))})
 			eng.Blocks.NoiseSources += 2
 		}
 	}

@@ -31,9 +31,6 @@ type AssignResult struct {
 	// (Assign: at most n, so at most n+1 in all) and then two per
 	// variable (Cube).
 	Checks []Result
-	// Verified reports whether Assignment was confirmed against the
-	// formula by direct evaluation.
-	Verified bool
 }
 
 // Assign implements Algorithm 2: it first runs the Algorithm-1 check,
@@ -117,8 +114,7 @@ func (e *Engine) AssignCtx(ctx context.Context) (AssignResult, error) {
 		}
 	}
 	out.Assignment = a
-	out.Verified = a.Satisfies(e.f)
-	if !out.Verified {
+	if !a.Satisfies(e.f) {
 		return out, fmt.Errorf("%w: recovered assignment %s does not satisfy the formula",
 			ErrInconsistent, a)
 	}
@@ -177,8 +173,7 @@ func (e *Engine) Cube() (AssignResult, error) {
 		}
 	}
 	out.Assignment = cube
-	out.Verified = cube.Eval(e.f) == cnf.True
-	if !out.Verified {
+	if cube.Eval(e.f) != cnf.True {
 		return out, fmt.Errorf("%w: recovered cube %s does not satisfy the formula",
 			ErrInconsistent, cube)
 	}

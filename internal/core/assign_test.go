@@ -40,7 +40,7 @@ func unconditionedAssign(ctx context.Context, e *Engine) (AssignResult, error) {
 		}
 	}
 	out.Assignment = bound
-	if out.Verified = bound.Satisfies(e.f); !out.Verified {
+	if !bound.Satisfies(e.f) {
 		return out, ErrInconsistent
 	}
 	return out, nil

@@ -67,11 +67,6 @@ type Options struct {
 	block int
 }
 
-// digits is the significant-digit stability criterion of the paper's
-// stopping rule: a check may stop once its running mean holds this many
-// significant digits.
-const digits = 3
-
 // withDefaults fills zero fields with defaults.
 func (o Options) withDefaults() Options {
 	if o.MaxSamples == 0 {

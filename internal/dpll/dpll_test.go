@@ -103,22 +103,6 @@ func TestPureLiteralElimination(t *testing.T) {
 	}
 }
 
-func TestMaxOccurrenceBrancher(t *testing.T) {
-	g := rng.New(31)
-	for trial := 0; trial < 30; trial++ {
-		f := gen.RandomKSAT(g, 8, 30, 3)
-		want := count.Brute(f) > 0
-		s := New(f, MaxOccurrence{})
-		a, ok := s.Solve()
-		if ok != want {
-			t.Fatalf("trial %d: MaxOccurrence brancher wrong verdict", trial)
-		}
-		if ok && !a.Satisfies(f) {
-			t.Fatalf("trial %d: non-model", trial)
-		}
-	}
-}
-
 func TestEmptyFormula(t *testing.T) {
 	a, ok := Solve(cnf.New(2))
 	if !ok || !a.Total() {

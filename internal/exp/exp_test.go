@@ -209,7 +209,3 @@ func TestAssignDemoLinearChecks(t *testing.T) {
 		t.Errorf("model %s, ExactAssign's is %s", a, want)
 	}
 }
-
-func TestSanity(t *testing.T) {
-	Sanity()
-}

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/big"
 	"time"
 
@@ -482,19 +481,4 @@ func AssignDemo(f *cnf.Formula, seed uint64, maxSamples int64) (cnf.Assignment, 
 		return nil, len(res.Checks), false, err
 	}
 	return res.Assignment, len(res.Checks), len(res.Checks) <= f.NumVars+1, nil
-}
-
-// Sanity panics unless every experiment's tiny smoke configuration
-// produces self-consistent results; used by tests.
-func Sanity() {
-	pts := Fig1(1, 20_000, 4)
-	if len(pts) != 4 {
-		panic("Fig1 point count")
-	}
-	if rows := SourceFamilies(1, 50_000); len(rows) != 10 {
-		panic(fmt.Sprintf("SourceFamilies rows = %d", len(rows)))
-	}
-	if math.IsNaN(snr.PaperSNR(2, 2, 1000, 1)) {
-		panic("PaperSNR NaN")
-	}
 }

@@ -157,34 +157,22 @@ type Result struct {
 
 // SolveExact runs DPLL guided by the idealized exact coprocessor.
 func SolveExact(f *cnf.Formula) Result {
-	r, _ := SolveExactCtx(context.Background(), f)
-	return r
-}
-
-// SolveExactCtx is SolveExact with cancellation threaded through both
-// the DPLL search and the coprocessor probes. A non-nil error means the
-// verdict is unknown, not UNSAT.
-func SolveExactCtx(ctx context.Context, f *cnf.Formula) (Result, error) {
 	cop := &Exact{F: f}
-	r, err := solveCtx(ctx, f, cop, 0)
+	// solveCtx fails only when its context ends, which Background never does.
+	r, _ := solveCtx(context.Background(), f, cop, 0)
 	r.Probes = cop.Probes
-	return r, err
+	return r
 }
 
 // SolveMC runs DPLL guided by a Monte-Carlo coprocessor built from the
 // given engine options.
 func SolveMC(f *cnf.Formula, opts core.Options) (Result, error) {
-	return SolveMCCtx(context.Background(), f, opts)
-}
-
-// SolveMCCtx is SolveMC with cancellation.
-func SolveMCCtx(ctx context.Context, f *cnf.Formula, opts core.Options) (Result, error) {
 	eng, err := core.NewEngine(f, opts)
 	if err != nil {
 		return Result{}, err
 	}
 	cop := &MC{Engine: eng}
-	r, err := solveCtx(ctx, f, cop, 0)
+	r, err := solveCtx(context.Background(), f, cop, 0)
 	r.Probes = cop.Probes
 	return r, err
 }

@@ -97,12 +97,13 @@ func TestStepBlockBitIdenticalToStep(t *testing.T) {
 
 			// Bind a couple of variables identically on both evaluators so
 			// the reduced-tau branches are exercised too.
-			for _, e := range []*Evaluator{scalar, block} {
-				e.Bind(1, cnf.True)
-				if n > 2 {
-					e.Bind(2, cnf.False)
-				}
+			bound := cnf.NewAssignment(n)
+			bound.Set(1, cnf.True)
+			if n > 2 {
+				bound.Set(2, cnf.False)
 			}
+			scalar.BindAll(bound)
+			block.BindAll(bound)
 
 			var base uint64
 			for _, k := range blocks {
@@ -135,14 +136,14 @@ func FuzzStepBlockMatchesScalar(f *testing.F) {
 		pick := int(source) % (len(allFamilies) + 1)
 		scalar := New(form, blockSources(uint64(len(data)), n, m)[pick])
 		block := New(form, blockSources(uint64(len(data)), n, m)[pick])
+		bound := cnf.NewAssignment(n)
 		for v := 1; v <= n; v++ {
-			val := cnf.Value(bind >> (2 * (v - 1)) & 3)
-			if val > cnf.True {
-				val = cnf.Unassigned
+			if val := cnf.Value(bind >> (2 * (v - 1)) & 3); val <= cnf.True {
+				bound.Set(cnf.Var(v), val)
 			}
-			scalar.Bind(cnf.Var(v), val)
-			block.Bind(cnf.Var(v), val)
 		}
+		scalar.BindAll(bound)
+		block.BindAll(bound)
 		requireBlockMatchesScalar(t, form.String(), block, scalar, base, make([]float64, 1+int(k)%300))
 	})
 }
@@ -304,10 +305,11 @@ func TestStepBlockAtOddGeometryWithBindings(t *testing.T) {
 	for _, fam := range allFamilies {
 		scalar := New(f, noise.NewBank(fam, 78, n, m))
 		block := New(f, noise.NewBank(fam, 78, n, m))
-		for _, e := range []*Evaluator{scalar, block} {
-			e.Bind(1, cnf.True)
-			e.Bind(3, cnf.False)
-		}
+		bound := cnf.NewAssignment(n)
+		bound.Set(1, cnf.True)
+		bound.Set(3, cnf.False)
+		scalar.BindAll(bound)
+		block.BindAll(bound)
 		for _, k := range []int{3, 7, 17} {
 			out := make([]float64, k)
 			for _, base := range []uint64{1, 6, 255} {

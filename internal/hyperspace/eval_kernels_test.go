@@ -17,7 +17,7 @@ func randomBlock(g *rng.Xoshiro256, n, m, k, off int) (*blockScratch, []float64)
 	row := func(size int) []float64 {
 		r := make([]float64, off+size)
 		for i := range r {
-			r[i] = g.Norm() * math.Exp2(float64(g.Intn(9)-4))
+			r[i] = (2*g.Float64() - 1) * math.Exp2(float64(g.Intn(9)-4))
 		}
 		return r[off:]
 	}

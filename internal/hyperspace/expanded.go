@@ -48,7 +48,8 @@ func NewExpanded(f *cnf.Formula, bank SampleSource) *Expanded {
 	}
 }
 
-// Bind constrains a variable in tau_N, as in Evaluator.Bind.
+// Bind constrains variable v to val in tau_N (Unassigned frees it), as
+// Evaluator.BindAll does for every variable.
 func (e *Expanded) Bind(v cnf.Var, val cnf.Value) { e.bound[v] = val }
 
 // StepAt draws sample i from every source and evaluates by

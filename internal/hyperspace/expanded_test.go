@@ -35,7 +35,9 @@ func TestExpandedWithBindings(t *testing.T) {
 	seed := uint64(5)
 	factored := New(f, noise.NewBank(noise.RTW, seed, 2, 2))
 	expanded := NewExpanded(f, noise.NewBank(noise.RTW, seed, 2, 2))
-	factored.Bind(1, cnf.True)
+	bound := cnf.NewAssignment(2)
+	bound.Set(1, cnf.True)
+	factored.BindAll(bound)
 	expanded.Bind(1, cnf.True)
 	for step := uint64(0); step < 50; step++ {
 		a, b := factored.StepAt(step), expanded.StepAt(step)

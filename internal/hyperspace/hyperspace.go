@@ -183,26 +183,16 @@ func (e *Evaluator) Reset(f *cnf.Formula) {
 	}
 }
 
-// Bind constrains variable v to val in tau_N. Binding to Unassigned
-// removes the constraint. This mirrors Algorithm 2's construction of the
-// reduced hyperspace tau^red_N; Sigma_N is never modified.
-func (e *Evaluator) Bind(v cnf.Var, val cnf.Value) {
-	if int(v) < 1 || int(v) > e.n {
-		panic(fmt.Sprintf("hyperspace: Bind variable %d outside 1..%d", v, e.n))
-	}
-	e.bound[v] = val
-}
-
 // BindAll replaces all bindings with those of a (which must cover the
-// formula's variables).
+// formula's variables): a bound variable is constrained to its value in
+// tau_N, an Unassigned one is free. This mirrors Algorithm 2's
+// construction of the reduced hyperspace tau^red_N; Sigma_N is never
+// modified.
 func (e *Evaluator) BindAll(a cnf.Assignment) {
 	for v := 1; v <= e.n; v++ {
 		e.bound[v] = a.Get(cnf.Var(v))
 	}
 }
-
-// Bindings returns a copy of the current binding assignment.
-func (e *Evaluator) Bindings() cnf.Assignment { return e.bound.Clone() }
 
 // Sample holds the per-sample values of the hyperspace objects.
 type Sample struct {
@@ -338,19 +328,3 @@ func (e *Evaluator) eval() Sample {
 
 	return Sample{Tau: tau, Sigma: sigma, S: tau * sigma}
 }
-
-// TauMintermCount returns the number of noise minterms in the (reduced)
-// hyperspace: 2^(free variables). It is the paper's |tau_N| and shrinks
-// by half per binding.
-func (e *Evaluator) TauMintermCount() uint64 {
-	free := 0
-	for v := 1; v <= e.n; v++ {
-		if e.bound[v] == cnf.Unassigned {
-			free++
-		}
-	}
-	return 1 << uint(free)
-}
-
-// Dims returns the formula dimensions (n variables, m clauses).
-func (e *Evaluator) Dims() (n, m int) { return e.n, e.m }

@@ -172,9 +172,6 @@ func TestFullBindingSelectsSingleMinterm(t *testing.T) {
 		bank := noise.NewBank(noise.UniformUnit, 50+bits, 2, 2)
 		e := New(f, bank)
 		e.BindAll(a)
-		if e.TauMintermCount() != 1 {
-			t.Fatalf("fully bound tau should have 1 minterm, got %d", e.TauMintermCount())
-		}
 		const samples = 300000
 		var sum float64
 		for i := uint64(0); i < samples; i++ {
@@ -191,35 +188,6 @@ func TestFullBindingSelectsSingleMinterm(t *testing.T) {
 	}
 }
 
-func TestTauMintermCount(t *testing.T) {
-	f := gen.PaperExample5() // 3 variables
-	bank := noise.NewBank(noise.UniformHalf, 1, 3, 4)
-	e := New(f, bank)
-	if e.TauMintermCount() != 8 {
-		t.Errorf("unbound count = %d, want 8", e.TauMintermCount())
-	}
-	e.Bind(1, cnf.True)
-	if e.TauMintermCount() != 4 {
-		t.Errorf("one binding: count = %d, want 4", e.TauMintermCount())
-	}
-	e.Bind(1, cnf.Unassigned)
-	if e.TauMintermCount() != 8 {
-		t.Errorf("unbinding: count = %d, want 8", e.TauMintermCount())
-	}
-}
-
-func TestBindingsSnapshot(t *testing.T) {
-	f := gen.PaperExample6()
-	bank := noise.NewBank(noise.UniformHalf, 1, 2, 2)
-	e := New(f, bank)
-	e.Bind(2, cnf.False)
-	snap := e.Bindings()
-	snap.Set(2, cnf.True) // mutating the copy must not affect e
-	if e.Bindings().Get(2) != cnf.False {
-		t.Error("Bindings returned a live reference")
-	}
-}
-
 func TestNewValidatesDims(t *testing.T) {
 	f := gen.PaperExample6()
 	bank := noise.NewBank(noise.UniformHalf, 1, 3, 2) // wrong n
@@ -229,27 +197,6 @@ func TestNewValidatesDims(t *testing.T) {
 		}
 	}()
 	New(f, bank)
-}
-
-func TestBindRangePanics(t *testing.T) {
-	f := gen.PaperExample6()
-	bank := noise.NewBank(noise.UniformHalf, 1, 2, 2)
-	e := New(f, bank)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Bind out of range must panic")
-		}
-	}()
-	e.Bind(3, cnf.True)
-}
-
-func TestDims(t *testing.T) {
-	f := gen.PaperExample5()
-	bank := noise.NewBank(noise.UniformHalf, 1, 3, 4)
-	e := New(f, bank)
-	if n, m := e.Dims(); n != 3 || m != 4 {
-		t.Errorf("Dims = (%d,%d), want (3,4)", n, m)
-	}
 }
 
 func BenchmarkStepSmall(b *testing.B) {

@@ -19,8 +19,10 @@ func rippleAdder(c *Circuit, width int) {
 	for i := 0; i < width; i++ {
 		bs[i] = c.NewInput("b")
 	}
-	carry := c.Const(false)
-	for i := 0; i < width; i++ {
+	// Bit 0 is a half adder: there is no carry in.
+	c.MarkOutput(c.Xor(as[0], bs[0]))
+	carry := c.And(as[0], bs[0])
+	for i := 1; i < width; i++ {
 		x := c.Xor(as[i], bs[i])
 		sum := c.Xor(x, carry)
 		carry = c.Or(c.And(as[i], bs[i]), c.And(x, carry))
@@ -43,8 +45,9 @@ func rippleAdderNorOnly(c *Circuit, width int) {
 	or := func(x, y Node) Node { return not(c.Nor(x, y)) }
 	and := func(x, y Node) Node { return c.Nor(not(x), not(y)) }
 	xor := func(x, y Node) Node { return and(or(x, y), not(and(x, y))) }
-	carry := c.Const(false)
-	for i := 0; i < width; i++ {
+	c.MarkOutput(xor(as[0], bs[0]))
+	carry := and(as[0], bs[0])
+	for i := 1; i < width; i++ {
 		x := xor(as[i], bs[i])
 		sum := xor(x, carry)
 		carry = or(and(as[i], bs[i]), and(x, carry))
@@ -117,8 +120,9 @@ func TestMiterDetectsSingleGateBug(t *testing.T) {
 	for i := 0; i < width; i++ {
 		bs[i] = buggy.NewInput("b")
 	}
-	carry := buggy.Const(false)
-	for i := 0; i < width; i++ {
+	buggy.MarkOutput(buggy.Xor(as[0], bs[0]))
+	carry := buggy.And(as[0], bs[0])
+	for i := 1; i < width; i++ {
 		x := buggy.Xor(as[i], bs[i])
 		var sum Node
 		if i == 1 {

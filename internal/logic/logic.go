@@ -18,11 +18,9 @@ import (
 // GateType enumerates supported gate functions.
 type GateType int
 
-// Gate kinds. Input gates have no fanin; Const0/Const1 are constants.
+// Gate kinds. Input gates have no fanin.
 const (
 	Input GateType = iota
-	Const0
-	Const1
 	Not
 	Buf
 	And
@@ -36,8 +34,7 @@ const (
 // String names the gate type.
 func (g GateType) String() string {
 	names := map[GateType]string{
-		Input: "input", Const0: "const0", Const1: "const1",
-		Not: "not", Buf: "buf", And: "and", Or: "or",
+		Input: "input", Not: "not", Buf: "buf", And: "and", Or: "or",
 		Nand: "nand", Nor: "nor", Xor: "xor", Xnor: "xnor",
 	}
 	if s, ok := names[g]; ok {
@@ -68,9 +65,6 @@ type Circuit struct {
 // New returns an empty circuit.
 func New() *Circuit { return &Circuit{} }
 
-// NumGates returns the number of nodes (including inputs and constants).
-func (c *Circuit) NumGates() int { return len(c.gates) }
-
 // Inputs returns the primary input nodes in creation order.
 func (c *Circuit) Inputs() []Node { return append([]Node(nil), c.inputs...) }
 
@@ -92,14 +86,6 @@ func (c *Circuit) NewInput(name string) Node {
 	n := c.add(Input, name)
 	c.inputs = append(c.inputs, n)
 	return n
-}
-
-// Const returns a constant node.
-func (c *Circuit) Const(v bool) Node {
-	if v {
-		return c.add(Const1, "")
-	}
-	return c.add(Const0, "")
 }
 
 // Not returns the negation of a.
@@ -155,10 +141,6 @@ func (c *Circuit) Eval(inputVals []bool) []bool {
 		case Input:
 			val[i] = inputVals[nextIn]
 			nextIn++
-		case Const0:
-			val[i] = false
-		case Const1:
-			val[i] = true
 		case Not:
 			val[i] = !val[g.ins[0]]
 		case Buf:
@@ -221,7 +203,7 @@ type Encoding struct {
 
 // Tseitin encodes the circuit as CNF with one variable per node and the
 // standard gate consistency clauses. No output constraint is added; use
-// AssertTrue/AssertFalse on the result.
+// AssertTrue on the result.
 func Tseitin(c *Circuit) *Encoding {
 	enc := &Encoding{F: cnf.New(len(c.gates)), VarOf: make([]cnf.Var, len(c.gates))}
 	for i := range c.gates {
@@ -233,10 +215,6 @@ func Tseitin(c *Circuit) *Encoding {
 		switch g.typ {
 		case Input:
 			enc.InputVars = append(enc.InputVars, v)
-		case Const0:
-			f.AddClause(cnf.Clause{cnf.Neg(v)})
-		case Const1:
-			f.AddClause(cnf.Clause{cnf.Pos(v)})
 		case Not:
 			a := enc.VarOf[g.ins[0]]
 			f.AddClause(cnf.Clause{cnf.Neg(v), cnf.Neg(a)})
@@ -292,11 +270,6 @@ func Tseitin(c *Circuit) *Encoding {
 // AssertTrue adds a unit clause forcing node n to 1.
 func (e *Encoding) AssertTrue(n Node) {
 	e.F.AddClause(cnf.Clause{cnf.Pos(e.VarOf[n])})
-}
-
-// AssertFalse adds a unit clause forcing node n to 0.
-func (e *Encoding) AssertFalse(n Node) {
-	e.F.AddClause(cnf.Clause{cnf.Neg(e.VarOf[n])})
 }
 
 // Miter builds the equivalence-checking circuit for two circuits with

@@ -128,12 +128,6 @@ func Evaluate(c *logic.Circuit, inputs []bool, opts Options) ([]bool, Stats, err
 		case logic.Input:
 			values[n] = inputs[inputIdx]
 			return nil
-		case logic.Const0:
-			values[n] = false
-			return nil
-		case logic.Const1:
-			values[n] = true
-			return nil
 		}
 		bits := make([]bool, len(ins))
 		for i, in := range ins {

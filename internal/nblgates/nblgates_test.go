@@ -8,14 +8,14 @@ import (
 )
 
 // buildTestCircuit returns a circuit exercising every gate type:
-// outputs = [and, or, nand, nor, xor, xnor, not, buf, const1].
+// outputs = [and, or, nand, nor, xor, xnor, not, buf].
 func buildTestCircuit() *logic.Circuit {
 	c := logic.New()
 	a := c.NewInput("a")
 	b := c.NewInput("b")
 	for _, n := range []logic.Node{
 		c.And(a, b), c.Or(a, b), c.Nand(a, b), c.Nor(a, b),
-		c.Xor(a, b), c.Xnor(a, b), c.Not(a), c.Buf(b), c.Const(true),
+		c.Xor(a, b), c.Xnor(a, b), c.Not(a), c.Buf(b),
 	} {
 		c.MarkOutput(n)
 	}

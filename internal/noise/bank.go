@@ -63,9 +63,6 @@ func (b *Bank) Reseed(seed uint64) {
 	}
 }
 
-// Family returns the bank's source family.
-func (b *Bank) Family() Family { return b.family }
-
 // Dims returns (n, m).
 func (b *Bank) Dims() (n, m int) { return b.n, b.m }
 
@@ -170,16 +167,4 @@ func pulseAt(base, i uint64) float64 {
 		return pulseAmp
 	}
 	return -pulseAmp
-}
-
-// SourceAt returns a standalone Source replaying the stream of the bank
-// source for (variable, clause, polarity), with variable and clause
-// 1-based and negative polarity selected by neg. Useful for
-// independence audits; it does not share state with the bank.
-func (b *Bank) SourceAt(seed uint64, variable, clause int, neg bool) Source {
-	idx := ((variable-1)*b.m + (clause - 1)) * 2
-	if neg {
-		idx++
-	}
-	return NewSource(b.family, seed, uint64(idx))
 }

@@ -86,25 +86,6 @@ func (f Family) Sigma2() float64 {
 	return 1
 }
 
-// Kurtosis returns E[X^4]/E[X^2]^2, which drives the variance of the
-// self-correlation terms in S_N (Section III-F): 9/5 for uniforms, 3 for
-// Gaussian, 1 for RTW. RTW's unit fourth moment is why telegraph waves
-// give the tightest decision statistic in the E6 ablation.
-func (f Family) Kurtosis() float64 {
-	switch f {
-	case UniformHalf, UniformUnit:
-		return 9.0 / 5
-	case Gaussian:
-		return 3
-	case RTW:
-		return 1
-	case Pulse:
-		return 1 / pulseDensity
-	default:
-		return math.NaN()
-	}
-}
-
 // Source is a stream of noise samples. Implementations are deterministic
 // functions of their seed so experiments are reproducible.
 type Source interface {
@@ -155,49 +136,4 @@ func NewSource(f Family, seed, key uint64) Source {
 		panic(fmt.Sprintf("noise: unknown family %d", int(f)))
 	}
 	return s
-}
-
-// Sinusoid is a deterministic sinusoidal carrier: amplitude * sqrt(2) *
-// cos(2*pi*cycles*t/period + phase) sampled at integer t. Over a full
-// common period, distinct-frequency sinusoids are pairwise orthogonal,
-// which is the property Section V's sinusoid-based logic exploits. The
-// sqrt(2) factor normalizes the mean square to amplitude^2.
-type Sinusoid struct {
-	Amplitude float64
-	Cycles    int // frequency in cycles per Period samples
-	Period    int // fundamental window length in samples
-	Phase     float64
-	t         int
-}
-
-// NewSinusoid returns a unit-RMS sinusoid completing cycles periods every
-// period samples.
-func NewSinusoid(cycles, period int) *Sinusoid {
-	return &Sinusoid{Amplitude: 1, Cycles: cycles, Period: period}
-}
-
-// Next returns the next sample and advances time.
-func (s *Sinusoid) Next() float64 {
-	x := s.At(s.t)
-	s.t++
-	return x
-}
-
-// At returns the sample at time t without advancing the stream.
-func (s *Sinusoid) At(t int) float64 {
-	arg := 2*math.Pi*float64(s.Cycles)*float64(t)/float64(s.Period) + s.Phase
-	return s.Amplitude * math.Sqrt2 * math.Cos(arg)
-}
-
-// Reset rewinds the sinusoid to t = 0.
-func (s *Sinusoid) Reset() { s.t = 0 }
-
-// Correlation estimates the correlation operator <a(t)b(t)> of the paper
-// (Definition 7) over the given number of samples.
-func Correlation(a, b Source, samples int) float64 {
-	var sum float64
-	for i := 0; i < samples; i++ {
-		sum += float64(a.Next() * b.Next())
-	}
-	return sum / float64(samples)
 }

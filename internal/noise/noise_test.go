@@ -17,6 +17,31 @@ func moments(s Source, n int) (mean, variance, fourth float64) {
 	return m1 / fn, m2 / fn, m4 / fn
 }
 
+// kurtosis is E[X^4]/E[X^2]^2 of each family: 9/5 for uniforms, 3 for
+// Gaussian, 1 for RTW and 1/density for pulse trains.
+func kurtosis(f Family) float64 {
+	switch f {
+	case UniformHalf, UniformUnit:
+		return 9.0 / 5
+	case Gaussian:
+		return 3
+	case RTW:
+		return 1
+	default:
+		return 1 / pulseDensity
+	}
+}
+
+// correlation estimates the correlation operator <a(t)b(t)> of the
+// paper (Definition 7) over the given number of samples.
+func correlation(a, b Source, samples int) float64 {
+	var sum float64
+	for i := 0; i < samples; i++ {
+		sum += float64(a.Next() * b.Next())
+	}
+	return sum / float64(samples)
+}
+
 func TestFamilyMoments(t *testing.T) {
 	const n = 300000
 	for _, f := range []Family{UniformHalf, UniformUnit, Gaussian, RTW, Pulse} {
@@ -29,8 +54,8 @@ func TestFamilyMoments(t *testing.T) {
 			t.Errorf("%v: E[X^2] = %v, want %v", f, m2, f.Sigma2())
 		}
 		kurt := m4 / (m2 * m2)
-		if math.Abs(kurt-f.Kurtosis()) > 0.1 {
-			t.Errorf("%v: kurtosis = %v, want %v", f, kurt, f.Kurtosis())
+		if math.Abs(kurt-kurtosis(f)) > 0.1 {
+			t.Errorf("%v: kurtosis = %v, want %v", f, kurt, kurtosis(f))
 		}
 	}
 }
@@ -67,13 +92,13 @@ func TestPairwiseIndependence(t *testing.T) {
 	for _, f := range []Family{UniformHalf, UniformUnit, Gaussian, RTW, Pulse} {
 		a := NewSource(f, 9, 0)
 		b := NewSource(f, 9, 1)
-		cross := Correlation(a, b, samples) / f.Sigma2()
+		cross := correlation(a, b, samples) / f.Sigma2()
 		if math.Abs(cross) > 0.02 {
 			t.Errorf("%v: normalized cross-correlation = %v, want ~0", f, cross)
 		}
 		c := NewSource(f, 9, 2)
 		d := NewSource(f, 9, 2)
-		self := Correlation(c, d, samples) / f.Sigma2()
+		self := correlation(c, d, samples) / f.Sigma2()
 		if math.Abs(self-1) > 0.02 {
 			t.Errorf("%v: normalized self-correlation = %v, want ~1", f, self)
 		}
@@ -96,44 +121,6 @@ func TestProductOrthogonality(t *testing.T) {
 	}
 }
 
-func TestSinusoidOrthogonality(t *testing.T) {
-	const period = 1024
-	// Distinct frequencies: exactly orthogonal over a full period.
-	a := NewSinusoid(3, period)
-	b := NewSinusoid(5, period)
-	var cross, selfA float64
-	for t2 := 0; t2 < period; t2++ {
-		cross += a.At(t2) * b.At(t2)
-		selfA += a.At(t2) * a.At(t2)
-	}
-	cross /= period
-	selfA /= period
-	if math.Abs(cross) > 1e-9 {
-		t.Errorf("distinct-frequency correlation = %v, want 0", cross)
-	}
-	if math.Abs(selfA-1) > 1e-9 {
-		t.Errorf("unit-RMS normalization: <a,a> = %v, want 1", selfA)
-	}
-}
-
-func TestSinusoidNextMatchesAt(t *testing.T) {
-	s := NewSinusoid(2, 64)
-	for i := 0; i < 100; i++ {
-		want := s.At(i)
-		if got := s.Next(); got != want {
-			t.Fatalf("Next()[%d] = %v, At = %v", i, got, want)
-		}
-	}
-	s.Reset()
-	if s.Next() != s.At(0) {
-		t.Error("Reset did not rewind")
-	}
-}
-
-// fillAt draws the single sample at index i from every bank source: for
-// k = 1 the block layout [(i*m+j)*1] coincides with the scalar matrix
-// layout [i*m+j], so tests that read a bank sample by sample address the
-// stream directly instead of going through the removed sequential shim.
 func fillAt(b *Bank, i uint64, pos, neg []float64) {
 	b.FillBlockAt(i, 1, pos, neg)
 }
@@ -204,9 +191,6 @@ func TestBankAllFamiliesFill(t *testing.T) {
 		}
 		if n, m := b.Dims(); n != 2 || m != 2 {
 			t.Errorf("%v: Dims = (%d,%d)", f, n, m)
-		}
-		if b.Family() != f {
-			t.Errorf("Family() = %v, want %v", b.Family(), f)
 		}
 	}
 }
@@ -305,21 +289,23 @@ func TestFillBlockAtSeekable(t *testing.T) {
 	}
 }
 
-func TestSourceAtReplaysBank(t *testing.T) {
-	// SourceAt must replay the bank's own streams.
+func TestNewSourceReplaysBank(t *testing.T) {
+	// A source keyed by a bank index replays that bank source's stream;
+	// the compiled analog netlist relies on it.
 	for _, f := range []Family{UniformUnit, Gaussian, RTW, Pulse} {
 		const seed = 13
 		b := NewBank(f, seed, 2, 2)
-		srcPos := b.SourceAt(seed, 2, 1, false)
-		srcNeg := b.SourceAt(seed, 2, 1, true)
+		// Variable 2, clause 1 of a 2×2 bank: index ((2-1)·2 + 0)·2.
+		srcPos := NewSource(f, seed, 4)
+		srcNeg := NewSource(f, seed, 5)
 		pos, neg := make([]float64, 4), make([]float64, 4)
 		for i := 0; i < 50; i++ {
 			fillAt(b, uint64(i), pos, neg)
 			if got, want := srcPos.Next(), pos[2]; got != want {
-				t.Fatalf("%v: SourceAt(+) sample %d = %v, bank %v", f, i, got, want)
+				t.Fatalf("%v: NewSource(+) sample %d = %v, bank %v", f, i, got, want)
 			}
 			if got, want := srcNeg.Next(), neg[2]; got != want {
-				t.Fatalf("%v: SourceAt(-) sample %d = %v, bank %v", f, i, got, want)
+				t.Fatalf("%v: NewSource(-) sample %d = %v, bank %v", f, i, got, want)
 			}
 		}
 	}

@@ -208,11 +208,3 @@ func (s *Span) Point(p TrajPoint) {
 		s.trajStride *= 2
 	}
 }
-
-// Trace returns the owning trace (nil for a nil span).
-func (s *Span) Trace() *Trace {
-	if s == nil {
-		return nil
-	}
-	return s.tr
-}

@@ -75,8 +75,8 @@ func TestFillUniformAtMatchesScalar(t *testing.T) {
 		n := g.Intn(97) + 1
 		base := g.Uint64()
 		start := g.Uint64() >> uint(g.Intn(64))
-		lo := g.Uniform(-2, 2)
-		span := g.Uniform(0, 3)
+		lo := 4*g.Float64() - 2
+		span := 3 * g.Float64()
 		dst := make([]float64, n)
 		FillUniformAt(base, start, dst, lo, span)
 		portable := make([]float64, n)
@@ -208,8 +208,8 @@ func TestFillPulseAtMatchesScalar(t *testing.T) {
 		n := g.Intn(97) + 1
 		base := g.Uint64()
 		start := g.Uint64() >> uint(g.Intn(64))
-		density := g.Uniform(0, 1)
-		amp := g.Uniform(0.5, 3)
+		density := g.Float64()
+		amp := 0.5 + 2.5*g.Float64()
 		dst := make([]float64, n)
 		FillPulseAt(base, start, dst, density, amp)
 		portable := make([]float64, n)

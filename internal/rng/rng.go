@@ -23,8 +23,6 @@
 // wrapped in an explicit float64 conversion, which forbids the fusion.
 package rng
 
-import "math"
-
 // golden is the 64-bit golden-ratio increment used by SplitMix64.
 const golden = 0x9e3779b97f4a7c15
 
@@ -117,25 +115,6 @@ func (g *Xoshiro256) Uint64() uint64 {
 // the hardware divide on the sampling hot path.
 func (g *Xoshiro256) Float64() float64 {
 	return float64(g.Uint64()>>11) * 0x1p-53
-}
-
-// Uniform returns a uniformly distributed value in [lo, hi).
-func (g *Xoshiro256) Uniform(lo, hi float64) float64 {
-	return lo + float64((hi-lo)*g.Float64())
-}
-
-// Norm returns a standard normal variate generated by the polar
-// (Marsaglia) method. Successive calls are independent; no state beyond
-// the generator itself is kept, trading a little speed for simplicity.
-func (g *Xoshiro256) Norm() float64 {
-	for {
-		u := 2*g.Float64() - 1
-		v := 2*g.Float64() - 1
-		s := float64(u*u) + float64(v*v)
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.

@@ -5,9 +5,9 @@
 //
 // RTW carriers have the best decision statistics of all families — the
 // fourth moment E[X^4] = E[X^2]^2 = 1 minimizes self-correlation
-// variance (see noise.Family.Kurtosis) — and they sidestep the float64
-// underflow of the paper's U[-0.5,0.5] sources entirely, since products
-// never shrink. The E6 ablation quantifies both effects.
+// variance — and they sidestep the float64 underflow of the paper's
+// U[-0.5,0.5] sources entirely, since products never shrink. The E6
+// ablation quantifies both effects.
 //
 // Two kernels cover every geometry, chosen by widthBits, the worst-case
 // bit width of |S_N|. Up to 53 bits every intermediate of S_N is an

@@ -17,11 +17,6 @@ type Component struct {
 	VarMap []cnf.Var
 }
 
-// NM returns the component's n·m product, the quantity that drives the
-// NBL sample budget. Decomposition's whole value is that each
-// component's NM is far below the parent's.
-func (c *Component) NM() int { return c.F.NumVars * c.F.NumClauses() }
-
 // Lift writes a model of the component formula into an assignment over
 // the parent formula's variables (only the component's own variables
 // are touched).

@@ -52,7 +52,7 @@ func TestDecomposeDisjointUnion(t *testing.T) {
 		if comp.F.NumVars != 2 {
 			t.Errorf("component %d has %d vars, want 2", i, comp.F.NumVars)
 		}
-		totalNM += comp.NM()
+		totalNM += comp.F.NumVars * comp.F.NumClauses()
 	}
 	if parent := f.NumVars * f.NumClauses(); totalNM >= parent {
 		t.Errorf("decomposition did not shrink n·m: sum %d vs parent %d", totalNM, parent)

@@ -32,23 +32,12 @@ import (
 )
 
 // PaperSNR returns the Section III-F prediction
-// K·sqrt(N-1)/(3·2^(nm)). It underflows to 0 for very large n·m; use
-// PaperSNRLog10 for the scaling experiments.
+// K·sqrt(N-1)/(3·2^(nm)). It underflows to 0 for very large n·m.
 func PaperSNR(n, m int, samples int64, k float64) float64 {
 	if samples < 2 {
 		return 0
 	}
 	return k * math.Sqrt(float64(samples-1)) / (3 * math.Exp2(float64(n*m)))
-}
-
-// PaperSNRLog10 returns log10 of PaperSNR, computed in log space so it
-// remains finite for any n·m.
-func PaperSNRLog10(n, m int, samples int64, k float64) float64 {
-	if samples < 2 || k <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log10(k) + 0.5*math.Log10(float64(samples-1)) -
-		math.Log10(3) - float64(n*m)*math.Log10(2)
 }
 
 // RequiredSamplesLog10 returns log10(core.RequiredSamples), stable for

@@ -26,21 +26,6 @@ func TestPaperSNRFormula(t *testing.T) {
 	}
 }
 
-func TestPaperSNRLog10MatchesLinear(t *testing.T) {
-	lin := PaperSNR(3, 4, 500_000, 2)
-	lg := PaperSNRLog10(3, 4, 500_000, 2)
-	if math.Abs(lg-math.Log10(lin)) > 1e-9 {
-		t.Errorf("log form %v vs log10(linear) %v", lg, math.Log10(lin))
-	}
-	// Stays finite far past float64 overflow of the linear form.
-	if v := PaperSNRLog10(100, 100, 1e9, 1); math.IsInf(v, 0) || math.IsNaN(v) {
-		t.Errorf("log form not finite for nm=10000: %v", v)
-	}
-	if !math.IsInf(PaperSNRLog10(2, 2, 1, 1), -1) {
-		t.Error("degenerate sample count should be -Inf")
-	}
-}
-
 func TestRequiredSamplesInvertsSNR(t *testing.T) {
 	n, m, k, target := 2, 3, 2.0, 5.0
 	need := core.RequiredSamples(n, m, k, target)

@@ -806,13 +806,6 @@ func lookup(expr string) (Factory, string, []Task, error) {
 		expr, Engines(), Metas())
 }
 
-// TasksOf returns the tasks an engine expression runs, or an error
-// naming an unknown engine.
-func TasksOf(expr string) ([]Task, error) {
-	_, _, tasks, err := lookup(expr)
-	return slices.Clone(tasks), err
-}
-
 // NewWith builds the engine an expression names under cfg: a plain
 // registry name, or a meta-engine expression "meta(inner)" such as
 // "pre(mc)", whose factory wraps the engine built from inner. It is the

@@ -89,14 +89,14 @@ func TestTasksOf(t *testing.T) {
 		// decide.
 		{"test-meta(test-counter)", []Task{TaskDecide}},
 	} {
-		got, err := TasksOf(tc.expr)
+		_, _, got, err := lookup(tc.expr)
 		if err != nil || !slices.Equal(got, tc.want) {
-			t.Errorf("TasksOf(%q) = %v, %v; want %v", tc.expr, got, err, tc.want)
+			t.Errorf("lookup(%q) tasks = %v, %v; want %v", tc.expr, got, err, tc.want)
 		}
 	}
 	for _, expr := range []string{"no-such-engine-zzz", "test-meta(no-such-engine-zzz)", "test-meta"} {
-		if _, err := TasksOf(expr); err == nil {
-			t.Errorf("TasksOf accepted %q", expr)
+		if _, _, _, err := lookup(expr); err == nil {
+			t.Errorf("lookup accepted %q", expr)
 		}
 	}
 }

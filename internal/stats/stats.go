@@ -113,30 +113,26 @@ func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g sd=%.6g", w.n, w.Mean(), w.StdDev())
 }
 
+// The stopping rule's stability criterion: the running mean must hold
+// digits significant digits (the paper uses 3) for window consecutive
+// checks, which guards against transient agreement.
+const (
+	digits = 3
+	window = 4
+)
+
 // Convergence implements the paper's stopping rule: stop when the running
-// mean has been stable to Digits significant digits for Window
-// consecutive checks (Check), or when MaxSamples observations have been
-// seen (Exhausted). The two halves of the rule are reported separately
-// so callers can distinguish a converged run from a budget-stopped one.
+// mean has been stable to 3 significant digits for 4 consecutive checks
+// (Check), or when MaxSamples observations have been seen (Exhausted).
+// The two halves of the rule are reported separately so callers can
+// distinguish a converged run from a budget-stopped one.
 type Convergence struct {
-	// Digits is the number of significant digits that must be stable.
-	// The paper uses 3.
-	Digits int
-	// Window is how many consecutive stable checks are required before
-	// declaring convergence. Guards against transient agreement.
-	Window int
 	// MaxSamples is the hard observation budget (paper: 1e8).
 	MaxSamples int64
 
 	prev   float64
 	stable int
 	primed bool
-}
-
-// NewConvergence returns a detector with the paper's defaults:
-// 3 significant digits, a window of 4 checks, and a 1e8-sample budget.
-func NewConvergence() *Convergence {
-	return &Convergence{Digits: 3, Window: 4, MaxSamples: 100_000_000}
 }
 
 // RoundSig rounds x to d significant digits. RoundSig(0, d) == 0.
@@ -148,8 +144,8 @@ func RoundSig(x float64, d int) float64 {
 	return math.Round(x*mag) / mag
 }
 
-// Check reports whether the running mean has been stable to Digits
-// significant digits for Window consecutive calls. Call it periodically
+// Check reports whether the running mean has been stable to 3
+// significant digits for 4 consecutive calls. Call it periodically
 // (not necessarily every sample); each call is one stability check.
 //
 // Check reports stability ONLY. The sample budget is a separate signal —
@@ -157,7 +153,7 @@ func RoundSig(x float64, d int) float64 {
 // "converged" and "budget-stopped" are never conflated the way the old
 // combined return forced them to be.
 func (c *Convergence) Check(mean float64) bool {
-	cur := RoundSig(mean, c.Digits)
+	cur := RoundSig(mean, digits)
 	if c.primed && cur == c.prev {
 		c.stable++
 	} else {
@@ -165,28 +161,13 @@ func (c *Convergence) Check(mean float64) bool {
 	}
 	c.prev = cur
 	c.primed = true
-	return c.stable >= c.Window
+	return c.stable >= window
 }
 
 // Exhausted reports whether n observations meet or exceed the MaxSamples
 // budget (always false when no budget is configured).
 func (c *Convergence) Exhausted(n int64) bool {
 	return c.MaxSamples > 0 && n >= c.MaxSamples
-}
-
-// Reset clears the detector's history but keeps its configuration.
-func (c *Convergence) Reset() {
-	c.prev, c.stable, c.primed = 0, 0, false
-}
-
-// MeanAboveZero reports whether the accumulated mean is significantly
-// positive: mean > theta standard errors above zero. theta = 3 mirrors
-// the 3-sigma margins of the paper's SNR definition in Section III-F.
-func MeanAboveZero(w *Welford, theta float64) bool {
-	if w.Count() < 2 {
-		return false
-	}
-	return w.Mean() > theta*w.StdErr()
 }
 
 // Mean returns the arithmetic mean of xs (NaN for an empty slice).

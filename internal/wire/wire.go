@@ -50,9 +50,6 @@ func New(n int, fam noise.Family, seed uint64) (*Wire, error) {
 	return &Wire{n: n, fam: fam, seed: seed}, nil
 }
 
-// Vars returns the number of variables n.
-func (w *Wire) Vars() int { return w.n }
-
 // HyperspaceSize returns the number of noise minterms, 2^n.
 func (w *Wire) HyperspaceSize() uint64 { return 1 << uint(w.n) }
 

@@ -19,8 +19,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Vars() != 3 || w.HyperspaceSize() != 8 || w.StateCount() != "2^8" {
-		t.Errorf("geometry: vars=%d size=%d states=%s", w.Vars(), w.HyperspaceSize(), w.StateCount())
+	if w.HyperspaceSize() != 8 || w.StateCount() != "2^8" {
+		t.Errorf("geometry: size=%d states=%s", w.HyperspaceSize(), w.StateCount())
 	}
 }
 
