@@ -266,13 +266,13 @@ func BatchStatus(items []BatchItem) int {
 	return code
 }
 
-// WriteJSON writes v as the indented JSON body of a code response.
+// WriteJSON writes v as the compact JSON body of a code response, one
+// line ended by a newline: the encoding SSE events carry, so a job's
+// GET body and its done event hold the same bytes.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
 // WriteError writes err as the {"error": ...} body of a code response.

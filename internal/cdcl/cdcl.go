@@ -11,7 +11,6 @@ package cdcl
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/cnf"
 )
@@ -25,9 +24,14 @@ type Stats struct {
 	Restarts     int64
 }
 
-// Solver is a CDCL SAT solver for one formula.
+// Solver is a CDCL SAT solver for one formula. It searches the
+// variables that occur, renamed 1..n in ascending order of their names
+// (cnf.Formula.Compact), so its per-variable arrays follow the clauses,
+// not the declared variable count, and every tie it breaks by variable
+// index falls as it would over the names.
 type Solver struct {
-	nVars   int
+	nVars   int         // declared variables, the length of a model
+	vars    []cnf.Var   // vars[v-1] is searched variable v's name
 	clauses [][]cnf.Lit // problem clauses then learned clauses
 	watches [][]int32   // literal index -> clauses watching that literal
 
@@ -40,10 +44,6 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
-	// vars lists the variables that occur, ascending: the only ones
-	// decided. The others are False in a model, as the False-first
-	// decision each would get never propagates.
-	vars []cnf.Var
 
 	seen  []bool // scratch for conflict analysis
 	stats Stats
@@ -56,27 +56,25 @@ const varDecay = 0.95
 // New builds a solver for f. Tautological clauses are dropped and
 // duplicate literals removed.
 func New(f *cnf.Formula) *Solver {
-	s := &Solver{
-		nVars:    f.NumVars,
-		watches:  make([][]int32, 2*(f.NumVars+1)),
-		assign:   make([]cnf.Value, f.NumVars+1),
-		level:    make([]int32, f.NumVars+1),
-		reason:   make([]int32, f.NumVars+1),
-		activity: make([]float64, f.NumVars+1),
-		seen:     make([]bool, f.NumVars+1),
-		varInc:   1,
-	}
-	for i := range s.reason {
-		s.reason[i] = -1
-	}
+	s := &Solver{nVars: f.NumVars, varInc: 1}
 	simplified, hasEmpty := f.Simplify()
 	if hasEmpty {
 		s.unsat = true
 		return s
 	}
-	_, s.vars = simplified.DenseLits()
-	slices.Sort(s.vars)
-	for _, c := range simplified.Clauses {
+	g, vars := simplified.Compact()
+	n := g.NumVars + 1
+	s.vars = vars
+	s.watches = make([][]int32, 2*n)
+	s.assign = make([]cnf.Value, n)
+	s.level = make([]int32, n)
+	s.reason = make([]int32, n)
+	s.activity = make([]float64, n)
+	s.seen = make([]bool, n)
+	for i := range s.reason {
+		s.reason[i] = -1
+	}
+	for _, c := range g.Clauses {
 		s.addClause(c)
 		if s.unsat {
 			return s
@@ -86,12 +84,13 @@ func New(f *cnf.Formula) *Solver {
 }
 
 // addClause installs a problem clause, handling units and setting up
-// watches. Clauses must be non-tautological and deduped. It is only
-// called during construction (decision level 0), so the clause can be
-// simplified against the current assignment: true literals satisfy the
-// clause permanently and false literals can never help.
+// watches. Clauses must be non-tautological and deduped, and the solver
+// owns them. It is only called during construction (decision level 0),
+// so the clause is filtered in place against the current assignment:
+// true literals satisfy the clause permanently and false literals can
+// never help.
 func (s *Solver) addClause(c cnf.Clause) {
-	filtered := make(cnf.Clause, 0, len(c))
+	filtered := c[:0]
 	for _, l := range c {
 		switch s.value(l) {
 		case cnf.True:
@@ -118,11 +117,9 @@ func (s *Solver) addClause(c cnf.Clause) {
 		return
 	}
 	idx := int32(len(s.clauses))
-	lits := make([]cnf.Lit, len(c))
-	copy(lits, c)
-	s.clauses = append(s.clauses, lits)
-	s.watches[lits[0]] = append(s.watches[lits[0]], idx)
-	s.watches[lits[1]] = append(s.watches[lits[1]], idx)
+	s.clauses = append(s.clauses, c)
+	s.watches[c[0]] = append(s.watches[c[0]], idx)
+	s.watches[c[1]] = append(s.watches[c[1]], idx)
 }
 
 func (s *Solver) value(l cnf.Lit) cnf.Value {
@@ -298,13 +295,13 @@ func (s *Solver) cancelUntil(level int32) {
 	s.qhead = len(s.trail)
 }
 
-// pickBranchVar returns the unassigned occurring variable with maximum
-// VSIDS activity (ties to the smallest index), or 0 if none is left.
+// pickBranchVar returns the unassigned variable with maximum VSIDS
+// activity (ties to the smallest index), or 0 if none is left.
 func (s *Solver) pickBranchVar() cnf.Var {
 	best, bestAct := cnf.Var(0), -1.0
-	for _, v := range s.vars {
+	for v := 1; v < len(s.assign); v++ {
 		if s.assign[v] == cnf.Unassigned && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+			best, bestAct = cnf.Var(v), s.activity[v]
 		}
 	}
 	return best
@@ -381,11 +378,13 @@ func (s *Solver) SolveCtx(ctx context.Context) (cnf.Assignment, bool, error) {
 
 		v := s.pickBranchVar()
 		if v == 0 {
-			// All occurring variables assigned without conflict: model
-			// found; the others are False.
+			// Every variable assigned without conflict: model found.
+			// The declared variables that occur in no clause are False,
+			// as the False-first decision each would get never
+			// propagates.
 			a := cnf.AssignmentFromBits(0, s.nVars)
-			for _, v := range s.vars {
-				a.Set(v, s.assign[v])
+			for i, v := range s.vars {
+				a.Set(v, s.assign[i+1])
 			}
 			return a, true, nil
 		}

@@ -2,6 +2,7 @@ package cdcl
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -190,40 +191,20 @@ func TestUnusedVariablesAreNotDecided(t *testing.T) {
 	}
 }
 
-// TestUnusedVariablesNeverChangeTheSearch holds the search over the
-// occurring variables to one that branches on every declared variable,
-// as the solver did before: on formulas whose variables are scattered
-// over a larger declared range, with tautologies that leave a variable
-// in no kept clause, the models and every counter but Decisions agree.
-func TestUnusedVariablesNeverChangeTheSearch(t *testing.T) {
-	g := rng.New(53)
-	for trial := 0; trial < 200; trial++ {
-		n := 4 + g.Intn(40)
-		f := cnf.New(n)
-		for range 1 + g.Intn(4*n) {
-			cl := cnf.Clause{}
-			for range 1 + g.Intn(3) {
-				cl = append(cl, cnf.NewLit(cnf.Var(1+g.Intn(n)), g.Bool()))
-			}
-			if g.Intn(10) == 0 {
-				cl = append(cl, cl[0].Negate())
-			}
-			f.Clauses = append(f.Clauses, cl)
-		}
-		got, every := New(f), New(f)
-		every.vars = every.vars[:0]
-		for v := 1; v <= n; v++ {
-			every.vars = append(every.vars, cnf.Var(v))
-		}
-		a, okA := got.Solve()
-		b, okB := every.Solve()
-		sa, sb := got.Stats(), every.Stats()
-		if okA != okB || !slices.Equal(a, b) || sa.Decisions > sb.Decisions {
-			t.Fatalf("trial %d: %v %v vs %v %v (decisions %d vs %d)", trial, okA, a, okB, b, sa.Decisions, sb.Decisions)
-		}
-		sa.Decisions = sb.Decisions
-		if sa != sb {
-			t.Fatalf("trial %d: stats %+v, branching on every variable %+v", trial, sa, sb)
-		}
+// TestAllocationFollowsTheClauses: the solver's arrays are sized by
+// the variables that occur, so a body that declares 4,000,000
+// variables and mentions one allocates little beyond its 4 MB model.
+// Sized by the declared count, the same solve allocated 255.6 MiB.
+func TestAllocationFollowsTheClauses(t *testing.T) {
+	f := &cnf.Formula{NumVars: 4_000_000, Clauses: []cnf.Clause{{cnf.Pos(1)}}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, ok := Solve(f)
+	runtime.ReadMemStats(&after)
+	if !ok || a.Get(1) != cnf.True || a.Get(4_000_000) != cnf.False {
+		t.Fatalf("p cnf 4000000 1 / 1 0: ok %v", ok)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Errorf("solve allocated %.1f MiB, want under 16", float64(got)/(1<<20))
 	}
 }

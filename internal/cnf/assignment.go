@@ -193,3 +193,71 @@ func (a Assignment) SatisfiedLiterals(c Clause) int {
 	}
 	return n
 }
+
+// Propagate runs unit propagation over clauses to a fixpoint, the sweep
+// the DPLL searches share. Each sweep visits the clauses in order, and
+// a clause with no true literal and exactly one unassigned one makes
+// that literal true at once, so the clauses after it see the value;
+// sweeps repeat until one assigns nothing. Propagate appends every
+// variable it assigns to trail and returns the trail. It stops at the
+// first clause whose literals are all false and reports the conflict;
+// what it assigned before stays, for the caller to undo through the
+// trail.
+func (a Assignment) Propagate(clauses []Clause, trail []Var) ([]Var, bool) {
+	for progress := true; progress; {
+		progress = false
+	clauses:
+		for _, c := range clauses {
+			var unit Lit
+			free := 0
+			for _, l := range c {
+				switch a.LitValue(l) {
+				case True:
+					continue clauses
+				case Unassigned:
+					free++
+					unit = l
+				}
+			}
+			switch free {
+			case 0:
+				return trail, true
+			case 1:
+				val := True
+				if unit.IsNeg() {
+					val = False
+				}
+				a.Set(unit.Var(), val)
+				trail = append(trail, unit.Var())
+				progress = true
+			}
+		}
+	}
+	return trail, false
+}
+
+// FirstFree returns the first unassigned variable of the first clause
+// that has no true literal and still has an unassigned one: the branch
+// rule of the DPLL searches. It returns false when no clause is left
+// open, which after a Propagate without conflict means every clause is
+// satisfied.
+func (a Assignment) FirstFree(clauses []Clause) (Var, bool) {
+clauses:
+	for _, c := range clauses {
+		free := Var(0)
+		for _, l := range c {
+			switch a.LitValue(l) {
+			case True:
+				continue clauses
+			case Unassigned:
+				if free == 0 {
+					free = l.Var()
+				}
+			}
+		}
+		if free != 0 {
+			return free, true
+		}
+	}
+	return 0, false
+}

@@ -14,8 +14,10 @@
 package cnf
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -292,6 +294,40 @@ func (f *Formula) DenseLits() (lits []int32, vars []Var) {
 		}
 	}
 	return lits, ids.orig
+}
+
+// Compact renames the variables occurring in f to 1..n in ascending
+// order of their names. It returns the renamed formula, whose clauses
+// keep their order and literal order and share one literal arena, and
+// vars, where vars[v-1] is variable v's name in f. The renaming comes
+// from DenseLits and one sort of the occurring names, so like DenseLits
+// it is sized by the literals f holds, never by its declared variable
+// count.
+func (f *Formula) Compact() (*Formula, []Var) {
+	lits, names := f.DenseLits()
+	byName := make([]int32, len(names)) // dense numbers in ascending name order
+	for i := range byName {
+		byName[i] = int32(i)
+	}
+	slices.SortFunc(byName, func(a, b int32) int { return cmp.Compare(names[a], names[b]) })
+	vars := make([]Var, len(names))
+	rename := make([]Var, len(names)) // dense number -> compacted variable
+	for k, i := range byName {
+		vars[k] = names[i]
+		rename[i] = Var(k + 1)
+	}
+	out := New(len(vars))
+	if len(f.Clauses) > 0 {
+		out.Clauses = make([]Clause, len(f.Clauses))
+	}
+	arena := make(Clause, len(lits))
+	for i, d := range lits {
+		arena[i] = NewLit(rename[d>>1], d&1 == 1)
+	}
+	for i, c := range f.Clauses {
+		out.Clauses[i], arena = arena[:len(c):len(c)], arena[len(c):]
+	}
+	return out, vars
 }
 
 // varIDs numbers variables 0, 1, 2, ... in the order they are first

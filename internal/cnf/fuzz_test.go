@@ -143,3 +143,106 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPropagate holds the DPLL searches' shared primitives to brute
+// force on formulas of at most 8 variables under a random partial
+// assignment: the bits of set pick the assigned variables and the bits
+// of val their values. If Propagate reports a conflict, no model
+// extends the input; otherwise every model that extends the input
+// extends the propagated assignment, whose new values are exactly the
+// trail and which is a fixpoint: every clause it leaves unsatisfied has
+// two free literals or more. FirstFree on it then returns
+// false exactly when every clause is satisfied, and otherwise an
+// unassigned variable of the first unsatisfied clause.
+func FuzzPropagate(f *testing.F) {
+	f.Add([]byte{2, 2, 5, 0, 3, 0}, byte(0), byte(0))
+	f.Add([]byte{3, 2, 2, 3, 0, 0, 4, 6, 0, 6, 4}, byte(1), byte(1))
+	f.Add([]byte{5, 3, 4, 0, 2, 5, 6, 0, 7, 9, 0, 8, 11, 0}, byte(3), byte(2))
+	f.Add([]byte{7, 2, 4, 6, 0, 8, 10, 12, 0, 3, 9, 0, 13, 0}, byte(0x40), byte(0))
+	f.Add([]byte{}, byte(0), byte(0))
+	f.Fuzz(func(t *testing.T, data []byte, set, val byte) {
+		if len(data) > 0 {
+			data = append([]byte{data[0] % 8}, data[1:]...) // n in 1..8
+		}
+		form := fuzzFormula(data)
+		n := form.NumVars
+		in := cnf.NewAssignment(n)
+		for v := 1; v <= n; v++ {
+			if set>>(v-1)&1 == 1 {
+				in[v] = cnf.False
+				if val>>(v-1)&1 == 1 {
+					in[v] = cnf.True
+				}
+			}
+		}
+		out := in.Clone()
+		trail, conflict := out.Propagate(form.Clauses, nil)
+		for _, v := range trail {
+			if in[v] != cnf.Unassigned || out[v] == cnf.Unassigned {
+				t.Fatalf("trail %v names x%d, %v before and %v after", trail, v, in[v], out[v])
+			}
+		}
+		changed := 0
+		for v := 1; v <= n; v++ {
+			if out[v] != in[v] {
+				changed++
+			}
+		}
+		if changed != len(trail) {
+			t.Fatalf("%d values changed, trail %v", changed, trail)
+		}
+
+		for bits := uint64(0); bits < 1<<n; bits++ {
+			m := cnf.AssignmentFromBits(bits, n)
+			if !m.Satisfies(form) || !extends(m, in) {
+				continue
+			}
+			if conflict {
+				t.Fatalf("conflict on %s under %s, but %s extends it", form, in, m)
+			}
+			if !extends(m, out) {
+				t.Fatalf("model %s of %s extends %s but not its propagation %s", m, form, in, out)
+			}
+		}
+		if conflict {
+			return
+		}
+
+		first := -1
+		for i, c := range form.Clauses {
+			if out.EvalClause(c) == cnf.True {
+				continue
+			}
+			free := 0
+			for _, l := range c {
+				if out.LitValue(l) == cnf.Unassigned {
+					free++
+				}
+			}
+			if free < 2 {
+				t.Fatalf("clause %s is not open under the propagation %s: %d free literals", c, out, free)
+			}
+			if first < 0 {
+				first = i
+			}
+		}
+		v, open := out.FirstFree(form.Clauses)
+		switch {
+		case open != (first >= 0):
+			t.Fatalf("FirstFree open %v under %s, first unsatisfied clause %d of %s", open, out, first, form)
+		case open && (out[v] != cnf.Unassigned || !slices.ContainsFunc(form.Clauses[first], func(l cnf.Lit) bool { return l.Var() == v })):
+			t.Fatalf("FirstFree picks x%d under %s, not a free variable of %s", v, out, form.Clauses[first])
+		}
+	})
+}
+
+// extends reports whether the total assignment m agrees with every
+// value the partial assignment a sets.
+func extends(m, a cnf.Assignment) bool {
+	for v := 1; v < len(a); v++ {
+		if a[v] != cnf.Unassigned && m[v] != a[v] {
+			return false
+		}
+	}
+	return true
+}

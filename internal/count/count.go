@@ -10,8 +10,11 @@
 // Two algorithms are provided: exhaustive enumeration (simple, used to
 // validate everything else) and a DPLL-style counter with unit
 // propagation that comfortably handles the instance sizes any NBL
-// simulation can reach. Count and Weighted both number the variables
-// that occur densely (cnf.Formula.DenseLits), split the formula with
+// simulation can reach. The counter propagates and branches as package
+// dpll does, on cnf.Assignment's Propagate and FirstFree, without its
+// pure-literal step, which would drop the models on a literal's other
+// side. Count and Weighted both number the variables that occur
+// densely (cnf.Formula.DenseLits), split the formula with
 // simplify.Decompose, multiply the component results and shift in a
 // factor of 2 per declared variable no clause mentions, so their cost
 // follows the literals, not the declared variable count. Count runs the
@@ -145,7 +148,7 @@ func CountContext(ctx context.Context, f *cnf.Formula) (*big.Int, CountStats, er
 	comps, free := split(g)
 	result := big.NewInt(1)
 	for _, comp := range comps {
-		n := c.countDPLL(comp.F, newPartial(comp.F.NumVars))
+		n := c.countDPLL(comp.F, cnf.NewAssignment(comp.F.NumVars), 0)
 		if c.err != nil {
 			return nil, c.st, c.err
 		}
@@ -176,121 +179,35 @@ func split(f *cnf.Formula) (comps []*simplify.Component, free int) {
 	return simplify.Decompose(g), max(f.NumVars-len(vars), 0)
 }
 
-// partial tracks a partial assignment during the DPLL recursion.
-type partial struct {
-	val      []cnf.Value
-	assigned int
-}
-
-func newPartial(n int) *partial {
-	return &partial{val: make([]cnf.Value, n+1)}
-}
-
-func (p *partial) set(v cnf.Var, val cnf.Value) {
-	p.val[v] = val
-	p.assigned++
-}
-
-func (p *partial) unset(v cnf.Var) {
-	p.val[v] = cnf.Unassigned
-	p.assigned--
-}
-
-func (p *partial) lit(l cnf.Lit) cnf.Value {
-	v := p.val[l.Var()]
-	if l.IsNeg() {
-		return v.Not()
-	}
-	return v
-}
-
-// countDPLL counts models of h consistent with p. The count includes the
-// 2^unassigned factor for variables left free when all clauses are
-// satisfied.
-func (ct *counter) countDPLL(h *cnf.Formula, p *partial) *big.Int {
+// countDPLL counts the models of h that extend a, in which assigned
+// variables are set. The count includes the 2^free factor for the
+// variables left free once every clause is satisfied.
+func (ct *counter) countDPLL(h *cnf.Formula, a cnf.Assignment, assigned int) *big.Int {
 	if !ct.poll() {
 		return new(big.Int)
 	}
-	// Unit propagation. Track trail for backtracking.
-	var trail []cnf.Var
-	undo := func() {
+	trail, conflict := a.Propagate(h.Clauses, nil)
+	ct.st.Propagations += int64(len(trail))
+	defer func() {
 		for _, v := range trail {
-			p.unset(v)
+			a.Set(v, cnf.Unassigned)
 		}
+	}()
+	if conflict {
+		return new(big.Int)
 	}
-	for {
-		progress := false
-		for _, c := range h.Clauses {
-			unassigned := cnf.Lit(-1)
-			nUn, sat := 0, false
-			for _, l := range c {
-				switch p.lit(l) {
-				case cnf.True:
-					sat = true
-				case cnf.Unassigned:
-					nUn++
-					unassigned = l
-				}
-				if sat {
-					break
-				}
-			}
-			if sat {
-				continue
-			}
-			switch nUn {
-			case 0: // conflict
-				undo()
-				return new(big.Int)
-			case 1: // unit
-				val := cnf.True
-				if unassigned.IsNeg() {
-					val = cnf.False
-				}
-				p.set(unassigned.Var(), val)
-				trail = append(trail, unassigned.Var())
-				ct.st.Propagations++
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-
-	// Pick the first unassigned variable occurring in an unsatisfied
-	// clause; if none, all clauses are satisfied.
-	branch := cnf.Var(0)
-	for _, c := range h.Clauses {
-		sat := false
-		var cand cnf.Var
-		for _, l := range c {
-			if p.lit(l) == cnf.True {
-				sat = true
-				break
-			}
-			if cand == 0 && p.lit(l) == cnf.Unassigned {
-				cand = l.Var()
-			}
-		}
-		if !sat && cand != 0 {
-			branch = cand
-			break
-		}
-	}
-	if branch == 0 {
-		freeVars := h.NumVars - p.assigned
-		undo()
-		return new(big.Int).Lsh(big.NewInt(1), uint(freeVars))
+	assigned += len(trail)
+	branch, open := a.FirstFree(h.Clauses)
+	if !open {
+		return new(big.Int).Lsh(big.NewInt(1), uint(h.NumVars-assigned))
 	}
 
 	total := new(big.Int)
 	ct.st.Decisions++
 	for _, val := range []cnf.Value{cnf.True, cnf.False} {
-		p.set(branch, val)
-		total.Add(total, ct.countDPLL(h, p))
-		p.unset(branch)
+		a.Set(branch, val)
+		total.Add(total, ct.countDPLL(h, a, assigned+1))
+		a.Set(branch, cnf.Unassigned)
 	}
-	undo()
 	return total
 }

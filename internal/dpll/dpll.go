@@ -116,49 +116,19 @@ func (s *Solver) solve(a cnf.Assignment) bool {
 
 	// Unit propagation and pure-literal elimination to fixpoint.
 	for {
-		progress := false
-
-		// Unit propagation.
-		for _, c := range s.f.Clauses {
-			var unit cnf.Lit
-			unassigned, sat := 0, false
-			for _, l := range c {
-				switch a.LitValue(l) {
-				case cnf.True:
-					sat = true
-				case cnf.Unassigned:
-					unassigned++
-					unit = l
-				}
-				if sat {
-					break
-				}
-			}
-			if sat {
-				continue
-			}
-			switch unassigned {
-			case 0:
-				s.stats.Backtracks++
-				undo()
-				return false
-			case 1:
-				val := cnf.True
-				if unit.IsNeg() {
-					val = cnf.False
-				}
-				a.Set(unit.Var(), val)
-				trail = append(trail, unit.Var())
-				s.stats.Propagations++
-				progress = true
-			}
-		}
-		if progress {
-			continue
+		n := len(trail)
+		var conflict bool
+		trail, conflict = a.Propagate(s.f.Clauses, trail)
+		s.stats.Propagations += int64(len(trail) - n)
+		if conflict {
+			s.stats.Backtracks++
+			undo()
+			return false
 		}
 
 		// Pure literal elimination: a variable appearing with only one
 		// polarity among not-yet-satisfied clauses can be set to it.
+		pure := len(trail)
 		polarity := make(map[cnf.Var]int8) // 1 pos, 2 neg, 3 both
 		for _, c := range s.f.Clauses {
 			if a.EvalClause(c) == cnf.True {
@@ -183,24 +153,16 @@ func (s *Solver) solve(a cnf.Assignment) bool {
 				}
 				a.Set(v, val)
 				trail = append(trail, v)
-				s.stats.PureLiterals++
-				progress = true
 			}
 		}
-		if !progress {
+		s.stats.PureLiterals += int64(len(trail) - pure)
+		if len(trail) == pure {
 			break
 		}
 	}
 
 	// All clauses satisfied?
-	done := true
-	for _, c := range s.f.Clauses {
-		if a.EvalClause(c) != cnf.True {
-			done = false
-			break
-		}
-	}
-	if done {
+	if _, open := a.FirstFree(s.f.Clauses); !open {
 		return true
 	}
 
@@ -228,22 +190,9 @@ type FirstUnassigned struct{}
 
 // Pick implements Brancher.
 func (FirstUnassigned) Pick(f *cnf.Formula, a cnf.Assignment) (cnf.Var, cnf.Value) {
-	for _, c := range f.Clauses {
-		if a.EvalClause(c) == cnf.True {
-			continue
-		}
-		for _, l := range c {
-			if a.Get(l.Var()) == cnf.Unassigned {
-				return l.Var(), cnf.True
-			}
-		}
+	v, open := a.FirstFree(f.Clauses)
+	if !open {
+		panic("dpll: Pick called with every clause satisfied")
 	}
-	// Only reachable if a clause is unsatisfied with no free literal,
-	// which solve() treats as a conflict before branching.
-	for v := 1; v <= f.NumVars; v++ {
-		if a.Get(cnf.Var(v)) == cnf.Unassigned {
-			return cnf.Var(v), cnf.True
-		}
-	}
-	panic("dpll: Pick called with no unassigned variables")
+	return v, cnf.True
 }

@@ -112,8 +112,8 @@ func (b *Bank) FillBlockAt(base uint64, k int, pos, neg []float64) {
 			rng.FillRTWAt(b.bases[2*src+1], base, neg[o:o+k])
 		}
 	case Pulse:
-		// Bulk threshold-map fill, one word per sample (AVX2 on capable
-		// amd64 CPUs); bit-identical to the per-sample pulseAt by contract.
+		// Bulk threshold-map fill, one word per sample, portable only;
+		// bit-identical to the per-sample pulseAt by contract.
 		for src := 0; src < nm; src++ {
 			o := src * k
 			rng.FillPulseAt(b.bases[2*src], base, pos[o:o+k], pulseDensity, pulseAmp)
@@ -126,11 +126,11 @@ func (b *Bank) FillBlockAt(base uint64, k int, pos, neg []float64) {
 
 // FillAccelKernel reports the accelerated fill kernel FillBlockAt
 // dispatches to for a bank of the given family: rng.FillAccelName() for
-// the exactly-vectorizable families (uniform, RTW, pulse), "none" for
-// Gaussian, whose log/cos Box–Muller stays scalar.
+// uniform and RTW, "none" for Gaussian, whose log/cos Box–Muller stays
+// scalar, and for pulse, which only the E6 ablation samples.
 func FillAccelKernel(f Family) string {
 	switch f {
-	case UniformHalf, UniformUnit, RTW, Pulse:
+	case UniformHalf, UniformUnit, RTW:
 		return rng.FillAccelName()
 	}
 	return "none"

@@ -112,20 +112,15 @@ func fillRTWGo(base, start uint64, dst []float64) {
 // start..start+len(dst)-1 of the stream with the given base: sample s is
 // 0 when the word's top-53-bit uniform is >= density, otherwise ±amp by
 // the word's parity bit (noise.Pulse semantics, parameterized so rng
-// stays family-agnostic). Same seekability and bit-identity contract as
-// FillUniformAt; the comparison and the sign selection are exact, and
-// the only floating-point operation is the exact u64→f64 of the
-// 53-bit word — so the accelerated path has no rounding to match, only
-// semantics.
+// stays family-agnostic). Same seekability contract as FillUniformAt.
+// It has no accelerated kernel: the pulse family is reached only by
+// the E6 noise-family ablation, which no benchmark workload samples,
+// so the portable loop is the one implementation.
 func FillPulseAt(base, start uint64, dst []float64, density, amp float64) {
-	done := fillPulseAccel(base, start, dst, density, amp)
-	if done < len(dst) {
-		fillPulseGo(base, start+uint64(done), dst[done:], density, amp)
-	}
+	fillPulseGo(base, start, dst, density, amp)
 }
 
-// fillPulseGo is the portable pulse fill and the conformance oracle for
-// the assembly kernel.
+// fillPulseGo is the portable pulse fill, the loop FillPulseAt runs.
 func fillPulseGo(base, start uint64, dst []float64, density, amp float64) {
 	state := base + (start+1)*golden
 	for s := range dst {
@@ -146,9 +141,9 @@ func fillPulseGo(base, start uint64, dst []float64, density, amp float64) {
 }
 
 // FillAccelName reports which accelerated fill kernel the bulk fills
-// (FillUniformAt, FillRTWAt, FillPulseAt) dispatch to: "avx2" on amd64
-// when the CPU supports it, "none" otherwise. Bench archives record it
-// so numbers are attributable to the kernel that produced them.
+// (FillUniformAt, FillRTWAt) dispatch to: "avx2" on amd64 when the CPU
+// supports it, "none" otherwise. Bench archives record it so numbers
+// are attributable to the kernel that produced them.
 func FillAccelName() string {
 	if hasAVX2() {
 		return "avx2"

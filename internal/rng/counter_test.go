@@ -200,8 +200,8 @@ func TestFillRTWAtMatchesScalar(t *testing.T) {
 // FillPulseAt must be bit-identical to the per-index scalar formula:
 // zero when Uniform01 >= density, else ±amp by the word's parity bit.
 // The ordering of the two draws from one word (u from the high 53 bits,
-// sign from bit 0) is part of the stream contract — both the Go loop
-// and the AVX2 compare+blend kernel read the same word once.
+// sign from bit 0) is part of the stream contract: the fill reads each
+// word once.
 func TestFillPulseAtMatchesScalar(t *testing.T) {
 	g := New(0xbeefcafe)
 	for trial := 0; trial < 200; trial++ {

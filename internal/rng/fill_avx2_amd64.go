@@ -20,25 +20,15 @@ func fillUniformAccel(base, start uint64, dst []float64, lo, span float64) int {
 	return n
 }
 
-// fillRTWAccel and fillPulseAccel are the same prefix/tail split for
-// the RTW and pulse families. Both kernels share the uniform fill's
-// SplitMix64 counter lanes; only the final map from word to value
-// differs (a sign-bit XOR for RTW, a compare+mask+sign for pulse).
+// fillRTWAccel is the same prefix/tail split for the RTW family. Its
+// kernel shares the uniform fill's SplitMix64 counter lanes; only the
+// final map from word to value differs (a sign-bit XOR).
 func fillRTWAccel(base, start uint64, dst []float64) int {
 	n := len(dst) &^ 3
 	if !haveAVX2 || n == 0 {
 		return 0
 	}
 	fillRTWAVX2(base+(start+1)*golden, &dst[0], n)
-	return n
-}
-
-func fillPulseAccel(base, start uint64, dst []float64, density, amp float64) int {
-	n := len(dst) &^ 3
-	if !haveAVX2 || n == 0 {
-		return 0
-	}
-	fillPulseAVX2(base+(start+1)*golden, &dst[0], n, density, amp)
 	return n
 }
 
@@ -60,16 +50,6 @@ func fillUniformAVX2(state uint64, dst *float64, n int, lo, span float64)
 //
 //go:noescape
 func fillRTWAVX2(state uint64, dst *float64, n int)
-
-// fillPulseAVX2 writes the pulse map of mix64(state+s·golden) for s in
-// [0, n): 0 where the top-53-bit uniform is >= density (VCMPPD mask,
-// ANDN to +0.0), ±amp by the parity bit otherwise (sign-bit XOR). n
-// must be a positive multiple of 4. The uniform is the same exact
-// u64→f64 + 2^-53 scaling as the uniform kernel; compare and blend are
-// exact, so the output is bit-identical to fillPulseGo.
-//
-//go:noescape
-func fillPulseAVX2(state uint64, dst *float64, n int, density, amp float64)
 
 // cpuHasAVX2 reports CPUID leaf-7 AVX2 with OSXSAVE/XCR0 YMM-state
 // checks, i.e. whether the kernel may legally execute here.

@@ -157,10 +157,6 @@ loop:
 DATA negone<>+0(SB)/8, $0xbff0000000000000
 GLOBL negone<>(SB), RODATA, $8
 
-// The IEEE-754 sign bit, used to negate amp without an FP operation.
-DATA signbit<>+0(SB)/8, $0x8000000000000000
-GLOBL signbit<>(SB), RODATA, $8
-
 // func fillRTWAVX2(state uint64, dst *float64, n int)
 //
 // dst[s] = -1.0 XOR (parity(mix64(state+s·golden)) << 63): parity 1
@@ -196,70 +192,6 @@ rtwloop:
 	VPADDQ Y8, Y0, Y0
 	SUBQ $4, CX
 	JNE rtwloop
-
-	VZEROUPPER
-	RET
-
-// func fillPulseAVX2(state uint64, dst *float64, n int, density, amp float64)
-//
-// Per word w = mix64(state+s·golden):
-//
-//	u    = float64(w>>11) · 2^-53        (exact: 53 bits, power-of-two scale)
-//	v    = (-amp) XOR (parity(w) << 63)  (±amp by the sign-bit trick)
-//	dst  = (u >= density) ? +0.0 : v     (VCMPPD mask, VANDNPD blend)
-//
-// Every step is exact, so the output is bit-identical to fillPulseGo.
-TEXT ·fillPulseAVX2(SB), NOSPLIT, $0-40
-	MOVQ state+0(FP), AX
-	MOVQ dst+8(FP), DI
-	MOVQ n+16(FP), CX
-
-	VPBROADCASTQ mulc1<>(SB), Y4
-	VPBROADCASTQ mulc1hi<>(SB), Y5
-	VPBROADCASTQ mulc2<>(SB), Y6
-	VPBROADCASTQ mulc2hi<>(SB), Y7
-	VPBROADCASTQ stride4<>(SB), Y8
-	VPBROADCASTQ magic52<>(SB), Y9
-	VPBROADCASTQ magic84<>(SB), Y10
-	VPBROADCASTQ magicsub<>(SB), Y11
-	VPBROADCASTQ scale53<>(SB), Y12
-	VBROADCASTSD density+24(FP), Y13
-	VBROADCASTSD amp+32(FP), Y14
-	VPBROADCASTQ signbit<>(SB), Y15
-	VXORPD Y15, Y14, Y14 // Y14 = -amp
-
-	// states = broadcast(state) + [0, g, 2g, 3g]
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y0
-	VPADDQ laneoff<>(SB), Y0, Y0
-
-pulseloop:
-	VMOVDQA Y0, Y1
-	MIX64(Y1, Y2, Y3)
-
-	// v = (-amp) XOR (parity << 63): parity 1 selects +amp
-	VPSLLQ $63, Y1, Y2
-	VXORPD Y14, Y2, Y2
-
-	// u = float64(w >> 11) · 2^-53, same exact conversion as the
-	// uniform kernel
-	VPSRLQ $11, Y1, Y1
-	VPBLENDD $0xaa, Y9, Y1, Y3
-	VPSRLQ $32, Y1, Y1
-	VPOR Y10, Y1, Y1
-	VSUBPD Y11, Y1, Y1
-	VADDPD Y3, Y1, Y1
-	VMULPD Y12, Y1, Y1
-
-	// dst = (u >= density) ? +0.0 : v
-	VCMPPD $0x0d, Y13, Y1, Y1
-	VANDNPD Y2, Y1, Y1
-	VMOVUPD Y1, (DI)
-
-	ADDQ $32, DI
-	VPADDQ Y8, Y0, Y0
-	SUBQ $4, CX
-	JNE pulseloop
 
 	VZEROUPPER
 	RET

@@ -14,8 +14,4 @@ func fillRTWAccel(base, start uint64, dst []float64) int {
 	return 0
 }
 
-func fillPulseAccel(base, start uint64, dst []float64, density, amp float64) int {
-	return 0
-}
-
 func hasAVX2() bool { return false }

@@ -202,6 +202,44 @@ func TestHTTPEventsStreamProgressAndDone(t *testing.T) {
 	}
 }
 
+// TestHTTPJobBodyIsItsDoneEvent: a finished job's GET body and the
+// data of its SSE done event are one encoding, byte for byte apart
+// from the newline that ends the body.
+func TestHTTPJobBodyIsItsDoneEvent(t *testing.T) {
+	_, ts := newHTTPServer(t, Config{Workers: 1})
+	_, job := postSolve(t, ts, "engine=cdcl&model=1", paperSATDIMACS)
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	body := get("/jobs/" + job.ID + "?wait=10s")
+	var done []byte
+	sc := bufio.NewScanner(strings.NewReader(string(get("/jobs/" + job.ID + "/events"))))
+	for event := ""; sc.Scan(); {
+		line := sc.Text()
+		if e, ok := strings.CutPrefix(line, "event: "); ok {
+			event = e
+		} else if d, ok := strings.CutPrefix(line, "data: "); ok && event == "done" {
+			done = []byte(d)
+		}
+	}
+	if done == nil {
+		t.Fatal("no done event")
+	}
+	if want := string(done) + "\n"; string(body) != want {
+		t.Errorf("GET body\n%s\ndone event data\n%s", body, want)
+	}
+}
+
 func TestHTTPMetricsAndHealthz(t *testing.T) {
 	_, ts := newHTTPServer(t, Config{Workers: 1})
 	// One real solve and one cache hit so every counter family is live.

@@ -96,7 +96,7 @@ func Decompose(f *cnf.Formula) []*Component {
 	out := make([]*Component, 0, groups)
 	for start, r := int32(0), 0; r < len(next)-1; r++ {
 		if end := next[r]; end > start {
-			g, vars := compact(grouped[start:end])
+			g, vars := (&cnf.Formula{Clauses: grouped[start:end]}).Compact()
 			out = append(out, &Component{F: g, VarMap: vars})
 			start = end
 		}

@@ -15,10 +15,8 @@
 package simplify
 
 import (
-	"cmp"
 	"container/heap"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/cnf"
@@ -101,7 +99,7 @@ func Simplify(f *cnf.Formula, opts Options) *Result {
 		// ascending order: their per-literal scratch then follows the
 		// clauses, not the declared variable count, and the renaming
 		// keeps every order the passes depend on.
-		g, vars := compact(work.Clauses)
+		g, vars := work.Compact()
 		d := &Result{Forced: cnf.NewAssignment(g.NumVars)}
 		res.lift(d, vars, reduce(g, opts, d))
 	}
@@ -218,45 +216,12 @@ func (r *Result) lift(d *Result, vars []cnf.Var, clauses []cnf.Clause) {
 	if r.ProvedUnsat {
 		return
 	}
-	r.F, r.VarMap = compact(clauses)
+	r.F, r.VarMap = (&cnf.Formula{Clauses: clauses}).Compact()
 	for i, v := range r.VarMap {
 		r.VarMap[i] = vars[v-1]
 	}
 	r.Stats.VarsAfter = r.F.NumVars
 	r.Stats.ClausesAfter = r.F.NumClauses()
-}
-
-// compact renumbers the variables occurring in clauses to 1..n in
-// ascending order of their original identity, returning the compacted
-// formula and the map from compacted variable v to the original
-// variable varMap[v-1]. Shared by Simplify and Decompose. The renaming
-// comes from DenseLits and one sort of the occurring names, and the
-// compacted clauses share one literal arena.
-func compact(clauses []cnf.Clause) (*cnf.Formula, []cnf.Var) {
-	lits, names := (&cnf.Formula{Clauses: clauses}).DenseLits()
-	byName := make([]int32, len(names)) // dense numbers in ascending name order
-	for i := range byName {
-		byName[i] = int32(i)
-	}
-	slices.SortFunc(byName, func(a, b int32) int { return cmp.Compare(names[a], names[b]) })
-	vars := make([]cnf.Var, len(names))
-	rename := make([]cnf.Var, len(names)) // dense number -> compacted variable
-	for k, i := range byName {
-		vars[k] = names[i]
-		rename[i] = cnf.Var(k + 1)
-	}
-	out := cnf.New(len(vars))
-	if len(clauses) > 0 {
-		out.Clauses = make([]cnf.Clause, len(clauses))
-	}
-	arena := make(cnf.Clause, len(lits))
-	for i, d := range lits {
-		arena[i] = cnf.NewLit(rename[d>>1], d&1 == 1)
-	}
-	for i, c := range clauses {
-		out.Clauses[i], arena = arena[:len(c):len(c)], arena[len(c):]
-	}
-	return out, vars
 }
 
 // Reconstruct lifts a model of the simplified formula to a total

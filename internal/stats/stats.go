@@ -169,32 +169,3 @@ func (c *Convergence) Check(mean float64) bool {
 func (c *Convergence) Exhausted(n int64) bool {
 	return c.MaxSamples > 0 && n >= c.MaxSamples
 }
-
-// Mean returns the arithmetic mean of xs (NaN for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs (0 if len < 2).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += float64(d * d)
-	}
-	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }

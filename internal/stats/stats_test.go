@@ -180,25 +180,6 @@ func TestConvergenceBudgetSeparateFromStability(t *testing.T) {
 	}
 }
 
-func TestSliceHelpers(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if !almostEqual(Mean(xs), 2.5, 1e-15) {
-		t.Errorf("Mean = %v", Mean(xs))
-	}
-	if !almostEqual(Variance(xs), 5.0/3, 1e-15) {
-		t.Errorf("Variance = %v", Variance(xs))
-	}
-	if !almostEqual(StdDev(xs), math.Sqrt(5.0/3), 1e-15) {
-		t.Errorf("StdDev = %v", StdDev(xs))
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("Mean(nil) should be NaN")
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Error("Variance of one element should be 0")
-	}
-}
-
 func BenchmarkWelfordAdd(b *testing.B) {
 	var w Welford
 	for i := 0; i < b.N; i++ {
