@@ -11,7 +11,8 @@
 //	-addr     listen address (default 127.0.0.1:7797; :0 picks a port)
 //	-workers  solve-pool size (default 2× CPUs, capped at 8)
 //	-queue    backlog bound before submissions get 503 (default 256)
-//	-cache    verdict-cache entries (default 4096; negative disables)
+//	-cache    verdict-cache entries, the only verdicts held in memory
+//	          with or without -store (default 4096; negative disables)
 //	-store    path to a durable verdict store file (empty disables);
 //	          definitive verdicts persist across restarts, and a byte
 //	          copy of the file seeds another replica
@@ -82,7 +83,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:7797", "listen address (host:port; :0 picks a free port)")
 		workers      = flag.Int("workers", defWorkers, "solve-pool size (bounds concurrent engine work)")
 		queue        = flag.Int("queue", 256, "job queue depth before submissions are rejected with 503")
-		cache        = flag.Int("cache", 4096, "verdict cache entries (negative disables caching)")
+		cache        = flag.Int("cache", 4096, "verdict cache entries, the only verdicts held in memory with or without -store (negative disables caching)")
 		store        = flag.String("store", "", "durable verdict store file (empty disables persistence)")
 		nodeID       = flag.String("node-id", "", "fleet node name for X-NBL-Node and metrics (default hostname:port)")
 		engine       = flag.String("engine", "pre(portfolio)", "default engine expression for submissions that name none")

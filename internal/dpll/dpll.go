@@ -41,6 +41,12 @@ type Solver struct {
 	b     Brancher
 	stats Stats
 
+	// polarity is the pure-literal step's scratch table: per variable,
+	// the OR of the values satisfying its open occurrences (True|False
+	// for both polarities). seen lists the entries a round set, to clear.
+	polarity []cnf.Value
+	seen     []cnf.Var
+
 	ctx    context.Context
 	ctxErr error
 }
@@ -67,6 +73,9 @@ func (s *Solver) Solve() (cnf.Assignment, bool) {
 func (s *Solver) SolveCtx(ctx context.Context) (cnf.Assignment, bool, error) {
 	s.ctx, s.ctxErr = ctx, nil
 	a := cnf.NewAssignment(s.f.NumVars)
+	if len(s.polarity) != len(a) {
+		s.polarity = make([]cnf.Value, len(a))
+	}
 	ok := s.solve(a)
 	if s.ctxErr != nil {
 		return nil, false, s.ctxErr
@@ -129,32 +138,33 @@ func (s *Solver) solve(a cnf.Assignment) bool {
 		// Pure literal elimination: a variable appearing with only one
 		// polarity among not-yet-satisfied clauses can be set to it.
 		pure := len(trail)
-		polarity := make(map[cnf.Var]int8) // 1 pos, 2 neg, 3 both
 		for _, c := range s.f.Clauses {
 			if a.EvalClause(c) == cnf.True {
 				continue
 			}
 			for _, l := range c {
-				if a.Get(l.Var()) != cnf.Unassigned {
+				v := l.Var()
+				if a.Get(v) != cnf.Unassigned {
 					continue
 				}
-				bit := int8(1)
-				if l.IsNeg() {
-					bit = 2
+				if s.polarity[v] == cnf.Unassigned {
+					s.seen = append(s.seen, v)
 				}
-				polarity[l.Var()] |= bit
-			}
-		}
-		for v, p := range polarity {
-			if p == 1 || p == 2 {
 				val := cnf.True
-				if p == 2 {
+				if l.IsNeg() {
 					val = cnf.False
 				}
-				a.Set(v, val)
-				trail = append(trail, v)
+				s.polarity[v] |= val
 			}
 		}
+		for _, v := range s.seen {
+			if p := s.polarity[v]; p != cnf.True|cnf.False {
+				a.Set(v, p)
+				trail = append(trail, v)
+			}
+			s.polarity[v] = cnf.Unassigned
+		}
+		s.seen = s.seen[:0]
 		s.stats.PureLiterals += int64(len(trail) - pure)
 		if len(trail) == pure {
 			break

@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"strconv"
 	"sync"
 
 	"repro/internal/cnf"
@@ -43,10 +44,11 @@ import (
 // tiers hold one shape, the store's Record with its model in canonical
 // space, under the store's key (verdictstore.TaskKey), and share its
 // UNKNOWN exclusion, so the correctness argument above covers both
-// tiers; what the store adds is survival across process restarts.
-// Counter accounting: hits counts LRU hits, the store's own counters
-// count tier-2 lookups, and misses counts lookups that missed *both*
-// tiers — so hits + store-hits + misses partitions the lookups.
+// tiers; what the store adds is survival across process restarts. The
+// store holds only file offsets, so the LRU's capacity bounds the
+// records in memory. The cache alone counts lookups: hits (LRU),
+// storeHits (store hits on LRU misses) and misses (of both tiers)
+// partition them.
 type verdictCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -54,7 +56,7 @@ type verdictCache struct {
 	entries map[string]*list.Element
 	store   *verdictstore.Store // optional durable tier; nil = LRU only
 
-	hits, misses, evictions int64
+	hits, storeHits, misses, evictions int64
 }
 
 // newVerdictCache returns a cache holding up to capacity entries over
@@ -77,40 +79,46 @@ func (c *verdictCache) enabled() bool { return c.cap > 0 || c.store != nil }
 // get returns the cached Result for (engine, config, canonical
 // formula), with the stored model translated into the requester's
 // variable space; a nil canon, a job no tier serves, misses without
-// counting. An LRU miss falls through to the durable store; a store hit
-// is promoted into the LRU on its way out. Each probed tier records a
-// hit-tagged child span under sp (nil sp: untraced).
+// counting. An LRU miss falls through to the durable store, read
+// outside the lock so a disk read never stalls LRU hits; a store hit is
+// promoted into the LRU. Each probed tier records a hit-tagged child
+// span under sp (nil sp: untraced).
 func (c *verdictCache) get(sp *obs.Span, task solver.Task, engine, cfg string, canon *cnf.Canonical) (solver.Result, bool) {
 	if canon == nil {
 		return solver.Result{}, false
 	}
-	fp := verdictstore.Fingerprint(string(task), canon.Fingerprint(), canon.NumVars())
-	key := verdictstore.TaskKey(string(task), engine, cfg, fp)
+	key := verdictstore.TaskKey(string(task), engine, cfg,
+		verdictstore.Fingerprint(string(task), canon.Fingerprint(), canon.NumVars()))
 	lru := sp.StartChild("cache.lru")
+	var hit *verdictstore.Record
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, found := c.entries[key]; found {
+	if el, ok := c.entries[key]; ok {
 		c.hits++
 		c.order.MoveToFront(el)
-		lru.SetAttr("hit", "true")
-		lru.Finish()
-		return replay(el.Value.(*verdictstore.Record), canon), true
+		hit = el.Value.(*verdictstore.Record)
 	}
-	lru.SetAttr("hit", "false")
+	c.mu.Unlock()
+	lru.SetAttr("hit", strconv.FormatBool(hit != nil))
 	lru.Finish()
+	if hit != nil {
+		return replay(hit, canon), true
+	}
+	rec, found := verdictstore.Record{}, false
 	if c.store != nil {
 		st := sp.StartChild("cache.store")
-		if rec, ok := c.store.GetTask(string(task), engine, cfg, fp); ok {
-			c.insertLocked(key, &rec)
-			st.SetAttr("hit", "true")
-			st.Finish()
-			return replay(&rec, canon), true
-		}
-		st.SetAttr("hit", "false")
+		rec, found = c.store.Get(key)
+		st.SetAttr("hit", strconv.FormatBool(found))
 		st.Finish()
 	}
-	c.misses++
-	return solver.Result{}, false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !found {
+		c.misses++
+		return solver.Result{}, false
+	}
+	c.storeHits++
+	c.insertLocked(key, &rec)
+	return replay(&rec, canon), true
 }
 
 // replay returns rec's verdict with its canonical model translated into
@@ -164,18 +172,9 @@ func (c *verdictCache) insertLocked(key string, rec *verdictstore.Record) {
 	}
 }
 
-// stats returns (hits, misses, evictions, live entries).
-func (c *verdictCache) stats() (hits, misses, evictions, entries int64) {
+// stats returns (LRU hits, store hits, misses, evictions, live entries).
+func (c *verdictCache) stats() (hits, storeHits, misses, evictions, entries int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, int64(len(c.entries))
-}
-
-// storeStats returns the durable tier's counters and whether a store
-// is attached at all.
-func (c *verdictCache) storeStats() (verdictstore.Stats, bool) {
-	if c.store == nil {
-		return verdictstore.Stats{}, false
-	}
-	return c.store.Stats(), true
+	return c.hits, c.storeHits, c.misses, c.evictions, int64(len(c.entries))
 }

@@ -376,8 +376,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var g gauges
 	g.queued, g.running = s.Counts()
-	g.cacheHits, g.cacheMisses, g.cacheEvictions, g.cacheEntries = s.cache.stats()
-	g.store, g.storePresent = s.cache.storeStats()
+	g.cacheHits, g.storeHits, g.cacheMisses, g.cacheEvictions, g.cacheEntries = s.cache.stats()
+	if st := s.cache.store; st != nil {
+		g.store, g.storePresent = st.Stats(), true
+	}
 	g.pool = enginepool.Default.Stats()
 	g.node = s.cfg.NodeID
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

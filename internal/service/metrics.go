@@ -61,7 +61,7 @@ var histBounds = []float64{0.0005, 0.0025, 0.01, 0.05, 0.25, 1, 5, 25, 120}
 var stageBounds = []float64{0.00001, 0.0001, 0.0005, 0.0025, 0.01, 0.05, 0.25, 1, 5, 25}
 
 // tierBounds cover the cache tiers: an LRU probe is sub-microsecond,
-// a store probe is a map lookup, a store load can touch disk.
+// a store probe reads and decodes one frame, which can touch disk.
 var tierBounds = []float64{0.000001, 0.00001, 0.0001, 0.001, 0.01, 0.1}
 
 // queueBounds cover backlog wait: instant claim to minutes behind a
@@ -132,12 +132,12 @@ func (m *metrics) observeTrace(t *obs.TraceJSON) {
 // state at scrape time: the server's queue, the verdict cache, and the
 // engine lease pool.
 type gauges struct {
-	queued, running                                      int64
-	cacheHits, cacheMisses, cacheEvictions, cacheEntries int64
-	store                                                verdictstore.Stats
-	storePresent                                         bool
-	pool                                                 enginepool.Stats
-	node                                                 string
+	queued, running                                                 int64
+	cacheHits, storeHits, cacheMisses, cacheEvictions, cacheEntries int64
+	store                                                           verdictstore.Stats
+	storePresent                                                    bool
+	pool                                                            enginepool.Stats
+	node                                                            string
 }
 
 // write emits the exposition document. Queue/running/cache/pool gauges
@@ -153,7 +153,6 @@ func (m *metrics) write(out io.Writer, g gauges) {
 
 func (m *metrics) render(w *bytes.Buffer, g gauges) {
 	queued, running := g.queued, g.running
-	hits, misses, evictions, entries := g.cacheHits, g.cacheMisses, g.cacheEvictions, g.cacheEntries
 	m.mu.Lock()
 
 	prom.Head(w, "nblserve_up", "gauge", "Whether the service is serving (always 1 on a scrape).")
@@ -200,16 +199,17 @@ func (m *metrics) render(w *bytes.Buffer, g gauges) {
 	}
 	prom.GaugeFloat(w, "nblserve_samples_per_second", "Lifetime mean sampling throughput.", rate)
 
-	prom.Counter(w, "nblserve_cache_hits_total", "Verdict-cache hits.", hits)
-	prom.Counter(w, "nblserve_cache_misses_total", "Verdict-cache misses.", misses)
-	prom.Counter(w, "nblserve_cache_evictions_total", "Verdict-cache LRU evictions.", evictions)
-	prom.Gauge(w, "nblserve_cache_entries", "Live verdict-cache entries.", entries)
+	prom.Counter(w, "nblserve_cache_hits_total", "Verdict-cache hits.", g.cacheHits)
+	prom.Counter(w, "nblserve_cache_misses_total", "Verdict-cache misses.", g.cacheMisses)
+	prom.Counter(w, "nblserve_cache_evictions_total", "Verdict-cache LRU evictions.", g.cacheEvictions)
+	prom.Gauge(w, "nblserve_cache_entries", "Live verdict-cache entries.", g.cacheEntries)
 
 	// Durable verdict-store tier (only when a store is attached: an
 	// absent family reads as "no store", a zero as "store, no traffic").
+	// With a store attached, a cache miss is a miss of both tiers.
 	if g.storePresent {
-		prom.Counter(w, "nblserve_store_hits_total", "Verdict-store (durable tier) hits on LRU misses.", g.store.Hits)
-		prom.Counter(w, "nblserve_store_misses_total", "Verdict-store lookups that missed both tiers.", g.store.Misses)
+		prom.Counter(w, "nblserve_store_hits_total", "Verdict-store (durable tier) hits on LRU misses.", g.storeHits)
+		prom.Counter(w, "nblserve_store_misses_total", "Verdict-store lookups that missed both tiers.", g.cacheMisses)
 		prom.Counter(w, "nblserve_store_flushes_total", "Verdict records appended (each append is one flushed write).", g.store.Appends)
 		prom.Gauge(w, "nblserve_store_entries", "Live verdict-store records (loaded + appended, deduplicated).", g.store.Entries)
 		prom.Gauge(w, "nblserve_store_torn_bytes", "Bytes dropped as a torn tail when the store was opened.", g.store.TornBytes)

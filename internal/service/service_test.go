@@ -269,7 +269,7 @@ func TestUnknownIsNeverCached(t *testing.T) {
 	if got := unknownCalls.Load() - before; got != 3 {
 		t.Fatalf("engine invoked %d times, want 3 (no caching)", got)
 	}
-	if hits, _, _, entries := func() (int64, int64, int64, int64) { return s.cache.stats() }(); hits != 0 || entries != 0 {
+	if hits, _, _, _, entries := s.cache.stats(); hits != 0 || entries != 0 {
 		t.Fatalf("cache should be empty and hitless: hits=%d entries=%d", hits, entries)
 	}
 }

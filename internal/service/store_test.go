@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,8 +84,8 @@ func TestStoreTierSurvivesRestart(t *testing.T) {
 	if snap.Result.Assignment == nil || !snap.Result.Assignment.Satisfies(testFormula()) {
 		t.Fatal("store-replayed model does not satisfy the formula")
 	}
-	if st := vs2.Stats(); st.Hits != 1 {
-		t.Fatalf("store hits = %d, want 1", st.Hits)
+	if _, storeHits, _, _, _ := s2.cache.stats(); storeHits != 1 {
+		t.Fatalf("store hits = %d, want 1", storeHits)
 	}
 }
 
@@ -119,8 +120,8 @@ func TestStoreHitsAcrossRenaming(t *testing.T) {
 	if snap.Result.Assignment == nil || !snap.Result.Assignment.Satisfies(twin) {
 		t.Fatalf("translated model does not satisfy the twin: %v", snap.Result.Assignment)
 	}
-	if st := vs.Stats(); st.Hits != 1 {
-		t.Fatalf("store hits = %d, want 1", st.Hits)
+	if _, storeHits, _, _, _ := s.cache.stats(); storeHits != 1 {
+		t.Fatalf("store hits = %d, want 1", storeHits)
 	}
 }
 
@@ -270,4 +271,61 @@ func getMetrics(t *testing.T, ts *httptest.Server) (int, string) {
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
 	return resp.StatusCode, string(data)
+}
+
+// TestCacheTiersUnderConcurrency drives the cache from several
+// goroutines with an LRU smaller than the working set, so lookups hit
+// the LRU, read the store outside the LRU's lock, and race the puts,
+// promotions and evictions of other goroutines (run it under -race).
+// Every hit must replay its own formula's verdict, and the three lookup
+// counters must partition the lookups.
+func TestCacheTiersUnderConcurrency(t *testing.T) {
+	const formulas, workers, rounds = 16, 4, 64
+	c := newVerdictCache(4, openStore(t, filepath.Join(t.TempDir(), "verdicts.nbl")))
+	canons := make([]*cnf.Canonical, formulas)
+	for i := range canons {
+		f := cnf.New(i + 1) // i+1 unit clauses: no two formulas share a fingerprint
+		for v := 1; v <= i+1; v++ {
+			f.Add(v)
+		}
+		canons[i] = cnf.Canonicalize(f)
+	}
+	lookup := func(i int) bool {
+		res, ok := c.get(nil, solver.TaskDecide, "svc-echo", "cfg", canons[i])
+		if ok && res.Stats.Decisions != int64(i) {
+			t.Errorf("formula %d replayed formula %d's verdict", i, res.Stats.Decisions)
+		}
+		return ok
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				// A miss is solved and put. Every other round puts a verdict
+				// the LRU may hold already, as two identical jobs solved at
+				// once both do, so entries are replaced while others read them.
+				if i := (w + r) % formulas; !lookup(i) || r%2 == 0 {
+					c.put(solver.TaskDecide, "svc-echo", "cfg", canons[i],
+						solver.Result{Status: solver.StatusUnsat, Stats: solver.Stats{Decisions: int64(i)}})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	_, before, _, _, _ := c.stats()
+	for i := range formulas { // every formula is stored; at most 4 are in the LRU
+		if !lookup(i) {
+			t.Errorf("formula %d missed both tiers after it was put", i)
+		}
+	}
+	hits, storeHits, misses, _, _ := c.stats()
+	if got := hits + storeHits + misses; got != workers*rounds+formulas {
+		t.Errorf("hits %d + store hits %d + misses %d = %d, want one per lookup (%d)",
+			hits, storeHits, misses, got, workers*rounds+formulas)
+	}
+	if storeHits-before < formulas-4 {
+		t.Errorf("%d of %d lookups past a 4-entry LRU reached the store", storeHits-before, formulas)
+	}
 }

@@ -45,7 +45,7 @@ func TestParentFormatMCRecordReplays(t *testing.T) {
 		t.Fatalf("loaded %d records with %d torn bytes, want 1 and 0", st.Loaded, st.TornBytes)
 	}
 	fp := cnf.Canonicalize(gen.PaperSAT()).Fingerprint()
-	got, ok := s.GetTask("", "mc", solver.Config{}.Key(), fp)
+	got, ok := s.Get(TaskKey("", "mc", solver.Config{}.Key(), fp))
 	if !ok {
 		t.Fatal("parent mc record not found under this release's key")
 	}

@@ -15,8 +15,9 @@ import (
 // FuzzStoreOpen opens a store file holding arbitrary bytes. Open must
 // refuse a bad header and accept everything else without panicking. On
 // success the file must be cut back to a frame boundary of the bytes it
-// held, every recovered record must be definitive, and closing and
-// reopening must recover the same records with nothing left to cut.
+// held, every indexed key must read back a definitive record filed
+// under that key, and closing and reopening must index the same
+// records at the same offsets with nothing left to cut.
 func FuzzStoreOpen(f *testing.F) {
 	defer func(old func(string, ...any)) { Warnf = old }(Warnf)
 	Warnf = func(string, ...any) {}
@@ -89,9 +90,9 @@ func FuzzStoreOpen(f *testing.F) {
 		if st := s.Stats(); st.Loaded != int64(frames) || st.TornBytes != int64(len(given)-len(kept)) {
 			t.Fatalf("stats %+v for %d frames cut from %d to %d bytes", st, frames, len(given), len(kept))
 		}
-		for key, rec := range s.index {
-			if !rec.Result.Status.Definitive() {
-				t.Fatalf("recovered a %s record under %q", rec.Result.Status, key)
+		for key := range s.index {
+			if rec, ok := s.Get(key); !ok || !rec.Result.Status.Definitive() || rec.Key() != key {
+				t.Fatalf("Get(%q) = %+v, %v; want the definitive record filed under it", key, rec, ok)
 			}
 		}
 		if err := s.Close(); err != nil {

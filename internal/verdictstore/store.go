@@ -10,10 +10,12 @@
 // replica restart (deploy, crash, reschedule) discards every verdict it
 // ever earned, and the router's fingerprint locality faithfully sends
 // the repeats right back to the now-cold node. The store closes that
-// hole: verdicts append to a single flat file as they are earned and
-// load back on boot. A store ships between nodes as a byte copy of its
-// one file; a copy taken mid-append ends in a torn final frame, which
-// Open drops.
+// hole: verdicts append to a single flat file as they are earned, and
+// Open indexes them on boot by key and frame offset alone: Get reads a
+// record back from the file, so records live in memory only in the
+// service's LRU. A store ships between nodes as a byte copy of its one
+// file; a copy taken mid-append ends in a torn final frame, which Open
+// drops.
 //
 // The package owns the stored verdict: its Record, the key that
 // identifies it (TaskKey), and the rules for writing one. Only
@@ -36,18 +38,20 @@
 //	  uint32 LE  CRC-32 (IEEE) of payload
 //	  payload    JSON-encoded Record
 //
-// Appends are a single Write of one fully-framed record. The only
-// states a crash can leave behind are therefore (a) the file as it was,
-// or (b) the file plus a prefix of the final record (a torn tail) —
-// earlier records are never rewritten, so they are never at risk. Open
-// scans forward validating frame bounds, checksum, JSON, and a
+// Appends are a single WriteAt of one fully-framed record at the end of
+// the last whole frame, an end that moves only once the frame is whole.
+// The only states a crash can leave behind are therefore (a) the file
+// as it was, or (b) the file plus a prefix of the final record (a torn
+// tail) — earlier records are never rewritten, so they are never at
+// risk, and a prefix a failed write left is where the next append goes.
+// Open scans forward validating frame bounds, checksum, JSON, and a
 // definitive status; at the first record that fails any check it
 // truncates the file back to the last good boundary and keeps
 // everything before it. A torn tail thus costs exactly the verdict
 // that was being written, which the next solve re-earns. (A single
-// Write is not guaranteed atomic by POSIX, but nothing here depends on
+// write is not guaranteed atomic by POSIX, but nothing here depends on
 // atomicity — any partial suffix is detected and dropped by the same
-// scan.)
+// scan, whose checks also make a Get of a damaged frame a miss.)
 //
 // Put skips keys the index already holds, so a file written by one
 // process holds each key once and grows by one record per distinct
@@ -153,11 +157,11 @@ type Store struct {
 	mu    sync.Mutex
 	f     *os.File
 	path  string
-	index map[string]Record
+	end   int64            // where the next frame goes: past the last whole one
+	index map[string]int64 // key -> offset of its record's frame
 
-	hits, misses, appends int64
-	loaded                int64 // records recovered at Open
-	tornBytes             int64 // bytes truncated from the tail at Open
+	appends, loaded int64 // loaded: records recovered at Open
+	tornBytes       int64 // bytes truncated from the tail at Open
 }
 
 // Open loads (or creates) the store at path. A torn tail — a final
@@ -168,7 +172,7 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, path: path, index: make(map[string]Record)}
+	s := &Store{f: f, path: path, index: make(map[string]int64)}
 	if err := s.load(); err != nil {
 		f.Close()
 		return nil, err
@@ -183,71 +187,70 @@ func (s *Store) load() error {
 	if err != nil {
 		return err
 	}
+	s.end = int64(len(magic)) // the last known-good record boundary
 	if info.Size() == 0 {
-		_, err := s.f.Write([]byte(magic))
+		_, err := s.f.WriteAt([]byte(magic), 0)
 		return err
 	}
 	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(s.f, hdr); err != nil || string(hdr) != magic {
+	if _, err := s.f.ReadAt(hdr, 0); err != nil || string(hdr) != magic {
 		return fmt.Errorf("verdictstore: %s is not a verdict store (bad header)", s.path)
 	}
-
-	good := int64(len(magic)) // last known-good record boundary
-	var frame [8]byte
 	for {
-		if _, err := io.ReadFull(s.f, frame[:]); err != nil {
-			break // EOF, or a tail shorter than a frame header
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > maxRecordBytes {
+		rec, n, ok := readRecord(s.f, s.end)
+		if !ok {
 			break
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(s.f, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		// A record Put could not have written (UNKNOWN, or no status at
-		// all) ends the scan like a corrupt one: replaying it would serve
-		// a run's shortfall as the formula's verdict.
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil || !rec.Result.Status.Definitive() {
-			break
-		}
-		good += int64(len(frame)) + int64(length)
 		// Put never appends a key the index holds, so a key repeats only
 		// in a file no single Store wrote; the later record wins.
-		s.index[rec.Key()] = rec
+		s.index[rec.Key()] = s.end
+		s.end += n
 		s.loaded++
 	}
-
-	if good < info.Size() {
-		s.tornBytes = info.Size() - good
+	if s.end < info.Size() {
+		s.tornBytes = info.Size() - s.end
 		Warnf("verdictstore: torn tail truncated path=%s offset=%d torn_bytes=%d records_recovered=%d",
-			s.path, good, s.tornBytes, s.loaded)
-		if err := s.f.Truncate(good); err != nil {
-			return err
-		}
+			s.path, s.end, s.tornBytes, s.loaded)
+		return s.f.Truncate(s.end)
 	}
-	_, err = s.f.Seek(good, io.SeekStart)
-	return err
+	return nil
 }
 
-// GetTask returns the stored verdict for the task-qualified identity
-// (see TaskKey). The returned Result's Assignment is in canonical
-// variable space.
-func (s *Store) GetTask(task, engine, configKey, fingerprint string) (Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.index[TaskKey(task, engine, configKey, fingerprint)]
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
+// readRecord decodes the record framed at off and returns it with the
+// frame's length. It fails on a frame cut short, a zero or oversized
+// length, a checksum mismatch, bad JSON, or a record Put could not have
+// written (UNKNOWN, or no status at all): replaying that would serve a
+// run's shortfall as the formula's verdict.
+func readRecord(r io.ReaderAt, off int64) (Record, int64, bool) {
+	var frame [8]byte
+	_, err := r.ReadAt(frame[:], off)
+	length := binary.LittleEndian.Uint32(frame[0:4])
+	if err != nil || length == 0 || length > maxRecordBytes {
+		return Record{}, 0, false
 	}
+	payload := make([]byte, length)
+	if _, err := r.ReadAt(payload, off+int64(len(frame))); err != nil ||
+		crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:8]) {
+		return Record{}, 0, false
+	}
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil || !rec.Result.Status.Definitive() {
+		return Record{}, 0, false
+	}
+	return rec, int64(len(frame)) + int64(length), true
+}
+
+// Get returns the verdict stored under key (see TaskKey), read back from
+// the file outside the store's lock; a frame that no longer decodes is a
+// miss. The returned Result's Assignment is in canonical variable space.
+func (s *Store) Get(key string) (Record, bool) {
+	s.mu.Lock()
+	off, ok := s.index[key]
+	s.mu.Unlock()
+	if !ok {
+		return Record{}, false
+	}
+	rec, _, ok := readRecord(s.f, off)
 	return rec, ok
 }
 
@@ -273,12 +276,13 @@ func (s *Store) Put(rec Record) error {
 	if err != nil {
 		return err
 	}
-	// One Write per record: the crash-safety argument in the package
-	// comment depends on never splitting a record across appends.
-	if _, err := s.f.Write(framed); err != nil {
+	// One WriteAt per record, and the end moves only past a whole frame:
+	// the crash-safety argument in the package comment depends on both.
+	if _, err := s.f.WriteAt(framed, s.end); err != nil {
 		return err
 	}
-	s.index[key] = rec
+	s.index[key] = s.end
+	s.end += int64(len(framed))
 	s.appends++
 	return nil
 }
@@ -313,8 +317,6 @@ func (s *Store) Close() error {
 
 // Stats is a point-in-time snapshot of the store counters.
 type Stats struct {
-	// Hits and Misses count GetTask lookups.
-	Hits, Misses int64
 	// Appends counts records flushed to the file this process lifetime.
 	Appends int64
 	// Entries is the live (distinct-key) record count; Loaded how many
@@ -329,9 +331,5 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
-		Hits: s.hits, Misses: s.misses, Appends: s.appends,
-		Entries: int64(len(s.index)), Loaded: s.loaded,
-		TornBytes: s.tornBytes,
-	}
+	return Stats{Appends: s.appends, Entries: int64(len(s.index)), Loaded: s.loaded, TornBytes: s.tornBytes}
 }

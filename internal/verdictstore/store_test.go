@@ -3,9 +3,12 @@ package verdictstore
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,7 +77,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("reloaded %d records, want %d", re.Stats().Entries, len(want))
 	}
 	for i, w := range want {
-		got, ok := re.GetTask("", w.Engine, w.ConfigKey, w.Fingerprint)
+		got, ok := re.Get(TaskKey("", w.Engine, w.ConfigKey, w.Fingerprint))
 		if !ok {
 			t.Fatalf("record %d missing after reload", i)
 		}
@@ -132,7 +135,7 @@ func TestDuplicateKeySkipsAppend(t *testing.T) {
 	if got := fileSize(t, path); got != size1 {
 		t.Fatalf("duplicate key grew the file: %d -> %d bytes", size1, got)
 	}
-	got, _ := s.GetTask("", rec.Engine, rec.ConfigKey, rec.Fingerprint)
+	got, _ := s.Get(TaskKey("", rec.Engine, rec.ConfigKey, rec.Fingerprint))
 	if got.Result.Wall != rec.Result.Wall {
 		t.Fatalf("duplicate overwrote the stored verdict: wall %v", got.Result.Wall)
 	}
@@ -180,7 +183,7 @@ func TestTornTailTruncation(t *testing.T) {
 		if re.Stats().Entries != 1 {
 			t.Fatalf("cut at %d: loaded %d records, want 1", cut, re.Stats().Entries)
 		}
-		if _, ok := re.GetTask("", recs[0].Engine, recs[0].ConfigKey, recs[0].Fingerprint); !ok {
+		if _, ok := re.Get(TaskKey("", recs[0].Engine, recs[0].ConfigKey, recs[0].Fingerprint)); !ok {
 			t.Fatalf("cut at %d: record 0 lost", cut)
 		}
 		st := re.Stats()
@@ -195,7 +198,7 @@ func TestTornTailTruncation(t *testing.T) {
 		if err := re.Put(recs[1]); err != nil {
 			t.Fatalf("cut at %d: re-append: %v", cut, err)
 		}
-		if _, ok := re.GetTask("", recs[1].Engine, recs[1].ConfigKey, recs[1].Fingerprint); !ok {
+		if _, ok := re.Get(TaskKey("", recs[1].Engine, recs[1].ConfigKey, recs[1].Fingerprint)); !ok {
 			t.Fatalf("cut at %d: re-appended record unreadable", cut)
 		}
 		re.Close()
@@ -296,7 +299,7 @@ func TestCorruptPayloadDropped(t *testing.T) {
 	if re.Stats().Entries != 1 {
 		t.Fatalf("loaded %d records past a corrupt payload, want 1", re.Stats().Entries)
 	}
-	if _, ok := re.GetTask("", recs[1].Engine, recs[1].ConfigKey, recs[1].Fingerprint); ok {
+	if _, ok := re.Get(TaskKey("", recs[1].Engine, recs[1].ConfigKey, recs[1].Fingerprint)); ok {
 		t.Fatal("corrupt record served from the index")
 	}
 }
@@ -351,7 +354,7 @@ func TestConcatenationIsNotAMerge(t *testing.T) {
 	if st := s.Stats(); st.Entries != 1 || st.TornBytes != int64(len(files[1])) {
 		t.Fatalf("opened %d records with %d torn bytes, want 1 and %d", st.Entries, st.TornBytes, len(files[1]))
 	}
-	if _, ok := s.GetTask("", recs[0].Engine, recs[0].ConfigKey, recs[0].Fingerprint); !ok {
+	if _, ok := s.Get(TaskKey("", recs[0].Engine, recs[0].ConfigKey, recs[0].Fingerprint)); !ok {
 		t.Error("the first file's record is lost")
 	}
 	if got := fileSize(t, path); got != int64(len(files[0])) {
@@ -382,4 +385,173 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return info.Size()
+}
+
+// TestPartialAppendIsOverwritten: a write that fails part way, as on a
+// full disk, leaves a frame prefix at the end of the file with the
+// descriptor's position past it. The next Put writes at the end of the
+// last whole frame, over that prefix, so reopening keeps the records on
+// both sides of the failure.
+func TestPartialAppendIsOverwritten(t *testing.T) {
+	s, path := openTemp(t)
+	a, b := testRecord(0, solver.StatusSat), testRecord(1, solver.StatusUnsat)
+	if err := s.Put(a); err != nil {
+		t.Fatal(err)
+	}
+	framed, err := frameRecord(testRecord(2, solver.StatusSat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.f.Write(framed[:12]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Loaded != 2 || st.TornBytes != 0 {
+		t.Fatalf("reopened %d records with %d torn bytes, want 2 and 0", st.Loaded, st.TornBytes)
+	}
+	for _, r := range []Record{a, b} {
+		if got, ok := re.Get(r.Key()); !ok || got.Result.Wall != r.Result.Wall {
+			t.Errorf("record %s: Get = %+v, %v", r.Fingerprint, got.Result, ok)
+		}
+	}
+}
+
+// TestStoreHoldsNoRecords pins that the store keeps no record in
+// memory, only where its frame starts, so the service's LRU capacity
+// bounds verdict memory with a store attached: 2,000 records with
+// 10,000-variable models (about 20 MiB of models) grow the live heap by
+// less than 2 MiB, once after the Puts and again after reopening.
+func TestStoreHoldsNoRecords(t *testing.T) {
+	const records, vars, bound = 2000, 10_000, 2 << 20
+	live := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	s, path := openTemp(t)
+	before := live()
+	for i := range records {
+		rec := testRecord(i, solver.StatusSat)
+		rec.Fingerprint = fmt.Sprintf("%064x", i)
+		rec.Result.Assignment = cnf.NewAssignment(vars)
+		for v := 1; v <= vars; v++ {
+			rec.Result.Assignment.Set(cnf.Var(v), cnf.Value(1+(v+i)%2))
+		}
+		if err := s.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := live() - before
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before = live()
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	reopen := live() - before
+	if n := re.Stats().Entries; n != records {
+		t.Fatalf("reopened %d records, want %d", n, records)
+	}
+	t.Logf("live heap grew %.2f MiB over the Puts and %.2f MiB over the reopen",
+		float64(put)/(1<<20), float64(reopen)/(1<<20))
+	if put >= bound || reopen >= bound {
+		t.Errorf("the store holds records: want both growths under %d MiB", bound>>20)
+	}
+}
+
+// TestStoreStress runs Puts of distinct records alongside Gets of records
+// already put (CI repeats it under -race): every Get must return the
+// record filed under its key while appends land past it.
+func TestStoreStress(t *testing.T) {
+	const seeded, writers, perWriter, readers = 32, 4, 64, 4
+	record := func(i int) Record {
+		r := testRecord(i, solver.StatusSat)
+		r.Fingerprint = fmt.Sprintf("stress-%d", i)
+		return r
+	}
+	check := func(s *Store, i int) {
+		want := record(i)
+		if got, ok := s.Get(want.Key()); !ok || got.Fingerprint != want.Fingerprint ||
+			got.Result.Wall != want.Result.Wall || got.Result.Stats != want.Result.Stats {
+			t.Errorf("Get(%s) = %+v, %v", want.Fingerprint, got, ok)
+		}
+	}
+	s, path := openTemp(t)
+	for i := range seeded {
+		if err := s.Put(record(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	put := make(chan int, writers*perWriter)
+	var writing, reading sync.WaitGroup
+	for w := range writers {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for j := range perWriter {
+				i := seeded + w*perWriter + j
+				if err := s.Put(record(i)); err != nil {
+					t.Error(err)
+					return
+				}
+				put <- i
+			}
+		}()
+	}
+	for r := range readers {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for n := r; ; n++ {
+				select {
+				case i, ok := <-put:
+					if !ok {
+						return
+					}
+					check(s, i)
+				default:
+					check(s, n%seeded)
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(put)
+	reading.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	const total = seeded + writers*perWriter
+	if st := re.Stats(); st.Entries != total || st.TornBytes != 0 {
+		t.Fatalf("reopened %d records with %d torn bytes, want %d and 0", st.Entries, st.TornBytes, total)
+	}
+	for i := range total {
+		check(re, i)
+	}
 }

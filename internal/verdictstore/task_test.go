@@ -41,7 +41,7 @@ func TestTaskKey(t *testing.T) {
 // a decide-only store file written before the task model existed must
 // replay bit-identically after. We prove it from the new side — decide
 // records marshal with no task field at all (so their frames are the
-// exact bytes the pre-task code wrote), the empty-task GetTask finds
+// exact bytes the pre-task code wrote), the empty-task key finds
 // them, and a rewrite of the same records reproduces the file byte for
 // byte.
 func TestDecideRecordsAreFormatCompatible(t *testing.T) {
@@ -70,13 +70,13 @@ func TestDecideRecordsAreFormatCompatible(t *testing.T) {
 	}
 	defer s2.Close()
 	for _, want := range recs {
-		got, ok := s2.GetTask("", want.Engine, want.ConfigKey, want.Fingerprint)
+		got, ok := s2.Get(TaskKey("", want.Engine, want.ConfigKey, want.Fingerprint))
 		if !ok || got.Result.Status != want.Result.Status {
-			t.Errorf("GetTask(\"\", %q) = %+v, %v", want.Fingerprint, got, ok)
+			t.Errorf("Get(TaskKey(\"\", %q)) = %+v, %v", want.Fingerprint, got, ok)
 		}
 		// And the task-aware path agrees for decide.
-		if _, ok := s2.GetTask(string(solver.TaskDecide), want.Engine, want.ConfigKey, want.Fingerprint); !ok {
-			t.Errorf("GetTask(decide) misses a legacy record for %q", want.Fingerprint)
+		if _, ok := s2.Get(TaskKey(string(solver.TaskDecide), want.Engine, want.ConfigKey, want.Fingerprint)); !ok {
+			t.Errorf("Get(TaskKey(decide)) misses a legacy record for %q", want.Fingerprint)
 		}
 	}
 
@@ -116,7 +116,7 @@ func TestPutWritesDecideInPreTaskForm(t *testing.T) {
 		if err := s.Put(rec); err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := s.GetTask("", rec.Engine, rec.ConfigKey, rec.Fingerprint); got.Task != "" {
+		if got, _ := s.Get(TaskKey("", rec.Engine, rec.ConfigKey, rec.Fingerprint)); got.Task != "" {
 			t.Errorf("task %q: stored record carries task %q", task, got.Task)
 		}
 		if err := s.Close(); err != nil {
@@ -159,14 +159,14 @@ func TestCountRecordsKeyedSeparately(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, ok := s2.GetTask("count", counting.Engine, counting.ConfigKey, counting.Fingerprint)
+	got, ok := s2.Get(TaskKey("count", counting.Engine, counting.ConfigKey, counting.Fingerprint))
 	if !ok {
 		t.Fatal("count record lost across reload")
 	}
 	if got.Result.Count == nil || got.Result.Count.Cmp(counting.Result.Count) != 0 {
 		t.Errorf("count round trip = %v, want %v", got.Result.Count, counting.Result.Count)
 	}
-	if got2, ok := s2.GetTask("", decide.Engine, decide.ConfigKey, decide.Fingerprint); !ok ||
+	if got2, ok := s2.Get(TaskKey("", decide.Engine, decide.ConfigKey, decide.Fingerprint)); !ok ||
 		got2.Result.Status != solver.StatusSat || got2.Result.Count != nil {
 		t.Errorf("decide record polluted by count twin: %+v, %v", got2, ok)
 	}
