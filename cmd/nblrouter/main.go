@@ -12,10 +12,11 @@
 //	-addr      listen address (default 127.0.0.1:7796; :0 picks a port)
 //	-nodes     comma-separated replica base URLs; each entry is either
 //	           a bare URL (node named by its host:port) or name=URL
-//	-cooldown  rest period after a refusal with no Retry-After
-//	           (default 1s; 503s with Retry-After override it)
 //	-pprof     expose the Go profiler under /debug/pprof/ (default off;
 //	           profiles leak timing and workload structure)
+//
+// A replica that refuses a submission rests for its 503's Retry-After,
+// or for 1s when the refusal names none (a dial error, a bare 503).
 //
 // The endpoint set mirrors nblserve's, so clients switch between one
 // replica and the fleet by changing only the address. Job ids are
@@ -42,13 +43,12 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:7796", "listen address (host:port; :0 picks a free port)")
-		nodes    = flag.String("nodes", "", "comma-separated replica base URLs (URL or name=URL)")
-		cooldown = flag.Duration("cooldown", time.Second, "node rest period after an unannotated refusal")
-		pprofOn  = flag.Bool("pprof", false, "expose the Go profiler under /debug/pprof/")
+		addr    = flag.String("addr", "127.0.0.1:7796", "listen address (host:port; :0 picks a free port)")
+		nodes   = flag.String("nodes", "", "comma-separated replica base URLs (URL or name=URL)")
+		pprofOn = flag.Bool("pprof", false, "expose the Go profiler under /debug/pprof/")
 	)
 	flag.Parse()
-	if err := run(*addr, *nodes, *cooldown, *pprofOn); err != nil {
+	if err := run(*addr, *nodes, *pprofOn); err != nil {
 		fmt.Fprintln(os.Stderr, "nblrouter:", err)
 		os.Exit(1)
 	}
@@ -87,12 +87,12 @@ func parseNodes(spec string) ([]router.Node, error) {
 	return out, nil
 }
 
-func run(addr, nodeSpec string, cooldown time.Duration, pprofOn bool) error {
+func run(addr, nodeSpec string, pprofOn bool) error {
 	nodes, err := parseNodes(nodeSpec)
 	if err != nil {
 		return err
 	}
-	rt, err := router.New(router.Config{Nodes: nodes, Cooldown: cooldown})
+	rt, err := router.New(router.Config{Nodes: nodes})
 	if err != nil {
 		return err
 	}

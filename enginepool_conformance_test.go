@@ -101,12 +101,11 @@ func TestPoolWarmEqualsCold(t *testing.T) {
 }
 
 // rtwBoundaryPair returns a random 3-SAT formula over (5, 8), whose |S_N| bound is
-// exactly the 53 bits rtw evaluates on mc's float sampler, and a copy
-// with its first clause widened to four literals: 54 bits at the same
-// (n, m), which rtw runs on its exact wide kernel.
+// exactly the 53 bits rtw evaluates on mc's float sampler, and a second
+// draw of it with its first clause widened to four literals: 54 bits at
+// the same (n, m), which rtw runs on its exact wide kernel.
 func rtwBoundaryPair() (narrow, wide *Formula) {
-	narrow = RandomKSAT(5, 5, 8, 3)
-	wide = narrow.Clone()
+	narrow, wide = RandomKSAT(5, 5, 8, 3), RandomKSAT(5, 5, 8, 3)
 	for v := cnf.Var(1); ; v++ {
 		if !slices.ContainsFunc(wide.Clauses[0], func(l Lit) bool { return l.Var() == v }) {
 			wide.Clauses[0] = append(wide.Clauses[0], cnf.Pos(v))

@@ -142,12 +142,12 @@ func TestCompileRejectsDegenerate(t *testing.T) {
 	if _, err := Compile(gen.PaperExample6(), noise.UniformHalf, 1); err != nil {
 		t.Fatalf("valid formula rejected: %v", err)
 	}
-	bad := gen.PaperExample6().Clone()
+	bad := gen.PaperExample6()
 	bad.Clauses[0] = nil
 	if _, err := Compile(bad, noise.UniformHalf, 1); err == nil {
 		t.Error("empty clause accepted")
 	}
-	empty := gen.PaperExample6().Clone()
+	empty := gen.PaperExample6()
 	empty.Clauses = nil
 	if _, err := Compile(empty, noise.UniformHalf, 1); err == nil {
 		t.Error("clause-free formula accepted")

@@ -210,15 +210,6 @@ func (f *Formula) sizes() (n, v int) {
 	return n, min(n, int(top))
 }
 
-// Clone returns a deep copy of the formula.
-func (f *Formula) Clone() *Formula {
-	g := &Formula{NumVars: f.NumVars, Clauses: make([]Clause, len(f.Clauses))}
-	for i, c := range f.Clauses {
-		g.Clauses[i] = c.Clone()
-	}
-	return g
-}
-
 // Validate checks structural invariants: no empty formula fields are
 // required, but every literal must reference a variable in 1..NumVars.
 func (f *Formula) Validate() error {

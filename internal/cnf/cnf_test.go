@@ -99,15 +99,6 @@ func TestFormulaValidateCatchesRange(t *testing.T) {
 	}
 }
 
-func TestFormulaCloneIsDeep(t *testing.T) {
-	f := FromClauses([]int{1, 2}, []int{-1, -2})
-	g := f.Clone()
-	g.Clauses[0][0] = Neg(9)
-	if f.Clauses[0][0] != Pos(1) {
-		t.Error("Clone shares clause storage")
-	}
-}
-
 func TestFormulaString(t *testing.T) {
 	f := FromClauses([]int{1, 2}, []int{-1, -2})
 	want := "(x1 + x2) · (!x1 + !x2)"

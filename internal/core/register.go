@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"repro/internal/cnf"
-	"repro/internal/hyperspace"
 	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/solver"
@@ -150,10 +149,6 @@ func MCCheck(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span, fin
 			out.Status = CheckStatus(r.Satisfiable, f.NumVars, f.NumClauses(), r.Samples)
 		}
 	}
-	// The hot path's kernels: the block evaluator's clause and tau
-	// kernels and the noise fill for the engine's family.
-	out.Stats.EvalAccel = hyperspace.EvalAccelName()
-	out.Stats.FillAccel = noise.FillAccelKernel(eng.Options().Family)
 	return out, err
 }
 

@@ -16,7 +16,7 @@
 // Lease lifecycle (the state machine documented in DESIGN.md):
 //
 //	Acquire(expr, cfg, f)
-//	   ├─ idle instance under (expr, cfg.Key() seedless, n, m) → pop, Reset(cfg)
+//	   ├─ idle instance under (expr, cfg.Key() seedless, n, m) → take the newest, Reset(cfg)
 //	   │     ├─ engine built   → WARM HIT   (banks/buffers reused)
 //	   │     └─ engine unbuilt → COLD MISS  (the Solve builds it)
 //	   └─ none → solver.NewWith(expr, cfg) → COLD MISS
@@ -50,8 +50,8 @@
 package enginepool
 
 import (
-	"container/list"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -84,16 +84,13 @@ type key struct {
 type entry struct {
 	key key
 	s   solver.Solver
-	el  *list.Element // position in the pool's LRU list
 }
 
 // Pool is a concurrency-safe lease pool over the solver registry.
 type Pool struct {
 	mu   sync.Mutex
 	cap  int
-	idle map[key][]*entry // per-key stack; newest released at the top
-	lru  *list.List       // *entry; front = least recently released
-	size int              // total idle entries across keys
+	idle []entry // in release order: least recently released first
 
 	hits, misses, evictions int64
 }
@@ -102,7 +99,7 @@ type Pool struct {
 // <= 0 disables pooling: every Acquire constructs, every Release
 // drops).
 func New(capacity int) *Pool {
-	return &Pool{cap: capacity, idle: make(map[key][]*entry), lru: list.New()}
+	return &Pool{cap: capacity}
 }
 
 // Lease is an exclusively held solver instance, bound to the formula
@@ -127,21 +124,20 @@ func (p *Pool) Acquire(expr string, cfg solver.Config, f *cnf.Formula) (*Lease, 
 	seedless.Seed = 0
 	k := key{expr: expr, cfg: seedless.Key(), n: f.NumVars, m: f.NumClauses()}
 
+	// The most recently released instance of k's class, if any.
+	var s solver.Solver
 	p.mu.Lock()
-	var e *entry
-	if stack := p.idle[k]; len(stack) > 0 {
-		e = stack[len(stack)-1]
-		p.idle[k] = stack[:len(stack)-1]
-		if len(p.idle[k]) == 0 {
-			delete(p.idle, k)
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if p.idle[i].key == k {
+			s = p.idle[i].s
+			p.idle = slices.Delete(p.idle, i, i+1)
+			break
 		}
-		p.lru.Remove(e.el)
-		p.size--
 	}
 	p.mu.Unlock()
 
-	if e != nil {
-		warm := e.s.(solver.Reusable).Reset(cfg)
+	if s != nil {
+		warm := s.(solver.Reusable).Reset(cfg)
 		p.mu.Lock()
 		if warm {
 			p.hits++
@@ -149,7 +145,7 @@ func (p *Pool) Acquire(expr string, cfg solver.Config, f *cnf.Formula) (*Lease, 
 			p.misses++
 		}
 		p.mu.Unlock()
-		return &Lease{pool: p, key: k, s: e.s, f: f, warm: warm}, nil
+		return &Lease{pool: p, key: k, s: s, f: f, warm: warm}, nil
 	}
 
 	s, err := solver.NewWith(expr, cfg)
@@ -188,27 +184,13 @@ func (p *Pool) release(l *Lease) {
 	if _, ok := l.s.(solver.Reusable); !ok || p.cap <= 0 {
 		return // nothing worth pooling; let it be collected
 	}
-	e := &entry{key: l.key, s: l.s}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e.el = p.lru.PushBack(e)
-	p.idle[l.key] = append(p.idle[l.key], e)
-	p.size++
-	for p.size > p.cap {
-		front := p.lru.Front()
-		p.lru.Remove(front)
-		old := front.Value.(*entry)
-		stack := p.idle[old.key]
-		for i, cand := range stack {
-			if cand == old {
-				p.idle[old.key] = append(stack[:i], stack[i+1:]...)
-				break
-			}
-		}
-		if len(p.idle[old.key]) == 0 {
-			delete(p.idle, old.key)
-		}
-		p.size--
+	p.idle = append(p.idle, entry{key: l.key, s: l.s})
+	if len(p.idle) > p.cap {
+		// Evict the least recently released. Delete clears the vacated
+		// slot, so the evicted engine's banks can be collected.
+		p.idle = slices.Delete(p.idle, 0, 1)
 		p.evictions++
 	}
 }
@@ -234,12 +216,12 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	occ := make(map[string]int)
-	for k, stack := range p.idle {
-		occ[k.expr] += len(stack)
+	for _, e := range p.idle {
+		occ[e.key.expr]++
 	}
 	return Stats{
 		Hits: p.hits, Misses: p.misses, Evictions: p.evictions,
-		Size: p.size, Capacity: p.cap, Occupancy: occ,
+		Size: len(p.idle), Capacity: p.cap, Occupancy: occ,
 	}
 }
 

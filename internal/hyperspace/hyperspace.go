@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"repro/internal/cnf"
-	"repro/internal/rng"
 )
 
 // SampleSource supplies samples of the 2·n·m basis sources under the
@@ -242,19 +241,6 @@ func (e *Evaluator) StepBlockAt(base uint64, out []float64) {
 		clauseKernel(b, j, e.lits[e.litOff[j]:e.litOff[j+1]], out)
 	}
 	tauKernel(b, e.bound[1:], out)
-}
-
-// EvalAccelName reports the StepBlockAt kernel backend active in this
-// process: "avx2" on amd64 when the CPU supports it (same gate as the
-// rng fill kernels), "none" for the portable kernels. Solver stats and
-// bench reports echo it so a recorded result names the kernel that
-// produced it — the two backends are bit-identical, so the name is
-// provenance, not a caveat.
-func EvalAccelName() string {
-	if rng.HasAVX2() {
-		return "avx2"
-	}
-	return "none"
 }
 
 // ensureBlock sizes the source buffer for blocks of k samples and

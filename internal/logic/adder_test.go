@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -172,7 +173,7 @@ func TestTseitinModelCountEqualsInputSpace(t *testing.T) {
 	// structure: every input assignment extends uniquely. Spot-check by
 	// brute force over input variables with unit clauses.
 	for bits := 0; bits < 1<<(2*width); bits++ {
-		f := enc.F.Clone()
+		f := &cnf.Formula{NumVars: enc.F.NumVars, Clauses: slices.Clone(enc.F.Clauses)}
 		for i, iv := range enc.InputVars {
 			if bits&(1<<i) != 0 {
 				f.AddClause(cnf.Clause{cnf.Pos(iv)})

@@ -161,7 +161,7 @@ func TestEquivalenceCNFMatchesBruteForce(t *testing.T) {
 		n := g.Intn(5)
 		a, b := formula(n), formula(n)
 		if g.Intn(8) == 0 {
-			b = a.Clone() // an equivalent pair in every few
+			b = a // an equivalent pair in every few
 		}
 		for _, f := range []*cnf.Formula{a, b} {
 			if len(f.Clauses) == 0 {

@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cdcl"
@@ -85,7 +86,7 @@ func TestTseitinConsistency(t *testing.T) {
 	enc := Tseitin(c)
 	for bits := 0; bits < 4; bits++ {
 		inputs := []bool{bits&1 != 0, bits&2 != 0}
-		f := enc.F.Clone()
+		f := &cnf.Formula{NumVars: enc.F.NumVars, Clauses: slices.Clone(enc.F.Clauses)}
 		for i, iv := range enc.InputVars {
 			if inputs[i] {
 				f.AddClause(cnf.Clause{cnf.Pos(iv)})

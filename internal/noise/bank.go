@@ -124,18 +124,6 @@ func (b *Bank) FillBlockAt(base uint64, k int, pos, neg []float64) {
 	}
 }
 
-// FillAccelKernel reports the accelerated fill kernel FillBlockAt
-// dispatches to for a bank of the given family: rng.FillAccelName() for
-// uniform and RTW, "none" for Gaussian, whose log/cos Box–Muller stays
-// scalar, and for pulse, which only the E6 ablation samples.
-func FillAccelKernel(f Family) string {
-	switch f {
-	case UniformHalf, UniformUnit, RTW:
-		return rng.FillAccelName()
-	}
-	return "none"
-}
-
 // gaussAt is the Gaussian sample: a fixed-draw Box–Muller transform
 // over words (2i, 2i+1) of the source's counter stream. A rejection
 // method (Marsaglia's polar) would consume a data-dependent number of

@@ -140,10 +140,12 @@ func fillPulseGo(base, start uint64, dst []float64, density, amp float64) {
 	}
 }
 
-// FillAccelName reports which accelerated fill kernel the bulk fills
-// (FillUniformAt, FillRTWAt) dispatch to: "avx2" on amd64 when the CPU
-// supports it, "none" otherwise. Bench archives record it so numbers
-// are attributable to the kernel that produced them.
+// FillAccelName names the vector-kernel tier of this process: "avx2" on
+// amd64 when the CPU supports it, "none" otherwise. One gate, HasAVX2,
+// selects both the bulk fills (FillUniformAt, FillRTWAt) and the
+// hyperspace evaluator's clause and tau kernels, so the name covers
+// both. The tiers give the same bits, so no result records it;
+// nblserve's /healthz reports it.
 func FillAccelName() string {
 	if hasAVX2() {
 		return "avx2"

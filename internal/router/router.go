@@ -60,13 +60,13 @@ type Node struct {
 	URL  string // base URL, e.g. http://127.0.0.1:7797
 }
 
+// cooldown is how long a node rests after a refusal that names no
+// Retry-After (dial errors, bare 503s).
+const cooldown = time.Second
+
 // Config configures a Router.
 type Config struct {
 	Nodes []Node
-
-	// Cooldown is how long a node rests after a refusal that names no
-	// Retry-After (dial errors, bare 503s). Default 1s.
-	Cooldown time.Duration
 
 	// Now is the clock; tests inject a fake. Defaults to time.Now.
 	Now func() time.Time
@@ -79,9 +79,8 @@ var backend = &http.Client{}
 
 // Router fronts a fleet of nblserve replicas.
 type Router struct {
-	nodes   []Node
-	defCool time.Duration
-	now     func() time.Time
+	nodes []Node
+	now   func() time.Time
 
 	mu      sync.Mutex
 	coolOff map[string]time.Time // node name -> earliest next attempt
@@ -117,13 +116,9 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		nodes:   append([]Node(nil), cfg.Nodes...),
-		defCool: cfg.Cooldown,
 		now:     cfg.Now,
 		coolOff: make(map[string]time.Time),
 		traces:  obs.NewRing(256),
-	}
-	if rt.defCool <= 0 {
-		rt.defCool = time.Second
 	}
 	if rt.now == nil {
 		rt.now = time.Now
@@ -219,13 +214,13 @@ func (rt *Router) forward(r *http.Request, order []Node, method, pathAndQuery st
 		}
 		resp, err := backend.Do(req)
 		if err != nil {
-			rt.cool(nd.Name, rt.defCool)
+			rt.cool(nd.Name, cooldown)
 			rt.failovers.Add(1)
 			refusals = append(refusals, nd.Name+": "+err.Error())
 			continue
 		}
 		if resp.StatusCode == http.StatusServiceUnavailable {
-			cool := rt.defCool
+			cool := cooldown
 			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 				cool = time.Duration(secs) * time.Second
 			}

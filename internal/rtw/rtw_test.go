@@ -40,11 +40,11 @@ func repeat(f *cnf.Formula, k int) *cnf.Formula {
 }
 
 // widened returns RandomKSAT(5, 8, 3), whose |S_N| bound is exactly 53
-// bits, and a copy with one clause widened to four literals: 54 bits at
-// the same (n, m).
+// bits, and a second draw of it with one clause widened to four
+// literals: 54 bits at the same (n, m).
 func widened() (narrow, wide *cnf.Formula) {
 	narrow = gen.RandomKSAT(rng.New(5), 5, 8, 3)
-	wide = narrow.Clone()
+	wide = gen.RandomKSAT(rng.New(5), 5, 8, 3)
 	in := map[cnf.Var]bool{}
 	for _, l := range wide.Clauses[0] {
 		in[l.Var()] = true

@@ -210,11 +210,7 @@ func (w *wideKernel) check(ctx context.Context, samples int64, theta float64, sp
 		count += int64(k)
 	}
 	sat, mean, stderr := moments(&w.sum, &w.sum2, count, theta)
-	out := solver.Result{Stats: solver.Stats{
-		Samples: count, Mean: mean, StdErr: stderr,
-		// The fill runs the vector kernel; the evaluation is big.Int.
-		FillAccel: noise.FillAccelKernel(noise.RTW), EvalAccel: "none",
-	}}
+	out := solver.Result{Stats: solver.Stats{Samples: count, Mean: mean, StdErr: stderr}}
 	if sp != nil && count > 0 {
 		dist := 0.0
 		if stderr > 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/cnf"
-	"repro/internal/hyperspace"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
@@ -51,13 +50,7 @@ func parseAllocation(name string) (Allocation, error) {
 // whose Dist is the absolute margin of the windowed mean over the
 // engine's threshold.
 func check(ctx context.Context, eng *Engine, f *cnf.Formula, sp *obs.Span) (solver.Result, error) {
-	out := solver.Result{
-		Stats: solver.Stats{
-			// The observation loop runs the block evaluator's kernels;
-			// the carrier fill is the scalar cosine table walk.
-			FillAccel: "none", EvalAccel: hyperspace.EvalAccelName(),
-		},
-	}
+	var out solver.Result
 	if eng.Period() > eng.opts.MaxSamples {
 		return out, nil
 	}

@@ -7,7 +7,7 @@
 //	GET    /jobs/{id}/events  SSE stream of progress snapshots until terminal
 //	DELETE /jobs/{id}      cancel (queued or running)
 //	GET    /metrics        Prometheus text exposition
-//	GET    /healthz        liveness + basic gauges
+//	GET    /healthz        liveness, basic gauges and the vector-kernel tier
 //
 // POST /solve and /solve/batch take the request model of
 // internal/api: its query knobs, body forms and body cap, shared with
@@ -35,6 +35,7 @@ import (
 	"repro/internal/dimacs"
 	"repro/internal/enginepool"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/solver"
 )
 
@@ -386,6 +387,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.write(w, g)
 }
 
+// handleHealthz answers liveness with the queue gauges, the registry,
+// and accel, the vector-kernel tier this process samples on ("avx2" or
+// "none"). The tiers are bit-identical, so a verdict never names it.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	queued, running := s.Counts()
 	api.WriteJSON(w, http.StatusOK, map[string]any{
@@ -394,5 +398,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"running": running,
 		"engines": solver.Engines(),
 		"metas":   solver.Metas(),
+		"accel":   rng.FillAccelName(),
 	})
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/dimacs"
+	"repro/internal/rng"
 	"repro/internal/solver"
 
 	// Link the full engine registry in: the HTTP tests drive real
@@ -287,6 +288,11 @@ func TestHTTPMetricsAndHealthz(t *testing.T) {
 	}
 	if hz["status"] != "ok" {
 		t.Fatalf("healthz: %v", hz)
+	}
+	// The kernel tier is a fact about the process, reported once here
+	// rather than in any result.
+	if hz["accel"] != rng.FillAccelName() {
+		t.Errorf("healthz accel = %v, want %q", hz["accel"], rng.FillAccelName())
 	}
 }
 

@@ -646,12 +646,16 @@ func diffSlice[E comparable](what string, got, want []E) string {
 // on f and on the reduced formula.
 func checkMatchesReference(t *testing.T, f *cnf.Formula, opts Options, label string) {
 	t.Helper()
-	in := f.Clone()
+	in := &cnf.Formula{NumVars: f.NumVars}
+	for _, c := range f.Clauses {
+		in.Clauses = append(in.Clauses, c.Clone())
+	}
 	want, got := refSimplify(f, opts), Simplify(f, opts)
 	if d := diffResult(got, want); d != "" {
 		t.Fatalf("%s: Simplify: %s\ninput %s", label, d, in)
 	}
-	// Clone makes nil Clauses empty, so only the values compare here.
+	// Clause.Clone makes nil clauses empty, so only the values compare
+	// here.
 	if !slices.EqualFunc(f.Clauses, in.Clauses, slices.Equal) {
 		t.Fatalf("%s: Simplify modified its input %s", label, in)
 	}

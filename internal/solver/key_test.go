@@ -27,24 +27,6 @@ func TestConfigKeyGolden(t *testing.T) {
 	}
 }
 
-// TestStatsAddAdoptsAccel pins the merge semantics meta-engines rely
-// on: a fresh Stats adopts a component's kernel names, an already-set
-// one keeps its own.
-func TestStatsAddAdoptsAccel(t *testing.T) {
-	var s Stats
-	s.Add(Stats{Samples: 10, FillAccel: "avx2", EvalAccel: "avx2"})
-	if s.FillAccel != "avx2" || s.EvalAccel != "avx2" {
-		t.Errorf("merged accel = %q/%q, want avx2/avx2 (adopted)", s.FillAccel, s.EvalAccel)
-	}
-	s.Add(Stats{Samples: 5, FillAccel: "none", EvalAccel: "none"})
-	if s.FillAccel != "avx2" || s.EvalAccel != "avx2" {
-		t.Errorf("merged accel = %q/%q, want avx2/avx2 (kept)", s.FillAccel, s.EvalAccel)
-	}
-	if s.Samples != 15 {
-		t.Errorf("Samples = %d, want 15", s.Samples)
-	}
-}
-
 // fakeEngine is a warm engine that rejects formulas with no clauses
 // and remembers what it was last built or re-targeted at.
 type fakeEngine struct {

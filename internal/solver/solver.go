@@ -187,15 +187,6 @@ type Stats struct {
 	NMBefore   int64 `json:"nm_before,omitempty"`
 	NMAfter    int64 `json:"nm_after,omitempty"`
 	Components int64 `json:"components,omitempty"`
-	// FillAccel and EvalAccel name the accelerated kernels active in the
-	// build that produced this result ("avx2" or "none"): FillAccel the
-	// noise-fill backend for the engine's noise family, EvalAccel the
-	// S_N block evaluator's clause and tau kernels. Both backends are
-	// bit-identical to the portable paths, so these are provenance
-	// fields, not result qualifiers. Empty for engines without a sampled
-	// hot path, which keeps their records byte-identical.
-	FillAccel string `json:"fill_accel,omitempty"`
-	EvalAccel string `json:"eval_accel,omitempty"`
 }
 
 // Add accumulates other into s field-wise (used by the portfolio to
@@ -204,10 +195,6 @@ type Stats struct {
 // would be meaningless — the caller decides whose statistic survives.
 // NMBefore/NMAfter/Components likewise describe one preprocessing run,
 // not an accumulable effort, and stay with whoever set them.
-// FillAccel and EvalAccel are identities, not counters: s keeps its own
-// when set, and otherwise adopts other's, so a meta-engine merging
-// sampling components still names their kernels (all components run in
-// one build, so any component's kernel name is the merge's).
 func (s *Stats) Add(other Stats) {
 	s.Samples += other.Samples
 	s.Decisions += other.Decisions
@@ -216,12 +203,6 @@ func (s *Stats) Add(other Stats) {
 	s.Flips += other.Flips
 	s.Restarts += other.Restarts
 	s.Probes += other.Probes
-	if s.FillAccel == "" {
-		s.FillAccel = other.FillAccel
-	}
-	if s.EvalAccel == "" {
-		s.EvalAccel = other.EvalAccel
-	}
 }
 
 // Result is the unified outcome of a solve.
@@ -631,8 +612,7 @@ func (w *Warm[E]) Reset(cfg Config) bool {
 }
 
 // Solve runs one check inside the engine's check span, which records
-// the geometry, the samples spent, the verdict, and the kernel backends
-// the returned Stats name. On an untraced context the span is nil and
+// the geometry, the samples spent and the verdict. On an untraced context the span is nil and
 // the wrapper costs a context lookup.
 func (w *Warm[E]) Solve(ctx context.Context, f *cnf.Formula) (Result, error) {
 	sp, ctx := obs.StartSpan(ctx, w.span)
@@ -644,10 +624,6 @@ func (w *Warm[E]) Solve(ctx context.Context, f *cnf.Formula) (Result, error) {
 	if sp != nil {
 		sp.SetAttr("samples", strconv.FormatInt(out.Stats.Samples, 10))
 		sp.SetAttr("status", out.Status.String())
-		if out.Stats.EvalAccel != "" {
-			sp.SetAttr("eval_accel", out.Stats.EvalAccel)
-			sp.SetAttr("fill_accel", out.Stats.FillAccel)
-		}
 		sp.Finish()
 	}
 	return out, err

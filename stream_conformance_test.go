@@ -6,9 +6,6 @@ package repro
 import (
 	"context"
 	"testing"
-
-	"repro/internal/hyperspace"
-	"repro/internal/rng"
 )
 
 // TestWorkerCountNeverChangesResults pins the headline guarantee at
@@ -54,7 +51,7 @@ func TestWorkerCountNeverChangesResults(t *testing.T) {
 // TestRTWIsMCOverTelegraphWaves pins the one sampler: on every
 // conformance instance (all within the 53 bits float64 evaluates
 // exactly) the rtw engine returns mc's Status and Stats with the rtw
-// family, bit for bit, at every worker count, on the vector kernels.
+// family, bit for bit, at every worker count.
 func TestRTWIsMCOverTelegraphWaves(t *testing.T) {
 	for label, f := range conformanceInstances(t) {
 		for _, workers := range []int{1, 3, 8} {
@@ -66,28 +63,6 @@ func TestRTWIsMCOverTelegraphWaves(t *testing.T) {
 				t.Errorf("%s workers=%d: rtw %v %+v, mc -family rtw %v %+v",
 					label, workers, r.Status, r.Stats, want.Status, want.Stats)
 			}
-			if r.Stats.FillAccel != rng.FillAccelName() || r.Stats.EvalAccel != hyperspace.EvalAccelName() {
-				t.Errorf("%s: rtw ran on %q/%q kernels, want %q/%q", label,
-					r.Stats.FillAccel, r.Stats.EvalAccel, rng.FillAccelName(), hyperspace.EvalAccelName())
-			}
 		}
-	}
-}
-
-// TestAccelEchoedInStats pins the provenance echo: a plain mc solve on
-// the default uniform family names the fill and evaluator kernels this
-// build runs.
-func TestAccelEchoedInStats(t *testing.T) {
-	s, err := NewWith("mc", Config{Seed: 1, MaxSamples: 1_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Solve(context.Background(), PaperSAT())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.FillAccel != rng.FillAccelName() || r.Stats.EvalAccel != hyperspace.EvalAccelName() {
-		t.Errorf("Stats accel = %q/%q, want %q/%q", r.Stats.FillAccel, r.Stats.EvalAccel,
-			rng.FillAccelName(), hyperspace.EvalAccelName())
 	}
 }
