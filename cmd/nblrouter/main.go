@@ -1,9 +1,9 @@
 // Command nblrouter fronts a fleet of nblserve replicas: it
 // consistent-hashes each submission to a replica by its canonical
 // fingerprint (renamed twins land on the same node and hit its
-// verdict cache), fails over by formula geometry when a replica
-// refuses or dies, and aggregates the fleet's jobs, metrics, and
-// health behind one address.
+// verdict cache), fails over down the same fingerprint ranking when a
+// replica refuses or dies, and aggregates the fleet's jobs, metrics,
+// and health behind one address.
 //
 // Usage:
 //

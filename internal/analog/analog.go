@@ -77,7 +77,7 @@ func (n *Netlist) Run(steps int64) {
 }
 
 // NoiseBlock emits samples from a noise source.
-type NoiseBlock struct{ Src noise.Source }
+type NoiseBlock struct{ Src *noise.Source }
 
 // Step implements Block.
 func (b *NoiseBlock) Step([]float64) float64 { return b.Src.Next() }

@@ -93,7 +93,7 @@ func Evaluate(c *logic.Circuit, inputs []bool, opts Options) ([]bool, Stats, err
 		if !ok {
 			return false, fmt.Errorf("nblgates: node %d read before being driven", n)
 		}
-		var signal noise.Source
+		var signal *noise.Source
 		if carried {
 			signal = noise.NewSource(o.Family, o.Seed, uint64(2*int(n)))
 		} else {

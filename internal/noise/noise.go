@@ -86,46 +86,20 @@ func (f Family) Sigma2() float64 {
 	return 1
 }
 
-// Source is a stream of noise samples. Implementations are deterministic
-// functions of their seed so experiments are reproducible.
-type Source interface {
-	// Next returns the next sample of the process.
-	Next() float64
-}
-
-// counterSource replays a counter-addressed source sequentially: sample
-// i is a pure function of (base, i), so the struct's only state is the
-// next index. It emits exactly the stream a Bank produces for the
-// source whose bank index equals the derivation key.
-type counterSource struct {
+// sampler holds one family's sampling rule: fill maps a counter stream
+// to the family's samples. It is the only place a rule is written, so
+// a Bank's block fill and a Source's one-sample reads draw the same
+// bits by construction.
+type sampler struct {
 	family   Family
-	base     uint64
-	next     uint64
-	lo, span float64
+	lo, span float64 // uniform parameters, unused for other families
 }
 
-func (s *counterSource) Next() float64 {
-	i := s.next
-	s.next++
-	switch s.family {
-	case UniformHalf, UniformUnit:
-		return s.lo + float64(s.span*rng.Uniform01(s.base, i))
-	case Gaussian:
-		return gaussAt(s.base, i)
-	case RTW:
-		return rtwAt(s.base, i)
-	case Pulse:
-		return pulseAt(s.base, i)
-	default:
-		panic(fmt.Sprintf("noise: unknown family %d", int(s.family)))
-	}
-}
-
-// NewSource returns an independent source of the given family, derived
-// from (seed, key). Distinct keys give independent processes; a key
-// equal to a bank source index replays that bank source's exact stream.
-func NewSource(f Family, seed, key uint64) Source {
-	s := &counterSource{family: f, base: rng.StreamBase(seed, key)}
+// newSampler returns the sampler of family f. It panics on an unknown
+// family; Bank and Source are built only through it, so fill needs no
+// such case.
+func newSampler(f Family) sampler {
+	s := sampler{family: f}
 	switch f {
 	case UniformHalf:
 		s.lo, s.span = -0.5, 1
@@ -136,4 +110,58 @@ func NewSource(f Family, seed, key uint64) Source {
 		panic(fmt.Sprintf("noise: unknown family %d", int(f)))
 	}
 	return s
+}
+
+// fill writes samples start..start+len(dst)-1 of the stream with the
+// given base. The uniform and RTW fills run the rng package's vector
+// kernels on capable amd64 CPUs, bit-identical to its portable loops.
+func (s sampler) fill(base, start uint64, dst []float64) {
+	switch s.family {
+	case UniformHalf, UniformUnit:
+		rng.FillUniformAt(base, start, dst, s.lo, s.span)
+	case Gaussian:
+		for i := range dst {
+			dst[i] = gaussAt(base, start+uint64(i))
+		}
+	case RTW:
+		rng.FillRTWAt(base, start, dst)
+	case Pulse:
+		rng.FillPulseAt(base, start, dst, pulseDensity, pulseAmp)
+	}
+}
+
+// gaussAt is the Gaussian sample: a fixed-draw Box–Muller transform
+// over words (2i, 2i+1) of the source's counter stream. A rejection
+// method (Marsaglia's polar) would consume a data-dependent number of
+// draws and so could not be addressed by counter; Box–Muller spends
+// exactly two words per sample. 1-u1 lies in (0, 1], keeping the log
+// finite.
+func gaussAt(base, i uint64) float64 {
+	u1 := rng.Uniform01(base, 2*i)
+	u2 := rng.Uniform01(base, 2*i+1)
+	return math.Sqrt(-2*math.Log(1-u1)) * math.Cos(2*math.Pi*u2)
+}
+
+// Source is one basis noise source read one sample at a time: a
+// sequential view of a counter stream, whose only state is the next
+// index. Sources are deterministic functions of their seed so
+// experiments are reproducible.
+type Source struct {
+	sampler
+	base, next uint64
+}
+
+// NewSource returns an independent source of the given family, derived
+// from (seed, key). Distinct keys give independent processes; a key
+// equal to a bank source index replays that bank source's exact stream.
+func NewSource(f Family, seed, key uint64) *Source {
+	return &Source{sampler: newSampler(f), base: rng.StreamBase(seed, key)}
+}
+
+// Next returns the next sample of the process.
+func (s *Source) Next() float64 {
+	var x [1]float64
+	s.fill(s.base, s.next, x[:])
+	s.next++
+	return x[0]
 }

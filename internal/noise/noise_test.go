@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func moments(s Source, n int) (mean, variance, fourth float64) {
+func moments(s *Source, n int) (mean, variance, fourth float64) {
 	var m1, m2, m4 float64
 	for i := 0; i < n; i++ {
 		x := s.Next()
@@ -34,7 +34,7 @@ func kurtosis(f Family) float64 {
 
 // correlation estimates the correlation operator <a(t)b(t)> of the
 // paper (Definition 7) over the given number of samples.
-func correlation(a, b Source, samples int) float64 {
+func correlation(a, b *Source, samples int) float64 {
 	var sum float64
 	for i := 0; i < samples; i++ {
 		sum += float64(a.Next() * b.Next())
@@ -247,20 +247,6 @@ func TestPulseIsSparseAndBipolar(t *testing.T) {
 	}
 }
 
-func TestPulseBankMatchesSource(t *testing.T) {
-	// Bank and standalone sources must replay identical streams.
-	b := NewBank(Pulse, 9, 1, 1)
-	src0 := NewSource(Pulse, 9, 0)
-	src1 := NewSource(Pulse, 9, 1)
-	pos, neg := make([]float64, 1), make([]float64, 1)
-	for i := 0; i < 200; i++ {
-		fillAt(b, uint64(i), pos, neg)
-		if pos[0] != src0.Next() || neg[0] != src1.Next() {
-			t.Fatalf("bank/source divergence at step %d", i)
-		}
-	}
-}
-
 func TestFillBlockAtSeekable(t *testing.T) {
 	// Blocks are addressable: filling [0, 64) as out-of-order chunks
 	// must reproduce the sequential fill bit for bit, for every family.
@@ -290,22 +276,38 @@ func TestFillBlockAtSeekable(t *testing.T) {
 }
 
 func TestNewSourceReplaysBank(t *testing.T) {
-	// A source keyed by a bank index replays that bank source's stream;
-	// the compiled analog netlist relies on it.
-	for _, f := range []Family{UniformUnit, Gaussian, RTW, Pulse} {
-		const seed = 13
-		b := NewBank(f, seed, 2, 2)
-		// Variable 2, clause 1 of a 2×2 bank: index ((2-1)·2 + 0)·2.
-		srcPos := NewSource(f, seed, 4)
-		srcNeg := NewSource(f, seed, 5)
-		pos, neg := make([]float64, 4), make([]float64, 4)
-		for i := 0; i < 50; i++ {
-			fillAt(b, uint64(i), pos, neg)
-			if got, want := srcPos.Next(), pos[2]; got != want {
-				t.Fatalf("%v: NewSource(+) sample %d = %v, bank %v", f, i, got, want)
-			}
-			if got, want := srcNeg.Next(), neg[2]; got != want {
-				t.Fatalf("%v: NewSource(-) sample %d = %v, bank %v", f, i, got, want)
+	// A source keyed by a bank index replays that bank source's stream,
+	// for every family and every (variable, clause, polarity): the
+	// compiled analog netlist, the wire and the gates rely on it. The
+	// bank fills 200-sample rows, which the uniform and RTW vector
+	// kernels take; the sources read one sample at a time, which the
+	// portable loops take.
+	const samples = 200
+	for _, tc := range []struct {
+		f    Family
+		seed uint64
+		n, m int
+	}{
+		{UniformHalf, 13, 2, 2},
+		{UniformUnit, 13, 2, 2},
+		{Gaussian, 13, 2, 2},
+		{RTW, 13, 2, 2},
+		{Pulse, 13, 2, 2},
+		{Pulse, 9, 1, 1},
+	} {
+		b := NewBank(tc.f, tc.seed, tc.n, tc.m)
+		nm := tc.n * tc.m
+		pos, neg := make([]float64, nm*samples), make([]float64, nm*samples)
+		b.FillBlockAt(0, samples, pos, neg)
+		for src := 0; src < nm; src++ {
+			for pol, block := range [][]float64{pos, neg} {
+				s := NewSource(tc.f, tc.seed, uint64(2*src+pol))
+				for i := 0; i < samples; i++ {
+					if got, want := s.Next(), block[src*samples+i]; got != want {
+						t.Fatalf("%v %dx%d seed %d: NewSource(%d) sample %d = %v, bank %v",
+							tc.f, tc.n, tc.m, tc.seed, 2*src+pol, i, got, want)
+					}
+				}
 			}
 		}
 	}

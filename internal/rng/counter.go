@@ -115,13 +115,8 @@ func fillRTWGo(base, start uint64, dst []float64) {
 // stays family-agnostic). Same seekability contract as FillUniformAt.
 // It has no accelerated kernel: the pulse family is reached only by
 // the E6 noise-family ablation, which no benchmark workload samples,
-// so the portable loop is the one implementation.
+// so this portable loop is the one implementation.
 func FillPulseAt(base, start uint64, dst []float64, density, amp float64) {
-	fillPulseGo(base, start, dst, density, amp)
-}
-
-// fillPulseGo is the portable pulse fill, the loop FillPulseAt runs.
-func fillPulseGo(base, start uint64, dst []float64, density, amp float64) {
 	state := base + (start+1)*golden
 	for s := range dst {
 		z := state

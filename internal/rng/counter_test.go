@@ -212,8 +212,6 @@ func TestFillPulseAtMatchesScalar(t *testing.T) {
 		amp := 0.5 + 2.5*g.Float64()
 		dst := make([]float64, n)
 		FillPulseAt(base, start, dst, density, amp)
-		portable := make([]float64, n)
-		fillPulseGo(base, start, portable, density, amp)
 		for s := range dst {
 			w := Word(base, start+uint64(s))
 			var want float64
@@ -228,10 +226,6 @@ func TestFillPulseAtMatchesScalar(t *testing.T) {
 			if dst[s] != want {
 				t.Fatalf("trial %d (n=%d start=%d density=%v amp=%v): dst[%d] = %v, want %v",
 					trial, n, start, density, amp, s, dst[s], want)
-			}
-			if portable[s] != want {
-				t.Fatalf("trial %d (n=%d start=%d density=%v amp=%v): fillPulseGo[%d] = %v, want %v",
-					trial, n, start, density, amp, s, portable[s], want)
 			}
 		}
 	}

@@ -15,13 +15,12 @@
 // (1/n of the keyspace), not everything, which is why this beats
 // modulo hashing for a fleet that scales.
 //
-// Failover order is a second rendezvous ranking on the formula's
-// (vars, clauses) geometry: when the fingerprint-primary refuses a
-// job (full queue, draining, dead), the retry goes to the replica
-// most likely to hold a warm engine lease for that shape. A refusal
-// cools the node down — for the seconds a 503's Retry-After names,
-// or a short default for dial errors — and cooling nodes are tried
-// last until the window passes.
+// Failover walks the same ranking: when the fingerprint-primary
+// refuses a job (full queue, draining, dead), the retry goes to the
+// node with the next highest score. A refusal cools the node down —
+// for the seconds a 503's Retry-After names, or a short default for
+// dial errors — and cooling nodes are tried last until the window
+// passes.
 //
 // Job ids returned to clients are namespaced "<node>-<remote id>" so
 // ids from different replicas cannot collide; /jobs/{id}, its SSE
@@ -35,6 +34,7 @@ package router
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,7 +42,7 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -139,29 +139,13 @@ func hrw(node, key string) uint64 {
 	return h.Sum64()
 }
 
-// rank orders the fleet for one submission: the fingerprint's
-// rendezvous winner first (cache affinity), the rest by their
-// geometry score (warm-pool affinity for failover).
-func (rt *Router) rank(fp string, vars, clauses int) []Node {
+// rank orders the fleet for one submission by descending rendezvous
+// score on the fingerprint, stable on ties: the primary first (cache
+// affinity), then the order failover walks.
+func (rt *Router) rank(fp string) []Node {
 	out := append([]Node(nil), rt.nodes...)
-	if len(out) <= 1 {
-		return out
-	}
-	best := 0
-	for i := 1; i < len(out); i++ {
-		if hrw(out[i].Name, fp) > hrw(out[best].Name, fp) {
-			best = i
-		}
-	}
-	out[0], out[best] = out[best], out[0]
-	geo := strconv.Itoa(vars) + "/" + strconv.Itoa(clauses)
-	rest := out[1:]
-	sort.Slice(rest, func(i, j int) bool {
-		si, sj := hrw(rest[i].Name, geo), hrw(rest[j].Name, geo)
-		if si != sj {
-			return si > sj
-		}
-		return rest[i].Name < rest[j].Name
+	slices.SortStableFunc(out, func(a, b Node) int {
+		return cmp.Compare(hrw(b.Name, fp), hrw(a.Name, fp))
 	})
 	return out
 }
@@ -265,7 +249,7 @@ func (rt *Router) submit(r *http.Request, f *cnf.Formula, query string, body []b
 	tr := obs.NewTrace("")
 	root := tr.Root("router.submit")
 	fwd := root.StartChild("router.forward")
-	resp, node, err := rt.forward(r, rt.rank(fp, f.NumVars, f.NumClauses()),
+	resp, node, err := rt.forward(r, rt.rank(fp),
 		http.MethodPost, "/solve?"+query, body, tr.ID())
 	if err != nil {
 		rt.submitErrors.Add(1)

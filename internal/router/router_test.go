@@ -618,7 +618,8 @@ func TestHealthzAggregates(t *testing.T) {
 }
 
 // TestRankDeterminism pins the routing function itself: same inputs,
-// same order, and the primary depends only on the fingerprint.
+// same order, and the order is the descending rendezvous score on the
+// fingerprint, primary first.
 func TestRankDeterminism(t *testing.T) {
 	rt, err := New(Config{Nodes: []Node{
 		{Name: "a", URL: "http://a"},
@@ -628,16 +629,19 @@ func TestRankDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := rt.rank("fp-one", 50, 218)
-	r2 := rt.rank("fp-one", 50, 218)
+	r1 := rt.rank("fp-one")
+	r2 := rt.rank("fp-one")
 	for i := range r1 {
 		if r1[i].Name != r2[i].Name {
 			t.Fatalf("rank not deterministic: %v vs %v", r1, r2)
 		}
 	}
-	// Geometry must not move the primary, only the failover tail.
-	r3 := rt.rank("fp-one", 9000, 4)
-	if r3[0].Name != r1[0].Name {
-		t.Fatalf("geometry changed the primary: %q vs %q", r3[0].Name, r1[0].Name)
+	if len(r1) != 3 {
+		t.Fatalf("rank returned %d nodes, want 3", len(r1))
+	}
+	for i := 1; i < len(r1); i++ {
+		if hrw(r1[i-1].Name, "fp-one") < hrw(r1[i].Name, "fp-one") {
+			t.Fatalf("rank %v is not in descending score order at %d", r1, i)
+		}
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -32,12 +33,11 @@ type metrics struct {
 
 	start time.Time
 
-	jobsTotal map[string]int64 // by terminal state
 	// taskJobs counts terminal jobs by (task, state), keyed
-	// task+"\x00"+state. A separate family from jobsTotal — relabeling
-	// the existing one would break every consumer keying on
-	// nblserve_jobs_total{state=...}. Cardinality is fixed: 4 tasks ×
-	// 3 terminal states.
+	// task+"\x00"+state. It feeds two families: nblserve_jobs_total
+	// sums it over tasks per state, and nblserve_task_jobs_total
+	// renders it as is. Cardinality is fixed: 4 tasks × 3 terminal
+	// states.
 	taskJobs map[string]int64
 
 	samplesTotal      int64
@@ -78,7 +78,6 @@ const maxHistEngines = 64
 func newMetrics() *metrics {
 	return &metrics{
 		start:     time.Now(),
-		jobsTotal: make(map[string]int64),
 		taskJobs:  make(map[string]int64),
 		queueWait: prom.NewHistogram(queueBounds),
 		solveHist: prom.NewHistogramVec("engine", histBounds, maxHistEngines),
@@ -91,7 +90,6 @@ func newMetrics() *metrics {
 // actually ran an engine, the effort spent.
 func (m *metrics) jobFinished(state string, engine string, task solver.Task, samples int64, wall time.Duration) {
 	m.mu.Lock()
-	m.jobsTotal[state]++
 	if task == "" {
 		task = solver.TaskDecide
 	}
@@ -166,23 +164,18 @@ func (m *metrics) render(w *bytes.Buffer, g gauges) {
 	prom.GaugeFloat(w, "nblserve_uptime_seconds", "Seconds since the service started.",
 		time.Since(m.start).Seconds())
 
-	prom.Head(w, "nblserve_jobs_total", "counter", "Jobs finished, by terminal state.")
-	states := make([]string, 0, len(m.jobsTotal))
-	for s := range m.jobsTotal {
-		states = append(states, s)
+	jobsTotal := make(map[string]int64)
+	for k, n := range m.taskJobs {
+		_, state, _ := strings.Cut(k, "\x00")
+		jobsTotal[state] += n
 	}
-	sort.Strings(states)
-	for _, s := range states {
-		fmt.Fprintf(w, "nblserve_jobs_total{state=%q} %d\n", s, m.jobsTotal[s])
+	prom.Head(w, "nblserve_jobs_total", "counter", "Jobs finished, by terminal state.")
+	for _, s := range slices.Sorted(maps.Keys(jobsTotal)) {
+		fmt.Fprintf(w, "nblserve_jobs_total{state=%q} %d\n", s, jobsTotal[s])
 	}
 
 	prom.Head(w, "nblserve_task_jobs_total", "counter", "Jobs finished, by solve task and terminal state.")
-	taskKeys := make([]string, 0, len(m.taskJobs))
-	for k := range m.taskJobs {
-		taskKeys = append(taskKeys, k)
-	}
-	sort.Strings(taskKeys)
-	for _, k := range taskKeys {
+	for _, k := range slices.Sorted(maps.Keys(m.taskJobs)) {
 		task, state, _ := strings.Cut(k, "\x00")
 		fmt.Fprintf(w, "nblserve_task_jobs_total{task=%q,state=%q} %d\n", task, state, m.taskJobs[k])
 	}

@@ -63,8 +63,8 @@ func (w *Wire) StateCount() string {
 
 // sources builds fresh streams for the wire's 2n basis sources; key
 // layout is variable*2 + polarity (polarity 1 = negative literal).
-func (w *Wire) sources() []noise.Source {
-	srcs := make([]noise.Source, 2*w.n)
+func (w *Wire) sources() []*noise.Source {
+	srcs := make([]*noise.Source, 2*w.n)
 	for i := range srcs {
 		srcs[i] = noise.NewSource(w.fam, w.seed, uint64(i))
 	}
@@ -77,7 +77,7 @@ func (w *Wire) sources() []noise.Source {
 // meaningful.
 type Signal struct {
 	w        *Wire
-	srcs     []noise.Source
+	srcs     []*noise.Source
 	minterms []uint64
 	vals     []float64 // per-sample values of the 2n sources
 }

@@ -16,8 +16,8 @@ import (
 // samplerGoldenRuns are the sampled solves TestSamplerGolden pins. Each
 // entry's sum is one SHA-256 over the outcome of every formula, in
 // order: Status, Samples, the bits of Mean, StdErr and z = Mean/StdErr,
-// and the model. The kernel names and the wall clock are left out; the
-// first varies with the host's CPU, the second with its load.
+// and the model. Only the wall clock is left out: it varies with the
+// host's load.
 var samplerGoldenRuns = []struct {
 	label    string
 	solver   func() (Solver, error)
